@@ -10,7 +10,7 @@ the simulators must capture.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 
 class SectorTransaction:
@@ -57,13 +57,15 @@ def coalesce(
     threads it serves.
     """
     sectors_per_line = line_bytes // sector_bytes
-    touched: Dict[Tuple[int, int], int] = {}
+    # Keyed by sector number (byte address // sector size): one int per
+    # lane, split into (line, sector) once per transaction.
+    touched: Dict[int, int] = {}
     for addr in addresses:
-        line_addr = addr // line_bytes
-        sector = (addr // sector_bytes) % sectors_per_line
-        key = (line_addr, sector)
-        touched[key] = touched.get(key, 0) + 1
+        sector_addr = addr // sector_bytes
+        touched[sector_addr] = touched.get(sector_addr, 0) + 1
     return [
-        SectorTransaction(line_addr, sector, count)
-        for (line_addr, sector), count in touched.items()
+        SectorTransaction(
+            sector_addr // sectors_per_line, sector_addr % sectors_per_line, count
+        )
+        for sector_addr, count in touched.items()
     ]

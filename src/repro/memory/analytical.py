@@ -147,8 +147,9 @@ class CacheSimProfiler:
         sector_bytes = config.l1.sector_bytes
         partitions = config.memory_partitions
         num_l1s = max(1, wanted)
+        hit = AccessStatus.HIT
         for block in kernel.blocks:
-            l1 = l1s[block.block_id % num_l1s]
+            l1_access = l1s[block.block_id % num_l1s].access_functional
             for warp in block.warps:
                 for inst in warp.instructions:
                     if not inst.is_memory or inst.mem_space is MemSpace.SHARED:
@@ -157,30 +158,35 @@ class CacheSimProfiler:
                     if profile is None:
                         profile = per_pc[inst.pc] = PCProfile()
                     transactions = coalesce(inst.addresses, line_bytes, sector_bytes)
-                    profile.instructions += 1
-                    profile.transactions += len(transactions)
                     is_store = inst.kind is not InstKind.LOAD
-                    worst = 0
+                    # Tallied in locals, added to the profile once per
+                    # instruction.
+                    l1_hits = l2_hits = 0
                     for transaction in transactions:
-                        profile.accesses += 1
                         line = transaction.line_addr
-                        result = l1.access_functional(line, transaction.sector, is_store)
-                        if not is_store and result.status is AccessStatus.HIT:
-                            profile.l1_hits += 1
+                        sector = transaction.sector
+                        result = l1_access(line, sector, is_store)
+                        if not is_store and result.status is hit:
+                            l1_hits += 1
                             continue
                         partition = partition_for_line(line, partitions)
                         slice_line = slice_line_addr(line, partitions)
                         l2_result = l2s[partition].access_functional(
-                            slice_line, transaction.sector, is_store
+                            slice_line, sector, is_store
                         )
-                        if l2_result.status is AccessStatus.HIT or is_store:
-                            profile.l2_hits += 1
-                            if worst < 1:
-                                worst = 1
-                        else:
-                            profile.dram_accesses += 1
-                            worst = 2
-                    profile.note_instruction_level(worst)
+                        if is_store or l2_result.status is hit:
+                            l2_hits += 1
+                    count = len(transactions)
+                    dram_accesses = count - l1_hits - l2_hits
+                    profile.instructions += 1
+                    profile.transactions += count
+                    profile.accesses += count
+                    profile.l1_hits += l1_hits
+                    profile.l2_hits += l2_hits
+                    profile.dram_accesses += dram_accesses
+                    profile.note_instruction_level(
+                        2 if dram_accesses else 1 if l2_hits else 0
+                    )
         return per_pc
 
 

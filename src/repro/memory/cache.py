@@ -1,19 +1,43 @@
 """Sectored cache with MSHRs (models both the L1 and one L2 slice).
 
-The tag array holds 128-byte lines split into 32-byte sectors with
-per-sector valid/dirty bits, as in Turing/Ampere (Table II).  Misses
-allocate Miss Status Holding Register entries keyed by
-``(line, sector)``; later requests to an in-flight sector merge into the
-entry up to the configured merge limit.
+Lines are 128 bytes split into 32-byte sectors with per-sector
+valid/dirty bits, as in Turing/Ampere (Table II).
 
-The cache is a pure state machine over an externally supplied clock: the
-caller performs an :meth:`SectoredCache.access`, and on a genuine miss
-tells the cache when the downstream fill will arrive via
-:meth:`SectoredCache.set_fill_cycle`.  This lets the same tag/MSHR logic
-serve three drivers: the per-cycle detailed memory system (Accel-Sim-like
-baseline), the reservation-queued system (Swift-Sim-Basic), and the
-zero-latency functional profiling pass that feeds the Eq. 1 analytical
-model.
+**Tag store.**  Hardware matches a tag against every way of a set at
+once; the model does the same with one dictionary probe.  ``_index``
+maps a line address to its resident :class:`_Line`, which carries its
+way number and its set's replacement policy, so a hit never computes a
+set index and never walks the ways.  Sets are ``(ways, policy)`` pairs
+that materialise on their first fill, and each of their lines on its
+own fill: lines are never invalidated, so ways fill in order and
+``len(ways)`` is both the set's fill count and its next free way.  Only
+a line miss on a full set consults the policy, and it filters out ways
+with a fill in flight only while the MSHR holds one.  Per-set policy
+seeds derive from the set index, so materialisation order cannot change
+replacement behaviour.
+
+**Two drivers** share that store, :meth:`SectoredCache._install`
+(victim choice and eviction), the write path and the counters:
+
+* *Timed* — :meth:`SectoredCache.access` at an externally supplied
+  cycle; on a genuine miss the caller reports when the downstream fill
+  arrives via :meth:`SectoredCache.set_fill_cycle`.  Misses allocate
+  Miss Status Holding Register entries keyed by ``(line, sector)``;
+  later requests to an in-flight sector merge into the entry up to the
+  configured merge limit, and a line with a fill in flight is not
+  evictable.  The per-cycle detailed memory system (Accel-Sim-like
+  baseline) and the reservation-queued one (Swift-Sim-Basic) drive the
+  cache this way.
+* *Functional* — :meth:`SectoredCache.access_functional`, the
+  zero-latency profiling pass that feeds the Eq. 1 analytical model.  A
+  fill lands before the access returns, so no fill is ever in flight:
+  the MSHR, the expiry heap and the structural stalls they cause are
+  unobservable and this driver never touches them.  It answers exactly
+  what ``access(..., cycle=n)`` followed by ``set_fill_cycle(..., n)``
+  answers (``tests/test_properties.py`` keeps that reference).
+
+A cache takes one driver: the functional one refuses a cache that has
+fills in flight.
 """
 
 from __future__ import annotations
@@ -26,20 +50,29 @@ from repro.errors import SimulationError
 from repro.frontend.config import CacheConfig
 from repro.memory.replacement import ReplacementPolicy, make_replacement_policy
 from repro.sim.module import ModelLevel, Module
-from repro.utils.bitops import bit_count
-from repro.utils.fastpath import get_fastpaths
+from repro.utils.bitops import bit_count, mask_iter
 
 
 @unique
 class AccessStatus(Enum):
-    """Outcome of one sector access."""
+    """Outcome of one sector access: its label and the counter an access
+    with that outcome increments."""
 
-    HIT = "hit"
-    PENDING_HIT = "pending_hit"          # merged into an in-flight fill
-    MISS = "miss"                        # new downstream fetch required
-    MISS_BYPASS = "miss_bypass"          # streaming cache: fetch, don't allocate
-    MSHR_FULL = "mshr_full"              # structural stall: retry later
-    RESERVATION_FAIL = "reservation_fail"  # no evictable way: retry later
+    HIT = ("hit", "sector_hits")
+    # merged into an in-flight fill
+    PENDING_HIT = ("pending_hit", "pending_hits")
+    # new downstream fetch required
+    MISS = ("miss", "sector_misses")
+    # streaming cache: fetch, don't allocate
+    MISS_BYPASS = ("miss_bypass", "sector_misses")
+    # structural stall: retry later
+    MSHR_FULL = ("mshr_full", "mshr_full_stalls")
+    # no evictable way: retry later
+    RESERVATION_FAIL = ("reservation_fail", "reservation_fails")
+
+    def __init__(self, label: str, counter: str) -> None:
+        self.label = label
+        self.counter = counter
 
 
 class AccessResult:
@@ -68,51 +101,41 @@ class AccessResult:
 
     def __repr__(self) -> str:
         return (
-            f"AccessResult({self.status.value}, fetch={self.needs_fetch}, "
+            f"AccessResult({self.status.label}, fetch={self.needs_fetch}, "
             f"ready={self.ready_cycle}, wb={self.dirty_writeback_sectors})"
         )
 
 
-# Shared results for the two allocation-heavy outcomes that carry no
-# per-access payload (callers treat AccessResult as read-only).
+# Shared results for the outcomes that carry no per-access payload
+# (callers treat AccessResult as read-only).
 _HIT = AccessResult(AccessStatus.HIT)
+_MISS_FETCH = AccessResult(AccessStatus.MISS, needs_fetch=True)
 _MISS_BYPASS_WRITE_THROUGH = AccessResult(AccessStatus.MISS_BYPASS)
-
-#: status -> counter incremented by :meth:`SectoredCache.access`.
-_STATUS_COUNTERS = {
-    AccessStatus.HIT: "sector_hits",
-    AccessStatus.PENDING_HIT: "pending_hits",
-    AccessStatus.MISS: "sector_misses",
-    AccessStatus.MISS_BYPASS: "sector_misses",
-    AccessStatus.MSHR_FULL: "mshr_full_stalls",
-    AccessStatus.RESERVATION_FAIL: "reservation_fails",
-}
 
 
 class _Line:
-    """One tag-array way."""
+    """One resident line: a filled way of its set."""
 
-    __slots__ = ("tag", "valid_mask", "dirty_mask", "pending_mask")
+    __slots__ = (
+        "line_addr", "way", "policy", "valid_mask", "dirty_mask", "pending_mask"
+    )
 
-    def __init__(self) -> None:
-        self.tag = -1
+    def __init__(self, line_addr: int, way: int, policy: ReplacementPolicy) -> None:
+        self.line_addr = line_addr
+        self.way = way
+        self.policy = policy  # the set's, shared by all its lines
         self.valid_mask = 0
         self.dirty_mask = 0
         self.pending_mask = 0
-
-    @property
-    def allocated(self) -> bool:
-        return self.tag >= 0
 
 
 class _MSHREntry:
     """In-flight fill for one (line, sector)."""
 
-    __slots__ = ("set_idx", "way", "fill_cycle", "merges")
+    __slots__ = ("line", "fill_cycle", "merges")
 
-    def __init__(self, set_idx: int, way: int) -> None:
-        self.set_idx = set_idx
-        self.way = way
+    def __init__(self, line: _Line) -> None:
+        self.line = line
         self.fill_cycle: Optional[int] = None
         self.merges = 0
 
@@ -128,45 +151,22 @@ class SectoredCache(Module):
         self.config = config
         self._num_sets = config.num_sets
         self._assoc = config.assoc
-        self._sectors_per_line = config.sectors_per_line
+        self._all_ways = range(config.assoc)
         self._seed = seed
-        # Tag-array sets keyed by set index.  Short workloads touch a
-        # small fraction of a 512-set L2, so under the ``cache_memo``
-        # fast path sets (and their replacement policies) materialize on
-        # first touch; otherwise they are all built here.  Per-set
-        # policy seeds are derived from the set index, so allocation
-        # order cannot change replacement behavior.
-        self._sets: Dict[int, List[_Line]] = {}
-        self._policies: Dict[int, ReplacementPolicy] = {}
-        if not get_fastpaths().cache_memo:
-            for set_idx in range(self._num_sets):
-                self._alloc_set(set_idx)
+        self._index: Dict[int, _Line] = {}
+        self._sets: Dict[int, Tuple[List[_Line], ReplacementPolicy]] = {}
         self._mshr: Dict[Tuple[int, int], _MSHREntry] = {}
         self._expiry: List[Tuple[int, int, int]] = []  # (fill_cycle, line, sector)
-        self._functional_clock = 0
 
     # ------------------------------------------------------------------
     # bookkeeping
 
-    def _alloc_set(self, set_idx: int) -> List[_Line]:
-        ways = [_Line() for __ in range(self._assoc)]
-        self._sets[set_idx] = ways
-        self._policies[set_idx] = make_replacement_policy(
-            self.config.replacement, self._assoc, seed=self._seed + set_idx
-        )
-        return ways
-
     def reset(self) -> None:
         super().reset()
-        for cache_set in self._sets.values():
-            for line in cache_set:
-                line.tag = -1
-                line.valid_mask = 0
-                line.dirty_mask = 0
-                line.pending_mask = 0
+        self._index.clear()
+        self._sets.clear()
         self._mshr.clear()
         self._expiry.clear()
-        self._functional_clock = 0
 
     def _expire(self, cycle: int) -> None:
         """Retire every fill whose data has arrived by ``cycle``."""
@@ -176,20 +176,11 @@ class SectoredCache(Module):
             entry = self._mshr.pop((line_addr, sector), None)
             if entry is None:
                 continue
-            line = self._sets[entry.set_idx][entry.way]
+            line = entry.line
             bit = 1 << sector
             line.pending_mask &= ~bit
             line.valid_mask |= bit
             self.counters.add("fills")
-
-    @staticmethod
-    def _locate(ways: List[_Line], tag: int) -> Optional[int]:
-        # Unallocated ways hold tag -1 and real tags are non-negative, so a
-        # plain equality test suffices (hot path: no property calls).
-        for way, line in enumerate(ways):
-            if line.tag == tag:
-                return way
-        return None
 
     def set_fill_cycle(self, line_addr: int, sector: int, fill_cycle: int) -> None:
         """Report when the downstream fetch for a MISS will fill the sector."""
@@ -239,7 +230,48 @@ class SectoredCache(Module):
                     f"(limit {self.config.mshr_max_merge})"
                 )
                 break
+        broken.extend(self._tag_store_invariants())
         return broken
+
+    def _tag_store_invariants(self) -> List[str]:
+        """Index <-> ways agreement, and pending bits <-> MSHR entries."""
+        index = self._index
+        resident = 0
+        for set_idx, (ways, __) in self._sets.items():
+            if len(ways) > self._assoc:
+                return [f"set {set_idx} holds {len(ways)} lines (assoc {self._assoc})"]
+            resident += len(ways)
+            for way, line in enumerate(ways):
+                if (
+                    line.way != way
+                    or line.line_addr % self._num_sets != set_idx
+                    or index.get(line.line_addr) is not line
+                ):
+                    return [
+                        f"tag store: way {way} of set {set_idx} holds line "
+                        f"{line.line_addr:#x} (way {line.way}), which the "
+                        f"index does not map back to it"
+                    ]
+                for sector in mask_iter(line.pending_mask):
+                    if (line.line_addr, sector) not in self._mshr:
+                        return [
+                            f"line {line.line_addr:#x} sector {sector} is "
+                            f"pending with no MSHR entry"
+                        ]
+        if resident != len(index):
+            return [
+                f"tag store: index maps {len(index)} lines, the sets hold "
+                f"{resident}"
+            ]
+        for (line_addr, sector), entry in self._mshr.items():
+            if index.get(line_addr) is not entry.line or not (
+                entry.line.pending_mask >> sector & 1
+            ):
+                return [
+                    f"MSHR entry for line {line_addr:#x} sector {sector} "
+                    f"points at a line that is not resident and pending"
+                ]
+        return []
 
     def probe(self, line_addr: int, sector: int, cycle: Optional[int] = None) -> bool:
         """Is the sector present and valid?  With ``cycle``, fills that
@@ -247,14 +279,8 @@ class SectoredCache(Module):
         touched either way)."""
         if cycle is not None:
             self._expire(cycle)
-        tag, set_idx = divmod(line_addr, self._num_sets)
-        ways = self._sets.get(set_idx)
-        if ways is None:
-            return False  # set never touched (lazy allocation)
-        way = self._locate(ways, tag)
-        if way is None:
-            return False
-        return bool(ways[way].valid_mask & (1 << sector))
+        line = self._index.get(line_addr)
+        return line is not None and bool(line.valid_mask & (1 << sector))
 
     # ------------------------------------------------------------------
     # the access state machine
@@ -262,7 +288,7 @@ class SectoredCache(Module):
     def access(
         self, line_addr: int, sector: int, is_write: bool, cycle: int
     ) -> AccessResult:
-        """Perform one sector access at ``cycle``. See class docstring."""
+        """Perform one sector access at ``cycle`` (the timed driver)."""
         expiry = self._expiry
         if expiry and expiry[0][0] <= cycle:
             self._expire(cycle)
@@ -272,34 +298,54 @@ class SectoredCache(Module):
             result = self._access_write(line_addr, sector)
         else:
             result = self._access_read(line_addr, sector)
-        counters_add(_STATUS_COUNTERS[result.status])
+        counters_add(result.status.counter)
         if result.dirty_writeback_sectors:
             counters_add("writeback_sectors", result.dirty_writeback_sectors)
         return result
 
     def access_functional(self, line_addr: int, sector: int, is_write: bool) -> AccessResult:
-        """Zero-latency access for profiling passes: fills land instantly,
-        so structural stalls (MSHR/reservation) cannot occur."""
-        self._functional_clock += 1
-        cycle = self._functional_clock
-        result = self.access(line_addr, sector, is_write, cycle)
+        """Zero-latency access for profiling passes (the functional
+        driver): a fetched sector is valid when the call returns, so
+        structural stalls (MSHR/reservation) cannot occur."""
+        if self._mshr:
+            raise SimulationError(
+                f"{self.name}: functional access with {len(self._mshr)} timed "
+                f"fills in flight (a cache takes one driver)"
+            )
+        counters_add = self.counters.add
+        counters_add("sector_accesses")
+        if is_write:
+            # No fill is pending, so the write path allocates no MSHR entry.
+            result = self._access_write(line_addr, sector)
+        else:
+            bit = 1 << sector
+            line = self._index.get(line_addr)
+            if line is None:
+                line, writeback = self._install(line_addr)
+                result = _MISS_FETCH if not writeback else AccessResult(
+                    AccessStatus.MISS, needs_fetch=True,
+                    dirty_writeback_sectors=writeback,
+                )
+            else:
+                line.policy.on_access(line.way)
+                result = _HIT if line.valid_mask & bit else _MISS_FETCH
+            line.valid_mask |= bit  # the fetched sector has landed
+        counters_add(result.status.counter)
+        if result.dirty_writeback_sectors:
+            counters_add("writeback_sectors", result.dirty_writeback_sectors)
         if result.needs_fetch:
-            self.set_fill_cycle(line_addr, sector, cycle)
+            counters_add("fills")
         return result
 
     def _access_read(self, line_addr: int, sector: int) -> AccessResult:
-        tag, set_idx = divmod(line_addr, self._num_sets)
-        bit = 1 << sector
-        ways = self._sets.get(set_idx)
-        if ways is None:
-            ways = self._alloc_set(set_idx)
-        way = self._locate(ways, tag)
-        if way is not None:
-            line = ways[way]
+        mshr = self._mshr
+        line = self._index.get(line_addr)
+        if line is not None:
+            bit = 1 << sector
             if line.valid_mask & bit:
-                self._policies[set_idx].on_access(way)
+                line.policy.on_access(line.way)
                 return _HIT
-            entry = self._mshr.get((line_addr, sector))
+            entry = mshr.get((line_addr, sector))
             if entry is not None:
                 if entry.merges >= self.config.mshr_max_merge:
                     return AccessResult(AccessStatus.MSHR_FULL)
@@ -308,48 +354,43 @@ class SectoredCache(Module):
                     AccessStatus.PENDING_HIT, ready_cycle=entry.fill_cycle
                 )
             # Sector miss on a present line: fetch just this sector.
-            if len(self._mshr) >= self.config.mshr_entries:
+            if len(mshr) >= self.config.mshr_entries:
                 return AccessResult(AccessStatus.MSHR_FULL)
             line.pending_mask |= bit
-            self._mshr[(line_addr, sector)] = _MSHREntry(set_idx, way)
-            self._policies[set_idx].on_access(way)
-            return AccessResult(AccessStatus.MISS, needs_fetch=True)
+            mshr[(line_addr, sector)] = _MSHREntry(line)
+            line.policy.on_access(line.way)
+            return _MISS_FETCH
         # Line miss: allocate a way (or bypass for streaming caches).
-        if len(self._mshr) >= self.config.mshr_entries:
+        if len(mshr) >= self.config.mshr_entries:
             return AccessResult(AccessStatus.MSHR_FULL)
-        victim = self._find_victim(set_idx, ways)
-        if victim is None:
+        line, writeback = self._install(line_addr)
+        if line is None:
             if self.config.streaming:
                 self.counters.add("bypasses")
                 return AccessResult(AccessStatus.MISS_BYPASS, needs_fetch=True)
             return AccessResult(AccessStatus.RESERVATION_FAIL)
-        writeback = self._install(set_idx, victim, tag, ways)
-        line = ways[victim]
-        line.pending_mask |= bit
-        self._mshr[(line_addr, sector)] = _MSHREntry(set_idx, victim)
+        line.pending_mask = 1 << sector
+        mshr[(line_addr, sector)] = _MSHREntry(line)
+        if not writeback:
+            return _MISS_FETCH
         return AccessResult(
             AccessStatus.MISS, needs_fetch=True, dirty_writeback_sectors=writeback
         )
 
     def _access_write(self, line_addr: int, sector: int) -> AccessResult:
-        tag, set_idx = divmod(line_addr, self._num_sets)
         bit = 1 << sector
-        ways = self._sets.get(set_idx)
-        if ways is None:
-            ways = self._alloc_set(set_idx)
-        way = self._locate(ways, tag)
+        line = self._index.get(line_addr)
         if not self.config.write_back:
             # Write-through, no write-allocate (the Turing L1): update the
             # sector if present; the caller forwards the write downstream
             # either way.
-            if way is not None and ways[way].valid_mask & bit:
-                self._policies[set_idx].on_access(way)
+            if line is not None and line.valid_mask & bit:
+                line.policy.on_access(line.way)
                 return _HIT
             return _MISS_BYPASS_WRITE_THROUGH
         # Write-back, write-allocate (the L2). A full-sector store needs no
         # downstream fetch: allocate, mark valid + dirty.
-        if way is not None:
-            line = ways[way]
+        if line is not None:
             if line.pending_mask & bit:
                 # Sector is being filled; coalesce the write behind the fill.
                 entry = self._mshr.get((line_addr, sector))
@@ -358,45 +399,59 @@ class SectoredCache(Module):
                     AccessStatus.PENDING_HIT,
                     ready_cycle=entry.fill_cycle if entry else None,
                 )
-            hit = bool(line.valid_mask & bit)
+            hit = line.valid_mask & bit
             line.valid_mask |= bit
             line.dirty_mask |= bit
-            self._policies[set_idx].on_access(way)
-            return AccessResult(AccessStatus.HIT if hit else AccessStatus.MISS)
-        victim = self._find_victim(set_idx, ways)
-        if victim is None:
+            line.policy.on_access(line.way)
+            return _HIT if hit else AccessResult(AccessStatus.MISS)
+        line, writeback = self._install(line_addr)
+        if line is None:
             return AccessResult(AccessStatus.RESERVATION_FAIL)
-        writeback = self._install(set_idx, victim, tag, ways)
-        line = ways[victim]
-        line.valid_mask |= bit
-        line.dirty_mask |= bit
+        line.valid_mask = line.dirty_mask = bit
         return AccessResult(
             AccessStatus.MISS, needs_fetch=False, dirty_writeback_sectors=writeback
         )
 
-    def _find_victim(self, set_idx: int, ways: List[_Line]) -> Optional[int]:
-        """Pick a way to evict; lines with in-flight fills are not evictable."""
-        for way, line in enumerate(ways):
-            if line.tag < 0:
-                return way
-        candidates = [w for w, line in enumerate(ways) if line.pending_mask == 0]
-        if not candidates:
-            return None
-        return self._policies[set_idx].victim(candidates)
+    def _install(self, line_addr: int) -> Tuple[Optional[_Line], int]:
+        """Give ``line_addr`` a way of its set and index it, evicting the
+        policy's victim when the set is full.
 
-    def _install(self, set_idx: int, way: int, tag: int, ways: List[_Line]) -> int:
-        """Evict whatever occupies ``way`` and install ``tag``; return the
-        number of dirty sectors written back."""
-        line = ways[way]
-        allocated = line.tag >= 0
-        writeback = bit_count(line.dirty_mask) if allocated else 0
-        if writeback:
-            self.counters.add("evictions_dirty")
-        elif allocated:
-            self.counters.add("evictions_clean")
-        line.tag = tag
-        line.valid_mask = 0
-        line.dirty_mask = 0
-        line.pending_mask = 0
-        self._policies[set_idx].on_fill(way)
-        return writeback
+        Returns the line (all masks clear) and the number of dirty sectors
+        the eviction wrote back, or ``(None, 0)`` when every way has a fill
+        in flight and nothing is evictable.
+        """
+        set_idx = line_addr % self._num_sets
+        cache_set = self._sets.get(set_idx)
+        if cache_set is None:
+            ways: List[_Line] = []
+            policy = make_replacement_policy(
+                self.config.replacement, self._assoc, seed=self._seed + set_idx
+            )
+            self._sets[set_idx] = (ways, policy)
+        else:
+            ways, policy = cache_set
+        way = len(ways)
+        writeback = 0
+        if way < self._assoc:
+            line = _Line(line_addr, way, policy)
+            ways.append(line)
+        else:
+            candidates = self._all_ways
+            if self._mshr:
+                candidates = [w.way for w in ways if not w.pending_mask]
+                if not candidates:
+                    return None, 0
+            way = policy.victim(candidates)
+            line = ways[way]
+            del self._index[line.line_addr]
+            if line.dirty_mask:
+                writeback = bit_count(line.dirty_mask)
+                self.counters.add("evictions_dirty")
+            else:
+                self.counters.add("evictions_clean")
+            line.line_addr = line_addr
+            line.valid_mask = 0
+            line.dirty_mask = 0
+        self._index[line_addr] = line
+        policy.on_fill(way)
+        return line, writeback

@@ -38,15 +38,13 @@ class LRUPolicy(ReplacementPolicy):
         self._stamp = 0
         self._last_use: List[int] = [-1] * assoc
 
-    def _touch(self, way: int) -> None:
+    def on_fill(self, way: int) -> None:
         self._stamp += 1
         self._last_use[way] = self._stamp
 
-    def on_fill(self, way: int) -> None:
-        self._touch(way)
-
     def on_access(self, way: int) -> None:
-        self._touch(way)
+        self._stamp += 1
+        self._last_use[way] = self._stamp
 
     def victim(self, candidates: Sequence[int]) -> int:
         if len(candidates) == 1:

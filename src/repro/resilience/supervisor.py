@@ -380,8 +380,13 @@ class Supervisor:
         """Inspect one running attempt; return (status, message, result)
         or ``None`` if it is still in flight."""
         # Message first: a worker may send its result and exit before we
-        # look at liveness.
-        if running.conn.poll():
+        # look at liveness -- or between the two looks, so a dead worker's
+        # pipe is polled once more before its exit counts as a crash.
+        ready = running.conn.poll()
+        alive = ready or running.process.is_alive()
+        if not alive:
+            ready = running.conn.poll()
+        if ready:
             try:
                 status, payload = running.conn.recv()
             except (EOFError, OSError):
@@ -394,7 +399,7 @@ class Supervisor:
             if status == "ok":
                 return "ok", "", payload
             return status, str(payload), None
-        if not running.process.is_alive():
+        if not alive:
             exitcode = running.process.exitcode
             self._reap(running)
             detail = (

@@ -11,8 +11,6 @@ flags are:
     (hoisted heap locals, inlined rescheduling) when no checker is
     attached.  Per-entry heap semantics are unchanged.
 ``cache_memo``
-    :class:`~repro.memory.cache.SectoredCache` allocates tag-array sets
-    lazily on first touch instead of eagerly at construction, and
     :class:`~repro.memory.analytical.MemoryProfile` memoizes
     per-application profiling passes.
 ``trace_cache``

@@ -202,6 +202,16 @@ class TestBookkeeping:
         assert cache.access_functional(0x10, 0, False).status is AccessStatus.MISS
         assert cache.access_functional(0x10, 0, False).status is AccessStatus.HIT
 
+    def test_functional_access_refuses_a_cache_with_fills_in_flight(self):
+        cache = small_cache()
+        cache.access(0x10, 0, False, 0)  # timed miss: MSHR entry, no fill yet
+        with pytest.raises(SimulationError, match="fills in flight"):
+            cache.access_functional(0x20, 0, False)
+        # Once the fill has landed the cache is consistent again.
+        cache.set_fill_cycle(0x10, 0, 5)
+        assert cache.probe(0x10, 0, cycle=5)
+        assert cache.access_functional(0x10, 0, False).status is AccessStatus.HIT
+
     def test_pending_line_never_evicted(self):
         cache = small_cache(assoc=2, mshr_entries=32, streaming=True)
         num_sets = cache.config.num_sets

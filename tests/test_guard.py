@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.eval.harness import EvaluationHarness
 from repro.guard import (
     GuardConfig,
+    InvariantGuard,
     InvariantSaboteur,
     PROGRESS_IGNORED_COUNTERS,
     ProgressWatchdog,
@@ -39,6 +40,7 @@ from repro.guard import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.memory.cache import SectoredCache
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.supervisor import Task
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
@@ -364,6 +366,33 @@ class TestInvariantGuard:
         )
         assert result.total_cycles > 0
         assert not guard.bundles
+
+    def test_cache_tag_store_corruption_detected(self):
+        """Index <-> ways and pending <-> MSHR agreement, via the guard."""
+        cache = SectoredCache(make_tiny_gpu().l1, name="l1_under_test")
+        owner = _Worker(work=1)
+        owner.add_child(cache)
+        engine = Engine()
+        engine.add(owner)
+        guard = InvariantGuard(engine)
+        cache.access(0x10, 0, False, cycle=0)   # resident, fill in flight
+        cache.access(0x20, 1, True, cycle=0)
+        guard.check_now(0)  # healthy
+
+        line = cache._index.pop(0x10)           # index forgets a resident line
+        with pytest.raises(InvariantViolation) as exc_info:
+            guard.check_now(1)
+        assert exc_info.value.module_name == "l1_under_test"
+        assert "index does not map back" in str(exc_info.value)
+
+        cache._index[0x10] = line
+        guard.check_now(2)
+        entry = cache._mshr.pop((0x10, 0))      # pending bit loses its MSHR entry
+        assert "pending with no MSHR entry" in cache.invariants(3)[0]
+
+        cache._mshr[(0x10, 0)] = entry
+        line.pending_mask = 0                   # MSHR entry loses its pending bit
+        assert "not resident and pending" in cache.invariants(4)[0]
 
     def test_module_invariants_default_empty(self):
         assert _Worker(work=1).invariants(0) == []

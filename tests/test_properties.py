@@ -128,6 +128,62 @@ class TestCacheAgainstReference:
         assert counted == cache.counters.get("sector_accesses") == len(accesses)
 
 
+mixed_trace_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestFunctionalDriverAgainstTimedReference:
+    """``access_functional`` never touches the MSHR or the expiry heap.
+    The reference is what it replaced: a timed access at cycle ``n``
+    whose fill is reported to land at ``n``, on a second cache."""
+
+    @given(
+        st.sampled_from(["LRU", "FIFO", "RANDOM"]),
+        st.booleans(),
+        mixed_trace_strategy,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_access_plus_immediate_fill(self, replacement, write_back, accesses):
+        config = CacheConfig(
+            size_bytes=16 * 128,  # 16 lines
+            assoc=4,
+            mshr_entries=2,
+            replacement=replacement,
+            write_back=write_back,
+            write_allocate=write_back,
+        )
+        functional = SectoredCache(config, name="functional", seed=3)
+        reference = SectoredCache(config, name="reference", seed=3)
+        for cycle, (line, sector, is_write) in enumerate(accesses, start=1):
+            got = functional.access_functional(line, sector, is_write)
+            want = reference.access(line, sector, is_write, cycle)
+            if want.needs_fetch:
+                reference.set_fill_cycle(line, sector, cycle)
+            assert (
+                got.status, got.needs_fetch, got.ready_cycle,
+                got.dirty_writeback_sectors,
+            ) == (
+                want.status, want.needs_fetch, want.ready_cycle,
+                want.dirty_writeback_sectors,
+            ), (cycle, line, sector, is_write)
+            # Probing at ``cycle`` retires the reference's fill, which the
+            # functional driver has already counted.
+            for probed in range(64):
+                assert functional.probe(probed, sector) == reference.probe(
+                    probed, sector, cycle=cycle
+                ), (cycle, probed, sector)
+            assert functional.counters.as_dict() == reference.counters.as_dict()
+            assert functional.mshr_occupancy() == 0
+            assert functional.invariants(cycle) == []
+
+
 # ----------------------------------------------------------------------
 # Reuse-distance stack
 

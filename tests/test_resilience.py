@@ -280,6 +280,19 @@ class TestSupervisorPooled:
         assert outcome.num_attempts == 2
         assert all(r.outcome == "timeout" for r in outcome.attempts)
 
+    def test_result_sent_just_before_exit_is_not_a_crash(self):
+        """A worker that sends and exits between the supervisor's pipe
+        poll and its liveness check used to be declared dead with exit
+        code 0 (about one no-op task in 60; retries masked it)."""
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
+        attempts = []
+        for __ in range(300):
+            outcome = Supervisor(policy, workers=2).run([Task("noop", int)])["noop"]
+            assert outcome.result == 0
+            attempts.extend(outcome.attempts)
+        assert [r.outcome for r in attempts if r.outcome == "crash"] == []
+        assert len(attempts) == 300
+
     def test_worker_exception_reported_not_fatal(self):
         outcomes = Supervisor(NO_RETRY, workers=2).run(
             [Task("a", _raise_value_error), Task("b", _double, (2,))]
