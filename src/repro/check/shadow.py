@@ -57,7 +57,7 @@ def compare_results(
     """Findings for any observable difference between two runs.
 
     Shared bit-identity comparator: the shadow-jump pillar (its home),
-    the sharded pillar, the guard pillar, and the fast-path equivalence
+    the sharded pillar, the guard pillar, and the dispatch-equivalence
     tests all reduce to "these two runs must agree on everything" —
     ``check`` tags whose contract a difference violates and ``labels``
     names the two runs in the findings.
@@ -102,11 +102,6 @@ def compare_results(
     return findings
 
 
-
-#: Backwards-compatible alias (pre-public name).
-_compare_results = compare_results
-
-
 def shadow_jump_check(
     simulator: PlanSimulator,
     app: ApplicationTrace,
@@ -130,7 +125,7 @@ def shadow_jump_check(
         # The plan already clocks per-cycle; the shadow run proves that
         # *enabling* jumps changes nothing (modules never jump anyway).
         primary, shadow = shadow, primary
-    findings = _compare_results(subject, primary, shadow)
+    findings = compare_results(subject, primary, shadow)
     if not findings:
         findings.append(info(
             _CHECK, subject,

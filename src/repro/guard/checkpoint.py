@@ -36,7 +36,8 @@ from repro.errors import CheckpointCorruption, CheckpointError
 MAGIC = b"REPROCKPT1\n"
 
 #: Checkpoint meta schema version; bump on incompatible payload changes.
-FORMAT_VERSION = 1
+#: 2: a pickled ``Engine`` carries no ``config`` attribute.
+FORMAT_VERSION = 2
 
 
 def checkpoint_name(cycle: int) -> str:

@@ -1,9 +1,9 @@
 """Configuration for the in-simulation guard subsystem.
 
-Follows the :mod:`repro.utils.fastpath` pattern: one frozen dataclass of
-flags, all off by default, so an unguarded run never pays for the
-machinery (the engine keeps its fast dispatch loop when no checker is
-attached).
+One frozen dataclass of flags, all off by default, so an unguarded run
+never pays for the machinery: a guard with nothing enabled attaches no
+checker, and :meth:`repro.sim.engine.Engine.run` picks its
+uninstrumented loop whenever no checker is attached.
 """
 
 from __future__ import annotations

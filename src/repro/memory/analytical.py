@@ -28,15 +28,16 @@ from repro.memory.l2 import build_l2_slices, partition_for_line, slice_line_addr
 from repro.memory.reuse_distance import PCProfile, ReuseDistanceProfiler
 from repro.sim.module import ModelLevel, Module
 from repro.utils.bitops import ceil_div
-from repro.utils.fastpath import get_fastpaths
 
 #: Memoized :meth:`MemoryProfile.for_application` results, keyed weakly
 #: on the application trace.  Profiling is a deterministic pure function
 #: of ``(config, kernels, source)`` and the resulting profiles are
 #: immutable after construction, so re-running it for the same app —
 #: which differential/shadow verification and benchmark sweeps do
-#: constantly — is pure waste.  Values hold ``(config, source,
-#: profiles)`` triples; configs are compared by identity.
+#: constantly — is pure waste.  Values map ``source -> (config,
+#: profiles)``: one entry per source per app, replaced when a different
+#: config object (compared by identity) profiles the app, so a design-
+#: space sweep cannot accumulate dead entries.
 _PROFILE_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
@@ -93,17 +94,16 @@ class MemoryProfile:
         kernels, matching the simulated caches' cross-kernel warmth.
 
         ``memo_key`` (an :class:`~repro.frontend.trace.ApplicationTrace`
-        owning exactly ``kernels``) opts the call into the
-        ``cache_memo`` fast path: repeated profiling of the same app
-        with the same config and source returns the cached profiles.
+        owning exactly ``kernels``) opts the call into the memo:
+        repeated profiling of the same app with the same config object
+        and source returns the cached profiles.  ``memo_key=None`` is
+        the unmemoised reference.
         """
-        memoize = memo_key is not None and get_fastpaths().cache_memo
-        if memoize:
-            for entry_config, entry_source, profiles in _PROFILE_MEMO.get(
-                memo_key, ()
-            ):
-                if entry_config is config and entry_source == source:
-                    return profiles
+        memo = None if memo_key is None else _PROFILE_MEMO.setdefault(memo_key, {})
+        if memo is not None:
+            entry = memo.get(source)
+            if entry is not None and entry[0] is config:
+                return entry[1]
         if source == "reuse_distance":
             profiler = ReuseDistanceProfiler(config)
             tallies = profiler.profile_many(kernels)
@@ -111,10 +111,8 @@ class MemoryProfile:
             cache_profiler = CacheSimProfiler(config)
             tallies = [cache_profiler.profile(kernel) for kernel in kernels]
         profiles = [MemoryProfile(config, per_pc) for per_pc in tallies]
-        if memoize:
-            _PROFILE_MEMO.setdefault(memo_key, []).append(
-                (config, source, profiles)
-            )
+        if memo is not None:
+            memo[source] = (config, profiles)
         return profiles
 
 

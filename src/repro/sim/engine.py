@@ -24,32 +24,12 @@ from __future__ import annotations
 
 import heapq
 from abc import abstractmethod
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CycleBudgetExceeded, SimulationError
 from repro.sim.module import Module
-from repro.utils.fastpath import get_fastpaths
 
 _IDLE = -1
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Engine construction options.
-
-    ``fast_dispatch`` selects the tightened :meth:`Engine.run` loop
-    (hoisted heap locals, inlined rescheduling).  ``None`` defers to the
-    process-wide :func:`repro.utils.fastpath.get_fastpaths` flags at run
-    time; the fast loop is also bypassed automatically whenever a
-    checker is attached, since checkers need the per-tick callbacks.
-    Dispatch order and results are bit-identical either way —
-    ``tests/test_fastpath_equivalence.py`` enforces this.
-    """
-
-    allow_jump: bool = True
-    start_cycle: int = 0
-    fast_dispatch: Optional[bool] = None
 
 
 class EngineChecker:
@@ -157,19 +137,17 @@ class Engine:
 
     Uses a lazily-invalidated heap: each module has exactly one live
     scheduled cycle; superseded heap entries are skipped on pop.
+
+    :meth:`run` picks its dispatch loop from the one thing it can
+    observe: with no checker attached it runs :meth:`_run_fast`, with
+    one it runs the instrumented loop (:meth:`run_until`).  Dispatch
+    order and results are bit-identical either way —
+    ``tests/test_fastpath_equivalence.py`` enforces this.
     """
 
-    def __init__(
-        self,
-        allow_jump: bool = True,
-        start_cycle: int = 0,
-        config: Optional[EngineConfig] = None,
-    ) -> None:
-        if config is None:
-            config = EngineConfig(allow_jump=allow_jump, start_cycle=start_cycle)
-        self.config = config
-        self.allow_jump = config.allow_jump
-        self.cycle = config.start_cycle
+    def __init__(self, allow_jump: bool = True, start_cycle: int = 0) -> None:
+        self.allow_jump = allow_jump
+        self.cycle = start_cycle
         self._heap: List[Tuple[int, int, int, ClockedModule]] = []
         self._seq = 0
         self._scheduled: Dict[ClockedModule, int] = {}
@@ -267,10 +245,10 @@ class Engine:
     def tick_once(self) -> Optional[int]:
         """Execute exactly one scheduled tick; return its cycle.
 
-        Returns ``None`` when the schedule is drained.  Semantics match
-        one iteration of the reference dispatch loop — same supersede
-        handling, same non-advancing-wake error, same checker callbacks
-        (``on_tick``/``on_tick_end``) — *except* ``on_cycle_start``,
+        Returns ``None`` when the schedule is drained.  This is the body
+        of the instrumented loop (:meth:`run_until`) — supersede
+        handling, the non-advancing-wake error, the ``on_tick`` /
+        ``on_tick_end`` checker pair — *except* ``on_cycle_start``,
         which the caller owns: a sharded run must fire it once globally
         per cycle boundary, not once per shard (:meth:`run_until` and
         the sharded coordinator both do so before calling this).
@@ -297,23 +275,30 @@ class Engine:
             self._schedule(module, next_cycle)
         return cycle
 
-    def run_until(self, limit: int, max_cycles: Optional[int] = None) -> Optional[int]:
-        """Execute every scheduled tick with ``cycle < limit``.
+    def run_until(
+        self, limit: Optional[int] = None, max_cycles: Optional[int] = None
+    ) -> Optional[int]:
+        """The instrumented dispatch loop: execute every scheduled tick
+        with ``cycle < limit`` (every tick, when ``limit`` is ``None``).
 
         Returns the last executed cycle, or ``None`` if nothing ran.
         Ticks scheduled during the call (wakes, reschedules) are honored
         as long as they land before ``limit``; events at or past the
-        limit stay queued for the next window.  This is one conservative
-        lookahead window of a sharded run.
+        limit stay queued for the next window.  With a limit this is one
+        conservative lookahead window of a sharded run; without one it
+        is :meth:`run` with a checker attached.
         """
         last_cycle: Optional[int] = None
         while True:
             peeked = self.peek_next()
-            if peeked is None or peeked[0] >= limit:
+            if peeked is None or (limit is not None and peeked[0] >= limit):
                 break
             if max_cycles is not None and peeked[0] > max_cycles:
                 raise CycleBudgetExceeded(max_cycles, peeked[0], peeked[2].name)
             if self.checker is not None and peeked[0] > self.cycle:
+                # Peeked, not popped: every tick at self.cycle has finished
+                # and the heap is untouched, so engine + module state is a
+                # consistent cycle-boundary snapshot (checkpoint-safe).
                 self.checker.on_cycle_start(peeked[0])
             last_cycle = self.tick_once()
         return last_cycle
@@ -325,76 +310,37 @@ class Engine:
         :class:`repro.errors.CycleBudgetExceeded` rather than hanging
         (or silently returning the cap as if the run had converged).
         """
-        fast = self.config.fast_dispatch
-        if fast is None:
-            fast = get_fastpaths().fast_dispatch
-        if fast and self.checker is None:
-            last_cycle = self._run_fast(max_cycles)
+        # Either loop leaves ``self.cycle`` at the last executed tick.
+        if self.checker is None:
+            self._run_fast(max_cycles)
         else:
-            last_cycle = self._run_checked(max_cycles)
+            self.run_until(max_cycles=max_cycles)
         for module in self._modules:
             if not module.is_done():
                 raise SimulationError(
                     f"module {module.name!r} went idle with work outstanding"
                 )
-        self.cycle = last_cycle
         if self.checker is not None:
-            self.checker.on_run_end(last_cycle)
-        return last_cycle
+            self.checker.on_run_end(self.cycle)
+        return self.cycle
 
-    def _run_checked(self, max_cycles: int) -> int:
-        """Reference dispatch loop; drives checker callbacks per tick."""
-        heap = self._heap
-        checker = self.checker
-        last_cycle = self.cycle
-        while heap:
-            cycle, rank, __seq, module = heap[0]
-            if self._scheduled.get(module, _IDLE) != cycle:
-                heapq.heappop(heap)
-                continue  # superseded entry
-            if cycle > max_cycles:
-                raise CycleBudgetExceeded(max_cycles, cycle, module.name)
-            if checker is not None and cycle > self.cycle:
-                # Peeked, not popped: every tick at self.cycle has finished
-                # and the heap is untouched, so engine + module state is a
-                # consistent cycle-boundary snapshot (checkpoint-safe).
-                checker.on_cycle_start(cycle)
-            cycle, rank, __seq, module = heapq.heappop(heap)
-            self.cycle = cycle
-            del self._scheduled[module]
-            if checker is not None:
-                checker.on_tick(module, cycle, rank)
-            next_cycle = module.tick(cycle)
-            if checker is not None:
-                checker.on_tick_end(module, cycle)
-            last_cycle = cycle
-            if next_cycle is not None:
-                if next_cycle <= cycle:
-                    raise SimulationError(
-                        f"module {module.name!r} returned non-advancing wake cycle "
-                        f"{next_cycle} at cycle {cycle}"
-                    )
-                self._schedule(module, next_cycle)
-        return last_cycle
-
-    def _run_fast(self, max_cycles: int) -> int:
+    def _run_fast(self, max_cycles: int) -> None:
         """Tightened dispatch loop for the no-checker case.
 
-        Identical heap semantics to :meth:`_run_checked` — same entries,
+        Identical heap semantics to :meth:`run_until` — same entries,
         same supersede test, same tie-breaking — with the per-tick method
         and checker-callback overhead removed: heap primitives and the
         schedule map are hoisted to locals and the common reschedule
         (module returns its own next wake cycle) is inlined instead of
         going through :meth:`_schedule`.  ``self._seq`` is kept coherent
         every iteration so :meth:`wake` calls made *during* a tick
-        interleave exactly as in the reference loop.
+        interleave exactly as in the instrumented loop.
         """
         heap = self._heap
         scheduled = self._scheduled
         heappop = heapq.heappop
         heappush = heapq.heappush
         allow_jump = self.allow_jump
-        last_cycle = self.cycle
         while heap:
             cycle, rank, __seq, module = heappop(heap)
             if scheduled.get(module, _IDLE) != cycle:
@@ -404,7 +350,6 @@ class Engine:
             self.cycle = cycle
             del scheduled[module]
             next_cycle = module.tick(cycle)
-            last_cycle = cycle
             if next_cycle is not None:
                 if next_cycle <= cycle:
                     raise SimulationError(
@@ -417,4 +362,3 @@ class Engine:
                 scheduled[module] = next_cycle
                 heappush(heap, (next_cycle, rank, seq, module))
                 self._seq = seq + 1
-        return last_cycle

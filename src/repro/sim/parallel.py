@@ -62,12 +62,7 @@ from repro.errors import (
     ShardSyncError,
     SimulationError,
 )
-from repro.sim.engine import (
-    ClockedModule,
-    Engine,
-    EngineChecker,
-    EngineConfig,
-)
+from repro.sim.engine import ClockedModule, Engine, EngineChecker
 from repro.sim.shard import ChannelEndpoint, ShardChannel, ShardPlan
 
 MODES = ("lockstep", "windowed")
@@ -167,7 +162,6 @@ class ShardedEngine:
         self.lookahead = lookahead
         self.allow_jump = allow_jump
         self.cycle = start_cycle
-        self.config = EngineConfig(allow_jump=allow_jump, start_cycle=start_cycle)
         self.checker: Optional[EngineChecker] = None
         #: Optional fault-injection hook consulted at every global cycle
         #: boundary — the same consistent cut the checker seam uses.  A

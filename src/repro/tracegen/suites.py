@@ -39,24 +39,21 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from repro.utils.fastpath import get_fastpaths
-
 from repro.errors import WorkloadError
 from repro.frontend.trace import ApplicationTrace, KernelTrace
 from repro.tracegen.base import KernelBuilder, Scale
 from repro.tracegen import kernels as bodies
 
-#: app name -> (suite, factory(scale) -> ApplicationTrace)
+#: app name -> (suite, factory(scale) -> List[KernelTrace])
 APPLICATIONS: Dict[str, tuple] = {}
 
-#: Memoized :func:`make_app` results under the ``trace_cache`` fast
-#: path.  Generation is deterministic (builder RNG seeds derive from the
-#: app name) and kernels are immutable once built, so re-materializing
-#: an identical trace per simulator or benchmark repetition is pure
-#: allocation cost.  Cache hits return a fresh ApplicationTrace wrapper
-#: (the app object itself is the mutable part: its kernels *list* can
-#: be doctored by tests).  Bounded FIFO so long sweeps cannot hoard
-#: memory.
+#: Memoized :func:`make_app` results.  Generation is deterministic
+#: (builder RNG seeds derive from the app name) and kernels are
+#: immutable once built, so re-materializing an identical trace per
+#: simulator or benchmark repetition is pure allocation cost.  Cache
+#: hits return a fresh ApplicationTrace wrapper (the app object itself
+#: is the mutable part: its kernels *list* can be doctored by tests).
+#: Bounded FIFO so long sweeps cannot hoard memory.
 _TRACE_MEMO: Dict[Tuple[str, str], ApplicationTrace] = {}
 _TRACE_MEMO_LIMIT = 64
 
@@ -79,11 +76,12 @@ def app_names() -> List[str]:
 def make_app(name: str, scale="small") -> ApplicationTrace:
     """Build the named application's trace at the given scale.
 
-    Under the ``trace_cache`` fast path the expensive kernel generation
-    runs once per ``(name, scale)``; each call returns a fresh
-    :class:`ApplicationTrace` wrapper over the shared (immutable) kernel
-    objects, so mutating one caller's ``app.kernels`` list cannot leak
-    into another's.
+    The expensive kernel generation runs once per ``(name, scale)``;
+    each call returns a fresh :class:`ApplicationTrace` wrapper over the
+    shared (immutable) kernel objects, so mutating one caller's
+    ``app.kernels`` list cannot leak into another's.  The unmemoised
+    reference is the registered factory itself:
+    ``APPLICATIONS[name][1](Scale.parse(scale))``.
     """
     key = name.lower()
     if key not in APPLICATIONS:
@@ -92,8 +90,6 @@ def make_app(name: str, scale="small") -> ApplicationTrace:
         )
     suite, factory = APPLICATIONS[key]
     parsed = Scale.parse(scale)
-    if not get_fastpaths().trace_cache:
-        return ApplicationTrace(key, factory(parsed), suite=suite)
     memo_key = (key, parsed.value)
     app = _TRACE_MEMO.get(memo_key)
     if app is None:

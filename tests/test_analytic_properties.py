@@ -8,7 +8,7 @@ Three contracts, fuzzed rather than spot-checked:
   order.  This is what makes the batched sweep path trustworthy.
 * **pre-characterization is a pure function of the trace** — the same
   application yields value-identical tasklists across repeated loads,
-  with the ``trace_cache`` fast path on or off.
+  from the ``make_app`` memo or straight from the registered factory.
 * **predictions are finite, positive, and deterministic** — no NaNs, no
   zero/negative cycle counts, and no sensitivity to RNG seeds (the
   model has no stochastic inputs, so reseeding must change nothing).
@@ -23,6 +23,7 @@ np = pytest.importorskip("numpy")
 
 from repro.eval.sweep import apply_override
 from repro.frontend.precharacterize import precharacterize
+from repro.frontend.trace import ApplicationTrace
 from repro.simulators.swift_analytic import SwiftSimAnalytic
 from repro.tracegen.fixtures import (
     compute_only_app,
@@ -30,8 +31,8 @@ from repro.tracegen.fixtures import (
     mixed_unit_app,
     serial_chain_app,
 )
-from repro.tracegen.suites import make_app
-from repro.utils.fastpath import fastpaths
+from repro.tracegen.base import Scale
+from repro.tracegen.suites import APPLICATIONS, make_app
 
 from conftest import make_tiny_gpu
 
@@ -138,10 +139,10 @@ class TestPrecharacterizePurity:
 
     @pytest.mark.parametrize("app_name", ["sm", "gemm"])
     def test_trace_cache_fastpath_invisible(self, app_name):
-        with fastpaths(trace_cache=True):
-            cached = precharacterize(make_app(app_name, scale="tiny"))
-        with fastpaths(trace_cache=False):
-            uncached = precharacterize(make_app(app_name, scale="tiny"))
+        cached = precharacterize(make_app(app_name, scale="tiny"))
+        suite, factory = APPLICATIONS[app_name]
+        uncached = precharacterize(ApplicationTrace(
+            app_name, factory(Scale.parse("tiny")), suite=suite))
         assert cached == uncached
 
     def test_memoized_per_trace_object(self):

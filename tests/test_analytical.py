@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.eval.sweep import DesignSpaceSweep
 from repro.frontend.isa import InstKind
 from repro.memory.analytical import (
+    _PROFILE_MEMO,
     AnalyticalMemoryModel,
     CacheSimProfiler,
     MemoryProfile,
 )
 from repro.memory.reuse_distance import PCProfile
+from repro.simulators.swift_memory import SwiftSimMemory
 from repro.tracegen.suites import make_app
 
 from conftest import load, make_tiny_gpu
@@ -167,6 +170,39 @@ class TestProfilers:
         for source in ("cache_sim", "reuse_distance"):
             profiles = MemoryProfile.for_application(gpu, app.kernels, source=source)
             assert len(profiles) == len(app.kernels)
+
+    def test_memo_returns_identical_list_and_matches_unmemoised(self):
+        gpu = make_tiny_gpu()
+        app = make_app("atax", scale="tiny")
+        for source in ("cache_sim", "reuse_distance"):
+            first = MemoryProfile.for_application(
+                gpu, app.kernels, source=source, memo_key=app)
+            again = MemoryProfile.for_application(
+                gpu, app.kernels, source=source, memo_key=app)
+            assert again is first
+            # memo_key=None is the unmemoised reference: a fresh pass
+            # with value-identical per-PC tallies.
+            reference = MemoryProfile.for_application(
+                gpu, app.kernels, source=source)
+            assert reference is not first
+            assert [p._expected for p in reference] == [
+                p._expected for p in first]
+        assert set(_PROFILE_MEMO[app]) == {"cache_sim", "reuse_distance"}
+
+    def test_memo_stays_bounded_across_a_sweep(self):
+        """One entry per source per app: a sweep replaces the entry on
+        each new config instead of accumulating dead ones."""
+        app = make_app("sm", scale="tiny")
+        sweep = DesignSpaceSweep(make_tiny_gpu(), {
+            "l1.latency": [8, 16, 24, 32], "num_sms": [2, 4, 8],
+        })
+        points = sweep.run(SwiftSimMemory, [app]).points
+        assert len(points) == 12
+        assert list(_PROFILE_MEMO[app]) == ["cache_sim"]
+        # The surviving entry still serves the last config object.
+        config, profiles = _PROFILE_MEMO[app]["cache_sim"]
+        assert MemoryProfile.for_application(
+            config, app.kernels, memo_key=app) is profiles
 
     def test_transactions_match_coalescer(self):
         gpu = make_tiny_gpu()

@@ -17,7 +17,7 @@ from repro.check import (
     select_apps,
     shadow_jump_check,
 )
-from repro.check.shadow import _compare_results
+from repro.check.shadow import compare_results
 from repro.errors import CheckError, SimulationError
 from repro.sim.engine import ClockedModule, Engine
 from repro.simulators.accel_like import AccelSimLike
@@ -180,7 +180,7 @@ class TestShadowJump:
     def test_comparison_detects_cycle_mismatch(self):
         a = SimulationResult("app", "sim", "gpu", total_cycles=100)
         b = SimulationResult("app", "sim", "gpu", total_cycles=101)
-        findings = _compare_results("s", a, b)
+        findings = compare_results("s", a, b)
         assert any("final cycle differs" in f.message for f in findings)
 
     def test_comparison_detects_kernel_mismatch(self):
@@ -188,7 +188,7 @@ class TestShadowJump:
         kernel_b = KernelResult("k", 0, 60, 10)
         a = SimulationResult("app", "sim", "gpu", 60, kernels=[kernel_a])
         b = SimulationResult("app", "sim", "gpu", 60, kernels=[kernel_b])
-        findings = _compare_results("s", a, b)
+        findings = compare_results("s", a, b)
         assert any("per-kernel" in f.message for f in findings)
 
     def test_tick_observer_counters_are_declared(self):

@@ -1,23 +1,27 @@
 """Every hot-path optimization must be bit-invisible.
 
-The PR 4 fast paths (engine fast dispatch, lazy cache sets + memoized
-analytical profiles, trace memoization) all sit behind explicit flags in
-:mod:`repro.utils.fastpath`.  This suite drives the same differential
-machinery :mod:`repro.check` uses for jump-vs-per-cycle shadowing to
-prove that, flags on vs flags off, every simulator produces identical
-cycle counts, kernel boundaries, committed instructions and
-:class:`~repro.sim.metrics.MetricsGatherer` counters — here with an
-*empty* ignore set, because both runs use the same clocking.
+The engine picks its dispatch loop from one observable — is a checker
+attached? — and the trace / hit-rate memos are always on.  Each fast
+path keeps a reference reachable without any knob: attaching a no-op
+:class:`~repro.sim.engine.EngineChecker` forces the instrumented loop,
+and the registered factory in ``APPLICATIONS`` builds an unmemoised
+trace.  This suite drives the same differential machinery
+:mod:`repro.check` uses for jump-vs-per-cycle shadowing to prove that
+every simulator produces identical cycle counts, kernel boundaries,
+committed instructions and :class:`~repro.sim.metrics.MetricsGatherer`
+counters either way — here with an *empty* ignore set, because both
+runs use the same clocking.
 """
 
 import pytest
 
-from repro.check.shadow import _compare_results
+from repro.check.shadow import compare_results
+from repro.sim.engine import EngineChecker
 from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.swift_basic import SwiftSimBasic
 from repro.simulators.swift_memory import SwiftSimMemory
-from repro.tracegen.suites import make_app
-from repro.utils.fastpath import FastPaths, fastpaths, get_fastpaths, set_fastpaths
+from repro.tracegen.base import Scale
+from repro.tracegen.suites import APPLICATIONS, make_app
 
 from conftest import make_tiny_gpu
 
@@ -27,61 +31,37 @@ SIMULATORS = (AccelSimLike, SwiftSimBasic, SwiftSimMemory)
 NOTHING_IGNORED = frozenset()
 
 
-def _run(simulator_cls, app, **flag_overrides):
-    with fastpaths(**flag_overrides):
-        return simulator_cls(make_tiny_gpu()).simulate(app)
-
-
 @pytest.mark.parametrize("simulator_cls", SIMULATORS,
                          ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("app_name", APPS)
 def test_all_fastpaths_bit_identical(simulator_cls, app_name):
-    """Flags all-on vs all-off: byte-for-byte identical observables."""
+    """Uninstrumented loop vs instrumented loop (forced by a no-op
+    checker): byte-for-byte identical observables."""
     app = make_app(app_name, scale="tiny")
-    on = _run(simulator_cls, app,
-              fast_dispatch=True, cache_memo=True, trace_cache=True)
-    off = _run(simulator_cls, app,
-               fast_dispatch=False, cache_memo=False, trace_cache=False)
+    fast = simulator_cls(make_tiny_gpu()).simulate(app)
+    reference = simulator_cls(make_tiny_gpu()).simulate(
+        app, checker=EngineChecker())
     subject = f"{simulator_cls.__name__} x {app_name}"
-    findings = _compare_results(subject, on, off,
-                                ignore_counters=NOTHING_IGNORED)
+    findings = compare_results(subject, fast, reference,
+                               ignore_counters=NOTHING_IGNORED,
+                               labels=("plain", "checker-attached"))
     assert not findings, "\n".join(f.message for f in findings)
-    assert on.total_cycles == off.total_cycles
-
-
-@pytest.mark.parametrize("flag", ["fast_dispatch", "cache_memo", "trace_cache"])
-@pytest.mark.parametrize("simulator_cls", SIMULATORS,
-                         ids=lambda cls: cls.__name__)
-def test_each_flag_individually_bit_identical(simulator_cls, flag):
-    """Each optimization alone (others off) must also be invisible, so a
-    future equivalence break is attributable to one flag."""
-    app = make_app("gemm", scale="tiny")
-    base = dict(fast_dispatch=False, cache_memo=False, trace_cache=False)
-    off = _run(simulator_cls, app, **base)
-    on = _run(simulator_cls, app, **{**base, flag: True})
-    findings = _compare_results(
-        f"{simulator_cls.__name__} [{flag}]", on, off,
-        ignore_counters=NOTHING_IGNORED,
-    )
-    assert not findings, "\n".join(f.message for f in findings)
+    assert fast.total_cycles == reference.total_cycles
 
 
 def test_trace_generation_identical_with_and_without_memo():
-    """trace_cache must only cache — a memoized trace equals a fresh one."""
-    with fastpaths(trace_cache=False):
-        fresh = make_app("bfs", scale="tiny")
-    with fastpaths(trace_cache=True):
-        cached_a = make_app("bfs", scale="tiny")
-        cached_b = make_app("bfs", scale="tiny")
+    """The memo must only cache — a memoized trace equals a fresh one."""
+    fresh = APPLICATIONS["bfs"][1](Scale.parse("tiny"))
+    cached_a = make_app("bfs", scale="tiny")
+    cached_b = make_app("bfs", scale="tiny")
     # Kernel generation ran once (shared kernel objects), but each call
     # gets its own ApplicationTrace wrapper so one caller mutating its
     # kernels list cannot poison another's app.
     assert cached_a is not cached_b
     assert all(ka is kb for ka, kb in zip(cached_a.kernels, cached_b.kernels))
-    assert fresh is not cached_a
-    assert fresh.num_instructions == cached_a.num_instructions
-    assert [k.name for k in fresh.kernels] == [k.name for k in cached_a.kernels]
-    for ours, theirs in zip(fresh.kernels, cached_a.kernels):
+    assert all(ours is not theirs for ours, theirs in zip(fresh, cached_a.kernels))
+    assert [k.name for k in fresh] == [k.name for k in cached_a.kernels]
+    for ours, theirs in zip(fresh, cached_a.kernels):
         assert ours.num_instructions == theirs.num_instructions
         assert len(ours.blocks) == len(theirs.blocks)
 
@@ -89,40 +69,9 @@ def test_trace_generation_identical_with_and_without_memo():
 def test_trace_memo_does_not_leak_mutations():
     """Regression for cross-caller poisoning: appending to one returned
     app's kernels list must not corrupt later make_app calls."""
-    with fastpaths(trace_cache=True):
-        poisoned = make_app("sm", scale="tiny")
-        count = len(poisoned.kernels)
-        poisoned.kernels.append(lambda: None)
-        clean = make_app("sm", scale="tiny")
+    poisoned = make_app("sm", scale="tiny")
+    count = len(poisoned.kernels)
+    poisoned.kernels.append(lambda: None)
+    clean = make_app("sm", scale="tiny")
     assert len(clean.kernels) == count
     assert all(not callable(k) or hasattr(k, "name") for k in clean.kernels)
-
-
-def test_engine_config_flag_overrides_global():
-    """EngineConfig.fast_dispatch pins the dispatch loop regardless of the
-    process-wide flag (None defers to the global)."""
-    from repro.sim.engine import EngineConfig
-
-    explicit_off = EngineConfig(fast_dispatch=False)
-    explicit_on = EngineConfig(fast_dispatch=True)
-    deferred = EngineConfig()
-    assert explicit_off.fast_dispatch is False
-    assert explicit_on.fast_dispatch is True
-    assert deferred.fast_dispatch is None
-
-
-def test_fastpaths_context_manager_restores():
-    before = get_fastpaths()
-    with fastpaths(fast_dispatch=False):
-        assert get_fastpaths().fast_dispatch is False
-    assert get_fastpaths() == before
-
-
-def test_set_fastpaths_returns_previous():
-    before = get_fastpaths()
-    try:
-        previous = set_fastpaths(FastPaths.all_off())
-        assert previous == before
-        assert get_fastpaths() == FastPaths.all_off()
-    finally:
-        set_fastpaths(before)

@@ -4,7 +4,7 @@ mid-run checkpoint/restore.
 The headline property — snapshot at a checkpoint boundary, kill,
 restore, run to the end, and land bit-identical to an uninterrupted run
 — reuses the same differential comparison as the fast-path equivalence
-suite (:func:`repro.check.shadow._compare_results` with an *empty*
+suite (:func:`repro.check.shadow.compare_results` with an *empty*
 ignore set).
 """
 
@@ -14,7 +14,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.check.shadow import TICK_OBSERVER_COUNTERS, _compare_results
+from repro.check.shadow import TICK_OBSERVER_COUNTERS, compare_results
 from repro.errors import (
     CheckpointCorruption,
     CheckpointError,
@@ -70,7 +70,7 @@ def _guarded_run(simulator_cls, app, guard_config, auto_resume=False):
 
 
 def _assert_identical(subject, primary, shadow):
-    findings = _compare_results(subject, primary, shadow,
+    findings = compare_results(subject, primary, shadow,
                                 ignore_counters=NOTHING_IGNORED)
     assert not findings, "\n".join(f.message for f in findings)
 
@@ -227,6 +227,26 @@ class TestTornCheckpoints:
     def test_find_resumable_empty_when_all_torn(self, tmp_path):
         path = self._write(tmp_path)
         path.write_bytes(b"REPROCKPT1\ngarbage")
+        assert find_resumable(tmp_path) is None
+
+    def test_stale_format_version_is_refused_by_name(self, tmp_path):
+        """An intact checkpoint from the previous format (its pickled
+        engine has another instance shape) is refused on the meta line,
+        before anything is unpickled, and resume falls back past it."""
+        self._write(tmp_path, cycle=500)
+        stale = self._write(tmp_path, cycle=1000)
+        current = b'"format_version": 2'
+        assert stale.read_bytes().count(current) == 1
+        stale.write_bytes(
+            stale.read_bytes().replace(current, b'"format_version": 1'))
+        with pytest.raises(
+            CheckpointCorruption,
+            match=r"format version 1 \(this build reads 2\)",
+        ):
+            read_checkpoint(stale)
+        path, meta, __ = find_resumable(tmp_path)
+        assert meta["cycle"] == 500
+        path.unlink()
         assert find_resumable(tmp_path) is None
 
     def test_prune_keeps_newest(self, tmp_path):

@@ -14,6 +14,7 @@ from repro.memory.access import coalesce
 from repro.memory.cache import AccessStatus, SectoredCache
 from repro.memory.reuse_distance import _LRUStack
 from repro.core.scoreboard import Scoreboard
+from repro.sim.engine import ClockedModule, EngineChecker
 from repro.sim.plan import SWIFT_BASIC_PLAN, SWIFT_MEMORY_PLAN
 from repro.simulators.base import PlanSimulator
 from repro.tracegen.suites import make_app
@@ -327,6 +328,47 @@ class _AlarmModule:
         self.impl = _Impl()
 
 
+class _PokingModule(ClockedModule):
+    """Works at its alarm cycles and, at each, wakes a peer mid-tick.
+    Safe to tick early: a spurious tick just reports the next alarm."""
+
+    def __init__(self, name, schedule, engine, ticks):
+        super().__init__(name)
+        self.pokes = {}
+        for alarm, peer, delay in schedule:
+            self.pokes.setdefault(alarm, (peer, delay))
+        self.alarms = sorted(self.pokes)
+        self.engine = engine
+        self.ticks = ticks
+        self.peers = []
+
+    def tick(self, cycle):
+        self.ticks.append((cycle, self.name))
+        while self.alarms and self.alarms[0] <= cycle:
+            peer, delay = self.pokes[self.alarms.pop(0)]
+            self.engine.wake(self.peers[peer % len(self.peers)], cycle + delay)
+        return self.alarms[0] if self.alarms else None
+
+    def is_done(self):
+        return not self.alarms
+
+
+class _RecordingChecker(EngineChecker):
+    def __init__(self):
+        self.cycle_starts = []
+        self.ticks = []
+        self.run_ends = []
+
+    def on_cycle_start(self, cycle):
+        self.cycle_starts.append(cycle)
+
+    def on_tick(self, module, cycle, rank):
+        self.ticks.append((cycle, module.name))
+
+    def on_run_end(self, final_cycle):
+        self.run_ends.append(final_cycle)
+
+
 class TestEngineEquivalence:
     @given(
         st.lists(
@@ -353,6 +395,78 @@ class TestEngineEquivalence:
             logs[allow_jump] = [m.work_log for m in modules]
         assert logs[True] == logs[False]
         assert finals[True] == finals[False]
+
+    @given(
+        st.lists(
+            st.lists(
+                # (alarm cycle, peer to poke, poke delay)
+                st.tuples(st.integers(0, 120), st.integers(0, 4), st.integers(0, 9)),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(st.integers(0, 140), max_size=6),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dispatch_loops_agree_under_mid_tick_wakes(
+        self, schedules, cuts, allow_jump
+    ):
+        """``run()`` (uninstrumented), ``run()`` with a checker and
+        ``run_until`` stepped through arbitrary window cuts dispatch the
+        same ``(cycle, module)`` sequence, wakes issued mid-tick included."""
+        from repro.sim.engine import Engine
+
+        def drive(checker, windowed):
+            engine = Engine(allow_jump=allow_jump)
+            if checker is not None:
+                engine.attach_checker(checker)
+            ticks = []
+            modules = [
+                _PokingModule(f"m{i}", schedule, engine, ticks)
+                for i, schedule in enumerate(schedules)
+            ]
+            for module in modules:
+                module.peers = modules
+                engine.add(module)
+            if windowed:
+                for limit in sorted(cuts):
+                    engine.run_until(limit)
+                engine.run_until()
+                assert all(module.is_done() for module in modules)
+                return ticks, engine.cycle
+            return ticks, engine.run()
+
+        plain = drive(None, windowed=False)
+        checked, stepped = _RecordingChecker(), _RecordingChecker()
+        assert drive(checked, windowed=False) == plain
+        assert drive(stepped, windowed=True) == plain
+        assert checked.ticks == stepped.ticks == plain[0]
+        assert checked.cycle_starts == stepped.cycle_starts
+        # once per distinct cycle, before that cycle's first tick
+        assert checked.cycle_starts == sorted(
+            {cycle for cycle, __ in plain[0] if cycle > 0})
+        assert checked.run_ends == [plain[1]] and stepped.run_ends == []
+
+    @pytest.mark.parametrize("how", ["run", "run_checked", "run_until"])
+    def test_budget_exceeded_through_every_loop(self, how):
+        from repro.errors import CycleBudgetExceeded
+        from repro.sim.engine import Engine, EngineChecker
+
+        engine = Engine()
+        engine.add(_AlarmModule("late", [10, 100]).impl)
+        if how != "run":
+            engine.attach_checker(EngineChecker())
+        with pytest.raises(CycleBudgetExceeded) as caught:
+            if how == "run_until":
+                engine.run_until(1000, max_cycles=50)
+            else:
+                engine.run(max_cycles=50)
+        error = caught.value
+        assert (error.budget, error.cycle, error.module_name) == (50, 100, "late")
+        assert engine.cycle == 10
 
 
 # ----------------------------------------------------------------------
