@@ -1,23 +1,14 @@
-"""Experiment PDES — sharded-engine cost/benefit measurement.
+"""Experiment PDES — sharded-engine cost measurement.
 
-Two measurements, persisted as ``BENCH_pdes_speedup.json`` for the CI
-artifact trail:
+One measurement, persisted as ``BENCH_pdes_speedup.json`` for the CI
+artifact trail: **real-sim lockstep overhead**, the production
+simulators under the partition-manifest decomposition.  Lockstep
+serializes ticks globally (that is *why* it is bit-exact), so it
+measures the bookkeeping overhead of the sharded dispatch path, not a
+speedup (``docs/parallel-engine.md`` records why no faster mode exists).
 
-* **synthetic fan-out**: a multi-shard synthetic workload run serially
-  and through the multiprocess windowed runner (one worker per shard).
-  This is the configuration the conservative-lookahead design targets:
-  independent shards, latency-separated channels, work that dwarfs the
-  barrier cost.
-* **real-sim lockstep overhead**: the production simulators under the
-  partition-manifest decomposition.  Lockstep serializes ticks globally
-  (that is *why* it is bit-exact), so it measures the bookkeeping
-  overhead of the sharded dispatch path, not a speedup.
-
-Correctness is gated hard (cycles and counters bit-identical — the
-equivalence contract); wall-clock ratios are recorded, not gated: a
-pure-Python coordinator with pickled message passing can sit on either
-side of 1.0 depending on machine and scale, and the artifact is the
-honest record of where it sits here.
+Correctness is gated hard (cycles bit-identical — the equivalence
+contract); the wall-clock ratio is recorded, not gated.
 """
 
 from __future__ import annotations
@@ -27,15 +18,6 @@ import time
 import pytest
 
 from repro.profile import machine_info, write_bench_artifact
-from repro.sim.engine import Engine
-from repro.sim.parallel import run_sharded_processes
-from repro.sim.synthetic import (
-    attach_serial,
-    build_shard,
-    build_system,
-    collect_counters,
-    demo_spec,
-)
 
 
 def _time(fn):
@@ -46,35 +28,7 @@ def _time(fn):
 
 @pytest.fixture(scope="module")
 def pdes_record():
-    return {"machine": machine_info(), "synthetic": {}, "realsim": {}}
-
-
-def test_synthetic_process_fanout(pdes_record):
-    spec = demo_spec(shards=4, nodes_per_shard=6, seed=41, latency=6)
-
-    def serial():
-        modules, channels = build_system(spec)
-        engine = Engine()
-        attach_serial(engine, modules, channels)
-        final = engine.run()
-        return final, collect_counters(modules)
-
-    (serial_final, serial_counters), serial_wall = _time(serial)
-    outcome, parallel_wall = _time(lambda: run_sharded_processes(
-        build_shard, (spec,), spec.shards, spec.routes(),
-        lookahead=spec.min_cross_latency(),
-    ))
-    assert outcome.final_cycle == serial_final
-    assert outcome.counters == serial_counters
-    pdes_record["synthetic"] = {
-        "shards": len(spec.shards),
-        "final_cycle": serial_final,
-        "windows": outcome.windows,
-        "messages": outcome.messages,
-        "serial_wall_seconds": serial_wall,
-        "parallel_wall_seconds": parallel_wall,
-        "speedup": serial_wall / parallel_wall if parallel_wall else 0.0,
-    }
+    return {"machine": machine_info(), "realsim": {}}
 
 
 def test_realsim_lockstep_overhead(pdes_record, gpu):
@@ -114,6 +68,6 @@ def test_realsim_lockstep_overhead(pdes_record, gpu):
 
 def test_write_pdes_artifact(pdes_record):
     """Last in file order: persists what the measurements recorded."""
-    assert pdes_record["synthetic"], "synthetic measurement did not run"
+    assert pdes_record["realsim"], "real-sim measurement did not run"
     path = write_bench_artifact("pdes_speedup", pdes_record)
     print(f"\nwrote {path}")

@@ -3,7 +3,7 @@
 Swift-Sim's speedups are *exactness claims*: clock jumping and hybrid
 modules must agree with per-cycle, cycle-accurate execution wherever
 their plans coincide.  This package turns those claims into
-machine-checked invariants, in ten pillars:
+machine-checked invariants, in nine pillars:
 
 1. :class:`~repro.check.sanitizer.EngineSanitizer` — runtime checker
    hooks on the engine (monotonic ticks, stable same-cycle ordering, no
@@ -44,14 +44,6 @@ machine-checked invariants, in ten pillars:
    ``docs/serving.md``).  Spawns server subprocesses, so it runs only
    when requested explicitly (``--mode serve``), never under
    ``--mode all``.
-10. :func:`~repro.check.shardfault.shardfault_check` — sharded PDES
-   runs whose workers are chaos-killed or chaos-hung mid-window must
-   recover by transcript replay — or degrade to the in-process
-   lockstep engine — and still end bit-identical to serial with an
-   empty ignore set; a hung worker must be reaped at its heartbeat
-   deadline (see ``docs/parallel-engine.md``).  Spawns worker
-   subprocesses, so like "serve" it runs only by name
-   (``--mode shardfault``).
 
 ``repro check`` (see :mod:`repro.cli`) drives all of this from the
 command line and emits a machine-readable JSON report; see
@@ -76,7 +68,6 @@ from repro.check.sharded import (
     sharded_check,
     sharded_equivalence_check,
 )
-from repro.check.shardfault import shardfault_check
 from repro.check.static import static_check
 
 __all__ = [
@@ -98,6 +89,5 @@ __all__ = [
     "shadow_jump_check",
     "sharded_check",
     "sharded_equivalence_check",
-    "shardfault_check",
     "static_check",
 ]

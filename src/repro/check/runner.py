@@ -25,12 +25,11 @@ from repro.check.sharded import sharded_check
 from repro.check.static import static_check
 
 #: The verification modes ``repro check`` accepts.  "all" covers the
-#: in-process pillars; "serve" and "shardfault" spawn worker
-#: subprocesses (and "serve" binds unix sockets), so they only run when
-#: requested by name.
+#: in-process pillars; "serve" spawns server subprocesses and binds
+#: unix sockets, so it only runs when requested by name.
 MODES = (
     "shadow-jump", "sharded", "differential", "determinism", "sanitize",
-    "resilience", "static", "guard", "serve", "shardfault", "all",
+    "resilience", "static", "guard", "serve", "all",
 )
 
 
@@ -206,17 +205,4 @@ def run_checks(
         report.extend(serve_check(config, names, scale=scale))
         report.checks_run += 3
         step("serve")
-    if mode == "shardfault":
-        # Chaos shard kills/hangs against the supervised multiprocess
-        # engine and the simulate(fault_policy=...) ladder, demanding
-        # bit-identity to serial with an empty ignore set.  Not part of
-        # "all" for the same reason as "serve": it spawns processes.
-        from repro.check.shardfault import shardfault_check
-
-        report.extend(shardfault_check(
-            config, names, scale=scale, simulator_classes=classes,
-            progress=progress,
-        ))
-        report.checks_run += 3 + len(names) * len(classes[1:] or classes)
-        step("shardfault")
     return report

@@ -350,18 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fixed small CI configuration (bfs,gemm,sm at tiny scale, "
              "seed 2025) regardless of other selection flags",
     )
-    chaos.add_argument(
-        "--shard-faults", action="store_true",
-        help="run the shard-fault drills instead of the sweep: kill and "
-             "hang supervised PDES workers, assert transcript-replay "
-             "recovery (or degrade-to-lockstep) stays bit-identical to "
-             "serial (docs/parallel-engine.md)",
-    )
-    chaos.add_argument(
-        "--bundle-dir", default=None,
-        help="directory for shard-fault forensic bundles "
-             "(--shard-faults only)",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -604,6 +592,10 @@ def _cmd_simulate(args) -> None:
         print(f"sharding   : {plan_doc['name']} "
               f"({len(plan_doc['shards'])} shards, lockstep), "
               f"{sum(traffic.values())} cross-shard port calls")
+        ticks = result.sharding["shard_ticks"]
+        print("shard ticks: " + ", ".join(
+            f"{shard}={count}" for shard, count in ticks.items()
+        ) + f" (total {sum(ticks.values())})")
     for kernel in result.kernels:
         print(f"  kernel {kernel.name:24s} {kernel.cycles:10d} cycles")
     metrics = result.metrics
@@ -897,9 +889,6 @@ def _cmd_guard(args) -> None:
 
 
 def _cmd_chaos(args) -> None:
-    if args.shard_faults:
-        _chaos_shard_scenarios(args.bundle_dir)
-        return
     from repro.check.resilience import results_identical
     from repro.resilience.chaos import ChaosPlan
     from repro.resilience.policy import RetryPolicy
@@ -1029,36 +1018,6 @@ def _chaos_sim_scenarios(gpu, simulator_cls, scale, kinds) -> int:
                       f"(run finished normally)")
                 failed += 1
     return failed
-
-
-def _chaos_shard_scenarios(bundle_dir) -> None:
-    """Shard-fault chaos drills (``repro chaos --shard-faults``).
-
-    Reuses the shardfault check pillar's synthetic drills: kill a
-    supervised PDES worker mid-window and replay it back to the barrier,
-    hang one past its heartbeat deadline, and force retry exhaustion so
-    the run degrades to the in-process lockstep engine — each time
-    demanding bit-identity to the serial engine.  Raises
-    :class:`_CheckFailed` if any drill reports a violation.
-    """
-    from repro.check.shardfault import synthetic_drills
-
-    print("shard-fault drills: kill-recovery, hang-deadline, "
-          "forced-degrade (synthetic demo system, 2 shards)")
-    findings = synthetic_drills(
-        bundle_dir=bundle_dir,
-        progress=lambda message: print(f"  .. {message}"),
-    )
-    failed = 0
-    for finding in findings:
-        marker = "ok  " if finding.severity == "info" else "FAIL"
-        print(f"  {marker} {finding.subject}: {finding.message}")
-        if finding.severity == "violation":
-            failed += 1
-    if failed:
-        print(f"FAIL: {failed} shard-fault drill violation(s)")
-        raise _CheckFailed()
-    print("PASS: all shard-fault drills bit-identical to serial")
 
 
 def _cmd_lint(args) -> None:

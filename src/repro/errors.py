@@ -171,58 +171,6 @@ class ShardSyncError(SimulationError):
     mid-window and break bit-equivalence.  Fails closed."""
 
 
-class ShardFault(SimulationError):
-    """Base class for per-shard worker failures in a supervised sharded
-    run (:mod:`repro.sim.shardfault`).
-
-    Carries the shard name, the window boundary that was the last
-    globally consistent cut before the failure, and the recovery attempt
-    number — everything the supervisor needs to respawn the worker and
-    replay it to the boundary from its inbound channel transcript.
-    """
-
-    #: Short machine-readable failure kind, mirrored in fault records.
-    kind = "shard-fault"
-    #: Whether the shard supervisor may attempt replay recovery.
-    retryable = True
-
-    def __init__(self, message: str, *, shard: str = "?",
-                 boundary: int = 0, attempt: int = 0) -> None:
-        super().__init__(message)
-        self.shard = shard
-        self.boundary = boundary
-        self.attempt = attempt
-
-    def __str__(self) -> str:
-        return (
-            f"shard {self.shard!r} at boundary {self.boundary} "
-            f"(attempt {self.attempt}): {super().__str__()}"
-        )
-
-
-class ShardCrash(ShardFault):
-    """A shard worker process died (non-zero exit, killed, or lost its
-    pipe) before reaching the window barrier."""
-
-    kind = "shard-crash"
-
-
-class ShardHang(ShardFault):
-    """A shard worker missed its per-window heartbeat deadline; the
-    supervisor reaped it rather than block the barrier forever."""
-
-    kind = "shard-hang"
-
-
-class ShardProtocolError(ShardFault):
-    """A shard worker spoke the windowed protocol incorrectly (unknown
-    reply tag, malformed tuple).  Indicates a bug, not an environmental
-    fault, so it is not retryable — the supervisor degrades or raises."""
-
-    kind = "shard-protocol"
-    retryable = False
-
-
 class CounterKindError(MetricsError):
     """A counter name was used with both sum semantics (``add``) and
     max semantics (``peak``); the mixed value would be meaningless."""

@@ -156,7 +156,6 @@ class EvaluationHarness:
         scale: str = "small",
         apps: Optional[Sequence[str]] = None,
         shard_plan=None,
-        fault_policy=None,
     ) -> None:
         self.config = config
         self.scale = scale
@@ -166,11 +165,6 @@ class EvaluationHarness:
         #: :class:`PlanSimulator` measurement runs on the sharded PDES
         #: engine (bit-identical to serial by the engine contract).
         self.shard_plan = shard_plan
-        #: Optional :class:`~repro.sim.shardfault.ShardFaultPolicy`:
-        #: when set alongside ``shard_plan``, sharded runs are
-        #: supervised — chaos shard faults are retried and exhausted
-        #: retries degrade to lockstep instead of failing the pair.
-        self.fault_policy = fault_policy
 
     def evaluate(
         self,
@@ -273,8 +267,6 @@ class EvaluationHarness:
         kwargs = {}
         if self.shard_plan is not None:
             kwargs["shard_plan"] = self.shard_plan
-            if self.fault_policy is not None:
-                kwargs["fault_policy"] = self.fault_policy
         if guard is None:
             return simulator.simulate(app, gather_metrics=False, **kwargs)
         per_pair = guard

@@ -37,7 +37,8 @@ MAGIC = b"REPROCKPT1\n"
 
 #: Checkpoint meta schema version; bump on incompatible payload changes.
 #: 2: a pickled ``Engine`` carries no ``config`` attribute.
-FORMAT_VERSION = 2
+#: 3: a pickled ``ShardedEngine`` carries no fault-injection hook.
+FORMAT_VERSION = 3
 
 
 def checkpoint_name(cycle: int) -> str:

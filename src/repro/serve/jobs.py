@@ -53,11 +53,6 @@ class JobRequest:
     #: this field — a cached serial answer satisfies a sharded request
     #: and vice versa.
     parallel_shards: int = 0
-    #: Optional shard-fault drill knobs (sharded runs only): keys
-    #: ``seed``, ``kill_rate``, ``hang_rate``, ``max_attempts``,
-    #: ``degrade``.  Terminal (non-degradable) shard faults surface as
-    #: execution failures and trip the per-region circuit breaker.
-    shard_fault: Optional[Dict] = None
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "JobRequest":
@@ -85,15 +80,6 @@ class JobRequest:
                 f"'parallel_shards' must be 0 (serial) or 2 (two-way "
                 f"split), got {shards!r}"
             )
-        shard_fault = payload.get("shard_fault")
-        if shard_fault is not None:
-            if not isinstance(shard_fault, dict):
-                raise ServeError("'shard_fault' must be an object")
-            if shards == 0:
-                raise ServeError(
-                    "'shard_fault' requires a sharded run "
-                    "(set parallel_shards)"
-                )
         return cls(
             app=app,
             scale=str(payload.get("scale", "tiny")),
@@ -105,7 +91,6 @@ class JobRequest:
             trace_hash=str(payload.get("trace_hash", "")),
             config_hash=str(payload.get("config_hash", "")),
             parallel_shards=shards,
-            shard_fault=shard_fault,
         )
 
     def to_dict(self) -> Dict:
@@ -126,8 +111,6 @@ class JobRequest:
             payload["config_hash"] = self.config_hash
         if self.parallel_shards:
             payload["parallel_shards"] = self.parallel_shards
-        if self.shard_fault is not None:
-            payload["shard_fault"] = self.shard_fault
         return payload
 
 

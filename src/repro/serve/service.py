@@ -197,7 +197,7 @@ class SweepService:
             fn=execute_job,
             args=(request.app, request.scale, request.config,
                   request.gpu, request.simulator,
-                  request.parallel_shards, request.shard_fault),
+                  request.parallel_shards),
             validate=validate_result_payload,
         )
         supervisor = Supervisor(

@@ -10,21 +10,12 @@ counters harvested by the :class:`~repro.sim.metrics.MetricsGatherer`.
 """
 
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
-from repro.sim.parallel import (
-    ProcessRunOutcome,
-    ShardBuild,
-    ShardedEngine,
-    ShardStats,
-    run_sharded_processes,
-)
+from repro.sim.parallel import ShardedEngine, ShardStats
 from repro.sim.shard import (
     ChannelEndpoint,
     ShardChannel,
     ShardPlan,
-    Transcript,
-    TranscriptWriter,
     derive_lookahead,
-    load_transcript,
 )
 from repro.sim.metrics import (
     DuplicateModuleNameWarning,
@@ -67,16 +58,10 @@ __all__ = [
     "ModelingPlan",
     "Module",
     "PENDING",
-    "ProcessRunOutcome",
-    "ShardBuild",
     "ShardChannel",
     "ShardPlan",
     "ShardPortProxy",
     "ShardStats",
     "ShardedEngine",
-    "Transcript",
-    "TranscriptWriter",
     "derive_lookahead",
-    "load_transcript",
-    "run_sharded_processes",
 ]

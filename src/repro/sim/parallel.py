@@ -39,29 +39,14 @@ engine**:
     cross-shard wakes in this mode raise
     :class:`~repro.errors.ShardSyncError` (the runtime counterpart of
     static rule SH501).
-
-:func:`run_sharded_processes` runs the windowed protocol with one
-worker *process* per shard: each worker builds its shard from an
-importable builder, windows execute concurrently, and cross-shard
-messages are exchanged at barriers keyed by their sender-side
-``(deliver, seq)`` — preserving the exact delivery order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import (
-    CycleBudgetExceeded,
-    ShardCrash,
-    ShardHang,
-    ShardSyncError,
-    SimulationError,
-)
+from repro.errors import CycleBudgetExceeded, ShardSyncError, SimulationError
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
 from repro.sim.shard import ChannelEndpoint, ShardChannel, ShardPlan
 
@@ -163,13 +148,6 @@ class ShardedEngine:
         self.allow_jump = allow_jump
         self.cycle = start_cycle
         self.checker: Optional[EngineChecker] = None
-        #: Optional fault-injection hook consulted at every global cycle
-        #: boundary — the same consistent cut the checker seam uses.  A
-        #: supervised run (:mod:`repro.sim.shardfault`) installs a
-        #: callable that raises :class:`~repro.errors.ShardFault` at its
-        #: chaos-chosen boundary; pure observation otherwise, so the
-        #: schedule is untouched when no fault fires.
-        self.fault_injector: Optional[Callable[[int], None]] = None
         self._forwarder = _ShardForwarder(self)
         self._engines: Dict[str, Engine] = {}
         for shard in plan.shards:
@@ -253,11 +231,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # sharded extras
 
-    @property
-    def engines(self) -> Dict[str, Engine]:
-        """Per-shard engines, in plan order (read-only view)."""
-        return dict(self._engines)
-
     def shard_of(self, module: ClockedModule) -> Optional[str]:
         return self._owner.get(module)
 
@@ -332,8 +305,6 @@ class ShardedEngine:
                 # Global cycle boundary: every tick below ``cycle`` on
                 # every shard has completed (this is the globally minimal
                 # pending event), so the snapshot is consistent.
-                if self.fault_injector is not None:
-                    self.fault_injector(cycle)
                 checker = self.checker
                 if checker is not None:
                     checker.on_cycle_start(cycle)
@@ -402,8 +373,6 @@ class ShardedEngine:
             if boundary > self.cycle:
                 # The cross-shard synchronization seam: all shards have
                 # fully executed every cycle below ``boundary``.
-                if self.fault_injector is not None:
-                    self.fault_injector(boundary)
                 checker = self.checker
                 if checker is not None:
                     checker.on_cycle_start(boundary)
@@ -428,399 +397,3 @@ class ShardedEngine:
                 if last is not None and last > last_cycle:
                     last_cycle = last
         return last_cycle
-
-
-# ----------------------------------------------------------------------
-# multiprocess windowed runner
-
-
-@dataclass
-class ShardBuild:
-    """What one worker needs to host its shard.
-
-    ``modules`` lists ``(module, start_cycle, global_rank)`` in global
-    registration order; ``channels_in`` are cross-shard channels whose
-    endpoint lives on this shard (the endpoint must appear in
-    ``modules``); ``channels_out`` are send-side stubs whose queued
-    messages the worker drains and ships at each window boundary;
-    ``channels_local`` are fully intra-shard channels the worker binds
-    straight to its engine.
-    """
-
-    modules: List[Tuple[ClockedModule, int, int]] = field(default_factory=list)
-    channels_in: Dict[str, ShardChannel] = field(default_factory=dict)
-    channels_out: Dict[str, ShardChannel] = field(default_factory=dict)
-    channels_local: Dict[str, ShardChannel] = field(default_factory=dict)
-
-
-@dataclass
-class ProcessRunOutcome:
-    """Result of a :func:`run_sharded_processes` run."""
-
-    final_cycle: int
-    counters: Dict[str, Dict[str, int]]
-    windows: int
-    messages: int
-    shard_cycles: Dict[str, int] = field(default_factory=dict)
-
-
-#: Exit code a chaos-killed shard worker dies with (mirrors the
-#: resilience supervisor's ``CRASH_EXIT_CODE`` so post-mortems read the
-#: same either way; duplicated here to keep ``repro.sim`` free of a
-#: ``repro.resilience`` import).
-SHARD_CRASH_EXIT = 73
-
-
-def reap_worker(proc, join_timeout: float = 5.0) -> None:
-    """Terminate a worker process without ever leaking it.
-
-    ``terminate()`` sends SIGTERM, which a wedged or signal-ignoring
-    worker can outlive; if the follow-up ``join`` times out the reap
-    escalates to ``kill()`` (SIGKILL, non-ignorable) and re-joins, so
-    the caller's ``finally`` block always returns with the process dead.
-    """
-    if proc is None:
-        return
-    proc.terminate()
-    proc.join(timeout=join_timeout)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(timeout=join_timeout)
-
-
-def recv_bounded(parent, proc, shard: str, timeout: Optional[float],
-                  phase: str):
-    """Receive one worker message with death- and deadline-detection.
-
-    A bare ``Connection.recv()`` blocks forever on a hung worker and
-    surfaces a dead one as an opaque ``EOFError``.  This polls instead:
-    a closed pipe or dead process raises :class:`ShardCrash`, and a
-    worker silent past ``timeout`` seconds raises :class:`ShardHang`
-    (``timeout=None`` waits indefinitely but still detects death).
-    """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        wait = 0.2
-        if deadline is not None:
-            wait = max(0.0, min(wait, deadline - time.monotonic()))
-        try:
-            if parent.poll(wait):
-                return parent.recv()
-        except (EOFError, OSError):
-            raise ShardCrash(
-                f"worker pipe closed during {phase}", shard=shard,
-            ) from None
-        if proc is not None and not proc.is_alive():
-            # The worker may have written its reply and exited between
-            # polls — drain the pipe once before declaring it dead.
-            try:
-                if parent.poll(0):
-                    return parent.recv()
-            except (EOFError, OSError):
-                pass
-            raise ShardCrash(
-                f"worker process died during {phase} "
-                f"(exit code {proc.exitcode})",
-                shard=shard,
-            )
-        if deadline is not None and time.monotonic() >= deadline:
-            raise ShardHang(
-                f"worker silent past its {timeout:.1f}s deadline "
-                f"during {phase}",
-                shard=shard,
-            )
-
-
-def shard_worker(
-    conn,
-    builder: Callable[..., ShardBuild],
-    builder_args: tuple,
-    shard: str,
-    allow_jump: bool,
-    start_cycle: int,
-) -> None:
-    """Worker main: host one shard, execute windows on command."""
-    try:
-        build = builder(*builder_args, shard)
-        engine = Engine(allow_jump=allow_jump, start_cycle=start_cycle)
-        for module, start, rank in build.modules:
-            if isinstance(module, ChannelEndpoint):
-                module.attach_engine(engine)
-            engine.add(module, start, rank=rank)
-        for channel in build.channels_in.values():
-            channel.unbind()
-        for channel in build.channels_out.values():
-            channel.unbind()
-        for channel in build.channels_local.values():
-            if channel.endpoint is not None:
-                channel.bind_wakeup(
-                    lambda deliver, _e=channel.endpoint, _g=engine:
-                        _g.wake(_e, deliver)
-                )
-    except Exception as exc:  # ship, don't die silently
-        conn.send(("fatal", type(exc).__name__, str(exc)))
-        conn.close()
-        return
-
-    def next_event() -> Optional[int]:
-        peeked = engine.peek_next()
-        upcoming = peeked[0] if peeked is not None else None
-        for channel in build.channels_in.values():
-            deliver = channel.next_delivery()
-            if deliver is not None and (upcoming is None or deliver < upcoming):
-                upcoming = deliver
-        return upcoming
-
-    conn.send(("ready", next_event()))
-    try:
-        while True:
-            message = conn.recv()
-            command = message[0]
-            if command == "window":
-                boundary, window_end, max_cycles, deliveries = message[1:5]
-                # A supervised coordinator appends a sixth element: the
-                # chaos fault directive for this window (or None).  Its
-                # presence also requests a heartbeat, so the supervisor
-                # can tell "executing a long window" from "hung".
-                supervised = len(message) > 5
-                fault = message[5] if supervised else None
-                if supervised:
-                    conn.send(("heartbeat", boundary))
-                if fault is not None:
-                    if fault[0] == "kill":
-                        conn.close()
-                        os._exit(SHARD_CRASH_EXIT)
-                    elif fault[0] == "hang":
-                        time.sleep(fault[1])
-                try:
-                    if engine.cycle < boundary:
-                        engine.cycle = boundary
-                    for name, deliver, seq, payload in deliveries:
-                        build.channels_in[name].inject(deliver, seq, payload)
-                    for name, channel in build.channels_in.items():
-                        deliver = channel.next_delivery()
-                        if deliver is not None and deliver < window_end:
-                            engine.wake(channel.endpoint, deliver)
-                    last = engine.run_until(window_end, max_cycles=max_cycles)
-                    outbox = []
-                    for name, channel in build.channels_out.items():
-                        for deliver, seq, payload in channel.drain():
-                            outbox.append((name, deliver, seq, payload))
-                    conn.send(("ok", last, next_event(), outbox))
-                except CycleBudgetExceeded as exc:
-                    conn.send((
-                        "budget", exc.budget, exc.cycle, exc.module_name,
-                    ))
-                except Exception as exc:
-                    conn.send(("error", type(exc).__name__, str(exc)))
-            elif command == "replay":
-                # Recovery path: this is a fresh worker replacing one
-                # that died.  Re-inject the shard's entire inbound
-                # message history (recorded by the supervisor in its
-                # REPROSHCH1 transcript) at the original (deliver, seq)
-                # keys and run to the failure boundary — the last
-                # window barrier, a globally consistent cut — which
-                # reproduces the dead worker's state bit-exactly.
-                _, boundary, records, replay_budget = message
-                try:
-                    for channel in build.channels_in.values():
-                        if channel.endpoint is not None:
-                            channel.bind_wakeup(
-                                lambda deliver, _e=channel.endpoint,
-                                _g=engine: _g.wake(_e, deliver)
-                            )
-                    for name, deliver, seq, payload in records:
-                        build.channels_in[name].inject(deliver, seq, payload)
-                    engine.run_until(boundary, max_cycles=replay_budget)
-                    for channel in build.channels_in.values():
-                        channel.unbind()
-                    # Everything re-emitted during replay already
-                    # crossed the barrier before the crash and lives in
-                    # the coordinator's routing state — discard it.
-                    for channel in build.channels_out.values():
-                        channel.drain()
-                    conn.send(("replayed", engine.cycle, next_event()))
-                except Exception as exc:
-                    conn.send(("error", type(exc).__name__, str(exc)))
-            elif command == "finish":
-                unfinished = [
-                    module.name for module, _s, _r in build.modules
-                    if not module.is_done()
-                ]
-                counters = {}
-                for module, _s, _r in build.modules:
-                    for walked in module.walk():
-                        counters[walked.name] = walked.counters.as_dict()
-                conn.send(("done", engine.cycle, counters, unfinished))
-                break
-            else:  # "stop"
-                break
-    except (EOFError, OSError):
-        pass
-    finally:
-        conn.close()
-
-
-def run_sharded_processes(
-    builder: Callable[..., ShardBuild],
-    builder_args: tuple,
-    shards: Sequence[str],
-    routes: Dict[str, str],
-    *,
-    lookahead: int,
-    allow_jump: bool = True,
-    start_cycle: int = 0,
-    max_cycles: int = 1_000_000_000,
-    mp_context: Optional[str] = None,
-    build_deadline_seconds: Optional[float] = 60.0,
-) -> ProcessRunOutcome:
-    """Run the windowed protocol with one worker process per shard.
-
-    ``builder(*builder_args, shard_name)`` must be importable (spawn
-    contexts pickle it by reference) and return that shard's
-    :class:`ShardBuild`; ``routes`` maps each cross-shard channel name
-    to the shard that owns its receive side.  Every worker executes the
-    same window ``[boundary, boundary + lookahead)`` concurrently;
-    messages drained from send stubs are exchanged at the barrier and
-    injected with their original ``(deliver, seq)`` keys, so the
-    delivery schedule — and therefore every counter — is bit-identical
-    to the in-process windowed (and serial) run.
-
-    The build handshake is deadline-bounded: a worker that dies or
-    hangs while constructing its :class:`ShardBuild` surfaces a typed
-    :class:`~repro.errors.ShardCrash` / :class:`~repro.errors.ShardHang`
-    within ``build_deadline_seconds`` instead of blocking the ready
-    ``recv()`` forever.  Fault *recovery* is the job of
-    :class:`repro.sim.shardfault.ShardSupervisor`, which wraps this
-    protocol with per-window heartbeats and transcript replay.
-    """
-    if lookahead < 1:
-        raise SimulationError(f"lookahead must be >= 1 cycle (got {lookahead})")
-    unknown = sorted(set(routes.values()) - set(shards))
-    if unknown:
-        raise SimulationError(
-            f"channel routes target unknown shards: {unknown}"
-        )
-    ctx = multiprocessing.get_context(mp_context)
-    workers: Dict[str, Tuple[object, object]] = {}
-    in_flight: Dict[str, List[Tuple[str, int, int, object]]] = {
-        shard: [] for shard in shards
-    }
-    next_events: Dict[str, Optional[int]] = {}
-    try:
-        for shard in shards:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=shard_worker,
-                args=(
-                    child, builder, builder_args, shard,
-                    allow_jump, start_cycle,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            workers[shard] = (parent, proc)
-        for shard, (parent, proc) in workers.items():
-            reply = recv_bounded(
-                parent, proc, shard, build_deadline_seconds, "shard build",
-            )
-            if reply[0] != "ready":
-                raise SimulationError(
-                    f"shard {shard!r} worker failed to build: "
-                    f"{reply[1]}: {reply[2]}"
-                )
-            next_events[shard] = reply[1]
-
-        windows = 0
-        messages = 0
-        final_cycle = start_cycle
-        while True:
-            boundary: Optional[int] = None
-            for upcoming in next_events.values():
-                if upcoming is not None and (
-                    boundary is None or upcoming < boundary
-                ):
-                    boundary = upcoming
-            for pending in in_flight.values():
-                for _name, deliver, _seq, _payload in pending:
-                    if boundary is None or deliver < boundary:
-                        boundary = deliver
-            if boundary is None:
-                break
-            if boundary > max_cycles:
-                raise CycleBudgetExceeded(max_cycles, boundary, "<sharded>")
-            window_end = boundary + lookahead
-            windows += 1
-            for shard, (parent, _proc) in workers.items():
-                due = [
-                    msg for msg in in_flight[shard] if msg[1] < window_end
-                ]
-                in_flight[shard] = [
-                    msg for msg in in_flight[shard] if msg[1] >= window_end
-                ]
-                parent.send(("window", boundary, window_end, max_cycles, due))
-            for shard, (parent, proc) in workers.items():
-                reply = recv_bounded(
-                    parent, proc, shard, None, "window barrier",
-                )
-                if reply[0] == "budget":
-                    raise CycleBudgetExceeded(reply[1], reply[2], reply[3])
-                if reply[0] != "ok":
-                    raise SimulationError(
-                        f"shard {shard!r} failed mid-window: "
-                        f"{reply[1]}: {reply[2]}"
-                    )
-                _tag, last, upcoming, outbox = reply
-                next_events[shard] = upcoming
-                if last is not None and last > final_cycle:
-                    final_cycle = last
-                for name, deliver, seq, payload in outbox:
-                    dest = routes.get(name)
-                    if dest is None:
-                        raise SimulationError(
-                            f"shard {shard!r} emitted a message on "
-                            f"channel {name!r}, which is missing from "
-                            f"the route table (routed channels: "
-                            f"{sorted(routes)})"
-                        )
-                    messages += 1
-                    in_flight[dest].append(
-                        (name, deliver, seq, payload)
-                    )
-            # Newly exchanged messages can arm shards that reported no
-            # upcoming events; the boundary scan above re-reads in_flight.
-
-        counters: Dict[str, Dict[str, int]] = {}
-        shard_cycles: Dict[str, int] = {}
-        unfinished: List[str] = []
-        for shard, (parent, proc) in workers.items():
-            parent.send(("finish",))
-            reply = recv_bounded(parent, proc, shard, None, "finalize")
-            if reply[0] != "done":
-                raise SimulationError(
-                    f"shard {shard!r} failed to finalize: {reply!r}"
-                )
-            _tag, shard_cycle, shard_counters, shard_unfinished = reply
-            shard_cycles[shard] = shard_cycle
-            counters.update(shard_counters)
-            unfinished.extend(shard_unfinished)
-        if unfinished:
-            raise SimulationError(
-                f"module(s) {sorted(unfinished)!r} went idle with work "
-                f"outstanding"
-            )
-        return ProcessRunOutcome(
-            final_cycle=final_cycle,
-            counters=counters,
-            windows=windows,
-            messages=messages,
-            shard_cycles=shard_cycles,
-        )
-    finally:
-        for _shard, (parent, proc) in workers.items():
-            try:
-                parent.close()
-            except OSError:
-                pass
-            reap_worker(proc)

@@ -18,30 +18,17 @@ module provides:
 * :func:`derive_lookahead` — the conservative window width, derived
   from the NoC latency that separates the SM side from the memory side
   in the paper's decomposition.
-
-Channel transcripts reuse the ``REPROCKPT1`` framing discipline
-(magic + JSON meta line + per-record ``<len> <sha256>`` frames, torn
-trailing records tolerated) so a killed worker can never leave a
-transcript that replays differently from what was actually sent.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
-import os
-import pickle
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.engine import ClockedModule
 from repro.sim.module import ModelLevel, Module
-
-#: Magic + format version for channel transcript files.
-TRANSCRIPT_MAGIC = b"REPROSHCH1\n"
 
 #: Component-name split used by the two-way fallback plan; mirrors the
 #: SM-side / memory-side frozensets in :mod:`repro.analyze.partition`.
@@ -77,8 +64,8 @@ class ShardPlan:
     3. the module's ``component`` attribute;
     4. the plan's ``fallback`` shard (raises if the plan has none).
 
-    Plans are deliberately dumb, picklable data: the sharded engine and
-    the multiprocess runner both carry them across process boundaries.
+    Plans are deliberately dumb, picklable data: a guard checkpoint of a
+    sharded engine carries its plan.
     """
 
     def __init__(
@@ -301,7 +288,6 @@ class ShardChannel:
         *,
         src_shard: str = "?",
         dst_shard: str = "?",
-        transcript: Optional["TranscriptWriter"] = None,
     ) -> None:
         if latency < 1:
             raise ConfigError(
@@ -312,7 +298,6 @@ class ShardChannel:
         self.latency = latency
         self.src_shard = src_shard
         self.dst_shard = dst_shard
-        self.transcript = transcript
         self.endpoint: Optional["ChannelEndpoint"] = None
         self.sent = 0
         self.delivered = 0
@@ -337,8 +322,6 @@ class ShardChannel:
         self._last_send = cycle
         deliver = cycle + self.latency
         heapq.heappush(self._queue, (deliver, self._seq, payload))
-        if self.transcript is not None:
-            self.transcript.record(self.name, cycle, deliver, self._seq, payload)
         self._seq += 1
         self.sent += 1
         if self._wake is not None:
@@ -348,8 +331,7 @@ class ShardChannel:
     def inject(self, deliver: int, seq: int, payload: object) -> None:
         """Insert a message with an explicit ``(deliver, seq)`` key.
 
-        Used by the multiprocess runner (boundary-exchanged messages keep
-        their sender-side sequence numbers) and by transcript replay.
+        The key, not the call order, fixes the delivery order.
         """
         heapq.heappush(self._queue, (deliver, seq, payload))
         self.sent += 1
@@ -383,23 +365,12 @@ class ShardChannel:
         self.delivered += len(due)
         return due
 
-    def drain(self) -> List[Tuple[int, int, object]]:
-        """Remove and return every queued ``(deliver, seq, payload)``.
-
-        The multiprocess runner drains the send-side stub at window
-        boundaries and ships the messages to the owning worker.
-        """
-        out = sorted(self._queue)
-        self._queue = []
-        return out
-
     def __getstate__(self) -> Dict[str, object]:
-        # Wake callbacks are bound closures over a live engine and the
-        # transcript holds an open file handle; neither crosses pickle
-        # boundaries (checkpoints, worker processes).  Receivers re-bind.
+        # Wake callbacks are bound closures over a live engine and do not
+        # cross a pickle boundary (checkpoints); the engine re-binds at
+        # ``run()``.
         state = dict(self.__dict__)
         state["_wake"] = None
-        state["transcript"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -457,149 +428,3 @@ class ChannelEndpoint(ClockedModule):
 
     def is_done(self) -> bool:
         return self.channel.pending() == 0
-
-
-# ----------------------------------------------------------------------
-# transcripts (REPROSHCH1)
-
-
-@dataclass(frozen=True)
-class TranscriptRecord:
-    """One recorded send: enough to replay it bit-exactly."""
-
-    channel: str
-    send_cycle: int
-    deliver_cycle: int
-    seq: int
-    payload: object
-
-
-class TranscriptWriter:
-    """Appends framed channel records to a transcript file.
-
-    Frame discipline mirrors ``REPROCKPT1``: each record is one
-    ``<len> <sha256>`` header line followed by exactly ``len`` pickle
-    bytes.  Records are flushed whole, so a kill can only ever truncate
-    the *trailing* record — which the reader detects and drops.
-    """
-
-    def __init__(self, path: Path, meta: Optional[Dict[str, object]] = None) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "wb")
-        self._handle.write(TRANSCRIPT_MAGIC)
-        meta_line = json.dumps(dict(meta or {}), sort_keys=True).encode("utf-8")
-        self._handle.write(meta_line + b"\n")
-        self._handle.flush()
-
-    def record(
-        self, channel: str, send_cycle: int, deliver_cycle: int,
-        seq: int, payload: object,
-    ) -> None:
-        blob = pickle.dumps(
-            (channel, send_cycle, deliver_cycle, seq, payload),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        digest = hashlib.sha256(blob).hexdigest()
-        self._handle.write(f"{len(blob)} {digest}\n".encode("ascii"))
-        self._handle.write(blob)
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "TranscriptWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-@dataclass
-class Transcript:
-    """A loaded transcript: meta, intact records, and a torn-tail flag."""
-
-    meta: Dict[str, object]
-    records: List[TranscriptRecord] = field(default_factory=list)
-    torn: bool = False
-
-    def replay_into(self, channels: Mapping[str, ShardChannel]) -> int:
-        """Inject every record into its channel; returns count injected.
-
-        Replayed messages keep their recorded ``(deliver, seq)`` keys, so
-        a receiver driven purely from a transcript observes the identical
-        delivery schedule the original run produced.
-        """
-        injected = 0
-        for rec in self.records:
-            channel = channels.get(rec.channel)
-            if channel is None:
-                continue
-            channel.inject(rec.deliver_cycle, rec.seq, rec.payload)
-            injected += 1
-        return injected
-
-
-def load_transcript(path: Path) -> Transcript:
-    """Read a transcript, tolerating a torn trailing record.
-
-    A file truncated or corrupted mid-record (worker killed during a
-    write) yields every intact prefix record with ``torn=True`` — the
-    same newest-intact fallback discipline the checkpoint reader uses.
-    A bad magic line is a caller bug and raises
-    :class:`repro.errors.SimulationError`.
-    """
-    raw = Path(path).read_bytes()
-    if not raw.startswith(TRANSCRIPT_MAGIC):
-        raise SimulationError(
-            f"{path}: not a channel transcript (bad magic)"
-        )
-    rest = raw[len(TRANSCRIPT_MAGIC):]
-    meta_end = rest.find(b"\n")
-    if meta_end < 0:
-        return Transcript(meta={}, records=[], torn=True)
-    try:
-        meta = json.loads(rest[:meta_end].decode("utf-8"))
-        if not isinstance(meta, dict):
-            raise ValueError("meta is not an object")
-    except (UnicodeDecodeError, ValueError):
-        return Transcript(meta={}, records=[], torn=True)
-    rest = rest[meta_end + 1:]
-    records: List[TranscriptRecord] = []
-    torn = False
-    while rest:
-        frame_end = rest.find(b"\n")
-        if frame_end < 0:
-            torn = True
-            break
-        frame = rest[:frame_end].decode("ascii", errors="replace").split()
-        if len(frame) != 2:
-            torn = True
-            break
-        try:
-            length = int(frame[0])
-        except ValueError:
-            torn = True
-            break
-        blob = rest[frame_end + 1: frame_end + 1 + length]
-        if len(blob) != length:
-            torn = True
-            break
-        if hashlib.sha256(blob).hexdigest() != frame[1]:
-            torn = True
-            break
-        try:
-            channel, send_cycle, deliver_cycle, seq, payload = pickle.loads(blob)
-        except Exception:
-            torn = True
-            break
-        records.append(TranscriptRecord(
-            channel=channel, send_cycle=send_cycle,
-            deliver_cycle=deliver_cycle, seq=seq, payload=payload,
-        ))
-        rest = rest[frame_end + 1 + length:]
-    return Transcript(meta=meta, records=records, torn=torn)

@@ -1,16 +1,13 @@
 """Deterministic synthetic module graphs for the PDES test harness.
 
 The bit-equivalence property suite needs module graphs that are (a)
-fully deterministic given a seed, (b) communication-rich enough to
-exercise cross-shard channels, jumps, wakes, and same-cycle ties, and
-(c) rebuildable *per shard* inside a worker process from an importable
-function.  :class:`SyntheticSpec` is that: a pure-data description of a
-node/edge graph that :func:`build_system` turns into live modules for
-serial / lockstep / in-process-windowed runs and :func:`build_shard`
-turns into one shard's :class:`~repro.sim.parallel.ShardBuild` for the
-multiprocess runner — with identical module names, channel sequence
-numbers, and global registration ranks, so all four execution modes
-produce bit-identical counters.
+fully deterministic given a seed and (b) communication-rich enough to
+exercise cross-shard channels, jumps, wakes, and same-cycle ties.
+:class:`SyntheticSpec` is that: a pure-data description of a node/edge
+graph that :func:`build_system` turns into live modules with fixed
+names, channel sequence numbers, and global registration ranks, so the
+serial, lockstep and windowed execution modes produce bit-identical
+counters.
 
 Nodes advance a 64-bit LCG once per tick; every architectural decision
 (work amount, stride, whether/where to emit a message) derives from
@@ -27,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import WorkloadError
 from repro.sim.engine import ClockedModule, Engine
 from repro.sim.module import ModelLevel
-from repro.sim.parallel import ShardBuild
 from repro.sim.shard import ChannelEndpoint, ShardChannel, ShardPlan
 
 _LCG_MULT = 6364136223846793005
@@ -112,13 +108,6 @@ class SyntheticSpec:
             if self.shard_of_node(edge.src) != self.shard_of_node(edge.dst)
         )
 
-    def routes(self) -> Dict[str, str]:
-        """Cross-shard channel name -> receiving shard (process runner)."""
-        return {
-            edge.name: self.shard_of_node(edge.dst)
-            for edge in self.cross_edges()
-        }
-
     def min_cross_latency(self) -> int:
         cross = self.cross_edges()
         return min((edge.latency for edge in cross), default=1)
@@ -192,7 +181,7 @@ class SyntheticNode(ClockedModule):
 
 def _rank_map(spec: SyntheticSpec) -> Dict[str, int]:
     """Global registration ranks: nodes in spec order, then endpoints in
-    edge order — identical across full and per-shard builds."""
+    edge order."""
     ranks: Dict[str, int] = {}
     for index, node in enumerate(spec.nodes):
         ranks[node.name] = index
@@ -204,13 +193,8 @@ def _rank_map(spec: SyntheticSpec) -> Dict[str, int]:
 
 def build_system(
     spec: SyntheticSpec,
-    transcript=None,
 ) -> Tuple[List[Tuple[ClockedModule, int, int]], Dict[str, ShardChannel]]:
-    """Build the full system: ``([(module, start, rank)], channels)``.
-
-    ``transcript`` (a :class:`~repro.sim.shard.TranscriptWriter`) is
-    attached to every *cross-shard* channel when given.
-    """
+    """Build the full system: ``([(module, start, rank)], channels)``."""
     spec.validate()
     ranks = _rank_map(spec)
     nodes = {node.name: SyntheticNode(node) for node in spec.nodes}
@@ -218,14 +202,12 @@ def build_system(
     modules: List[Tuple[ClockedModule, int, int]] = [
         (nodes[node.name], 0, ranks[node.name]) for node in spec.nodes
     ]
-    cross = {edge.name for edge in spec.cross_edges()}
     for edge in spec.edges:
         channel = ShardChannel(
             edge.name,
             edge.latency,
             src_shard=spec.shard_of_node(edge.src),
             dst_shard=spec.shard_of_node(edge.dst),
-            transcript=transcript if edge.name in cross else None,
         )
         channels[edge.name] = channel
         nodes[edge.src].outputs.append(channel)
@@ -265,50 +247,6 @@ def attach_sharded(engine, modules: List[Tuple[ClockedModule, int, int]]) -> Non
     """
     for module, start, rank in modules:
         engine.add(module, start, rank=rank)
-
-
-def build_shard(spec: SyntheticSpec, shard: str) -> ShardBuild:
-    """Build exactly one shard's slice of ``spec`` (worker processes).
-
-    Module names, channel sequence numbering, and global ranks match
-    :func:`build_system`; cross-shard edges become send-side stubs on
-    the source shard and endpoint-owning channels on the destination.
-    """
-    spec.validate()
-    ranks = _rank_map(spec)
-    nodes = {
-        node.name: SyntheticNode(node)
-        for node in spec.nodes if node.shard == shard
-    }
-    build = ShardBuild()
-    build.modules = [
-        (nodes[node.name], 0, ranks[node.name])
-        for node in spec.nodes if node.shard == shard
-    ]
-    endpoints: List[Tuple[ChannelEndpoint, int, int]] = []
-    for edge in spec.edges:
-        src_shard = spec.shard_of_node(edge.src)
-        dst_shard = spec.shard_of_node(edge.dst)
-        if shard not in (src_shard, dst_shard):
-            continue
-        channel = ShardChannel(
-            edge.name, edge.latency,
-            src_shard=src_shard, dst_shard=dst_shard,
-        )
-        if src_shard == shard:
-            nodes[edge.src].outputs.append(channel)
-        if dst_shard == shard:
-            endpoint = ChannelEndpoint(channel)
-            endpoint.connect(nodes[edge.dst])
-            endpoints.append((endpoint, 0, ranks[endpoint.name]))
-        if src_shard == shard and dst_shard == shard:
-            build.channels_local[edge.name] = channel
-        elif src_shard == shard:
-            build.channels_out[edge.name] = channel
-        else:
-            build.channels_in[edge.name] = channel
-    build.modules.extend(endpoints)
-    return build
 
 
 def demo_spec(

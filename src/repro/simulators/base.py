@@ -151,8 +151,6 @@ class PlanSimulator(GPUSimulator):
         checker=None,
         guard=None,
         shard_plan: Optional[ShardPlan] = None,
-        fault_policy=None,
-        fault_injector=None,
     ) -> SimulationResult:
         """Simulate ``app`` and return a :class:`SimulationResult`.
 
@@ -181,28 +179,7 @@ class PlanSimulator(GPUSimulator):
         is guaranteed bit-identical to the serial engine (the sharded
         check pillar enforces this).  The result's ``sharding`` field
         carries the decomposition summary and per-edge port traffic.
-
-        ``fault_policy`` (a :class:`repro.sim.shardfault.ShardFaultPolicy`,
-        sharded runs only) supervises the run: chaos-injected shard
-        faults are retried with fresh builds and, when retries exhaust,
-        the run degrades to the uninjected lockstep engine — the result
-        stays bit-identical either way, with the attempt/degrade record
-        tagged under ``sharding["fault_tolerance"]``.  ``fault_injector``
-        is the per-attempt hook the supervisor installs on the sharded
-        engine's global-boundary seam; callers don't pass it directly.
         """
-        if fault_policy is not None and shard_plan is not None \
-                and fault_injector is None:
-            from repro.sim.shardfault import simulate_supervised
-
-            return simulate_supervised(
-                self, app, shard_plan, fault_policy,
-                max_kernel_cycles=max_kernel_cycles,
-                gather_metrics=gather_metrics,
-                engine_allow_jump=engine_allow_jump,
-                checker=checker,
-                guard=guard,
-            )
         plan_jump = self.plan["clocking"] == "event_jump"
         allow_jump = plan_jump if engine_allow_jump is None else engine_allow_jump
         per_cycle = not plan_jump
@@ -312,7 +289,6 @@ class PlanSimulator(GPUSimulator):
                         shard_plan, allow_jump=allow_jump, start_cycle=clock,
                         mode="lockstep",
                     )
-                    engine.fault_injector = fault_injector
                 else:
                     engine = Engine(allow_jump=allow_jump, start_cycle=clock)
                 if guard is not None:

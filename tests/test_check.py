@@ -290,8 +290,7 @@ class TestRunner:
     def test_all_modes_run_over_one_app(self, tiny_gpu):
         assert set(MODES) == {
             "shadow-jump", "sharded", "differential", "determinism",
-            "sanitize", "resilience", "static", "guard", "serve",
-            "shardfault", "all"
+            "sanitize", "resilience", "static", "guard", "serve", "all"
         }
         report = run_checks(tiny_gpu, mode="all", apps=["gemm"], scale="tiny")
         assert report.ok, [f.message for f in report.violations]

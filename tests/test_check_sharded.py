@@ -21,6 +21,8 @@ import pytest
 
 from repro import AccelSimLike, SwiftSimBasic, SwiftSimMemory, get_preset, make_app
 from repro.check.sharded import default_shard_plans, sharded_equivalence_check
+from repro.sim.engine import EngineChecker
+from repro.sim.shard import ShardPlan
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -95,6 +97,39 @@ def test_equivalence_check_compares_every_counter(plans):
     )
     assert [f for f in findings if f.severity == "violation"] == []
     assert any("bit-identical" in f.message for f in findings)
+
+
+class _TickCounter(EngineChecker):
+    def __init__(self):
+        self.ticks = 0
+
+    def on_tick(self, module, cycle, rank):
+        self.ticks += 1
+
+
+@pytest.mark.parametrize("app_name", ["bfs", "gemm"])
+@pytest.mark.parametrize("simulator_name", sorted(_SIMULATORS))
+def test_memory_side_tick_share_under_the_two_way_cut(simulator_name, app_name):
+    """Pins the measurement that closed ROADMAP item 2
+    (docs/parallel-engine.md, "Why the production simulators stay
+    lockstep"): cut at SM | memory, the hybrid tiers clock nothing on the
+    memory side and the cycle-accurate baseline under 5 % of its ticks,
+    so no windowed schedule of this graph can beat 1/(1 - share).  If
+    this fails because a tier gained a clocked memory side, re-measure
+    the bound before touching the threshold."""
+    gpu = get_preset(FIXTURE["gpu_preset"])
+    app = make_app(app_name, scale="tiny")
+    simulator = _SIMULATORS[simulator_name](gpu)
+    counter = _TickCounter()
+    simulator.simulate(app, gather_metrics=False, checker=counter)
+    ticks = simulator.simulate(
+        app, gather_metrics=False, shard_plan=ShardPlan.two_way()
+    ).sharding["shard_ticks"]
+    assert sum(ticks.values()) == counter.ticks
+    if simulator_name == "AccelSimLike":
+        assert 0 < ticks["memory"] < 0.05 * counter.ticks
+    else:
+        assert ticks.get("memory", 0) == 0
 
 
 def test_runner_exposes_the_sharded_mode():

@@ -230,20 +230,23 @@ class TestTornCheckpoints:
         assert find_resumable(tmp_path) is None
 
     def test_stale_format_version_is_refused_by_name(self, tmp_path):
-        """An intact checkpoint from the previous format (its pickled
-        engine has another instance shape) is refused on the meta line,
-        before anything is unpickled, and resume falls back past it."""
+        """An intact checkpoint from an earlier format (its pickled
+        engine has another instance shape: version 1 carried
+        ``Engine.config``, version 2 a ``ShardedEngine`` attribute this
+        build no longer has) is refused on the meta line, before anything
+        is unpickled, and resume falls back past every such file."""
         self._write(tmp_path, cycle=500)
-        stale = self._write(tmp_path, cycle=1000)
-        current = b'"format_version": 2'
-        assert stale.read_bytes().count(current) == 1
-        stale.write_bytes(
-            stale.read_bytes().replace(current, b'"format_version": 1'))
-        with pytest.raises(
-            CheckpointCorruption,
-            match=r"format version 1 \(this build reads 2\)",
-        ):
-            read_checkpoint(stale)
+        current = b'"format_version": 3'
+        for cycle, version in ((1000, 1), (1500, 2)):
+            stale = self._write(tmp_path, cycle=cycle)
+            assert stale.read_bytes().count(current) == 1
+            stale.write_bytes(stale.read_bytes().replace(
+                current, b'"format_version": %d' % version))
+            with pytest.raises(
+                CheckpointCorruption,
+                match=rf"format version {version} \(this build reads 3\)",
+            ):
+                read_checkpoint(stale)
         path, meta, __ = find_resumable(tmp_path)
         assert meta["cycle"] == 500
         path.unlink()

@@ -2,9 +2,9 @@
 
 The contract under test (docs/parallel-engine.md): for *any* module
 graph, *any* shard assignment, and *any* legal lookahead window, a
-sharded run — lockstep or windowed, in-process or multiprocess — is
-bit-identical to the serial :class:`repro.sim.engine.Engine`: same
-final cycle, same value of every counter on every module.
+sharded run — lockstep or windowed — is bit-identical to the serial
+:class:`repro.sim.engine.Engine`: same final cycle, same value of every
+counter on every module.
 
 The generator strategy is shrinking-friendly by construction: node and
 edge lists shrink toward empty, every numeric field shrinks toward its
@@ -28,7 +28,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
-from repro.sim.parallel import ShardedEngine, run_sharded_processes
+from repro.sim.parallel import ShardedEngine
 from repro.sim.shard import ShardPlan
 from repro.sim.synthetic import (
     EdgeSpec,
@@ -36,7 +36,6 @@ from repro.sim.synthetic import (
     SyntheticSpec,
     attach_serial,
     attach_sharded,
-    build_shard,
     build_system,
     collect_counters,
     demo_spec,
@@ -169,25 +168,6 @@ def test_windowed_boundaries_are_serial_cycle_starts(spec, data):
     starts = sharded_rec.cycle_starts
     assert starts == sorted(set(starts))
     assert set(starts) <= set(serial_rec.cycle_starts)
-
-
-@pytest.mark.parametrize("shards,nodes,latency", [
-    (2, 2, 3),
-    (3, 3, 5),
-    (2, 1, 1),
-])
-def test_process_mode_is_bit_identical_to_serial(shards, nodes, latency):
-    spec = demo_spec(
-        shards=shards, nodes_per_shard=nodes, seed=23, latency=latency,
-    )
-    serial_final, serial_counters = run_serial(spec, True)
-    outcome = run_sharded_processes(
-        build_shard, (spec,), spec.shards, spec.routes(),
-        lookahead=spec.min_cross_latency(),
-    )
-    assert outcome.final_cycle == serial_final
-    assert outcome.counters == serial_counters
-    assert outcome.windows > 0
 
 
 def test_cycle_budget_parity():

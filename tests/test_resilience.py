@@ -5,6 +5,7 @@ evaluation harness, and the CLI."""
 
 import json
 import os
+import signal
 import time
 from types import SimpleNamespace
 
@@ -54,6 +55,12 @@ def _double(value):
 def _sleep_forever():
     time.sleep(60.0)
     return "woke"
+
+
+def _ignore_sigterm_forever():
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    while True:
+        time.sleep(60.0)
 
 
 def _raise_memory_error():
@@ -279,6 +286,26 @@ class TestSupervisorPooled:
         assert isinstance(outcome.failure, TaskTimeout)
         assert outcome.num_attempts == 2
         assert all(r.outcome == "timeout" for r in outcome.attempts)
+
+    def test_sigterm_ignoring_worker_is_killed(self):
+        """``terminate()`` sends SIGTERM, which a wedged worker can
+        ignore; the reap escalates to SIGKILL so no worker outlives its
+        task's timeout."""
+        reaped = []
+
+        class Recording(Supervisor):
+            def _reap(self, running, force=False):
+                super()._reap(running, force)
+                reaped.append(running.process)
+
+        policy = RetryPolicy(max_attempts=1, timeout_seconds=1.0)
+        supervisor = Recording(policy, workers=2)
+        outcome = supervisor.run([Task("deaf", _ignore_sigterm_forever)])["deaf"]
+        assert isinstance(outcome.failure, TaskTimeout)
+        assert supervisor.workers_reaped == 1
+        (process,) = reaped
+        assert not process.is_alive()
+        assert process.exitcode == -signal.SIGKILL
 
     def test_result_sent_just_before_exit_is_not_a_crash(self):
         """A worker that sends and exits between the supervisor's pipe

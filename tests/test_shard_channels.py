@@ -1,11 +1,8 @@
 """Unit tests for the cross-shard channel layer.
 
-Covers the four properties the windowed PDES protocol leans on:
-message ordering (``(deliver, seq)`` total order), window-boundary
-flush (no message survives a run), torn/partial-transcript tolerance
-on worker kill (``REPROSHCH1`` framing, same discipline as
-``REPROCKPT1`` checkpoints), and deterministic replay of a receiving
-shard from a seeded transcript alone.
+Covers the two properties the windowed PDES protocol leans on:
+message ordering (``(deliver, seq)`` total order) and window-boundary
+flush (no message survives a run).
 """
 
 import pickle
@@ -13,23 +10,14 @@ import pickle
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.sim.engine import Engine
 from repro.sim.parallel import ShardedEngine
-from repro.sim.shard import (
-    ChannelEndpoint,
-    ShardChannel,
-    TranscriptWriter,
-    load_transcript,
-)
+from repro.sim.shard import ChannelEndpoint, ShardChannel
 from repro.sim.synthetic import (
     EdgeSpec,
     NodeSpec,
     SyntheticSpec,
-    attach_serial,
     attach_sharded,
-    build_shard,
     build_system,
-    collect_counters,
 )
 
 
@@ -87,15 +75,15 @@ def test_injected_messages_keep_their_keys():
     assert channel.pop_due(9) == ["first", "earlier", "later"]
 
 
-def test_channel_pickles_without_live_bindings(tmp_path):
+def test_channel_pickles_without_live_bindings():
     channel = ShardChannel("ch", latency=2)
-    channel.transcript = TranscriptWriter(tmp_path / "t.log")
-    channel.bind_wakeup(lambda deliver: None)
+    woken = []
+    channel.bind_wakeup(woken.append)
     channel.send("payload", 1)
     clone = pickle.loads(pickle.dumps(channel))
-    assert clone.transcript is None
-    assert clone.pop_due(3) == ["payload"]
-    channel.transcript.close()
+    clone.send("later", 2)
+    assert woken == [3]  # the clone carries no wake binding
+    assert clone.pop_due(4) == ["payload", "later"]
 
 
 # ----------------------------------------------------------------------
@@ -126,108 +114,3 @@ def test_endpoint_not_done_while_messages_pend():
     endpoint.tick(2)
     assert endpoint.is_done()
     assert endpoint.counters.get("delivered") == 1
-
-
-# ----------------------------------------------------------------------
-# transcript framing: torn/partial-message tolerance
-
-
-def write_sample_transcript(path, count=5):
-    with TranscriptWriter(path, meta={"spec": "sample"}) as writer:
-        for i in range(count):
-            writer.record("ch0", i, i + 4, i, ("payload", i))
-    return path
-
-
-def test_transcript_roundtrip(tmp_path):
-    path = write_sample_transcript(tmp_path / "t.log")
-    transcript = load_transcript(path)
-    assert not transcript.torn
-    assert transcript.meta == {"spec": "sample"}
-    assert [record.seq for record in transcript.records] == list(range(5))
-    assert transcript.records[2].payload == ("payload", 2)
-
-
-def test_truncated_transcript_drops_only_the_torn_tail(tmp_path):
-    path = write_sample_transcript(tmp_path / "t.log")
-    raw = path.read_bytes()
-    # Cut mid-way through the final record's payload (a worker killed
-    # mid-write): every intact prefix record must survive.
-    path.write_bytes(raw[:-3])
-    transcript = load_transcript(path)
-    assert transcript.torn
-    assert [record.seq for record in transcript.records] == [0, 1, 2, 3]
-
-
-def test_corrupt_middle_record_stops_the_replay_prefix(tmp_path):
-    path = write_sample_transcript(tmp_path / "t.log")
-    raw = bytearray(path.read_bytes())
-    # Flip one byte around the middle of the file body.
-    raw[len(raw) // 2] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    transcript = load_transcript(path)
-    assert transcript.torn
-    assert len(transcript.records) < 5
-    for record in transcript.records:  # surviving prefix is intact
-        assert record.payload == ("payload", record.seq)
-
-
-def test_transcript_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bogus.log"
-    path.write_bytes(b"NOTATRANSCRIPT\n{}\n")
-    with pytest.raises(SimulationError):
-        load_transcript(path)
-
-
-def test_empty_transcript_is_torn_not_fatal(tmp_path):
-    path = tmp_path / "t.log"
-    path.write_bytes(b"REPROSHCH1\n")
-    transcript = load_transcript(path)
-    assert transcript.torn and transcript.records == []
-
-
-# ----------------------------------------------------------------------
-# deterministic replay from a seeded transcript
-
-
-def test_receiving_shard_replays_bit_identically_from_transcript(tmp_path):
-    spec = two_shard_spec()
-
-    # Reference run: full system, recording cross-shard traffic.
-    with TranscriptWriter(tmp_path / "cross.log",
-                          meta={"spec": "two_shard"}) as writer:
-        modules, channels = build_system(spec, transcript=writer)
-        engine = Engine()
-        attach_serial(engine, modules, channels)
-        engine.run()
-    reference = collect_counters(modules)
-    transcript = load_transcript(tmp_path / "cross.log")
-    assert not transcript.torn
-    assert len(transcript.records) == sum(
-        channels[name].sent for name in ("ch0", "ch1")
-    )
-
-    # Replay: rebuild ONLY the receiving shard, inject the transcript,
-    # run it standalone — the senders never execute.
-    build = build_shard(spec, "right")
-    replay_engine = Engine()
-    for module, start, rank in build.modules:
-        if isinstance(module, ChannelEndpoint):
-            module.attach_engine(replay_engine)
-        replay_engine.add(module, start, rank=rank)
-    for channel in build.channels_in.values():
-        endpoint = channel.endpoint
-        channel.bind_wakeup(
-            lambda deliver, _e=endpoint, _g=replay_engine: _g.wake(_e, deliver)
-        )
-    injected = transcript.replay_into(build.channels_in)
-    assert injected == len(transcript.records)
-    replay_engine.run()
-
-    replayed = {
-        walked.name: walked.counters.as_dict()
-        for module, _s, _r in build.modules
-        for walked in module.walk()
-    }
-    for name, counters in replayed.items():
-        assert counters == reference[name], name
