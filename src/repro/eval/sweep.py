@@ -21,13 +21,13 @@ and IPC, ready for plotting or tabulation (``render()``).
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, List, Mapping, Sequence, Type
 
 from repro.errors import ConfigError
 from repro.frontend.config import GPUConfig
+from repro.frontend.precharacterize import precharacterize
 from repro.frontend.trace import ApplicationTrace
 from repro.simulators.base import PlanSimulator
 
@@ -106,14 +106,26 @@ class DesignSpaceSweep:
                 apply_override(base, path, value)
 
     def configurations(self):
-        """Yield (overrides dict, GPUConfig) for every grid point."""
+        """Yield (overrides dict, GPUConfig) for every grid point.
+
+        Points come in Cartesian-product order over the sorted paths, so
+        consecutive points share their leading overrides: each override
+        is applied once per distinct prefix, not once per point, and a
+        point rebuilds only the sections its trailing axes touch.
+        """
         paths = sorted(self.grid)
-        for combo in itertools.product(*(self.grid[p] for p in paths)):
-            overrides = dict(zip(paths, combo))
-            gpu = self.base
-            for path, value in overrides.items():
-                gpu = apply_override(gpu, path, value)
-            yield overrides, gpu
+
+        def expand(gpu: GPUConfig, chosen: tuple):
+            if len(chosen) == len(paths):
+                yield dict(zip(paths, chosen)), gpu
+                return
+            path = paths[len(chosen)]
+            for value in self.grid[path]:
+                yield from expand(
+                    apply_override(gpu, path, value), chosen + (value,)
+                )
+
+        yield from expand(self.base, ())
 
     def run(
         self,
@@ -168,19 +180,22 @@ class DesignSpaceSweep:
             started = time.perf_counter()
             totals = simulator.evaluate_batch(app, configs)
             share = (time.perf_counter() - started) / len(grid_points)
-            lanes.append((app, totals, share))
+            # The tasklist evaluate_batch just priced already counted the
+            # trace; asking the trace again would re-walk it.
+            instructions = precharacterize(app).num_instructions
+            lanes.append((app.name, totals.tolist(), instructions, share))
         result = SweepResult()
         # Emit in run()'s (configuration, app) order so the two paths
         # produce interchangeable tables.
         for lane, (overrides, __) in enumerate(grid_points):
-            for app, totals, share in lanes:
-                cycles = int(totals[lane])
+            for app_name, totals, instructions, share in lanes:
+                cycles = totals[lane]
                 result.points.append(
                     SweepPoint(
                         overrides=overrides,
-                        app_name=app.name,
+                        app_name=app_name,
                         total_cycles=cycles,
-                        ipc=app.num_instructions / cycles if cycles else 0.0,
+                        ipc=instructions / cycles if cycles else 0.0,
                         wall_seconds=share,
                     )
                 )

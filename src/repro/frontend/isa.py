@@ -12,7 +12,7 @@ every modeling component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, unique
 
 from repro.errors import TraceError
@@ -69,11 +69,17 @@ class OpcodeInfo:
     kind: InstKind
     mem_space: MemSpace = MemSpace.NONE
     latency_factor: int = 1
+    #: True for loads, stores, and atomics (anything carrying addresses).
+    #: Derived from ``kind`` once, here: trace construction reads it per
+    #: dynamic instruction.
+    is_memory: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_memory(self) -> bool:
-        """True for loads, stores, and atomics (anything carrying addresses)."""
-        return self.kind in (InstKind.LOAD, InstKind.STORE, InstKind.ATOMIC)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "is_memory",
+            self.kind in (InstKind.LOAD, InstKind.STORE, InstKind.ATOMIC),
+        )
 
 
 def _op(name, unit, kind, mem_space=MemSpace.NONE, latency_factor=1):

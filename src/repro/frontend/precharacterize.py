@@ -17,7 +17,7 @@ are recorded as *term counts* (how many INT ops with latency factor 2 sit
 on the critical path), not cycle counts, and memory locality is recorded
 as *reuse-distance distributions*, not hit rates, so one pass serves any
 number of candidate architectures.  Coalescing uses the fixed
-128-byte-line / 32-byte-sector geometry every modeled GPU shares.
+32-byte-sector geometry every modeled GPU shares.
 
 Tasklists are pure functions of the trace: same trace values in, same
 tasklist values out, no RNG, no wall-clock, no live handles — they are
@@ -28,8 +28,9 @@ lint family covers this module).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 try:  # numpy is required for the analytic tier, but its absence must not
@@ -38,13 +39,13 @@ except ImportError:  # pragma: no cover - exercised only on minimal installs
     _np = None
 
 from repro.errors import SimulationError
-from repro.frontend.isa import InstKind, MemSpace, UnitClass
+from repro.frontend.isa import OPCODES, InstKind, MemSpace, OpcodeInfo, UnitClass
 from repro.frontend.trace import ApplicationTrace, KernelTrace
-from repro.memory.access import coalesce
+from repro.memory.access import touched_sectors
 from repro.memory.reuse_distance import LRUStack
 
-#: Coalescing geometry shared by every modeled GPU (Turing/Ampere).
-LINE_BYTES = 128
+#: Sector size shared by every modeled GPU (Turing/Ampere); the reuse
+#: stream is tracked in sectors.
 SECTOR_BYTES = 32
 
 #: Chain-term keys that are not (unit, latency_factor) ALU terms.
@@ -192,30 +193,62 @@ class WarpClass:
         )
 
 
-def _warp_skeleton(warp) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
-    """One warp's dependence skeleton: (terms, producer positions).
+def _chain_term(info: OpcodeInfo) -> Optional[tuple]:
+    """The pricing term an opcode contributes to a dependence chain
+    (``None`` for EXIT, which costs nothing once the pipeline drained)."""
+    kind = info.kind
+    if kind is InstKind.EXIT:
+        return None
+    if kind is InstKind.BRANCH:
+        return BRANCH_TERM
+    if kind in (InstKind.BARRIER, InstKind.MEMBAR):
+        return SYNC_TERM
+    if info.is_memory:
+        if info.mem_space is MemSpace.SHARED:
+            return SHARED_TERM
+        if kind is InstKind.STORE:
+            return STORE_TERM
+        return LOAD_TERM  # atomics wait for their result like loads
+    return _alu_term(info.unit, info.latency_factor)
 
-    Warps issue strictly in order, so per-warp solo time is fully
-    determined by each instruction's pricing term plus the most
-    constraining producer it waits for: the latest writer of any of its
-    source/destination registers, preferring memory-class writers (their
-    latencies dominate).  Barriers and membars drain the pipeline, so
-    they wait on the most recent memory-class instruction (or, failing
-    that, the immediately preceding instruction) even without register
-    operands.  EXIT is unpriced — the timing model's final drain waits
-    for every producer's completion instead.
+
+#: The term is a property of the opcode, so it is resolved once per
+#: mnemonic here and the walk only looks it up per dynamic instruction.
+_OPCODE_TERMS: Dict[str, Optional[tuple]] = {
+    name: _chain_term(info) for name, info in OPCODES.items()
+}
+
+
+def _walk_warp(warp) -> Tuple[Tuple[tuple, ...], Tuple[int, ...], List[tuple]]:
+    """One pass over a warp: (terms, producer positions, global accesses).
+
+    ``(terms, producers)`` is the warp's dependence skeleton.  Warps
+    issue strictly in order, so per-warp solo time is fully determined by
+    each instruction's pricing term plus the most constraining producer
+    it waits for: the latest writer of any of its source/destination
+    registers, preferring memory-class writers (their latencies
+    dominate).  Barriers and membars drain the pipeline, so they wait on
+    the most recent memory-class instruction (or, failing that, the
+    immediately preceding instruction) even without register operands.
+    EXIT is unpriced — the timing model's final drain waits for every
+    producer's completion instead.
+
+    The third element lists the warp's global/local memory instructions
+    in program order as ``(is_store, sector numbers in first-touch
+    order)`` — the warp's share of the kernel's reuse-distance stream.
     """
     last_writer: Dict[int, int] = {}
     terms: List[tuple] = []
     producers: List[int] = []
+    accesses: List[tuple] = []
     last_memory = -1  # position of the most recent memory-class inst
     for inst in warp.instructions:
-        term = _chain_term(inst)
+        term = _OPCODE_TERMS[inst.opcode]
         if term is None:  # EXIT
             continue
         position = len(terms)
         producer = -1
-        if inst.kind in (InstKind.BARRIER, InstKind.MEMBAR):
+        if term is SYNC_TERM:
             producer = last_memory if last_memory >= 0 else position - 1
         else:
             memory_producer = -1
@@ -233,26 +266,11 @@ def _warp_skeleton(warp) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
             last_memory = position
         for reg in inst.dest_regs:
             last_writer[reg] = position
-    return tuple(terms), tuple(producers)
-
-
-def _chain_term(inst) -> tuple:
-    """The pricing term an instruction contributes to a dependence chain
-    (``None`` for EXIT, which costs nothing once the pipeline drained)."""
-    kind = inst.kind
-    if kind is InstKind.EXIT:
-        return None
-    if kind is InstKind.BRANCH:
-        return BRANCH_TERM
-    if kind in (InstKind.BARRIER, InstKind.MEMBAR):
-        return SYNC_TERM
-    if inst.is_memory:
-        if inst.mem_space is MemSpace.SHARED:
-            return SHARED_TERM
-        if kind is InstKind.STORE:
-            return STORE_TERM
-        return LOAD_TERM
-    return _alu_term(inst.unit, inst.latency_factor)
+        if term is LOAD_TERM or term is STORE_TERM:
+            accesses.append(
+                (term is STORE_TERM, touched_sectors(inst.addresses, SECTOR_BYTES))
+            )
+    return tuple(terms), tuple(producers), accesses
 
 
 # ----------------------------------------------------------------------
@@ -277,55 +295,44 @@ def _characterize_kernel(kernel: KernelTrace) -> KernelTasklist:
     warp_rows: List[Dict[tuple, int]] = []
     for block in kernel.blocks:
         for warp in block.warps:
-            skeleton = _warp_skeleton(warp)
+            terms, producers, accesses = _walk_warp(warp)
+            skeleton = (terms, producers)
             skeletons[skeleton] = skeletons.get(skeleton, 0) + 1
-            warp_row: Dict[tuple, int] = {}
-            warp_rows.append(warp_row)
-            for inst in warp.instructions:
-                kind = inst.kind
-                if kind is InstKind.EXIT:
+            warp_rows.append(Counter(terms))
+            for is_store, sectors in accesses:
+                if is_store:
+                    for sector in sectors:
+                        stack.access(sector)
+                    tasklist.global_stores += 1
+                    tasklist.store_transactions += len(sectors)
                     continue
-                term = _chain_term(inst)
-                warp_row[term] = warp_row.get(term, 0) + 1
-                if kind is InstKind.BRANCH:
-                    tasklist.branch_insts += 1
-                    continue
-                if kind in (InstKind.BARRIER, InstKind.MEMBAR):
-                    tasklist.sync_insts += 1
-                    continue
-                if inst.is_memory:
-                    if inst.mem_space is MemSpace.SHARED:
-                        tasklist.shared_insts += 1
-                        continue
-                    tasklist.ldst_insts += 1
-                    transactions = coalesce(
-                        inst.addresses, LINE_BYTES, SECTOR_BYTES
-                    )
-                    is_store = kind is InstKind.STORE
-                    worst = 0.0
-                    for tx in transactions:
-                        distance = stack.access((tx.line_addr, tx.sector))
-                        value = math.inf if distance is None else float(distance)
-                        if not is_store:
-                            access_distances.append(value)
-                            worst = max(worst, value)
-                    if is_store:
-                        tasklist.global_stores += 1
-                        tasklist.store_transactions += len(transactions)
-                    else:
-                        tasklist.global_loads += 1
-                        tasklist.load_transactions += len(transactions)
-                        inst_distances.append(worst)
-                    continue
-                key = (inst.unit.value, inst.latency_factor)
-                tasklist.unit_counts[key] = tasklist.unit_counts.get(key, 0) + 1
-    terms = sorted({term for row in warp_rows for term in row})
-    term_index = {term: i for i, term in enumerate(terms)}
-    warp_counts = np.zeros((len(warp_rows), len(terms)), dtype=np.int64)
+                worst = 0.0
+                for sector in sectors:
+                    distance = stack.access(sector)
+                    value = math.inf if distance is None else float(distance)
+                    access_distances.append(value)
+                    if value > worst:
+                        worst = value
+                tasklist.global_loads += 1
+                tasklist.load_transactions += len(sectors)
+                inst_distances.append(worst)
+    chain_terms = sorted(set().union(*warp_rows))
+    term_index = {term: i for i, term in enumerate(chain_terms)}
+    warp_counts = np.zeros((len(warp_rows), len(chain_terms)), dtype=np.int64)
     for row_number, row in enumerate(warp_rows):
         for term, count in row.items():
             warp_counts[row_number, term_index[term]] = count
-    tasklist.chain_terms = tuple(terms)
+    # Instruction-class totals are column sums of the per-warp rows.
+    totals = dict(zip(chain_terms, warp_counts.sum(axis=0).tolist()))
+    tasklist.branch_insts = totals.pop(BRANCH_TERM, 0)
+    tasklist.sync_insts = totals.pop(SYNC_TERM, 0)
+    tasklist.shared_insts = totals.pop(SHARED_TERM, 0)
+    tasklist.ldst_insts = totals.pop(LOAD_TERM, 0) + totals.pop(STORE_TERM, 0)
+    tasklist.unit_counts = {
+        (unit_value, factor): count
+        for (__, unit_value, factor), count in totals.items()
+    }
+    tasklist.chain_terms = tuple(chain_terms)
     tasklist.warp_counts = warp_counts
     tasklist.warp_classes = tuple(
         WarpClass(

@@ -53,14 +53,18 @@ class TraceInstruction:
             raise TraceError(f"negative PC {pc}")
         if not 0 < active_mask <= _FULL_WARP_MASK:
             raise TraceError(f"active mask {active_mask:#x} out of range at pc {pc:#x}")
-        active_threads = bit_count(active_mask)
-        if info.is_memory:
+        active_threads = (
+            WARP_SIZE if active_mask == _FULL_WARP_MASK else bit_count(active_mask)
+        )
+        is_memory = info.is_memory
+        if is_memory:
             if len(addresses) != active_threads:
                 raise TraceError(
                     f"{opcode} at pc {pc:#x}: {len(addresses)} addresses for "
                     f"{active_threads} active threads"
                 )
-            if any(a < 0 for a in addresses):
+            # Never empty here: the mask has at least one lane set.
+            if min(addresses) < 0:
                 raise TraceError(f"{opcode} at pc {pc:#x}: negative address")
         elif addresses:
             raise TraceError(f"{opcode} at pc {pc:#x} carries addresses but is not memory")
@@ -76,7 +80,7 @@ class TraceInstruction:
         self.kind = info.kind
         self.unit = info.unit
         self.mem_space = info.mem_space
-        self.is_memory = info.is_memory
+        self.is_memory = is_memory
         self.latency_factor = info.latency_factor
         self.active_threads = active_threads
 

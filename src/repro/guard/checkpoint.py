@@ -38,7 +38,9 @@ MAGIC = b"REPROCKPT1\n"
 #: Checkpoint meta schema version; bump on incompatible payload changes.
 #: 2: a pickled ``Engine`` carries no ``config`` attribute.
 #: 3: a pickled ``ShardedEngine`` carries no fault-injection hook.
-FORMAT_VERSION = 3
+#: 4: the ``OpcodeInfo`` pickled inside every ``TraceInstruction`` stores
+#:    ``is_memory`` as a field.
+FORMAT_VERSION = 4
 
 
 def checkpoint_name(cycle: int) -> str:

@@ -69,3 +69,15 @@ def coalesce(
         )
         for sector_addr, count in touched.items()
     ]
+
+
+def touched_sectors(addresses: Sequence[int], sector_bytes: int = 32) -> List[int]:
+    """The distinct sector numbers (byte address // sector size) one warp
+    memory instruction touches, in first-touch order.
+
+    The sector number alone identifies a block of the address space, so
+    a caller that only tracks which blocks are touched (reuse distance)
+    takes these in place of :func:`coalesce`'s transaction objects; there
+    is one transaction per sector returned.
+    """
+    return list(dict.fromkeys([addr // sector_bytes for addr in addresses]))

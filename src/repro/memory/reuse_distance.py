@@ -14,7 +14,7 @@ since the previous access to the same block.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.frontend.config import GPUConfig
 from repro.frontend.isa import InstKind, MemSpace
@@ -22,63 +22,58 @@ from repro.frontend.trace import KernelTrace
 from repro.memory.access import coalesce
 
 
-class _Fenwick:
-    """Binary indexed tree over access timestamps."""
+class _LRUStack:
+    """Stack-distance tracker for one cache level.
+
+    A Fenwick tree (binary indexed tree, 1-based) over access timestamps
+    holds a one at the latest access of every block seen so far and a zero
+    everywhere else, so the ones after a block's previous access count
+    the distinct blocks touched since.  ``tree[i]`` sums the timestamps
+    ``(i - lowbit(i), i]``.
+    """
 
     def __init__(self) -> None:
         self._tree: List[int] = [0]
+        self._last_seen: Dict[Hashable, int] = {}
 
-    def grow(self) -> None:
-        """Append position n+1 holding value zero.
+    def access(self, block: Hashable) -> Optional[int]:
+        """Record an access; return its stack distance (None = cold miss).
 
-        ``tree[i]`` covers the range ``(i - lowbit(i), i]``, which equals
-        ``a[i]`` plus the adjacent sub-ranges ``tree[i - 2^k]`` for all
-        ``2^k < lowbit(i)`` — with ``a[i] == 0`` on append.
+        ``block`` is any hashable block identity (a sector number, a
+        ``(line, sector)`` pair).  The tree's three operations are inlined
+        here: this runs once per sector access of a whole application.
         """
-        index = len(self._tree)
-        total = 0
-        step = 1
-        low_bit = index & -index
-        while step < low_bit:
-            total += self._tree[index - step]
-            step <<= 1
-        self._tree.append(total)
-
-    def add(self, index: int, delta: int) -> None:
-        while index < len(self._tree):
-            self._tree[index] += delta
-            index += index & -index
-
-    def prefix_sum(self, index: int) -> int:
-        total = 0
-        while index > 0:
-            total += self._tree[index]
-            index -= index & -index
-        return total
-
-
-class _LRUStack:
-    """Stack-distance tracker for one cache level."""
-
-    def __init__(self) -> None:
-        self._fenwick = _Fenwick()
-        self._last_seen: Dict[Tuple[int, int], int] = {}
-        self._time = 0
-
-    def access(self, block: Tuple[int, int]) -> Optional[int]:
-        """Record an access; return its stack distance (None = cold miss)."""
-        self._time += 1
-        self._fenwick.grow()
-        last = self._last_seen.get(block)
+        tree = self._tree
+        last_seen = self._last_seen
+        now = len(tree)
+        last = last_seen.get(block)
+        last_seen[block] = now
         distance: Optional[int]
         if last is None:
             distance = None
         else:
-            # Distinct blocks touched since the previous access.
-            distance = self._fenwick.prefix_sum(self._time - 1) - self._fenwick.prefix_sum(last)
-            self._fenwick.add(last, -1)
-        self._fenwick.add(self._time, 1)
-        self._last_seen[block] = self._time
+            # Every block seen holds exactly one mark, so the marks after
+            # ``last`` are the blocks seen minus the prefix sum up to it.
+            distance = len(last_seen)
+            index = last
+            while index:
+                distance -= tree[index]
+                index &= index - 1
+            # The block's mark moves to ``now``: clear it at ``last``.
+            index = last
+            while index < now:
+                tree[index] -= 1
+                index += index & -index
+        # Append position ``now`` holding this access's mark: the new node
+        # is that one plus the adjacent sub-ranges ``tree[now - 2^k]`` for
+        # all ``2^k < lowbit(now)``.
+        total = 1
+        step = 1
+        low_bit = now & -now
+        while step < low_bit:
+            total += tree[now - step]
+            step <<= 1
+        tree.append(total)
         return distance
 
 

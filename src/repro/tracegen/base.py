@@ -104,14 +104,7 @@ class WarpBuilder:
         addresses: Sequence[int] = (),
     ) -> None:
         self._instructions.append(
-            TraceInstruction(
-                pc=self._pc,
-                opcode=opcode,
-                dest_regs=dest,
-                src_regs=src,
-                active_mask=mask,
-                addresses=addresses,
-            )
+            TraceInstruction(self._pc, opcode, dest, src, mask, addresses)
         )
         self._pc += _PC_STEP
 
@@ -120,7 +113,7 @@ class WarpBuilder:
     def alu(self, opcode: str, srcs: Sequence[int] = ()) -> int:
         """Emit one ALU instruction reading ``srcs``; returns its dest reg."""
         dest = self.regs.alloc()
-        self._emit(opcode, dest=(dest,), src=tuple(srcs))
+        self._emit(opcode, dest=(dest,), src=srcs)
         return dest
 
     def alu_chain(self, opcode: str, length: int, seed_reg: Optional[int] = None) -> int:

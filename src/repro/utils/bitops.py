@@ -49,11 +49,19 @@ def full_mask(width: int) -> int:
     return (1 << width) - 1
 
 
+if hasattr(int, "bit_count"):  # Python >= 3.10
+    _popcount = int.bit_count
+else:  # pragma: no cover - exercised only on Python 3.9
+
+    def _popcount(mask: int) -> int:
+        return bin(mask).count("1")
+
+
 def bit_count(mask: int) -> int:
     """Population count of a non-negative mask."""
     if mask < 0:
         raise ValueError("mask must be non-negative")
-    return bin(mask).count("1")
+    return _popcount(mask)
 
 
 def mask_iter(mask: int) -> Iterator[int]:

@@ -233,18 +233,20 @@ class TestTornCheckpoints:
         """An intact checkpoint from an earlier format (its pickled
         engine has another instance shape: version 1 carried
         ``Engine.config``, version 2 a ``ShardedEngine`` attribute this
-        build no longer has) is refused on the meta line, before anything
-        is unpickled, and resume falls back past every such file."""
+        build no longer has, version 3 ``OpcodeInfo`` objects without the
+        stored ``is_memory`` field) is refused on the meta line, before
+        anything is unpickled, and resume falls back past every such
+        file."""
         self._write(tmp_path, cycle=500)
-        current = b'"format_version": 3'
-        for cycle, version in ((1000, 1), (1500, 2)):
+        current = b'"format_version": 4'
+        for cycle, version in ((1000, 1), (1500, 2), (2000, 3)):
             stale = self._write(tmp_path, cycle=cycle)
             assert stale.read_bytes().count(current) == 1
             stale.write_bytes(stale.read_bytes().replace(
                 current, b'"format_version": %d' % version))
             with pytest.raises(
                 CheckpointCorruption,
-                match=rf"format version {version} \(this build reads 3\)",
+                match=rf"format version {version} \(this build reads 4\)",
             ):
                 read_checkpoint(stale)
         path, meta, __ = find_resumable(tmp_path)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.frontend.config import CacheConfig
 from repro.frontend.trace import TraceInstruction
 from repro.frontend.trace_io import parse_trace, save_trace
-from repro.memory.access import coalesce
+from repro.memory.access import coalesce, touched_sectors
 from repro.memory.cache import AccessStatus, SectoredCache
 from repro.memory.reuse_distance import _LRUStack
 from repro.core.scoreboard import Scoreboard
@@ -59,6 +59,15 @@ class TestCoalescerProperties:
         original = {(t.line_addr, t.sector, t.thread_count) for t in coalesce(addresses)}
         permuted = {(t.line_addr, t.sector, t.thread_count) for t in coalesce(shuffled)}
         assert original == permuted
+
+    @given(addresses_strategy, st.sampled_from([(128, 32), (64, 32), (128, 16)]))
+    def test_touched_sectors_are_the_transactions(self, addresses, geometry):
+        line_bytes, sector_bytes = geometry
+        per_line = line_bytes // sector_bytes
+        assert touched_sectors(addresses, sector_bytes) == [
+            tx.line_addr * per_line + tx.sector
+            for tx in coalesce(addresses, line_bytes, sector_bytes)
+        ]
 
 
 # ----------------------------------------------------------------------
