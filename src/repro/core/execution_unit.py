@@ -69,21 +69,22 @@ class PipelinedExecutionUnit(Module, InstructionSink):
         self._port_free = 0
         self._pipeline: List[Tuple[int, int, object, TraceInstruction]] = []
         self._seq = 0
+        #: Instructions are in the pipeline: the owner must tick this unit.
+        #: A plain flag, kept by try_issue/tick, because the sub-core reads
+        #: it for every unit on every cycle.
+        self.busy = False
 
     def reset(self) -> None:
         super().reset()
         self._port_free = 0
         self._pipeline.clear()
         self._seq = 0
+        self.busy = False
 
     @property
     def port_free_cycle(self) -> int:
         """When the dispatch port next accepts a warp (for wake planning)."""
         return self._port_free
-
-    @property
-    def busy(self) -> bool:
-        return bool(self._pipeline)
 
     def try_issue(self, warp, inst: TraceInstruction, cycle: int) -> IssueResult:
         if self._port_free > cycle:
@@ -95,6 +96,7 @@ class PipelinedExecutionUnit(Module, InstructionSink):
         done = cycle + interval - 1 + latency
         heapq.heappush(self._pipeline, (done, self._seq, warp, inst))
         self._seq += 1
+        self.busy = True
         self.counters.add("instructions")
         self.counters.add("busy_cycles", interval)
         return PENDING
@@ -111,3 +113,4 @@ class PipelinedExecutionUnit(Module, InstructionSink):
                 break
             __, __seq, warp, inst = heapq.heappop(pipeline)
             self.listener.on_complete(warp, inst, cycle)
+        self.busy = bool(pipeline)

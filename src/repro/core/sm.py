@@ -137,8 +137,6 @@ class SMCore(ClockedModule):
         """Take at most one block per cycle (like GPGPU-Sim's one-CTA-per-
         cluster-per-cycle issue), so blocks spread across SMs.  Returns
         True when more blocks remain that this SM could take next cycle."""
-        if self._source_drained:
-            return False
         if not self._peek_fits():
             return False
         block = self.block_source.next_block(self.sm_id)
@@ -148,10 +146,7 @@ class SMCore(ClockedModule):
         return self._peek_fits()
 
     def _peek_fits(self) -> bool:
-        peek = getattr(self.block_source, "peek_block", None)
-        if peek is None:
-            return True
-        block = peek()
+        block = self.block_source.peek_block()
         if block is None:
             self._source_drained = True
             return False
@@ -204,11 +199,6 @@ class SMCore(ClockedModule):
     # ------------------------------------------------------------------
     # completion plumbing
 
-    def note_completion(self, completion_cycle: int) -> None:
-        """Track the latest reservation-resolved completion (kernel tail)."""
-        if completion_cycle > self.last_completion:
-            self.last_completion = completion_cycle
-
     def request_wake(self, cycle: int) -> None:
         """Called from completion callbacks to re-arm this SM."""
         if self.engine is not None:
@@ -218,18 +208,23 @@ class SMCore(ClockedModule):
     # clocking
 
     def tick(self, cycle: int) -> Optional[int]:
-        self._block_finished_this_tick = False
-        more_blocks = self._take_blocks(cycle)
+        more_blocks = not self._source_drained and self._take_blocks(cycle)
         if not self._blocks:
-            if self.idle_tick and not getattr(self.block_source, "all_done", True):
+            if self.idle_tick and not self.block_source.all_done:
                 # Stay in the per-cycle loop until the kernel retires.
                 self.counters.add("empty_cycles")
                 return cycle + 1
             return None  # drained, or waiting for blocks that never come
+        self._block_finished_this_tick = False
         self.counters.add("active_cycles")
         wake = cycle + 1 if more_blocks else NEVER
         for subcore in self.subcores:
-            sub_wake = subcore.tick(cycle)
+            sub_wake = subcore.quiet_until
+            if cycle < sub_wake:
+                # Proved silent until then: skip the scan, keep its count.
+                subcore.counters.add("idle_cycles")
+            else:
+                sub_wake = subcore.tick(cycle)
             if sub_wake < wake:
                 wake = sub_wake
         if self._block_finished_this_tick:
@@ -242,7 +237,4 @@ class SMCore(ClockedModule):
     def is_done(self) -> bool:
         if self._blocks:
             return False
-        if self._source_drained:
-            return True
-        peek = getattr(self.block_source, "peek_block", None)
-        return peek is None or peek() is None
+        return self._source_drained or self.block_source.peek_block() is None

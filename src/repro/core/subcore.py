@@ -14,11 +14,16 @@ promises a callback, the same loop drives the fully cycle-accurate
 baseline and both hybrid simulators — only the plugged-in modules differ.
 The tick returns the earliest cycle at which anything here can change,
 enabling exact clock jumps under the hybrid plans.
+
+A tick that finds no candidate while every blocked warp waits on a cycle
+it already knows also publishes that wake as ``quiet_until``: the SM need
+not tick this sub-core before then, only count the idle cycle the tick
+would have counted.  Sub-cores with per-cycle children never go quiet.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, TYPE_CHECKING
 
 from repro.core.execution_unit import PipelinedExecutionUnit
 from repro.core.fetch import FrontEnd
@@ -27,7 +32,7 @@ from repro.core.warp import NEVER, WarpState, WarpStatus
 from repro.core.warp_scheduler import WarpSchedulerPolicy
 from repro.errors import SimulationError
 from repro.frontend.config import SMConfig
-from repro.frontend.isa import InstKind, MemSpace, UnitClass
+from repro.frontend.isa import OPCODES, InstKind, MemSpace, UnitClass
 from repro.frontend.trace import TraceInstruction
 from repro.sim.module import ModelLevel, Module
 from repro.sim.ports import PENDING, CompletionListener, InstructionSink
@@ -38,6 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Fixed latencies for scheduler-internal instruction kinds.
 BRANCH_LATENCY = 2
 MEMBAR_LATENCY = 1
+
+#: Kinds that issue only once the warp's earlier work has drained.
+_DRAINING_KINDS = (InstKind.BARRIER, InstKind.MEMBAR, InstKind.EXIT)
 
 
 class SubCore(Module, CompletionListener):
@@ -81,8 +89,22 @@ class SubCore(Module, CompletionListener):
         ]
         self.ldst_unit = ldst_factory(self)
         self.shared_unit = shared_factory(self)
+        # Opcode -> sink, resolved once: dispatch does one string-keyed
+        # lookup instead of branching on memory space and unit class.
+        # Scheduler-internal kinds (branch, sync, exit) have no entry.
+        self._sinks: Dict[str, InstructionSink] = {}
+        for info in OPCODES.values():
+            if info.is_memory:
+                shared = info.mem_space is MemSpace.SHARED
+                self._sinks[info.name] = self.shared_unit if shared else self.ldst_unit
+            elif info.kind is InstKind.ALU and info.unit in self.exec_units:
+                self._sinks[info.name] = self.exec_units[info.unit]
         self.frontend = FrontEnd(sm_config) if use_frontend else None
         self.collector = OperandCollector(sm_config) if use_collector else None
+        #: No warp here can issue before this cycle, and until then a tick
+        #: would only add one ``idle_cycles`` and return this same wake.
+        #: Zero whenever that has not been proved.
+        self.quiet_until = 0
         self.warps: List[WarpState] = []
         for module in (
             *self.exec_units.values(),
@@ -100,6 +122,7 @@ class SubCore(Module, CompletionListener):
         super().reset()
         self.warps.clear()
         self.policy.reset()
+        self.quiet_until = 0
 
     # ------------------------------------------------------------------
     # residency
@@ -107,11 +130,13 @@ class SubCore(Module, CompletionListener):
     def adopt(self, warp: WarpState, cycle: int) -> None:
         """A newly scheduled block placed one of its warps here."""
         self.warps.append(warp)
+        self.quiet_until = 0
         if self.frontend is not None:
             self.frontend.warp_arrived(warp, cycle)
 
     def remove_block_warps(self, block) -> None:
         self.warps = [warp for warp in self.warps if warp.block is not block]
+        self.quiet_until = 0
 
     @property
     def resident_warps(self) -> int:
@@ -124,6 +149,7 @@ class SubCore(Module, CompletionListener):
         if inst.dest_regs:
             warp.scoreboard.release(inst.dest_regs)
         warp.retire_inflight()
+        self.quiet_until = 0
         self.sm.request_wake(cycle + 1)
 
     # ------------------------------------------------------------------
@@ -133,13 +159,18 @@ class SubCore(Module, CompletionListener):
         """Run one scheduler cycle; return the next interesting cycle."""
         wake = NEVER
         for unit in self._pipelined_units:
-            unit.tick(cycle)
             if unit.busy:
-                wake = cycle + 1
+                unit.tick(cycle)
+                if unit.busy:
+                    wake = cycle + 1
         frontend = self.frontend
         if frontend is not None:
             frontend.tick(cycle, self.warps)
-        candidates: List[WarpState] = []
+        # Issuable warps, oldest first, each with its fetched instruction.
+        candidates: Dict[WarpState, TraceInstruction] = {}
+        # Stays true while every blocked warp waits on a known cycle;
+        # children that need a tick every cycle rule it out from the start.
+        silent = frontend is None and not self._pipelined_units
         for warp in self.warps:
             if warp.status is WarpStatus.DONE:
                 continue
@@ -157,13 +188,13 @@ class SubCore(Module, CompletionListener):
                     wake = visible_at
                 continue
             inst = warp.trace.instructions[warp.pc_index]
-            kind = inst.kind
-            if kind in (InstKind.BARRIER, InstKind.MEMBAR, InstKind.EXIT):
+            if inst.kind in _DRAINING_KINDS:
                 # Synchronizing kinds wait for the warp to drain.
                 if not warp.drained(cycle):
                     drain = warp.drain_cycle()
                     if drain is None:
                         self.counters.add("drain_wait_cycles")
+                        silent = False
                     elif drain < wake:
                         wake = drain
                     continue
@@ -171,22 +202,25 @@ class SubCore(Module, CompletionListener):
                 ready = warp.scoreboard.ready_cycle(inst)
                 if ready is None:
                     self.counters.add("scoreboard_wait_cycles")
+                    silent = False
                     continue  # a callback will wake the SM
                 if ready > cycle:
                     if ready < wake:
                         wake = ready
                     continue
-            candidates.append(warp)
+            candidates[warp] = inst
         if not candidates:
             if self.warps:
                 self.counters.add("idle_cycles")
+                if silent:
+                    self.quiet_until = wake
             return wake
         issued = 0
         issue_width = self._issue_width
-        for warp in self.policy.order(candidates, cycle):
+        for warp in self.policy.order(list(candidates), cycle):
             if issued >= issue_width:
                 break
-            accepted, retry = self._dispatch(warp, cycle)
+            accepted, retry = self._dispatch(warp, candidates[warp], cycle)
             if accepted:
                 issued += 1
                 self.policy.issued(warp, cycle)
@@ -199,74 +233,72 @@ class SubCore(Module, CompletionListener):
             self.counters.add("stalled_cycles")
         return wake
 
-    def _dispatch(self, warp: WarpState, cycle: int):
-        """Try to issue the warp's next instruction.
+    def _dispatch(self, warp: WarpState, inst: TraceInstruction, cycle: int):
+        """Try to issue ``inst``, the warp's next instruction.
 
         Returns ``(accepted, retry_cycle)``; ``retry_cycle`` hints when a
         rejected structural hazard may clear.
         """
-        inst = warp.trace.instructions[warp.pc_index]
         kind = inst.kind
-        if kind is InstKind.BARRIER:
-            self._finish_issue(warp, cycle)
-            warp.block.barrier_arrive(warp, cycle)
-            self.counters.add("barriers")
-            return True, None
-        if kind is InstKind.EXIT:
-            self._finish_issue(warp, cycle)
-            warp.status = WarpStatus.DONE
-            self.sm.warp_finished(warp, cycle)
-            return True, None
-        if kind is InstKind.MEMBAR:
-            completion = cycle + MEMBAR_LATENCY
-            self._book(warp, inst, completion)
-            self._finish_issue(warp, cycle)
-            return True, None
-        if kind is InstKind.BRANCH:
+        sink = self._sinks.get(inst.opcode)
+        if sink is not None:
+            if self.collector is not None and inst.src_regs:
+                if self.collector.try_collect(inst, cycle) is None:
+                    return False, self.collector.earliest_free()
+            completion = sink.try_issue(warp, inst, cycle)
+            if completion is None:
+                return False, getattr(sink, "port_free_cycle", None)
+        elif kind is InstKind.BRANCH:
             completion = cycle + BRANCH_LATENCY
-            self._book(warp, inst, completion)
-            self._finish_issue(warp, cycle)
-            return True, None
-        sink = self._sink_for(inst)
-        if self.collector is not None and inst.src_regs:
-            collect_done = self.collector.try_collect(inst, cycle)
-            if collect_done is None:
-                return False, self.collector.earliest_free()
-        result = sink.try_issue(warp, inst, cycle)
-        if result is None:
-            port_free = getattr(sink, "port_free_cycle", None)
-            return False, port_free
-        if result is PENDING:
-            self._book(warp, inst, None)
+        elif kind is InstKind.MEMBAR:
+            completion = cycle + MEMBAR_LATENCY
+        elif kind is InstKind.BARRIER or kind is InstKind.EXIT:
+            completion = None  # issues drained, leaves nothing in flight
         else:
-            self._book(warp, inst, result)
-        self._finish_issue(warp, cycle)
-        return True, None
-
-    def _sink_for(self, inst: TraceInstruction) -> InstructionSink:
-        if inst.is_memory:
-            if inst.mem_space is MemSpace.SHARED:
-                return self.shared_unit
-            return self.ldst_unit
-        try:
-            return self.exec_units[inst.unit]
-        except KeyError:
-            raise SimulationError(
-                f"sub-core has no sink for unit {inst.unit.value}"
-            ) from None
-
-    def _book(self, warp: WarpState, inst: TraceInstruction, completion: Optional[int]) -> None:
-        """Record scoreboard and in-flight state for an accepted instruction."""
-        if inst.dest_regs:
-            warp.scoreboard.reserve(inst.dest_regs, completion)
-        warp.note_inflight(completion)
-        if completion is not None:
-            self.sm.note_completion(completion)
-
-    def _finish_issue(self, warp: WarpState, cycle: int) -> None:
-        inst_kind = warp.trace.instructions[warp.pc_index].kind
-        warp.advance()
+            raise SimulationError(f"sub-core has no sink for unit {inst.unit.value}")
+        # Book the accepted instruction: scoreboard, in-flight, kernel tail.
+        if completion is PENDING:
+            if inst.dest_regs:
+                warp.scoreboard.reserve(inst.dest_regs, None)
+            warp.inflight_count += 1  # retired by on_complete
+        elif completion is not None:
+            if inst.dest_regs:
+                warp.scoreboard.reserve(inst.dest_regs, completion)
+            if completion > warp.inflight_max:
+                warp.inflight_max = completion
+            if completion > self.sm.last_completion:
+                self.sm.last_completion = completion
+        warp.pc_index += 1
         warp.ready_cycle = cycle + 1
         warp.last_issue_cycle = cycle
         if self.frontend is not None:
-            self.frontend.on_issue(warp, cycle, inst_kind)
+            self.frontend.on_issue(warp, cycle, kind)
+        if kind is InstKind.BARRIER:
+            if warp.block.barrier_arrive(warp, cycle):
+                # Released peers may sit, proved silent, on any sub-core.
+                for subcore in self.sm.subcores:
+                    subcore.quiet_until = 0
+            self.counters.add("barriers")
+        elif kind is InstKind.EXIT:
+            warp.status = WarpStatus.DONE
+            self.sm.warp_finished(warp, cycle)
+        return True, None
+
+    def invariants(self, cycle: int) -> List[str]:
+        if cycle >= self.quiet_until:
+            return []
+        for warp in self.warps:
+            if warp.status is not WarpStatus.ACTIVE or warp.ready_cycle > cycle:
+                continue
+            inst = warp.trace.instructions[warp.pc_index]
+            if inst.kind in _DRAINING_KINDS:
+                issuable = warp.drained(cycle)
+            else:
+                ready = warp.scoreboard.ready_cycle(inst)
+                issuable = ready is not None and ready <= cycle
+            if issuable:
+                return [
+                    f"quiet until cycle {self.quiet_until} but warp slot "
+                    f"{warp.slot} can issue {inst.opcode}"
+                ]
+        return []

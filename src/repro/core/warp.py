@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.core.scoreboard import Scoreboard
 from repro.errors import SimulationError
-from repro.frontend.trace import BlockTrace, TraceInstruction, WarpTrace
+from repro.frontend.trace import BlockTrace, WarpTrace
 
 #: Sentinel "never" cycle for wake-time computations.
 NEVER = 1 << 62
@@ -64,25 +64,6 @@ class WarpState:
     @property
     def done(self) -> bool:
         return self.status is WarpStatus.DONE
-
-    def next_instruction(self) -> TraceInstruction:
-        return self.trace.instructions[self.pc_index]
-
-    def advance(self) -> None:
-        self.pc_index += 1
-        if self.pc_index > len(self.trace.instructions):
-            raise SimulationError(f"warp slot {self.slot} advanced past EXIT")
-
-    def note_inflight(self, completion_cycle: Optional[int]) -> None:
-        """Record an issued instruction still in flight.
-
-        ``completion_cycle`` is known for reservation-mode sinks; ``None``
-        means a callback will retire it (:meth:`retire_inflight`).
-        """
-        if completion_cycle is None:
-            self.inflight_count += 1
-        elif completion_cycle > self.inflight_max:
-            self.inflight_max = completion_cycle
 
     def retire_inflight(self) -> None:
         if self.inflight_count <= 0:

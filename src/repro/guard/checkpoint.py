@@ -40,7 +40,12 @@ MAGIC = b"REPROCKPT1\n"
 #: 3: a pickled ``ShardedEngine`` carries no fault-injection hook.
 #: 4: the ``OpcodeInfo`` pickled inside every ``TraceInstruction`` stores
 #:    ``is_memory`` as a field.
-FORMAT_VERSION = 4
+#: 5: a pickled ``SubCore`` carries ``quiet_until`` and its opcode -> sink
+#:    table, ``PipelinedExecutionUnit`` a ``busy`` flag, and
+#:    ``DetailedMemorySystem`` the transactions of rejected instructions.
+#: ``tests/test_guard.py`` pins the pickled classes' field layout beside
+#: this number, so a layout change without a bump fails there.
+FORMAT_VERSION = 5
 
 
 def checkpoint_name(cycle: int) -> str:

@@ -28,7 +28,7 @@ from repro.errors import SimulationError
 from repro.frontend.config import GPUConfig
 from repro.frontend.isa import InstKind
 from repro.frontend.trace import TraceInstruction
-from repro.memory.access import coalesce
+from repro.memory.access import SectorTransaction, coalesce
 from repro.memory.cache import AccessStatus, SectoredCache
 from repro.memory.dram import DRAMPartition
 from repro.memory.l2 import build_l2_slices, partition_for_line, slice_line_addr
@@ -375,6 +375,11 @@ class DetailedMemorySystem(ClockedModule):
         self._events: List[Tuple[int, int, str, object]] = []
         self._event_seq = 0
         self._outstanding = 0
+        # Transactions of instructions the L1 queue turned away, kept
+        # until the retry that gets them in.  Keyed by the lane addresses,
+        # which alone decide them (an instruction hashes without its
+        # addresses, so every warp at one PC would collide).
+        self._rejected: Dict[Tuple[int, ...], List[SectorTransaction]] = {}
 
     def attach_engine(self, engine: Engine) -> None:
         """Let the memory system re-arm itself when cores hand it work."""
@@ -389,6 +394,7 @@ class DetailedMemorySystem(ClockedModule):
         self._l2_waiters.clear()
         self._events.clear()
         self._outstanding = 0
+        self._rejected.clear()
 
     # ------------------------------------------------------------------
     # SM-facing interface
@@ -406,11 +412,14 @@ class DetailedMemorySystem(ClockedModule):
         Returns False (structural stall) when the queue cannot take all
         of the instruction's sector transactions this cycle.
         """
-        transactions = coalesce(
-            inst.addresses, self.config.l1.line_bytes, self.config.l1.sector_bytes
-        )
+        transactions = self._rejected.pop(inst.addresses, None)
+        if transactions is None:
+            transactions = coalesce(
+                inst.addresses, self.config.l1.line_bytes, self.config.l1.sector_bytes
+            )
         queue = self._l1_queues[sm_id]
         if len(queue) + len(transactions) > self.L1_QUEUE_CAPACITY:
+            self._rejected[inst.addresses] = transactions
             self.counters.add("l1_queue_stalls")
             return False
         kind = inst.kind

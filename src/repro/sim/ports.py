@@ -149,3 +149,16 @@ class BlockSource(ABC):
     @abstractmethod
     def block_done(self, sm_id: int, block, cycle: int) -> None:
         """Report that ``block`` finished on ``sm_id`` at ``cycle``."""
+
+    def peek_block(self):  # repro: port
+        """The block :meth:`next_block` would hand out, without
+        dispatching it, or ``None`` when none remain.  An SM takes a block
+        only after peeking that it fits, so a source that has blocks to
+        give overrides this; the default has nothing to show."""
+        return None
+
+    @property
+    def all_done(self) -> bool:  # repro: port
+        """True once every block handed out has been reported done
+        (per-cycle SMs keep ticking, empty, until then)."""
+        return True

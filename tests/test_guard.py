@@ -234,25 +234,54 @@ class TestTornCheckpoints:
         engine has another instance shape: version 1 carried
         ``Engine.config``, version 2 a ``ShardedEngine`` attribute this
         build no longer has, version 3 ``OpcodeInfo`` objects without the
-        stored ``is_memory`` field) is refused on the meta line, before
-        anything is unpickled, and resume falls back past every such
-        file."""
+        stored ``is_memory`` field, version 4 ``SubCore`` objects without
+        ``quiet_until`` and the sink table) is refused on the meta line,
+        before anything is unpickled, and resume falls back past every
+        such file."""
         self._write(tmp_path, cycle=500)
-        current = b'"format_version": 4'
-        for cycle, version in ((1000, 1), (1500, 2), (2000, 3)):
+        current = b'"format_version": 5'
+        for cycle, version in ((1000, 1), (1500, 2), (2000, 3), (2500, 4)):
             stale = self._write(tmp_path, cycle=cycle)
             assert stale.read_bytes().count(current) == 1
             stale.write_bytes(stale.read_bytes().replace(
                 current, b'"format_version": %d' % version))
             with pytest.raises(
                 CheckpointCorruption,
-                match=rf"format version {version} \(this build reads 4\)",
+                match=rf"format version {version} \(this build reads 5\)",
             ):
                 read_checkpoint(stale)
         path, meta, __ = find_resumable(tmp_path)
         assert meta["cycle"] == 500
         path.unlink()
         assert find_resumable(tmp_path) is None
+
+    def test_format_version_moves_with_the_pickled_field_layout(self):
+        """Every instance field of a pickled class is file format.  The
+        layout is pinned beside the version it was recorded for: a field
+        added, removed or renamed without a version bump fails here (v4
+        -> v5 was forgotten once and every other test stayed green), and
+        so does a bump that was not re-pinned."""
+        import checkpoint_layout
+        from repro.guard import FORMAT_VERSION
+
+        pinned = checkpoint_layout.pinned()
+        live = checkpoint_layout.current_layout()
+        moved = sorted(
+            name for name in pinned["classes"].keys() | live.keys()
+            if pinned["classes"].get(name) != live.get(name)
+        )
+        assert FORMAT_VERSION == pinned["format_version"], (
+            f"FORMAT_VERSION is {FORMAT_VERSION} but the layout is pinned "
+            f"for {pinned['format_version']}: re-pin with "
+            f"`PYTHONPATH=src python tests/checkpoint_layout.py`"
+        )
+        assert not moved, (
+            f"pickled field layout of {', '.join(moved)} changed: bump "
+            f"FORMAT_VERSION in guard/checkpoint.py (old checkpoints "
+            f"would unpickle into the wrong shape), extend "
+            f"test_stale_format_version_is_refused_by_name, then re-pin "
+            f"with `PYTHONPATH=src python tests/checkpoint_layout.py`"
+        )
 
     def test_prune_keeps_newest(self, tmp_path):
         for cycle in (100, 200, 300, 400):

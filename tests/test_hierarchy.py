@@ -192,6 +192,43 @@ class TestDetailedMemorySystem:
         assert not memory.issue_global(0, listener, None, big, 0)
         assert memory.counters.get("l1_queue_stalls") == 1
 
+    def test_rejected_instruction_is_coalesced_once(self, tiny_gpu, monkeypatch):
+        """A retry reuses the transactions the rejection already paid for
+        (the LD/ST unit re-offers a stalled instruction every cycle)."""
+        import repro.memory.hierarchy as hierarchy
+        coalesce = hierarchy.coalesce
+        coalesced = []
+
+        def counting(addresses, *args):
+            coalesced.append(addresses)
+            return coalesce(addresses, *args)
+
+        monkeypatch.setattr(hierarchy, "coalesce", counting)
+        memory = DetailedMemorySystem(tiny_gpu)
+        listener = _Recorder()
+        filler = load(0, 1, [0x800000 + 128 * i for i in range(32)])
+        stalled = load(16, 2, [0x900000 + 128 * i for i in range(32)])
+        assert memory.issue_global(0, listener, None, filler, 0)
+        assert memory.issue_global(0, listener, None, filler, 0)
+        for cycle in range(3):
+            assert not memory.issue_global(0, listener, None, stalled, cycle)
+        assert memory.counters.get("l1_queue_stalls") == 3
+        assert len(coalesced) == 3          # filler twice, stalled once
+        engine = Engine()
+        memory.attach_engine(engine)
+        engine.add(memory)
+        engine.run()                        # the queue drains
+        assert memory.issue_global(0, listener, None, stalled, engine.cycle + 1)
+        assert len(coalesced) == 3
+        assert memory.counters.get("sector_transactions") == 96
+        # Accepted: nothing is kept, so the next offer starts afresh.
+        assert memory.issue_global(0, listener, None, stalled, engine.cycle + 2)
+        assert len(coalesced) == 4
+        assert not memory.issue_global(0, listener, None, filler, engine.cycle + 2)
+        memory.reset()
+        assert memory.issue_global(0, listener, None, filler, 0)
+        assert len(coalesced) == 6          # reset() dropped the kept one
+
     def test_cross_sm_sharing_through_l2(self, tiny_gpu):
         listener = _Recorder()
         addrs = coalesced_addrs(base=0x500000)

@@ -85,8 +85,7 @@ class TestWarpState:
     def test_inflight_reservation_tracking(self):
         runtime = make_block_runtime(1)
         warp = runtime.warps[0]
-        warp.note_inflight(50)
-        warp.note_inflight(30)
+        warp.inflight_max = 50    # booked by the sub-core at issue
         assert not warp.drained(40)
         assert warp.drained(50)
         assert warp.drain_cycle() == 50
@@ -94,7 +93,7 @@ class TestWarpState:
     def test_inflight_callback_tracking(self):
         runtime = make_block_runtime(1)
         warp = runtime.warps[0]
-        warp.note_inflight(None)
+        warp.inflight_count += 1  # a PENDING issue; on_complete retires it
         assert not warp.drained(10**9)
         assert warp.drain_cycle() is None
         warp.retire_inflight()
@@ -104,14 +103,6 @@ class TestWarpState:
         runtime = make_block_runtime(1)
         with pytest.raises(SimulationError):
             runtime.warps[0].retire_inflight()
-
-    def test_advance_past_end_raises(self):
-        runtime = make_block_runtime(1)
-        warp = runtime.warps[0]
-        for __ in range(len(warp.trace.instructions)):
-            warp.advance()
-        with pytest.raises(SimulationError):
-            warp.advance()
 
 
 class TestBarrier:

@@ -189,11 +189,33 @@ class TestIssueLoop:
 
 
 class TestCompletionTracking:
-    def test_note_completion_tracks_max(self, tiny_gpu):
-        sm, __ = build_sm(tiny_gpu, simple_kernel())
-        sm.note_completion(500)
-        sm.note_completion(200)
-        assert sm.last_completion == 500
+    def test_last_completion_tracks_latest_booking(self, tiny_gpu, monkeypatch):
+        # The slow SFU op is booked first and completes last: the kernel
+        # tail is the latest completion booked, not the last one booked.
+        from repro.core.alu_analytical import HybridALUModel
+        booked = []
+        issue = HybridALUModel.try_issue
+
+        def recording(unit, warp, inst, cycle):
+            completion = issue(unit, warp, inst, cycle)
+            if completion is not None:
+                booked.append(completion)
+            return completion
+
+        monkeypatch.setattr(HybridALUModel, "try_issue", recording)
+        insts = [
+            alu(0, 40, opcode="MUFU.SIN"),
+            alu(16, 41),
+            TraceInstruction(32, "EXIT"),
+        ]
+        kernel = KernelTrace("k", [BlockTrace(0, [WarpTrace(0, insts)])])
+        sm, __ = build_sm(tiny_gpu, kernel)
+        engine = Engine()
+        sm.attach_engine(engine)
+        engine.add(sm)
+        engine.run()
+        assert len(booked) == 2 and booked[0] > booked[1]
+        assert sm.last_completion == booked[0]
 
     def test_kernel_tail_included_in_cycles(self, tiny_gpu):
         # A store's NoC/L2 traffic extends beyond the last EXIT; the
