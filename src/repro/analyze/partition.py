@@ -23,15 +23,12 @@ and CI gates on.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Set
 
 from repro.analyze.index import ANALYZER_VERSION, ProgramIndex
 from repro.analyze.stateflow import ForeignAccess, StateFlow, build_stateflow
-from repro.errors import AnalysisError, PartitionStale
 
 #: Manifest format tag (bump on breaking schema changes).
 MANIFEST_FORMAT = "repro-partition/v1"
@@ -266,14 +263,9 @@ class Partition:
                     unsync_reads.append(entry)
 
         cross_edges = [edge for edge in self.edges if edge.cross]
-        source_root = default_source_root()
         return {
             "format": MANIFEST_FORMAT,
             "analyzer_version": ANALYZER_VERSION,
-            "source": {
-                "fingerprint": tree_fingerprint(source_root),
-                "files": sum(1 for _ in source_root.rglob("*.py")),
-            },
             "shards": [shard.as_dict() for shard in self.shards],
             "cross_shard_edges": [edge.as_dict() for edge in cross_edges],
             "unsynchronized_writes": unsync_writes,
@@ -313,97 +305,3 @@ def write_manifest(manifest: Dict[str, object], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
-
-
-# ----------------------------------------------------------------------
-# loading (the runtime side: the sharded engine consumes the manifest)
-
-
-def default_source_root() -> Path:
-    """The source tree a manifest describes: the directory holding the
-    installed ``repro`` package (``src/`` in a checkout)."""
-    import repro
-
-    return Path(repro.__file__).resolve().parents[1]
-
-
-def tree_fingerprint(root: Path) -> str:
-    """Content fingerprint of every ``.py`` file under ``root``.
-
-    A sha256 over the sorted ``(relative-path, sha1(text))`` pairs —
-    the same per-file hash discipline the program index uses — so any
-    edit, rename, addition, or deletion under the tree changes it.
-    """
-    root = Path(root)
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            # Unreadable file: fold the failure into the fingerprint
-            # rather than silently skipping it.
-            text = f"<unreadable:{rel}>"
-        digest.update(rel.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(hashlib.sha1(text.encode("utf-8")).hexdigest().encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
-def load_manifest(
-    path: str,
-    *,
-    root: Optional[Path] = None,
-    allow_stale: bool = False,
-) -> Dict[str, object]:
-    """Load a partition manifest, refusing stale ones.
-
-    The sharded engine trusts the manifest's cross-shard edge list
-    completely, so a manifest generated from a *different* source tree
-    than the one about to run must fail closed: any mismatch between
-    the recorded source fingerprint and the current tree raises
-    :class:`repro.errors.PartitionStale` (as does a manifest that
-    predates fingerprinting).  ``allow_stale=True`` downgrades the
-    check for explicitly-requested inspection workflows; the sharded
-    execution paths never pass it.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except OSError as exc:
-        raise AnalysisError(f"cannot read partition manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
-        raise AnalysisError(
-            f"{path}: not a {MANIFEST_FORMAT} manifest "
-            f"(format={manifest.get('format')!r})"
-            if isinstance(manifest, dict)
-            else f"{path}: not a {MANIFEST_FORMAT} manifest"
-        )
-    source = manifest.get("source")
-    recorded = ""
-    if isinstance(source, dict):
-        recorded = str(source.get("fingerprint", ""))
-    if not allow_stale:
-        actual = tree_fingerprint(root if root is not None else default_source_root())
-        if not recorded:
-            raise PartitionStale(
-                f"{path}: manifest carries no source fingerprint (generated "
-                f"by an older analyzer); regenerate with "
-                f"`repro lint src --partition-report {path}`",
-                manifest_path=str(path),
-                actual_fingerprint=actual,
-            )
-        if recorded != actual:
-            raise PartitionStale(
-                f"{path}: manifest is stale — it was generated from a "
-                f"different source tree (recorded {recorded[:12]}…, current "
-                f"{actual[:12]}…); regenerate with "
-                f"`repro lint src --partition-report {path}`",
-                manifest_path=str(path),
-                expected_fingerprint=recorded,
-                actual_fingerprint=actual,
-            )
-    return manifest

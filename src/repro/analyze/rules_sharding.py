@@ -1,25 +1,32 @@
-"""Shard-safety rules (SH5xx): static race detection for PDES sharding.
+"""Shard-safety rules (SH5xx): the fixed-interface claim, machine-checked.
 
-The parallel-discrete-event decomposition the manifest proposes (see
-:mod:`repro.analyze.partition`) is only sound if every cross-module
+Hybrid modeling rests on modules that interact only through fixed
+interfaces (paper §III-B2), and the decomposition the manifest proposes
+(see :mod:`repro.analyze.partition`) is only sound if every cross-module
 interaction on a clocked path goes through a *declared* synchronization
 point: the :mod:`repro.sim.ports` contract methods plus anything marked
-``# repro: port``.  These rules flag the three ways module code breaks
-that contract:
+``# repro: port``.  No engine runs that decomposition
+(``docs/parallel-engine.md``), and no runtime pillar names a violation
+of it — ``tests/test_modularity_trial.py`` seeds seven into the real
+sources and these rules are what reports them.  They flag the three
+ways module code breaks the contract:
 
 * **SH501** — a clocked method writes another module's state directly
   (attribute assignment, ``+=``, or an in-place container mutator).
-  Under sharded execution the two modules may tick on different workers
-  in the same cycle: a data race, full stop.
+  The owner's ports no longer describe how its state changes, so
+  neither side can be swapped for another modeling level safely (and
+  were the two ever ticked concurrently, it is a data race).
 * **SH502** — a mutable object (``self``, an owned container, a live
   instance of an indexed class) is passed across a port and the far
   side *retains* it.  The port call itself is synchronized, but the
   retained alias is a back-channel both shards can touch later.
 * **SH503** — a clocked method reads state that its owning module
   writes on the owner's own clocked path, without going through a
-  port.  Same-cycle results then depend on which module ticked first —
-  exactly the module-order sensitivity the determinism harness exists
-  to catch at runtime, caught here at lint time.
+  port.  Same-cycle results then depend on which module ticked first.
+  Nothing catches that at runtime: registration order is fixed, so
+  every run agrees with every other, and the determinism pillar checks
+  repeatability and pooled-vs-serial agreement — it permutes nothing.
+  This rule is the only detector.
 
 All three are **partition-aware**: they fire only when the access
 actually crosses a boundary of the partition proposed by
@@ -154,9 +161,10 @@ def check_shared_across_ports(index: ProgramIndex) -> Iterator[LintFinding]:
     "warning",
     "Reading another module's attribute while its owner also writes it on "
     "the owner's clocked path makes the value depend on intra-cycle tick "
-    "order — nondeterministic once modules shard. Read it through a "
-    "``# repro: port``-marked accessor (serialized by the PDES core) or "
-    "sample it at a cycle barrier via an EngineChecker.",
+    "order, which only module registration order fixes — no runtime check "
+    "varies it, so this rule is the only detector. Read it through a "
+    "``# repro: port``-marked accessor or sample it at a cycle barrier "
+    "via an EngineChecker.",
 )
 def check_cross_module_reads(index: ProgramIndex) -> Iterator[LintFinding]:
     flow = build_stateflow(index)

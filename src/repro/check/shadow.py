@@ -57,10 +57,10 @@ def compare_results(
     """Findings for any observable difference between two runs.
 
     Shared bit-identity comparator: the shadow-jump pillar (its home),
-    the sharded pillar, the guard pillar, and the dispatch-equivalence
-    tests all reduce to "these two runs must agree on everything" —
-    ``check`` tags whose contract a difference violates and ``labels``
-    names the two runs in the findings.
+    the guard pillar, and the dispatch-equivalence tests all reduce to
+    "these two runs must agree on everything" — ``check`` tags whose
+    contract a difference violates and ``labels`` names the two runs in
+    the findings.
     """
     findings: List[CheckFinding] = []
     if primary.total_cycles != shadow.total_cycles:

@@ -95,19 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser("simulate", help="simulate one application")
     add_common(simulate)
     simulate.add_argument("--metrics", action="store_true", help="print the counter report")
-    simulate.add_argument(
-        "--parallel-shards", metavar="N", type=int, default=0,
-        help="run on the sharded PDES engine (lockstep, bit-identical to "
-             "serial): 2 = the two-way SM/memory split, any other N = the "
-             "partition-manifest decomposition (N must match its shard "
-             "count); 0 = serial engine",
-    )
-    simulate.add_argument(
-        "--partition-manifest", metavar="PATH",
-        help="partition manifest to shard by (from `repro lint "
-             "--partition-report`; stale manifests are rejected); default "
-             "rebuilds it from the live source tree",
-    )
 
     profile = commands.add_parser(
         "profile",
@@ -195,11 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--tolerance", type=float, default=None,
         help="relative cycle-divergence bound for hybrid simulators",
-    )
-    check.add_argument(
-        "--partition-manifest", metavar="PATH",
-        help="partition manifest for the sharded pillar (stale manifests "
-             "are rejected); default rebuilds it from the live source tree",
     )
     check.add_argument("--workers", type=int, default=None,
                        help="pool size for the determinism checks")
@@ -522,62 +504,10 @@ def _cmd_tables(args) -> None:
     print(render_table2())
 
 
-def _resolve_shard_plan(args):
-    """The :class:`~repro.sim.shard.ShardPlan` ``--parallel-shards``
-    asks for, or ``None`` for a serial run."""
-    shards = getattr(args, "parallel_shards", 0)
-    manifest_path = getattr(args, "partition_manifest", None)
-    if not shards:
-        return None
-    from repro.errors import ConfigError
-    from repro.sim.shard import ShardPlan
-
-    if shards == 2 and not manifest_path:
-        return ShardPlan.two_way()
-    from repro.analyze.partition import load_manifest
-
-    if manifest_path:
-        manifest = load_manifest(manifest_path)
-    else:
-        from repro.analyze.index import load_index
-        from repro.analyze.partition import (
-            build_partition,
-            default_source_root,
-        )
-
-        root = default_source_root()
-        index = load_index([root], root=root)
-        manifest = build_partition(index).manifest(index)
-    plan = ShardPlan.from_manifest(
-        manifest, fallback=str(manifest["shards"][0]["name"])
-    )
-    if shards != len(plan.shards):
-        raise ConfigError(
-            f"--parallel-shards {shards} does not match the manifest "
-            f"decomposition ({len(plan.shards)} shards: "
-            f"{', '.join(plan.shards)}); pass {len(plan.shards)}, or 2 "
-            f"for the two-way split"
-        )
-    return plan
-
-
 def _cmd_simulate(args) -> None:
     gpu = _resolve_gpu(args)
     app = _resolve_app(args)
-    simulator = SIMULATORS[args.simulator](gpu)
-    shard_plan = _resolve_shard_plan(args)
-    if shard_plan is None:
-        result = simulator.simulate(app)
-    else:
-        from repro.errors import ConfigError
-        from repro.simulators.base import PlanSimulator
-
-        if not isinstance(simulator, PlanSimulator):
-            raise ConfigError(
-                f"--parallel-shards needs an engine-driven simulator; "
-                f"{args.simulator!r} has no engine to shard"
-            )
-        result = simulator.simulate(app, shard_plan=shard_plan)
+    result = SIMULATORS[args.simulator](gpu).simulate(app)
     print(f"app        : {app.name} ({app.suite}), {len(app.kernels)} kernels, "
           f"{app.num_instructions} warp instructions")
     print(f"gpu        : {gpu.name}")
@@ -586,16 +516,6 @@ def _cmd_simulate(args) -> None:
     print(f"ipc        : {result.ipc:.3f}")
     print(f"wall time  : {result.wall_time_seconds:.3f}s "
           f"(+{result.profile_seconds:.3f}s profiling)")
-    if result.sharding is not None:
-        plan_doc = result.sharding["plan"]
-        traffic = result.sharding["port_traffic"]
-        print(f"sharding   : {plan_doc['name']} "
-              f"({len(plan_doc['shards'])} shards, lockstep), "
-              f"{sum(traffic.values())} cross-shard port calls")
-        ticks = result.sharding["shard_ticks"]
-        print("shard ticks: " + ", ".join(
-            f"{shard}={count}" for shard, count in ticks.items()
-        ) + f" (total {sum(ticks.values())})")
     for kernel in result.kernels:
         print(f"  kernel {kernel.name:24s} {kernel.cycles:10d} cycles")
     metrics = result.metrics
@@ -736,7 +656,6 @@ def _cmd_check(args) -> None:
             args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         ),
         workers=args.workers,
-        partition_manifest=args.partition_manifest,
     )
     print(report.render(verbose=args.verbose))
     if args.json_out:

@@ -17,6 +17,7 @@ no per-cycle ticking, writeback arbitration, or callback machinery runs.
 
 from __future__ import annotations
 
+from repro.core.warp import WarpState
 from repro.frontend.config import ExecUnitConfig
 from repro.frontend.trace import TraceInstruction
 from repro.sim.module import ModelLevel, Module
@@ -47,7 +48,9 @@ class HybridALUModel(Module, InstructionSink):
         """When the dispatch port next accepts a warp (for wake planning)."""
         return self._port_free
 
-    def try_issue(self, warp, inst: TraceInstruction, cycle: int) -> IssueResult:
+    def try_issue(
+        self, warp: WarpState, inst: TraceInstruction, cycle: int
+    ) -> IssueResult:
         if self._port_free > cycle:
             self.counters.add("dispatch_stalls")
             return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Tuple
 
+from repro.core.warp import WarpState
 from repro.frontend.config import ExecUnitConfig
 from repro.frontend.trace import TraceInstruction
 from repro.sim.module import ModelLevel, Module
@@ -86,7 +87,9 @@ class PipelinedExecutionUnit(Module, InstructionSink):
         """When the dispatch port next accepts a warp (for wake planning)."""
         return self._port_free
 
-    def try_issue(self, warp, inst: TraceInstruction, cycle: int) -> IssueResult:
+    def try_issue(
+        self, warp: WarpState, inst: TraceInstruction, cycle: int
+    ) -> IssueResult:
         if self._port_free > cycle:
             self.counters.add("dispatch_stalls")
             return None

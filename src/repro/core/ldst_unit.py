@@ -19,6 +19,7 @@ or a fixed-latency analytical simplification.
 
 from __future__ import annotations
 
+from repro.core.warp import WarpState
 from repro.frontend.config import SMConfig
 from repro.frontend.trace import TraceInstruction
 from repro.memory.analytical import AnalyticalMemoryModel
@@ -51,7 +52,9 @@ class QueuedLDSTUnit(Module, InstructionSink):
     def port_free_cycle(self) -> int:
         return self._port_free
 
-    def try_issue(self, warp, inst: TraceInstruction, cycle: int) -> IssueResult:
+    def try_issue(
+        self, warp: WarpState, inst: TraceInstruction, cycle: int
+    ) -> IssueResult:
         if self._port_free > cycle:
             self.counters.add("dispatch_stalls")
             return None
@@ -90,7 +93,9 @@ class AnalyticalLDSTUnit(Module, InstructionSink):
     def port_free_cycle(self) -> int:
         return self._port_free
 
-    def try_issue(self, warp, inst: TraceInstruction, cycle: int) -> IssueResult:
+    def try_issue(
+        self, warp: WarpState, inst: TraceInstruction, cycle: int
+    ) -> IssueResult:
         if self._port_free > cycle:
             self.counters.add("dispatch_stalls")
             return None
@@ -132,7 +137,9 @@ class DetailedLDSTUnit(Module, InstructionSink):
     def port_free_cycle(self) -> int:
         return self._port_free
 
-    def try_issue(self, warp, inst: TraceInstruction, cycle: int) -> IssueResult:
+    def try_issue(
+        self, warp: WarpState, inst: TraceInstruction, cycle: int
+    ) -> IssueResult:
         if self._port_free > cycle:
             self.counters.add("dispatch_stalls")
             return None
@@ -190,7 +197,9 @@ class SharedMemoryUnit(Module, InstructionSink):
             return 1
         return max(len(words) for words in per_bank.values())
 
-    def try_issue(self, warp, inst: TraceInstruction, cycle: int) -> IssueResult:
+    def try_issue(
+        self, warp: WarpState, inst: TraceInstruction, cycle: int
+    ) -> IssueResult:
         if self._port_free > cycle:
             self.counters.add("dispatch_stalls")
             return None

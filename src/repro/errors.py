@@ -141,36 +141,6 @@ class UnknownRuleError(AnalysisError):
     is rejected loudly instead of ignored."""
 
 
-class PartitionStale(AnalysisError):
-    """A partition manifest was generated from a different source tree
-    than the one now running.
-
-    The sharded engine trusts the manifest's cross-shard edge list
-    completely — running on top of a stale one could silently violate
-    the zero-unsynchronized-writes guarantee — so the loader fails
-    closed instead of proceeding.  Regenerate with
-    ``repro lint src --partition-report <path>``.
-    """
-
-    def __init__(self, message: str, *, manifest_path: str = "",
-                 expected_fingerprint: str = "",
-                 actual_fingerprint: str = "") -> None:
-        super().__init__(message)
-        self.manifest_path = manifest_path
-        self.expected_fingerprint = expected_fingerprint
-        self.actual_fingerprint = actual_fingerprint
-
-
-class ShardSyncError(SimulationError):
-    """A sharded run attempted unsynchronized cross-shard communication.
-
-    The runtime counterpart of static rule SH501: in windowed mode every
-    cross-shard interaction must go through a latency channel, so a
-    direct cross-shard :meth:`Engine.wake` (or a channel whose latency
-    is below the lookahead window) would let one shard observe another
-    mid-window and break bit-equivalence.  Fails closed."""
-
-
 class CounterKindError(MetricsError):
     """A counter name was used with both sum semantics (``add``) and
     max semantics (``peak``); the mixed value would be meaningless."""

@@ -37,15 +37,17 @@ MAGIC = b"REPROCKPT1\n"
 
 #: Checkpoint meta schema version; bump on incompatible payload changes.
 #: 2: a pickled ``Engine`` carries no ``config`` attribute.
-#: 3: a pickled ``ShardedEngine`` carries no fault-injection hook.
+#: 3: a pickled sharded engine carries no fault-injection hook.
 #: 4: the ``OpcodeInfo`` pickled inside every ``TraceInstruction`` stores
 #:    ``is_memory`` as a field.
 #: 5: a pickled ``SubCore`` carries ``quiet_until`` and its opcode -> sink
 #:    table, ``PipelinedExecutionUnit`` a ``busy`` flag, and
 #:    ``DetailedMemorySystem`` the transactions of rejected instructions.
+#: 6: the engine is always a plain ``Engine`` (the sharded engine and its
+#:    channel classes are gone) and the frame has no ``port_traffic``.
 #: ``tests/test_guard.py`` pins the pickled classes' field layout beside
 #: this number, so a layout change without a bump fails there.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def checkpoint_name(cycle: int) -> str:

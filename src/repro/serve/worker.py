@@ -17,7 +17,6 @@ from repro.frontend.config import GPUConfig
 from repro.frontend.config_io import gpu_config_from_dict
 from repro.frontend.presets import get_preset
 from repro.resilience.journal import result_to_dict
-from repro.simulators.base import PlanSimulator
 from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.interval import IntervalSimulator
 from repro.simulators.swift_analytic import SwiftSimAnalytic
@@ -49,17 +48,12 @@ def execute_job(
     config: Optional[Dict],
     gpu_preset: str,
     simulator_name: str,
-    parallel_shards: int = 0,
 ) -> Dict:
     """Run one job to completion and return the journal-form result.
 
     Returns a plain dict (:func:`~repro.resilience.journal.result_to_dict`
     form) rather than a ``SimulationResult`` so the payload crosses the
     worker pipe, the journal, and the store without re-serialization.
-
-    ``parallel_shards=2`` runs a :class:`PlanSimulator` on the sharded
-    lockstep engine (bit-identical to serial, so the cache key is
-    unchanged).
     """
     simulator_cls = SIMULATORS.get(simulator_name)
     if simulator_cls is None:
@@ -69,14 +63,7 @@ def execute_job(
         )
     gpu = resolve_gpu(config, gpu_preset)
     app = make_app(app_name, scale=scale)
-    simulator = simulator_cls(gpu)
-    if parallel_shards and isinstance(simulator, PlanSimulator):
-        from repro.sim.shard import ShardPlan
-
-        result = simulator.simulate(app, shard_plan=ShardPlan.two_way())
-    else:
-        result = simulator.simulate(app)
-    return result_to_dict(result)
+    return result_to_dict(simulator_cls(gpu).simulate(app))
 
 
 def validate_result_payload(payload: Dict) -> Dict:

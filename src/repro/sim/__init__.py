@@ -10,13 +10,6 @@ counters harvested by the :class:`~repro.sim.metrics.MetricsGatherer`.
 """
 
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
-from repro.sim.parallel import ShardedEngine, ShardStats
-from repro.sim.shard import (
-    ChannelEndpoint,
-    ShardChannel,
-    ShardPlan,
-    derive_lookahead,
-)
 from repro.sim.metrics import (
     DuplicateModuleNameWarning,
     MetricsGatherer,
@@ -35,7 +28,6 @@ from repro.sim.ports import (
     CompletionListener,
     InstructionSink,
     IssueResult,
-    ShardPortProxy,
 )
 
 __all__ = [
@@ -43,7 +35,6 @@ __all__ = [
     "COMPONENTS",
     "SWIFT_BASIC_PLAN",
     "SWIFT_MEMORY_PLAN",
-    "ChannelEndpoint",
     "ClockedModule",
     "CompletionListener",
     "Counters",
@@ -58,10 +49,4 @@ __all__ = [
     "ModelingPlan",
     "Module",
     "PENDING",
-    "ShardChannel",
-    "ShardPlan",
-    "ShardPortProxy",
-    "ShardStats",
-    "ShardedEngine",
-    "derive_lookahead",
 ]

@@ -140,7 +140,7 @@ class Engine:
 
     :meth:`run` picks its dispatch loop from the one thing it can
     observe: with no checker attached it runs :meth:`_run_fast`, with
-    one it runs the instrumented loop (:meth:`run_until`).  Dispatch
+    one it runs the instrumented loop (:meth:`_run_checked`).  Dispatch
     order and results are bit-identical either way —
     ``tests/test_fastpath_equivalence.py`` enforces this.
     """
@@ -159,21 +159,8 @@ class Engine:
         """Attach an opt-in :class:`EngineChecker` (see :mod:`repro.check`)."""
         self.checker = checker
 
-    def add(
-        self,
-        module: ClockedModule,
-        start_cycle: int = 0,
-        rank: Optional[int] = None,
-    ) -> None:
-        """Register ``module`` to first tick at ``start_cycle``.
-
-        ``rank`` overrides the same-cycle tie-break key.  The default —
-        local registration order — is correct for a standalone engine;
-        :class:`repro.sim.parallel.ShardedEngine` passes the module's
-        *global* registration rank instead so that per-shard engines
-        reproduce the exact serial tie order.  Ranks must be unique
-        within one engine.
-        """
+    def add(self, module: ClockedModule, start_cycle: int = 0) -> None:
+        """Register ``module`` to first tick at ``start_cycle``."""
         if module in self._rank:
             raise SimulationError(
                 f"module {module.name!r} is already registered with this engine"
@@ -181,7 +168,7 @@ class Engine:
         # Same-cycle ties break by registration order — a *stable* key, so
         # clock jumping cannot reorder modules relative to per-cycle
         # ticking (required for jump exactness).
-        self._rank[module] = len(self._modules) if rank is None else rank
+        self._rank[module] = len(self._modules)
         self._modules.append(module)
         if self.checker is not None:
             self.checker.on_add(module, start_cycle)
@@ -224,84 +211,40 @@ class Engine:
     def modules(self) -> List[ClockedModule]:
         return list(self._modules)
 
-    def peek_next(self) -> Optional[Tuple[int, int, ClockedModule]]:
-        """Return ``(cycle, rank, module)`` of the next live tick, or ``None``.
+    def _run_checked(self, max_cycles: int) -> None:
+        """The instrumented dispatch loop, for when a checker is attached.
 
-        Superseded heap entries are discarded as a side effect, so after
-        this returns the heap head (if any) is the live entry.  This is
-        the coordination primitive for :class:`repro.sim.parallel.
-        ShardedEngine`: the coordinator peeks every shard and advances
-        the one with the globally minimal ``(cycle, rank)`` key.
+        Same heap semantics as :meth:`_run_fast`, plus the checker
+        callbacks around every tick and at every cycle boundary.
         """
         heap = self._heap
+        scheduled = self._scheduled
+        checker = self.checker
         while heap:
             cycle, rank, __seq, module = heap[0]
-            if self._scheduled.get(module, _IDLE) != cycle:
+            if scheduled.get(module, _IDLE) != cycle:
                 heapq.heappop(heap)
                 continue  # superseded entry
-            return cycle, rank, module
-        return None
-
-    def tick_once(self) -> Optional[int]:
-        """Execute exactly one scheduled tick; return its cycle.
-
-        Returns ``None`` when the schedule is drained.  This is the body
-        of the instrumented loop (:meth:`run_until`) — supersede
-        handling, the non-advancing-wake error, the ``on_tick`` /
-        ``on_tick_end`` checker pair — *except* ``on_cycle_start``,
-        which the caller owns: a sharded run must fire it once globally
-        per cycle boundary, not once per shard (:meth:`run_until` and
-        the sharded coordinator both do so before calling this).
-        """
-        peeked = self.peek_next()
-        if peeked is None:
-            return None
-        cycle, rank, module = peeked
-        checker = self.checker
-        heapq.heappop(self._heap)
-        self.cycle = cycle
-        del self._scheduled[module]
-        if checker is not None:
-            checker.on_tick(module, cycle, rank)
-        next_cycle = module.tick(cycle)
-        if checker is not None:
-            checker.on_tick_end(module, cycle)
-        if next_cycle is not None:
-            if next_cycle <= cycle:
-                raise SimulationError(
-                    f"module {module.name!r} returned non-advancing wake cycle "
-                    f"{next_cycle} at cycle {cycle}"
-                )
-            self._schedule(module, next_cycle)
-        return cycle
-
-    def run_until(
-        self, limit: Optional[int] = None, max_cycles: Optional[int] = None
-    ) -> Optional[int]:
-        """The instrumented dispatch loop: execute every scheduled tick
-        with ``cycle < limit`` (every tick, when ``limit`` is ``None``).
-
-        Returns the last executed cycle, or ``None`` if nothing ran.
-        Ticks scheduled during the call (wakes, reschedules) are honored
-        as long as they land before ``limit``; events at or past the
-        limit stay queued for the next window.  With a limit this is one
-        conservative lookahead window of a sharded run; without one it
-        is :meth:`run` with a checker attached.
-        """
-        last_cycle: Optional[int] = None
-        while True:
-            peeked = self.peek_next()
-            if peeked is None or (limit is not None and peeked[0] >= limit):
-                break
-            if max_cycles is not None and peeked[0] > max_cycles:
-                raise CycleBudgetExceeded(max_cycles, peeked[0], peeked[2].name)
-            if self.checker is not None and peeked[0] > self.cycle:
+            if cycle > max_cycles:
+                raise CycleBudgetExceeded(max_cycles, cycle, module.name)
+            if cycle > self.cycle:
                 # Peeked, not popped: every tick at self.cycle has finished
                 # and the heap is untouched, so engine + module state is a
                 # consistent cycle-boundary snapshot (checkpoint-safe).
-                self.checker.on_cycle_start(peeked[0])
-            last_cycle = self.tick_once()
-        return last_cycle
+                checker.on_cycle_start(cycle)
+            heapq.heappop(heap)
+            self.cycle = cycle
+            del scheduled[module]
+            checker.on_tick(module, cycle, rank)
+            next_cycle = module.tick(cycle)
+            checker.on_tick_end(module, cycle)
+            if next_cycle is not None:
+                if next_cycle <= cycle:
+                    raise SimulationError(
+                        f"module {module.name!r} returned non-advancing wake cycle "
+                        f"{next_cycle} at cycle {cycle}"
+                    )
+                self._schedule(module, next_cycle)
 
     def run(self, max_cycles: int = 1_000_000_000) -> int:
         """Run until every module goes idle; return the final cycle.
@@ -314,7 +257,7 @@ class Engine:
         if self.checker is None:
             self._run_fast(max_cycles)
         else:
-            self.run_until(max_cycles=max_cycles)
+            self._run_checked(max_cycles)
         for module in self._modules:
             if not module.is_done():
                 raise SimulationError(
@@ -327,7 +270,7 @@ class Engine:
     def _run_fast(self, max_cycles: int) -> None:
         """Tightened dispatch loop for the no-checker case.
 
-        Identical heap semantics to :meth:`run_until` — same entries,
+        Identical heap semantics to :meth:`_run_checked` — same entries,
         same supersede test, same tie-breaking — with the per-tick method
         and checker-callback overhead removed: heap primitives and the
         schedule map are hoisted to locals and the common reschedule

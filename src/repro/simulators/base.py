@@ -25,7 +25,7 @@ from repro.core.ldst_unit import (
 from repro.core.sm import SMCore
 from repro.core.subcore import SubCore
 from repro.core.warp_scheduler import make_warp_scheduler
-from repro.errors import CheckpointError, PlanError
+from repro.errors import PlanError
 from repro.frontend.config import GPUConfig
 from repro.frontend.trace import ApplicationTrace
 from repro.memory.analytical import AnalyticalMemoryModel, MemoryProfile
@@ -33,10 +33,7 @@ from repro.memory.hierarchy import DetailedMemorySystem, QueuedMemorySystem
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricsGatherer
 from repro.sim.module import Module
-from repro.sim.parallel import ShardedEngine
 from repro.sim.plan import ModelingPlan
-from repro.sim.ports import ShardPortProxy
-from repro.sim.shard import ShardPlan
 from repro.simulators.results import KernelResult, SimulationResult
 
 #: Per-kernel cycle backstop against modeling deadlocks.
@@ -150,7 +147,6 @@ class PlanSimulator(GPUSimulator):
         engine_allow_jump: Optional[bool] = None,
         checker=None,
         guard=None,
-        shard_plan: Optional[ShardPlan] = None,
     ) -> SimulationResult:
         """Simulate ``app`` and return a :class:`SimulationResult`.
 
@@ -169,16 +165,6 @@ class PlanSimulator(GPUSimulator):
         to an uninterrupted run (``repro check --mode guard`` enforces
         this).  A guard with everything disabled attaches nothing, so
         the engine keeps its fast dispatch loop.
-
-        ``shard_plan`` switches each kernel onto the sharded PDES
-        engine (:class:`~repro.sim.parallel.ShardedEngine`) in lockstep
-        mode: the module graph is decomposed per the plan (normally
-        built from the static partition manifest), cross-shard port
-        references are wrapped in traffic-counting
-        :class:`~repro.sim.ports.ShardPortProxy` objects, and the run
-        is guaranteed bit-identical to the serial engine (the sharded
-        check pillar enforces this).  The result's ``sharding`` field
-        carries the decomposition summary and per-edge port traffic.
         """
         plan_jump = self.plan["clocking"] == "event_jump"
         allow_jump = plan_jump if engine_allow_jump is None else engine_allow_jump
@@ -187,16 +173,6 @@ class PlanSimulator(GPUSimulator):
             guard is not None and guard.auto_resume
         ) else None
         if resume is not None:
-            resumed_sharded = isinstance(resume.engine, ShardedEngine)
-            if resumed_sharded != (shard_plan is not None):
-                raise CheckpointError(
-                    f"checkpoint {resume.path} was written by a "
-                    f"{'sharded' if resumed_sharded else 'serial'} engine "
-                    f"but this run is "
-                    f"{'sharded' if shard_plan is not None else 'serial'}; "
-                    f"resume with the matching engine mode or clear the "
-                    f"checkpoint directory"
-                )
             frame = resume.frame
             persistent_memory = frame["persistent_memory"]
             analytical_models = frame["analytical_models"]
@@ -204,14 +180,12 @@ class PlanSimulator(GPUSimulator):
             kernel_results = frame["kernel_results"]
             profile_seconds = frame["profile_seconds"]
             clock = frame["clock"]
-            port_traffic = frame.get("port_traffic", {})
         else:
             persistent_memory = self._build_memory()
             clock = 0
             kernel_results = []
             roots = []
             analytical_models = []
-            port_traffic = {}
             profile_started = time.perf_counter()
             if persistent_memory is not None:
                 roots.append(persistent_memory)
@@ -223,7 +197,6 @@ class PlanSimulator(GPUSimulator):
                 roots.extend(analytical_models)
             profile_seconds = time.perf_counter() - profile_started
         started = time.perf_counter()
-        shard_ticks: dict = {}
         for kernel_index, kernel in enumerate(app.kernels):
             if resume is not None and kernel_index < resume.kernel_index:
                 continue  # finished before the checkpoint; results restored
@@ -251,46 +224,17 @@ class PlanSimulator(GPUSimulator):
                     num_sms = self.config.num_sms
                 else:
                     num_sms = min(self.config.num_sms, len(kernel.blocks))
-                # Under a shard plan, references the SMs hold to modules
-                # on *other* shards go through traffic-counting port
-                # proxies; the raw objects are kept for engine.add,
-                # isinstance dispatch, and the metrics tree.
-                scheduler_ref: object = scheduler
-                memory_ref: object = memory
-                if shard_plan is not None:
-                    sm_shard = shard_plan.shard_for(
-                        class_names=("SMCore",), component="sm",
-                    )
-                    sched_shard = shard_plan.shard_for_module(scheduler)
-                    if sched_shard != sm_shard:
-                        scheduler_ref = ShardPortProxy(
-                            scheduler, f"{sm_shard}->{sched_shard}:scheduler",
-                            port_traffic,
-                        )
-                    if memory is not None:
-                        mem_shard = shard_plan.shard_for_module(memory)
-                        if mem_shard != sm_shard:
-                            memory_ref = ShardPortProxy(
-                                memory, f"{sm_shard}->{mem_shard}:memory",
-                                port_traffic,
-                            )
                 sms = [
                     SMCore(
                         sm_id,
                         self.config,
-                        scheduler_ref,
-                        self._subcore_factory(memory_ref),
+                        scheduler,
+                        self._subcore_factory(memory),
                         idle_tick=per_cycle,
                     )
                     for sm_id in range(num_sms)
                 ]
-                if shard_plan is not None:
-                    engine = ShardedEngine(
-                        shard_plan, allow_jump=allow_jump, start_cycle=clock,
-                        mode="lockstep",
-                    )
-                else:
-                    engine = Engine(allow_jump=allow_jump, start_cycle=clock)
+                engine = Engine(allow_jump=allow_jump, start_cycle=clock)
                 if guard is not None:
                     frame = {
                         "persistent_memory": persistent_memory,
@@ -302,7 +246,6 @@ class PlanSimulator(GPUSimulator):
                         "scheduler": scheduler,
                         "sms": sms,
                         "memory": memory,
-                        "port_traffic": port_traffic,
                     }
                     guard.begin_kernel(engine, frame, kernel_index,
                                        extra_checker=checker)
@@ -316,9 +259,6 @@ class PlanSimulator(GPUSimulator):
                     engine.add(memory, start_cycle=clock)
             end = engine.run(max_cycles=clock + max_kernel_cycles)
             end = max(end, scheduler.last_completion_cycle, *(sm.last_completion for sm in sms))
-            if isinstance(engine, ShardedEngine):
-                for shard, ticks in engine.stats.ticks.items():
-                    shard_ticks[shard] = shard_ticks.get(shard, 0) + ticks
             kernel_results.append(
                 KernelResult(
                     name=kernel.name,
@@ -332,14 +272,6 @@ class PlanSimulator(GPUSimulator):
             roots.extend(sms)
         wall = time.perf_counter() - started
         metrics = MetricsGatherer(roots).gather(clock) if gather_metrics else None
-        sharding = None
-        if shard_plan is not None:
-            sharding = {
-                "plan": shard_plan.describe(),
-                "mode": "lockstep",
-                "shard_ticks": dict(sorted(shard_ticks.items())),
-                "port_traffic": dict(sorted(port_traffic.items())),
-            }
         return SimulationResult(
             app_name=app.name,
             simulator_name=self.name,
@@ -349,5 +281,4 @@ class PlanSimulator(GPUSimulator):
             metrics=metrics,
             wall_time_seconds=wall,
             profile_seconds=profile_seconds,
-            sharding=sharding,
         )

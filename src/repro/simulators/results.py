@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.sim.metrics import MetricsReport
 
@@ -36,9 +36,6 @@ class SimulationResult:
     #: Time spent in trace-preprocessing passes (hit-rate profiling for the
     #: analytical memory model); reported separately from simulation time.
     profile_seconds: float = 0.0
-    #: Decomposition summary of a sharded run (plan, mode, per-shard tick
-    #: counts, per-edge port traffic); ``None`` for serial runs.
-    sharding: Optional[Dict[str, object]] = None
 
     @property
     def instructions(self) -> int:

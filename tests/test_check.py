@@ -2,6 +2,7 @@
 subsystem."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.check import (
 )
 from repro.check.shadow import compare_results
 from repro.errors import CheckError, SimulationError
-from repro.sim.engine import ClockedModule, Engine
+from repro.frontend.presets import get_preset
+from repro.sim.engine import ClockedModule, Engine, EngineChecker
 from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.results import KernelResult, SimulationResult
 from repro.simulators.swift_basic import SwiftSimBasic
@@ -289,13 +291,50 @@ class TestRunner:
 
     def test_all_modes_run_over_one_app(self, tiny_gpu):
         assert set(MODES) == {
-            "shadow-jump", "sharded", "differential", "determinism",
+            "shadow-jump", "differential", "determinism",
             "sanitize", "resilience", "static", "guard", "serve", "all"
         }
         report = run_checks(tiny_gpu, mode="all", apps=["gemm"], scale="tiny")
         assert report.ok, [f.message for f in report.violations]
         assert report.checks_run > 0
         checks_seen = {f.check for f in report.findings}
-        assert {"shadow-jump", "shadow-sharded", "differential",
+        assert {"shadow-jump", "differential",
                 "determinism", "sanitizer", "resilience", "static",
                 "guard"} <= checks_seen
+
+
+# ----------------------------------------------------------------------
+# where the ticks are (the measurement that retired the sharded engine)
+
+
+class _ComponentTicks(EngineChecker):
+    def __init__(self):
+        self.ticks = Counter()
+
+    def on_tick(self, module, cycle, rank):
+        self.ticks[module.component] += 1
+
+
+@pytest.mark.parametrize("app_name", ["bfs", "gemm"])
+@pytest.mark.parametrize(
+    "simulator_cls", [AccelSimLike, SwiftSimBasic, SwiftSimMemory],
+    ids=lambda cls: cls.__name__,
+)
+def test_memory_side_tick_share_under_the_two_way_cut(simulator_cls, app_name):
+    """Pins the measurement behind the removal of the sharded engine
+    (docs/parallel-engine.md): cut at SM | memory, the hybrid tiers clock
+    nothing on the memory side and the cycle-accurate baseline under 5 %
+    of its ticks, so no parallel schedule of this graph can beat
+    1/(1 - share).  If this fails because a tier gained a clocked memory
+    side, re-measure the bound before touching the threshold."""
+    counter = _ComponentTicks()
+    simulator_cls(get_preset("rtx2080ti")).simulate(
+        make_app(app_name, scale="tiny"), gather_metrics=False, checker=counter
+    )
+    ticks = counter.ticks
+    total = sum(ticks.values())
+    if simulator_cls is AccelSimLike:
+        assert set(ticks) == {"sm", "memory"}
+        assert 0 < ticks["memory"] < 0.05 * total
+    else:
+        assert set(ticks) == {"sm"} and total > 0

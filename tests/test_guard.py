@@ -232,22 +232,25 @@ class TestTornCheckpoints:
     def test_stale_format_version_is_refused_by_name(self, tmp_path):
         """An intact checkpoint from an earlier format (its pickled
         engine has another instance shape: version 1 carried
-        ``Engine.config``, version 2 a ``ShardedEngine`` attribute this
+        ``Engine.config``, version 2 a sharded-engine attribute this
         build no longer has, version 3 ``OpcodeInfo`` objects without the
         stored ``is_memory`` field, version 4 ``SubCore`` objects without
-        ``quiet_until`` and the sink table) is refused on the meta line,
-        before anything is unpickled, and resume falls back past every
-        such file."""
+        ``quiet_until`` and the sink table, version 5 possibly a sharded
+        engine, a class this build cannot even import) is
+        refused on the meta line, before anything is unpickled, and
+        resume falls back past every such file."""
         self._write(tmp_path, cycle=500)
-        current = b'"format_version": 5'
-        for cycle, version in ((1000, 1), (1500, 2), (2000, 3), (2500, 4)):
+        current = b'"format_version": 6'
+        for cycle, version in (
+            (1000, 1), (1500, 2), (2000, 3), (2500, 4), (3000, 5),
+        ):
             stale = self._write(tmp_path, cycle=cycle)
             assert stale.read_bytes().count(current) == 1
             stale.write_bytes(stale.read_bytes().replace(
                 current, b'"format_version": %d' % version))
             with pytest.raises(
                 CheckpointCorruption,
-                match=rf"format version {version} \(this build reads 5\)",
+                match=rf"format version {version} \(this build reads 6\)",
             ):
                 read_checkpoint(stale)
         path, meta, __ = find_resumable(tmp_path)

@@ -416,19 +416,18 @@ class TestEngineEquivalence:
             min_size=1,
             max_size=5,
         ),
-        st.lists(st.integers(0, 140), max_size=6),
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_dispatch_loops_agree_under_mid_tick_wakes(
-        self, schedules, cuts, allow_jump
+        self, schedules, allow_jump
     ):
-        """``run()`` (uninstrumented), ``run()`` with a checker and
-        ``run_until`` stepped through arbitrary window cuts dispatch the
-        same ``(cycle, module)`` sequence, wakes issued mid-tick included."""
+        """``run()`` uninstrumented and ``run()`` with a checker dispatch
+        the same ``(cycle, module)`` sequence, wakes issued mid-tick
+        included."""
         from repro.sim.engine import Engine
 
-        def drive(checker, windowed):
+        def drive(checker):
             engine = Engine(allow_jump=allow_jump)
             if checker is not None:
                 engine.attach_checker(checker)
@@ -440,26 +439,18 @@ class TestEngineEquivalence:
             for module in modules:
                 module.peers = modules
                 engine.add(module)
-            if windowed:
-                for limit in sorted(cuts):
-                    engine.run_until(limit)
-                engine.run_until()
-                assert all(module.is_done() for module in modules)
-                return ticks, engine.cycle
             return ticks, engine.run()
 
-        plain = drive(None, windowed=False)
-        checked, stepped = _RecordingChecker(), _RecordingChecker()
-        assert drive(checked, windowed=False) == plain
-        assert drive(stepped, windowed=True) == plain
-        assert checked.ticks == stepped.ticks == plain[0]
-        assert checked.cycle_starts == stepped.cycle_starts
+        plain = drive(None)
+        checked = _RecordingChecker()
+        assert drive(checked) == plain
+        assert checked.ticks == plain[0]
         # once per distinct cycle, before that cycle's first tick
         assert checked.cycle_starts == sorted(
             {cycle for cycle, __ in plain[0] if cycle > 0})
-        assert checked.run_ends == [plain[1]] and stepped.run_ends == []
+        assert checked.run_ends == [plain[1]]
 
-    @pytest.mark.parametrize("how", ["run", "run_checked", "run_until"])
+    @pytest.mark.parametrize("how", ["run", "run_checked"])
     def test_budget_exceeded_through_every_loop(self, how):
         from repro.errors import CycleBudgetExceeded
         from repro.sim.engine import Engine, EngineChecker
@@ -469,10 +460,7 @@ class TestEngineEquivalence:
         if how != "run":
             engine.attach_checker(EngineChecker())
         with pytest.raises(CycleBudgetExceeded) as caught:
-            if how == "run_until":
-                engine.run_until(1000, max_cycles=50)
-            else:
-                engine.run(max_cycles=50)
+            engine.run(max_cycles=50)
         error = caught.value
         assert (error.budget, error.cycle, error.module_name) == (50, 100, "late")
         assert engine.cycle == 10

@@ -597,31 +597,26 @@ class TestServiceLadder:
 
 
 # ----------------------------------------------------------------------
-# sharded jobs
+# retired request keys
 
 
 class TestShardedJobs:
-    def test_parallel_shards_validated(self):
-        request = JobRequest.from_dict(dict(REQUEST, parallel_shards=2))
-        assert request.parallel_shards == 2
-        assert request.to_dict()["parallel_shards"] == 2
-        with pytest.raises(ServeError):
-            JobRequest.from_dict(dict(REQUEST, parallel_shards=3))
-
     def test_retired_shard_fault_key_is_ignored(self, tmp_path):
-        """An old client, or a pending job journaled before the shard
-        supervisor was removed, still carries ``shard_fault``: the key is
-        dropped like any unknown one, the job hashes to the same key, and
-        recovery re-executes it."""
+        """An old client, or a pending job journaled before the sharded
+        engine was removed, still carries ``parallel_shards`` (and, from
+        before the shard supervisor went, ``shard_fault``): both keys are
+        dropped like any unknown one, the job hashes to the same key,
+        recovery re-executes it serially and the old request is answered
+        from the store."""
         old = dict(REQUEST, parallel_shards=2,
                    shard_fault={"seed": 4, "kill_rate": 1.0,
                                 "max_attempts": 2, "degrade": True})
         request = JobRequest.from_dict(old)
-        assert request == JobRequest.from_dict(
-            dict(REQUEST, parallel_shards=2))
-        assert "shard_fault" not in request.to_dict()
-        # Without a sharded run the old parser refused the key outright.
-        JobRequest.from_dict(dict(REQUEST, shard_fault={"kill_rate": 0.5}))
+        assert request == JobRequest.from_dict(REQUEST)
+        assert request.to_dict().keys().isdisjoint(
+            {"parallel_shards", "shard_fault"})
+        # The old parser validated the value; now it is never looked at.
+        JobRequest.from_dict(dict(REQUEST, parallel_shards=3))
 
         service, store, journal = make_service(
             tmp_path, runner=lambda r, i: exact_result()
@@ -636,17 +631,9 @@ class TestShardedJobs:
         )
         assert run(revived.recover()) == 1
         assert reloaded.settled()[key] == "stored"
-
-    def test_execute_job_sharded_matches_serial(self):
-        from repro.serve.worker import execute_job
-
-        serial = execute_job("bfs", "tiny", None, "rtx2080ti", "swift-basic")
-        sharded = execute_job(
-            "bfs", "tiny", None, "rtx2080ti", "swift-basic",
-            parallel_shards=2,
-        )
-        assert sharded["total_cycles"] == serial["total_cycles"]
-        assert sharded["kernels"] == serial["kernels"]
+        answer = run(revived.submit_request(old))
+        assert answer["status"] == "ok" and answer["cached"]
+        assert answer["key"] == key
 
 
 # ----------------------------------------------------------------------
