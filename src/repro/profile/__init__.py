@@ -1,51 +1,22 @@
-"""repro.profile: cycle-attribution profiling and benchmark artifacts.
+"""repro.profile: cycle-attribution profiling.
 
-The observability half of the performance work: a low-overhead
-:class:`ModuleProfiler` (an engine checker) attributes wall-clock time,
-tick counts and event-jump efficiency to every clocked module;
-:class:`ProfileReport` renders the attribution as text or JSON; and
-:mod:`repro.profile.bench` runs the committed macro benchmarks, writes
-``BENCH_<name>.json`` artifacts and implements the perf-regression gate
-used by ``tests/test_perf_regression.py`` and CI.
+A low-overhead :class:`ModuleProfiler` (an engine checker) attributes
+wall-clock time, tick counts and event-jump efficiency to every clocked
+module; :class:`ProfileReport` renders the attribution as text or JSON;
+:func:`profile_simulation` runs one simulation under it.  ``repro
+profile`` is the CLI front end, and the performance benchmark
+(``benchmarks/perf``) reads its exact engine counts through the same call.
 
 See ``docs/performance.md`` for the workflow.
 """
 
-from repro.profile.bench import (
-    DEFAULT_TOLERANCE,
-    MACRO_BENCHMARKS,
-    bench_tolerance,
-    build_baseline,
-    compare_to_baseline,
-    load_baseline,
-    machine_info,
-    macro_key,
-    make_simulator,
-    run_macro_benchmark,
-    run_macro_benchmarks,
-    select_bench_apps,
-    write_bench_artifact,
-)
 from repro.profile.profiler import ModuleProfiler, ModuleStats
 from repro.profile.report import ProfileReport
 from repro.profile.runner import profile_simulation
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
-    "MACRO_BENCHMARKS",
     "ModuleProfiler",
     "ModuleStats",
     "ProfileReport",
-    "bench_tolerance",
-    "build_baseline",
-    "compare_to_baseline",
-    "load_baseline",
-    "machine_info",
-    "macro_key",
-    "make_simulator",
     "profile_simulation",
-    "run_macro_benchmark",
-    "run_macro_benchmarks",
-    "select_bench_apps",
-    "write_bench_artifact",
 ]

@@ -5,13 +5,13 @@ Pieces, innermost first:
 
 * :mod:`repro.serve.keys` — canonical JSON and the content-addressed
   job identity ``(trace_hash, config_hash, simulator)``.
-* :mod:`repro.serve.store` — memoized exact results, written with the
-  guard-checkpoint durability discipline (atomic rename, sha256
+* :mod:`repro.serve.store` — memoized exact results, written as
+  framed records (:mod:`repro.utils.framing`: atomic rename, sha256
   framing, torn-file tolerance).  Degraded values are refused.
 * :mod:`repro.serve.breaker` — per-(simulator, config-region) circuit
   breaker with half-open probes.
-* :mod:`repro.serve.admission` — bounded queue driven by a
-  ``repro.profile``-calibrated cost model; typed load-shed errors.
+* :mod:`repro.serve.admission` — bounded queue driven by a measured
+  per-simulator cost table; typed load-shed errors.
 * :mod:`repro.serve.journal` — the service's crash recovery journal
   (same JSON-lines discipline as :class:`repro.resilience.RunJournal`).
 * :mod:`repro.serve.service` — the asyncio unix-socket server tying it

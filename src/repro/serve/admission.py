@@ -1,15 +1,11 @@
-"""Admission control: a bounded queue priced by a profile-derived
-cost model.
+"""Admission control: a bounded queue priced by a measured cost model.
 
 The queue is bounded two ways — by depth and by the *estimated seconds*
 of work already admitted — so a burst of cheap analytic jobs and a
 burst of expensive accel-like jobs both hit a wall scaled to what they
 actually cost.  Estimates come from :class:`CostModel`: seconds per
-dynamic warp-instruction per simulator, calibrated from the
-``repro.profile`` macro benchmark baseline
-(``benchmarks/baseline_bench.json``) when present, with a static table
-(measured on the reference container; see ``docs/performance.md``)
-otherwise.
+dynamic warp-instruction per simulator, one table measured by the
+performance benchmark (``benchmarks/perf``; see ``docs/performance.md``).
 
 Rejection is a typed :class:`repro.errors.QueueSaturated` — the first
 rung of the degradation ladder, never a hung socket.
@@ -17,7 +13,7 @@ rung of the degradation ladder, never a hung socket.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import QueueSaturated
 
@@ -30,21 +26,24 @@ class CostModel:
     generation, process round-trip) independent of trace size.
     """
 
-    #: Fallback seconds-per-instruction table.  Anchored on the macro
-    #: benchmark numbers for swift-basic (~0.012 s for gemm/tiny's ~2.4k
-    #: instructions ≈ 5e-6 s/inst) and the relative speeds measured in
-    #: docs/performance.md and docs/analytic-tier.md (accel-like ~4x
-    #: slower, swift-memory ~2x faster, interval ~10x faster,
-    #: swift-analytic ~134x faster than swift-basic).
+    #: Seconds per dynamic warp-instruction.  The three engine tiers are
+    #: ``1 / (1e3 * <tier>_kinst_per_s)`` from one full
+    #: ``python3 benchmarks/perf/run.py`` (host time calibrated by the
+    #: harness) at commit 2429f64 on
+    #: Linux-6.18.44-fc-v50-x86_64-with-glibc2.36, 2 CPUs: accel-like
+    #: 13.9, swift-memory 69.5, swift-basic 31.1 kinst/s (on
+    #: ``hybrid-membound``, the slower of its two workloads).  interval
+    #: and swift-analytic keep their earlier ratios to swift-basic (10x
+    #: and 125x faster; docs/performance.md, docs/analytic-tier.md).
     DEFAULTS: Dict[str, float] = {
-        "accel-like": 2.0e-5,
-        "swift-basic": 5.0e-6,
-        "swift-memory": 2.5e-6,
-        "interval": 5.0e-7,
-        "swift-analytic": 4.0e-8,
+        "accel-like": 7.2e-5,
+        "swift-basic": 3.2e-5,
+        "swift-memory": 1.4e-5,
+        "interval": 3.2e-6,
+        "swift-analytic": 2.6e-7,
     }
 
-    DEFAULT_COEFFICIENT = 5.0e-6  # unknown simulator: price as swift-basic
+    DEFAULT_COEFFICIENT = DEFAULTS["swift-basic"]  # unknown simulator
     OVERHEAD_SECONDS = 0.05
 
     def __init__(
@@ -56,38 +55,6 @@ class CostModel:
         if coefficients:
             self.coefficients.update(coefficients)
         self.overhead_seconds = overhead_seconds
-
-    @classmethod
-    def from_baseline(
-        cls,
-        baseline: Dict,
-        instruction_counts: Dict[str, int],
-    ) -> "CostModel":
-        """Calibrate from a ``repro profile --bench`` baseline artifact.
-
-        ``baseline`` is the loaded JSON (see
-        :func:`repro.profile.bench.load_baseline`); ``instruction_counts``
-        maps ``app/scale`` to the trace's dynamic warp-instruction
-        count.  For each simulator the coefficient is the mean measured
-        seconds-per-instruction over its macro records; simulators with
-        no usable record keep their default.
-        """
-        sums: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for record in baseline.get("macro", {}).values():
-            simulator = record.get("simulator", "")
-            wall = record.get("wall_seconds", 0.0)
-            app_scale = f"{record.get('app', '')}/{record.get('scale', '')}"
-            instructions = instruction_counts.get(app_scale, 0)
-            if not simulator or wall <= 0 or instructions <= 0:
-                continue
-            sums[simulator] = sums.get(simulator, 0.0) + wall / instructions
-            counts[simulator] = counts.get(simulator, 0) + 1
-        calibrated = {
-            simulator: sums[simulator] / counts[simulator]
-            for simulator in sums
-        }
-        return cls(coefficients=calibrated)
 
     def estimate(self, simulator: str, num_instructions: int) -> float:
         """Estimated wall seconds to execute one job."""
@@ -155,39 +122,3 @@ class AdmissionController:
     def release(self, cost: float) -> None:
         self.depth = max(0, self.depth - 1)
         self.pending_seconds = max(0.0, self.pending_seconds - cost)
-
-
-def calibrated_cost_model(
-    baseline_path: str,
-    count_instructions: Callable[[str, str], int],
-) -> CostModel:
-    """Build a :class:`CostModel` from the bench baseline at
-    ``baseline_path``, or the default table when the file is absent or
-    unreadable.
-
-    ``count_instructions(app, scale)`` supplies the dynamic
-    warp-instruction count for each macro record's workload (the caller
-    decides how — generating tiny traces is cheap, but it is still a
-    policy choice).
-    """
-    from repro.errors import WorkloadError
-    from repro.profile.bench import load_baseline
-
-    try:
-        baseline = load_baseline(baseline_path)
-    except (OSError, ValueError, WorkloadError):
-        baseline = None
-    if baseline is None:
-        return CostModel()
-    instruction_counts: Dict[str, int] = {}
-    for record in baseline.get("macro", {}).values():
-        app = record.get("app", "")
-        scale = record.get("scale", "")
-        key = f"{app}/{scale}"
-        if not app or key in instruction_counts:
-            continue
-        try:
-            instruction_counts[key] = count_instructions(app, scale)
-        except WorkloadError:
-            continue  # unknown app in a foreign baseline: skip the record
-    return CostModel.from_baseline(baseline, instruction_counts)

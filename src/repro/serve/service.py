@@ -62,11 +62,11 @@ from repro.serve.journal import ServeJournal
 from repro.serve.keys import config_hash, job_key, trace_fingerprint
 from repro.serve.store import ResultStore
 from repro.serve.worker import (
-    SIMULATORS,
     execute_job,
     resolve_gpu,
     validate_result_payload,
 )
+from repro.simulators import SIMULATORS
 from repro.tracegen.suites import make_app
 
 

@@ -5,8 +5,8 @@ payloads keyed by :func:`repro.serve.keys.job_key` and laid out two
 fan-out levels deep (``store/ab/abcdef....res``) so a Fig. 4-scale
 sweep never piles thousands of files into one directory.
 
-Each entry uses the guard-checkpoint durability discipline
-(:mod:`repro.guard.checkpoint`):
+Each entry is a framed record (:mod:`repro.utils.framing`, the format
+guard checkpoints use):
 
 * written to a temp file, fsync'd, then atomically ``os.replace``'d —
   a reader never observes a half-written entry;
@@ -23,16 +23,15 @@ This is the invariant ``repro check --mode serve`` re-verifies.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from typing import Dict, Optional
 
-from repro.errors import ServeError
+from repro.errors import FrameCorruption, ServeError
+from repro.utils.framing import parse_framed, write_framed
 
 #: First line of every store entry; bump when the framing changes.
-MAGIC = "REPROSERV1\n"
+MAGIC = b"REPROSERV1\n"
 
 _ENTRY_SUFFIX = ".res"
 
@@ -66,28 +65,9 @@ class ResultStore:
                 "(docs/serving.md, tagging contract)"
             )
         path = self._entry_path(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
         body = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        digest = hashlib.sha256(body).hexdigest()
-        meta = json.dumps({"key": key}, sort_keys=True)
-        fd, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=".entry-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(MAGIC.encode("ascii"))
-                handle.write((meta + "\n").encode("utf-8"))
-                handle.write(f"{len(body)} {digest}\n".encode("ascii"))
-                handle.write(body)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        write_framed(path, MAGIC, {"key": key}, body)
         return path
 
     # ------------------------------------------------------------------
@@ -117,34 +97,11 @@ class ResultStore:
 
     @staticmethod
     def _parse_entry(raw: bytes, key: str) -> Optional[Dict]:
-        magic_len = len(MAGIC)
-        if raw[:magic_len] != MAGIC.encode("ascii"):
-            return None
-        rest = raw[magic_len:]
-        meta_end = rest.find(b"\n")
-        if meta_end < 0:
-            return None
         try:
-            meta = json.loads(rest[:meta_end].decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+            meta, body = parse_framed(raw, MAGIC)
+        except FrameCorruption:
             return None
         if meta.get("key") != key:
-            return None
-        frame_start = meta_end + 1
-        frame_end = rest.find(b"\n", frame_start)
-        if frame_end < 0:
-            return None
-        try:
-            length_text, digest = (
-                rest[frame_start:frame_end].decode("ascii").split(" ")
-            )
-            length = int(length_text)
-        except (UnicodeDecodeError, ValueError):
-            return None
-        body = rest[frame_end + 1:]
-        if len(body) != length:
-            return None
-        if hashlib.sha256(body).hexdigest() != digest:
             return None
         try:
             payload = json.loads(body.decode("utf-8"))

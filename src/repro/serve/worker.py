@@ -17,22 +17,8 @@ from repro.frontend.config import GPUConfig
 from repro.frontend.config_io import gpu_config_from_dict
 from repro.frontend.presets import get_preset
 from repro.resilience.journal import result_to_dict
-from repro.simulators.accel_like import AccelSimLike
-from repro.simulators.interval import IntervalSimulator
-from repro.simulators.swift_analytic import SwiftSimAnalytic
-from repro.simulators.swift_basic import SwiftSimBasic
-from repro.simulators.swift_memory import SwiftSimMemory
+from repro.simulators import SIMULATORS
 from repro.tracegen.suites import make_app
-
-#: Simulators the service will execute.  Mirrors the CLI registry; the
-#: serve layer keeps its own copy so workers never import the CLI.
-SIMULATORS: Dict[str, type] = {
-    "accel-like": AccelSimLike,
-    "swift-basic": SwiftSimBasic,
-    "swift-memory": SwiftSimMemory,
-    "swift-analytic": SwiftSimAnalytic,
-    "interval": IntervalSimulator,
-}
 
 
 def resolve_gpu(config: Optional[Dict], gpu_preset: str) -> GPUConfig:

@@ -10,8 +10,11 @@ in their :class:`~repro.sim.plan.ModelingPlan`:
   tasklists (PPT-GPU idiom; supports batched ``evaluate_batch``),
 
 plus the multiprocess parallel driver the paper's §IV-B2 speedup analysis
-uses.
+uses.  :data:`SIMULATORS` is the one registry of the names the CLI and
+the sweep service accept.
 """
+
+from typing import Dict
 
 from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.base import GPUSimulator, PlanSimulator
@@ -23,12 +26,22 @@ from repro.simulators.swift_analytic import SwiftSimAnalytic
 from repro.simulators.swift_basic import SwiftSimBasic
 from repro.simulators.swift_memory import SwiftSimMemory
 
+#: Simulator classes by the name ``--simulator`` and serve jobs use.
+SIMULATORS: Dict[str, type] = {
+    "accel-like": AccelSimLike,
+    "swift-basic": SwiftSimBasic,
+    "swift-memory": SwiftSimMemory,
+    "swift-analytic": SwiftSimAnalytic,
+    "interval": IntervalSimulator,
+}
+
 __all__ = [
     "AccelSimLike",
     "GPUSimulator",
     "IntervalSimulator",
     "KernelResult",
     "PlanSimulator",
+    "SIMULATORS",
     "SampledSimulator",
     "SimulationResult",
     "SwiftSimAnalytic",

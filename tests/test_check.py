@@ -26,7 +26,7 @@ from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.results import KernelResult, SimulationResult
 from repro.simulators.swift_basic import SwiftSimBasic
 from repro.simulators.swift_memory import SwiftSimMemory
-from repro.tracegen.suites import make_app
+from repro.tracegen.suites import app_names, make_app
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +284,27 @@ class TestRunner:
     def test_select_apps_unknown_app(self):
         with pytest.raises(CheckError, match="unknown application"):
             select_apps(apps=["doom"])
+
+    def test_bench_conftest_uses_strict_selection(self, monkeypatch):
+        """The benchmarks/ session resolves REPRO_BENCH_APPS through
+        select_apps: a typo is a typed error, never a silently empty
+        (and trivially green) session."""
+        import importlib.util
+        from pathlib import Path
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_conftest",
+            Path(__file__).parent.parent / "benchmarks" / "conftest.py",
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setenv("REPRO_BENCH_APPS", "gemm,definitely-not-an-app")
+        with pytest.raises(CheckError, match="definitely-not-an-app"):
+            module.bench_apps()
+        monkeypatch.setenv("REPRO_BENCH_APPS", " gemm, bfs ,")
+        assert module.bench_apps() == ["gemm", "bfs"]
+        monkeypatch.delenv("REPRO_BENCH_APPS")
+        assert module.bench_apps() == list(app_names())
 
     def test_unknown_mode_rejected(self, tiny_gpu):
         with pytest.raises(CheckError, match="unknown check mode"):

@@ -1,18 +1,27 @@
-"""Robustness fuzzing: malformed inputs must raise typed errors, never
-crash with arbitrary exceptions — plus property tests that random module
-graphs uphold the engine's jump-exactness contract."""
+"""Robustness fuzzing: malformed inputs (traces, configs, checkpoint and
+store files) must raise typed errors, never crash with arbitrary
+exceptions — plus property tests that random module graphs uphold the
+engine's jump-exactness contract."""
 
 import heapq
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check import EngineSanitizer
-from repro.errors import SwiftSimError, TraceError
+from repro.errors import CheckpointCorruption, SwiftSimError, TraceError
 from repro.frontend.trace_io import parse_trace, save_trace
 from repro.frontend.config_io import gpu_config_from_dict, gpu_config_to_dict
 from repro.errors import ConfigError
+from repro.guard.checkpoint import (
+    FORMAT_VERSION,
+    checkpoint_name,
+    read_checkpoint,
+    write_checkpoint,
+)
+from repro.serve.store import ResultStore
 from repro.sim.engine import ClockedModule, Engine
 from repro.tracegen.suites import make_app
 from repro.utils.rng import derive_seed
@@ -90,6 +99,127 @@ class TestConfigFuzz:
                      "PlanError", "SimulationError", "TraceError",
                      "WorkloadError"):
             assert issubclass(getattr(errors, name), SwiftSimError)
+
+
+# ----------------------------------------------------------------------
+# framed records: guard checkpoints and serve store entries
+
+_STORE_KEY = "ab" * 32
+_STORE_PAYLOAD = {"degraded": False, "result": {"total_cycles": 7}}
+
+#: A checkpoint and a store entry byte for byte as the commit before
+#: repro.utils.framing wrote them (the version is whatever this build
+#: reads: it moves with the pickled classes, not with the framing).
+_PARENT_CHECKPOINT = (
+    b'REPROCKPT1\n'
+    b'{"app": "gemm", "cycle": 500, "format_version": %d}\n'
+    b'25 83f6c91d245fb083370ba0f46e2255aaa4d4ac63660cf5d9ae60ec0dd0f1be71\n'
+    b'\x80\x05\x95\x0e\x00\x00\x00\x00\x00\x00\x00}\x94\x8c\x05value\x94K\x07s.'
+) % FORMAT_VERSION
+_PARENT_STORE_ENTRY = (
+    b'REPROSERV1\n'
+    b'{"key": "' + _STORE_KEY.encode() + b'"}\n'
+    b'46 fa3d7dab98b5836fd993bf0d20dbc33909975d1cc1c7dfbc03f2d55e8dd0944f\n'
+    b'{"degraded":false,"result":{"total_cycles":7}}'
+)
+
+#: Meta lines that parse as JSON but are not an object, and one too deep
+#: to parse at all.
+_BAD_META = {
+    "list": b"[]", "number": b"3", "null": b"null", "string": b'"s"',
+    "too-deep": b"[" * 100_000,
+}
+
+
+def _mutations(raw: bytes):
+    """Any single bit flip, truncation or byte splice of ``raw``."""
+    size = len(raw)
+    flip = st.tuples(st.integers(0, size - 1), st.integers(0, 7)).map(
+        lambda at: raw[:at[0]] + bytes([raw[at[0]] ^ (1 << at[1])]) + raw[at[0] + 1:]
+    )
+    truncate = st.integers(0, size - 1).map(lambda end: raw[:end])
+    splice = st.tuples(
+        st.integers(0, size), st.integers(0, size), st.binary(max_size=16)
+    ).map(lambda cut: raw[:min(cut[:2])] + cut[2] + raw[max(cut[:2]):])
+    return st.one_of(flip, truncate, splice)
+
+
+def _with_meta(raw: bytes, meta_line: bytes) -> bytes:
+    magic, __, rest = raw.split(b"\n", 2)
+    return magic + b"\n" + meta_line + b"\n" + rest
+
+
+class TestFramedRecordFuzz:
+    """Both readers of :mod:`repro.utils.framing` fail closed: a damaged
+    checkpoint is ``CheckpointCorruption``, a damaged store entry is a
+    miss and evicted — never another exception."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("ckpt") / checkpoint_name(500)
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        return ResultStore(str(tmp_path_factory.mktemp("store")))
+
+    @pytest.fixture(scope="class")
+    def entry_path(self, store):
+        return store.put(_STORE_KEY, _STORE_PAYLOAD)
+
+    def _read_store_entry(self, store, entry_path, raw):
+        """``store.get`` over an entry file holding ``raw``: the payload,
+        or ``None`` with the file gone."""
+        with open(entry_path, "wb") as handle:
+            handle.write(raw)
+        payload = store.get(_STORE_KEY)
+        assert os.path.exists(entry_path) == (payload is not None)
+        return payload
+
+    def test_parent_format_files_read_back(self, checkpoint_path, store, entry_path):
+        checkpoint_path.write_bytes(_PARENT_CHECKPOINT)
+        meta, payload = read_checkpoint(checkpoint_path)
+        assert meta == {"app": "gemm", "cycle": 500,
+                        "format_version": FORMAT_VERSION}
+        assert payload == {"value": 7}
+        assert self._read_store_entry(
+            store, entry_path, _PARENT_STORE_ENTRY
+        ) == _STORE_PAYLOAD
+
+    def test_writers_still_produce_the_parent_bytes(self, checkpoint_path, store):
+        written = write_checkpoint(
+            checkpoint_path.parent, 500, {"value": 7}, {"app": "gemm"}
+        )
+        assert written == checkpoint_path
+        assert written.read_bytes() == _PARENT_CHECKPOINT
+        with open(store.put(_STORE_KEY, _STORE_PAYLOAD), "rb") as handle:
+            assert handle.read() == _PARENT_STORE_ENTRY
+
+    @pytest.mark.parametrize("meta_line", _BAD_META.values(), ids=_BAD_META)
+    def test_unusable_meta_line_fails_closed(
+        self, meta_line, checkpoint_path, store, entry_path
+    ):
+        checkpoint_path.write_bytes(_with_meta(_PARENT_CHECKPOINT, meta_line))
+        with pytest.raises(CheckpointCorruption, match="meta line"):
+            read_checkpoint(checkpoint_path)
+        # The store once raised AttributeError here and kept the entry,
+        # poisoning its key for every later submission.
+        raw = _with_meta(_PARENT_STORE_ENTRY, meta_line)
+        assert self._read_store_entry(store, entry_path, raw) is None
+
+    @given(_mutations(_PARENT_CHECKPOINT))
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_checkpoint_is_typed(self, checkpoint_path, raw):
+        checkpoint_path.write_bytes(raw)
+        try:
+            read_checkpoint(checkpoint_path)
+        except CheckpointCorruption:
+            pass
+
+    @given(_mutations(_PARENT_STORE_ENTRY))
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_store_entry_is_a_miss_and_evicted(self, store, entry_path, raw):
+        payload = self._read_store_entry(store, entry_path, raw)
+        assert payload in (None, _STORE_PAYLOAD)
 
 
 # ----------------------------------------------------------------------

@@ -174,25 +174,10 @@ class TestProfileCli:
             "profile", "--app", "gemm", "--scale", "tiny",
             "--config", tiny_config_path,
             "--json", str(json_path),
-            "--artifact", "unit", "--bench-dir", str(tmp_path),
         ]) == 0
         payload = json.loads(json_path.read_text())
         assert payload["run"]["app"] == "gemm"
-        artifact = json.loads((tmp_path / "BENCH_unit.json").read_text())
-        assert artifact["totals"]["dispatches"] > 0
-
-    def test_profile_bench_writes_artifacts_and_baseline(self, capsys, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        assert main([
-            "profile", "--bench", "--repeats", "1",
-            "--bench-dir", str(tmp_path),
-            "--write-baseline", str(baseline_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "swift-basic/gemm/tiny" in out
-        baseline = json.loads(baseline_path.read_text())
-        assert "swift-basic/gemm/tiny" in baseline["macro"]
-        assert (tmp_path / "BENCH_swift-basic_gemm_tiny.json").exists()
+        assert payload["totals"]["dispatches"] > 0
 
     def test_profile_unknown_app_is_config_error(self, tiny_config_path):
         assert main([

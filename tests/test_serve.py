@@ -165,7 +165,7 @@ class TestResultStore:
         body = json.dumps({"degraded": True, "result": {}},
                           sort_keys=True, separators=(",", ":")).encode()
         with open(path, "wb") as handle:
-            handle.write(MAGIC.encode())
+            handle.write(MAGIC)
             handle.write((json.dumps({"key": KEY}) + "\n").encode())
             handle.write(
                 f"{len(body)} {hashlib.sha256(body).hexdigest()}\n".encode()
@@ -296,20 +296,19 @@ class TestAdmission:
         admission.release(cost)
         admission.admit("swift-basic", 10)
 
-    def test_calibration_from_baseline_records(self):
-        baseline = {"macro": {
-            "s/a/tiny": {"simulator": "s", "app": "a", "scale": "tiny",
-                         "wall_seconds": 2.0},
-            "s/b/tiny": {"simulator": "s", "app": "b", "scale": "tiny",
-                         "wall_seconds": 4.0},
-        }}
-        model = CostModel.from_baseline(
-            baseline, {"a/tiny": 100, "b/tiny": 100}
-        )
-        # mean of 2/100 and 4/100
-        assert model.coefficients["s"] == pytest.approx(0.03)
-        # uncalibrated simulators keep their defaults
-        assert model.coefficients["interval"] == CostModel.DEFAULTS["interval"]
+    def test_default_table_is_in_the_papers_cost_order(self):
+        """The table is the only price list — nothing read from disk can
+        reprice a tier — and it keeps the paper's speed ordering."""
+        import inspect
+
+        assert list(inspect.signature(CostModel).parameters) == [
+            "coefficients", "overhead_seconds",
+        ]
+        table = CostModel().coefficients
+        assert table == CostModel.DEFAULTS
+        assert (table["accel-like"] >= table["swift-basic"]
+                >= table["swift-memory"] >= table["interval"]
+                >= table["swift-analytic"] > 0)
 
 
 # ----------------------------------------------------------------------
