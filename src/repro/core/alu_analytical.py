@@ -52,11 +52,11 @@ class HybridALUModel(Module, InstructionSink):
         self, warp: WarpState, inst: TraceInstruction, cycle: int
     ) -> IssueResult:
         if self._port_free > cycle:
-            self.counters.add("dispatch_stalls")
+            self.counters["dispatch_stalls"] += 1
             return None
         interval = self._dispatch_interval
         self._port_free = cycle + interval
         latency = self._base_latency * inst.latency_factor
-        self.counters.add("instructions")
-        self.counters.add("busy_cycles", interval)
+        self.counters["instructions"] += 1
+        self.counters["busy_cycles"] += interval
         return cycle + interval - 1 + latency

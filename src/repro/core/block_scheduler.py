@@ -56,11 +56,11 @@ class BlockScheduler(Module, BlockSource):
         if not self._queue:
             return None
         block = self._queue.popleft()
-        self.counters.add("blocks_dispatched")
+        self.counters["blocks_dispatched"] += 1
         return block
 
     def block_done(self, sm_id: int, block: BlockTrace, cycle: int) -> None:
         self._completed += 1
-        self.counters.add("blocks_completed")
+        self.counters["blocks_completed"] += 1
         if cycle > self.last_completion_cycle:
             self.last_completion_cycle = cycle

@@ -91,7 +91,7 @@ class PipelinedExecutionUnit(Module, InstructionSink):
         self, warp: WarpState, inst: TraceInstruction, cycle: int
     ) -> IssueResult:
         if self._port_free > cycle:
-            self.counters.add("dispatch_stalls")
+            self.counters["dispatch_stalls"] += 1
             return None
         interval = self.config.dispatch_interval
         self._port_free = cycle + interval
@@ -100,8 +100,8 @@ class PipelinedExecutionUnit(Module, InstructionSink):
         heapq.heappush(self._pipeline, (done, self._seq, warp, inst))
         self._seq += 1
         self.busy = True
-        self.counters.add("instructions")
-        self.counters.add("busy_cycles", interval)
+        self.counters["instructions"] += 1
+        self.counters["busy_cycles"] += interval
         return PENDING
 
     def tick(self, cycle: int) -> None:
@@ -112,7 +112,7 @@ class PipelinedExecutionUnit(Module, InstructionSink):
                 # Writeback port taken: the result retries next cycle.
                 done, seq, warp, inst = heapq.heappop(pipeline)
                 heapq.heappush(pipeline, (cycle + 1, seq, warp, inst))
-                self.counters.add("writeback_stalls")
+                self.counters["writeback_stalls"] += 1
                 break
             __, __seq, warp, inst = heapq.heappop(pipeline)
             self.listener.on_complete(warp, inst, cycle)

@@ -54,7 +54,7 @@ class FrontEnd(Module):
             if warp.refill_at != NO_FETCH and warp.refill_at <= cycle:
                 warp.ibuffer = entries
                 warp.refill_at = NO_FETCH
-                self.counters.add("refills")
+                self.counters["refills"] += 1
         count = len(warps)
         if count == 0:
             return
@@ -66,15 +66,15 @@ class FrontEnd(Module):
             if warp.refill_at == NO_FETCH and warp.ibuffer * 2 <= entries:
                 warp.refill_at = cycle + self._round_trip
                 self._fetch_rr = (start + offset + 1) % count
-                self.counters.add("fetches")
+                self.counters["fetches"] += 1
                 return
-        self.counters.add("fetch_idle_cycles")
+        self.counters["fetch_idle_cycles"] += 1
 
     def instruction_visible(self, warp: WarpState, cycle: int) -> bool:
         """Can the scheduler see the warp's next decoded instruction?"""
         if warp.ibuffer > 0:
             return True
-        self.counters.add("ibuffer_empty_cycles")
+        self.counters["ibuffer_empty_cycles"] += 1
         return False
 
     def next_visible_cycle(self, warp: WarpState) -> int:
@@ -89,6 +89,6 @@ class FrontEnd(Module):
         if kind is InstKind.BRANCH:
             warp.ibuffer = 0
             warp.refill_at = cycle + 1 + self._round_trip
-            self.counters.add("flushes")
+            self.counters["flushes"] += 1
             return
         warp.ibuffer -= 1

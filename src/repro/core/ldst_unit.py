@@ -56,7 +56,7 @@ class QueuedLDSTUnit(Module, InstructionSink):
         self, warp: WarpState, inst: TraceInstruction, cycle: int
     ) -> IssueResult:
         if self._port_free > cycle:
-            self.counters.add("dispatch_stalls")
+            self.counters["dispatch_stalls"] += 1
             return None
         completion, transactions, port_cycles = self.memory.access_global(
             self.sm_id, inst, cycle
@@ -65,8 +65,8 @@ class QueuedLDSTUnit(Module, InstructionSink):
             ceil_div(transactions, self.sm_config.ldst_throughput), port_cycles
         )
         self._port_free = cycle + occupancy
-        self.counters.add("instructions")
-        self.counters.add("transactions", transactions)
+        self.counters["instructions"] += 1
+        self.counters["transactions"] += transactions
         return completion
 
 
@@ -97,14 +97,14 @@ class AnalyticalLDSTUnit(Module, InstructionSink):
         self, warp: WarpState, inst: TraceInstruction, cycle: int
     ) -> IssueResult:
         if self._port_free > cycle:
-            self.counters.add("dispatch_stalls")
+            self.counters["dispatch_stalls"] += 1
             return None
         # The analytical model never rejects: queueing is folded into the
         # expected latency, so the sub-core port only paces issue.
         self._port_free = cycle + 1
         completion, transactions = self.model.access_global(self.sm_id, inst, cycle)
-        self.counters.add("instructions")
-        self.counters.add("transactions", transactions)
+        self.counters["instructions"] += 1
+        self.counters["transactions"] += transactions
         return completion
 
 
@@ -141,7 +141,7 @@ class DetailedLDSTUnit(Module, InstructionSink):
         self, warp: WarpState, inst: TraceInstruction, cycle: int
     ) -> IssueResult:
         if self._port_free > cycle:
-            self.counters.add("dispatch_stalls")
+            self.counters["dispatch_stalls"] += 1
             return None
         # The memory system retains listener/warp/inst until completion:
         # that alias IS the designed completion back-channel (it answers
@@ -150,10 +150,10 @@ class DetailedLDSTUnit(Module, InstructionSink):
             self.sm_id, self.listener, warp, inst, cycle
         )  # repro: noqa[SH502]
         if not accepted:
-            self.counters.add("queue_stalls")
+            self.counters["queue_stalls"] += 1
             return None
         self._port_free = cycle + 1
-        self.counters.add("instructions")
+        self.counters["instructions"] += 1
         return PENDING
 
 
@@ -201,16 +201,16 @@ class SharedMemoryUnit(Module, InstructionSink):
         self, warp: WarpState, inst: TraceInstruction, cycle: int
     ) -> IssueResult:
         if self._port_free > cycle:
-            self.counters.add("dispatch_stalls")
+            self.counters["dispatch_stalls"] += 1
             return None
         base = self.sm_config.shared_mem_latency
         if self.analytical:
             self._port_free = cycle + 1
-            self.counters.add("instructions")
+            self.counters["instructions"] += 1
             return cycle + base
         degree = self.conflict_degree(inst)
         if degree > 1:
-            self.counters.add("bank_conflicts", degree - 1)
+            self.counters["bank_conflicts"] += degree - 1
         self._port_free = cycle + degree
-        self.counters.add("instructions")
+        self.counters["instructions"] += 1
         return cycle + base + degree - 1

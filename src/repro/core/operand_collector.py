@@ -42,7 +42,7 @@ class OperandCollector(Module):
             return 1
         worst = max(per_bank.values())
         if worst > 1:
-            self.counters.add("bank_conflicts", worst - 1)
+            self.counters["bank_conflicts"] += worst - 1
         return worst
 
     def try_collect(self, inst: TraceInstruction, cycle: int) -> Optional[int]:
@@ -56,9 +56,9 @@ class OperandCollector(Module):
             if free <= cycle:
                 duration = self.read_cycles(inst)
                 units[index] = cycle + duration
-                self.counters.add("collections")
+                self.counters["collections"] += 1
                 return cycle + duration
-        self.counters.add("structural_stalls")
+        self.counters["structural_stalls"] += 1
         return None
 
     def earliest_free(self) -> int:

@@ -174,7 +174,7 @@ class SMCore(ClockedModule):
             runtime.warps.append(warp)
             subcore = min(self.subcores, key=lambda sc: sc.resident_warps)
             subcore.adopt(warp, cycle)
-        self.counters.add("blocks_launched")
+        self.counters["blocks_launched"] += 1
 
     def warp_finished(self, warp: WarpState, cycle: int) -> None:
         """A warp issued EXIT; free the block when it was the last one."""
@@ -193,7 +193,7 @@ class SMCore(ClockedModule):
         for subcore in self.subcores:
             subcore.remove_block_warps(block)
         self.block_source.block_done(self.sm_id, trace, cycle)
-        self.counters.add("blocks_completed")
+        self.counters["blocks_completed"] += 1
         self._block_finished_this_tick = True
 
     # ------------------------------------------------------------------
@@ -212,17 +212,17 @@ class SMCore(ClockedModule):
         if not self._blocks:
             if self.idle_tick and not self.block_source.all_done:
                 # Stay in the per-cycle loop until the kernel retires.
-                self.counters.add("empty_cycles")
+                self.counters["empty_cycles"] += 1
                 return cycle + 1
             return None  # drained, or waiting for blocks that never come
         self._block_finished_this_tick = False
-        self.counters.add("active_cycles")
+        self.counters["active_cycles"] += 1
         wake = cycle + 1 if more_blocks else NEVER
         for subcore in self.subcores:
             sub_wake = subcore.quiet_until
             if cycle < sub_wake:
                 # Proved silent until then: skip the scan, keep its count.
-                subcore.counters.add("idle_cycles")
+                subcore.counters["idle_cycles"] += 1
             else:
                 sub_wake = subcore.tick(cycle)
             if sub_wake < wake:

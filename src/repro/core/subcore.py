@@ -193,7 +193,7 @@ class SubCore(Module, CompletionListener):
                 if not warp.drained(cycle):
                     drain = warp.drain_cycle()
                     if drain is None:
-                        self.counters.add("drain_wait_cycles")
+                        self.counters["drain_wait_cycles"] += 1
                         silent = False
                     elif drain < wake:
                         wake = drain
@@ -201,7 +201,7 @@ class SubCore(Module, CompletionListener):
             else:
                 ready = warp.scoreboard.ready_cycle(inst)
                 if ready is None:
-                    self.counters.add("scoreboard_wait_cycles")
+                    self.counters["scoreboard_wait_cycles"] += 1
                     silent = False
                     continue  # a callback will wake the SM
                 if ready > cycle:
@@ -211,7 +211,7 @@ class SubCore(Module, CompletionListener):
             candidates[warp] = inst
         if not candidates:
             if self.warps:
-                self.counters.add("idle_cycles")
+                self.counters["idle_cycles"] += 1
                 if silent:
                     self.quiet_until = wake
             return wake
@@ -227,10 +227,10 @@ class SubCore(Module, CompletionListener):
             elif retry is not None and retry < wake:
                 wake = max(retry, cycle + 1)
         if issued:
-            self.counters.add("instructions_committed", issued)
+            self.counters["instructions_committed"] += issued
             wake = cycle + 1
         else:
-            self.counters.add("stalled_cycles")
+            self.counters["stalled_cycles"] += 1
         return wake
 
     def _dispatch(self, warp: WarpState, inst: TraceInstruction, cycle: int):
@@ -278,7 +278,7 @@ class SubCore(Module, CompletionListener):
                 # Released peers may sit, proved silent, on any sub-core.
                 for subcore in self.sm.subcores:
                     subcore.quiet_until = 0
-            self.counters.add("barriers")
+            self.counters["barriers"] += 1
         elif kind is InstKind.EXIT:
             warp.status = WarpStatus.DONE
             self.sm.warp_finished(warp, cycle)

@@ -149,7 +149,7 @@ class UnknownRuleError(AnalysisError):
 
 
 class CounterKindError(MetricsError):
-    """A counter name was used with both sum semantics (``add``) and
+    """A counter name was used with both sum semantics (``+=``) and
     max semantics (``peak``); the mixed value would be meaningless."""
 
 

@@ -41,9 +41,13 @@ MAGIC = b"REPROCKPT1\n"
 #:    ``DetailedMemorySystem`` the transactions of rejected instructions.
 #: 6: the engine is always a plain ``Engine`` (the sharded engine and its
 #:    channel classes are gone) and the frame has no ``port_traffic``.
+#: 7: ``Counters`` pickles as the dict of additive counters it is, with
+#:    the peaks in its one slot; ``DRAMPartition`` carries its per-access
+#:    constants and ``QueuedMemorySystem`` the L1's sectors per line in
+#:    place of its line size.
 #: ``tests/test_guard.py`` pins the pickled classes' field layout beside
 #: this number, so a layout change without a bump fails there.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def checkpoint_name(cycle: int) -> str:

@@ -22,9 +22,9 @@ from typing import Dict, List, Tuple
 from repro.frontend.config import GPUConfig
 from repro.frontend.isa import InstKind, MemSpace
 from repro.frontend.trace import KernelTrace, TraceInstruction
-from repro.memory.access import coalesce
+from repro.memory.access import touched_sectors
 from repro.memory.cache import AccessStatus, SectoredCache
-from repro.memory.l2 import build_l2_slices, partition_for_line, slice_line_addr
+from repro.memory.l2 import build_l2_slices, route_line
 from repro.memory.reuse_distance import PCProfile, ReuseDistanceProfiler
 from repro.sim.module import ModelLevel, Module
 from repro.utils.bitops import ceil_div
@@ -141,8 +141,8 @@ class CacheSimProfiler:
         l1s = self._l1s
         l2s = self._l2s
         per_pc: Dict[int, PCProfile] = {}
-        line_bytes = config.l1.line_bytes
         sector_bytes = config.l1.sector_bytes
+        sectors_per_line = config.l1.sectors_per_line
         partitions = config.memory_partitions
         num_l1s = max(1, wanted)
         hit = AccessStatus.HIT
@@ -155,26 +155,25 @@ class CacheSimProfiler:
                     profile = per_pc.get(inst.pc)
                     if profile is None:
                         profile = per_pc[inst.pc] = PCProfile()
-                    transactions = coalesce(inst.addresses, line_bytes, sector_bytes)
+                    # One transaction per touched sector, first touch first.
+                    sectors = touched_sectors(inst.addresses, sector_bytes)
                     is_store = inst.kind is not InstKind.LOAD
                     # Tallied in locals, added to the profile once per
                     # instruction.
                     l1_hits = l2_hits = 0
-                    for transaction in transactions:
-                        line = transaction.line_addr
-                        sector = transaction.sector
+                    for sector_addr in sectors:
+                        line, sector = divmod(sector_addr, sectors_per_line)
                         result = l1_access(line, sector, is_store)
                         if not is_store and result.status is hit:
                             l1_hits += 1
                             continue
-                        partition = partition_for_line(line, partitions)
-                        slice_line = slice_line_addr(line, partitions)
+                        partition, slice_line = route_line(line, partitions)
                         l2_result = l2s[partition].access_functional(
                             slice_line, sector, is_store
                         )
                         if is_store or l2_result.status is hit:
                             l2_hits += 1
-                    count = len(transactions)
+                    count = len(sectors)
                     dram_accesses = count - l1_hits - l2_hits
                     profile.instructions += 1
                     profile.transactions += count
@@ -232,7 +231,7 @@ class AnalyticalMemoryModel(Module):
         if start < cycle:
             start = cycle
         else:
-            self.counters.add("port_stall_cycles", start - cycle)
+            self.counters["port_stall_cycles"] += start - cycle
         occupancy = ceil_div(transactions, self._throughput)
         self._port_free[sm_id] = start + occupancy
         extra = 0
@@ -246,9 +245,9 @@ class AnalyticalMemoryModel(Module):
             self._dram_virtual = virtual + service
             extra = int(queue_wait * r_dram)
             if extra:
-                self.counters.add("dram_queue_cycles", extra)
-        self.counters.add("global_instructions")
-        self.counters.add("sector_transactions", transactions)
+                self.counters["dram_queue_cycles"] += extra
+        self.counters["global_instructions"] += 1
+        self.counters["sector_transactions"] += transactions
         if inst.kind is InstKind.STORE:
             # Write-through stores retire once handed to the LD/ST port.
             return start + occupancy, transactions

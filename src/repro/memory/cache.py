@@ -109,6 +109,7 @@ class AccessResult:
 # Shared results for the outcomes that carry no per-access payload
 # (callers treat AccessResult as read-only).
 _HIT = AccessResult(AccessStatus.HIT)
+_HIT_COUNTER = AccessStatus.HIT.counter
 _MISS_FETCH = AccessResult(AccessStatus.MISS, needs_fetch=True)
 _MISS_BYPASS_WRITE_THROUGH = AccessResult(AccessStatus.MISS_BYPASS)
 
@@ -171,16 +172,20 @@ class SectoredCache(Module):
     def _expire(self, cycle: int) -> None:
         """Retire every fill whose data has arrived by ``cycle``."""
         expiry = self._expiry
+        mshr = self._mshr
+        fills = 0
         while expiry and expiry[0][0] <= cycle:
             __, line_addr, sector = heapq.heappop(expiry)
-            entry = self._mshr.pop((line_addr, sector), None)
+            entry = mshr.pop((line_addr, sector), None)
             if entry is None:
                 continue
             line = entry.line
             bit = 1 << sector
             line.pending_mask &= ~bit
             line.valid_mask |= bit
-            self.counters.add("fills")
+            fills += 1
+        if fills:
+            self.counters["fills"] += fills
 
     def set_fill_cycle(self, line_addr: int, sector: int, fill_cycle: int) -> None:
         """Report when the downstream fetch for a MISS will fill the sector."""
@@ -292,15 +297,22 @@ class SectoredCache(Module):
         expiry = self._expiry
         if expiry and expiry[0][0] <= cycle:
             self._expire(cycle)
-        counters_add = self.counters.add
-        counters_add("sector_accesses")
+        counters = self.counters
+        counters["sector_accesses"] += 1
         if is_write:
             result = self._access_write(line_addr, sector)
         else:
-            result = self._access_read(line_addr, sector)
-        counters_add(result.status.counter)
+            # A read hit — the common outcome — is decided here, with no
+            # further frame than the policy's.
+            line = self._index.get(line_addr)
+            if line is not None and line.valid_mask >> sector & 1:
+                line.policy.on_access(line.way)
+                counters[_HIT_COUNTER] += 1
+                return _HIT
+            result = self._read_miss(line, line_addr, sector)
+        counters[result.status.counter] += 1
         if result.dirty_writeback_sectors:
-            counters_add("writeback_sectors", result.dirty_writeback_sectors)
+            counters["writeback_sectors"] += result.dirty_writeback_sectors
         return result
 
     def access_functional(self, line_addr: int, sector: int, is_write: bool) -> AccessResult:
@@ -312,8 +324,8 @@ class SectoredCache(Module):
                 f"{self.name}: functional access with {len(self._mshr)} timed "
                 f"fills in flight (a cache takes one driver)"
             )
-        counters_add = self.counters.add
-        counters_add("sector_accesses")
+        counters = self.counters
+        counters["sector_accesses"] += 1
         if is_write:
             # No fill is pending, so the write path allocates no MSHR entry.
             result = self._access_write(line_addr, sector)
@@ -330,21 +342,20 @@ class SectoredCache(Module):
                 line.policy.on_access(line.way)
                 result = _HIT if line.valid_mask & bit else _MISS_FETCH
             line.valid_mask |= bit  # the fetched sector has landed
-        counters_add(result.status.counter)
+        counters[result.status.counter] += 1
         if result.dirty_writeback_sectors:
-            counters_add("writeback_sectors", result.dirty_writeback_sectors)
+            counters["writeback_sectors"] += result.dirty_writeback_sectors
         if result.needs_fetch:
-            counters_add("fills")
+            counters["fills"] += 1
         return result
 
-    def _access_read(self, line_addr: int, sector: int) -> AccessResult:
+    def _read_miss(
+        self, line: Optional[_Line], line_addr: int, sector: int
+    ) -> AccessResult:
+        """A read that did not hit: ``line`` is the resident line whose
+        ``sector`` is not valid, or ``None`` on a line miss."""
         mshr = self._mshr
-        line = self._index.get(line_addr)
         if line is not None:
-            bit = 1 << sector
-            if line.valid_mask & bit:
-                line.policy.on_access(line.way)
-                return _HIT
             entry = mshr.get((line_addr, sector))
             if entry is not None:
                 if entry.merges >= self.config.mshr_max_merge:
@@ -356,7 +367,7 @@ class SectoredCache(Module):
             # Sector miss on a present line: fetch just this sector.
             if len(mshr) >= self.config.mshr_entries:
                 return AccessResult(AccessStatus.MSHR_FULL)
-            line.pending_mask |= bit
+            line.pending_mask |= 1 << sector
             mshr[(line_addr, sector)] = _MSHREntry(line)
             line.policy.on_access(line.way)
             return _MISS_FETCH
@@ -366,7 +377,7 @@ class SectoredCache(Module):
         line, writeback = self._install(line_addr)
         if line is None:
             if self.config.streaming:
-                self.counters.add("bypasses")
+                self.counters["bypasses"] += 1
                 return AccessResult(AccessStatus.MISS_BYPASS, needs_fetch=True)
             return AccessResult(AccessStatus.RESERVATION_FAIL)
         line.pending_mask = 1 << sector
@@ -446,9 +457,9 @@ class SectoredCache(Module):
             del self._index[line.line_addr]
             if line.dirty_mask:
                 writeback = bit_count(line.dirty_mask)
-                self.counters.add("evictions_dirty")
+                self.counters["evictions_dirty"] += 1
             else:
-                self.counters.add("evictions_clean")
+                self.counters["evictions_clean"] += 1
             line.line_addr = line_addr
             line.valid_mask = 0
             line.dirty_mask = 0

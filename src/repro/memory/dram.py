@@ -13,7 +13,7 @@ memory system drives directly.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.frontend.config import DRAMConfig
 from repro.sim.module import ModelLevel, Module
@@ -39,6 +39,13 @@ class DRAMPartition(Module):
         self.partition_id = partition_id
         self.line_bytes = line_bytes
         self.sector_bytes = sector_bytes
+        # Per-access constants, hoisted off the config attribute chain.
+        self._bytes_per_cycle = config.bytes_per_cycle
+        self._row_bytes = config.row_bytes
+        self._banks = config.banks_per_partition
+        self._bank_stripe_bytes = config.row_bytes * config.banks_per_partition
+        self._row_hit_latency = config.row_hit_latency
+        self._row_miss_latency = config.latency
         self._open_rows: List[int] = [-1] * config.banks_per_partition
         self._channel_free = 0
 
@@ -47,38 +54,49 @@ class DRAMPartition(Module):
         self._open_rows = [-1] * self.config.banks_per_partition
         self._channel_free = 0
 
-    def _bank_and_row(self, line_addr: int) -> Tuple[int, int]:
-        byte_addr = line_addr * self.line_bytes
-        bank = (byte_addr // self.config.row_bytes) % self.config.banks_per_partition
-        row = byte_addr // (self.config.row_bytes * self.config.banks_per_partition)
-        return bank, row
-
     def access_latency(self, line_addr: int) -> int:
         """Latency of the next access to ``line_addr``; updates row state."""
-        bank, row = self._bank_and_row(line_addr)
+        byte_addr = line_addr * self.line_bytes
+        bank = byte_addr // self._row_bytes % self._banks
+        row = byte_addr // self._bank_stripe_bytes
         if self._open_rows[bank] == row:
-            self.counters.add("row_hits")
-            return self.config.row_hit_latency
+            self.counters["row_hits"] += 1
+            return self._row_hit_latency
         self._open_rows[bank] = row
-        self.counters.add("row_misses")
-        return self.config.latency
+        self.counters["row_misses"] += 1
+        return self._row_miss_latency
 
     def burst_cycles(self, sectors: int = 1) -> int:
         """Data-bus occupancy of transferring ``sectors`` sectors."""
-        return ceil_div(sectors * self.sector_bytes, self.config.bytes_per_cycle)
+        return ceil_div(sectors * self.sector_bytes, self._bytes_per_cycle)
 
     def reserve(self, cycle: int, line_addr: int, sectors: int = 1, is_write: bool = False) -> int:
-        """Hybrid path: queue behind the channel, return data-ready cycle."""
+        """Hybrid path: queue behind the channel, return data-ready cycle.
+
+        :meth:`burst_cycles` and :meth:`access_latency` in one frame (the
+        per-cycle memory system calls those two directly).
+        """
+        counters = self.counters
         start = self._channel_free
         if start < cycle:
             start = cycle
         else:
-            self.counters.add("stall_cycles", start - cycle)
-        burst = self.burst_cycles(sectors)
+            counters["stall_cycles"] += start - cycle
+        burst = -(-sectors * self.sector_bytes // self._bytes_per_cycle)
         self._channel_free = start + burst
-        self.counters.add("writes" if is_write else "reads")
-        self.counters.add("sectors_transferred", sectors)
         if is_write:
+            counters["writes"] += 1
+            counters["sectors_transferred"] += sectors
             # Writes complete (from the requester's view) once buffered.
             return start + burst
-        return start + self.access_latency(line_addr) + burst
+        counters["reads"] += 1
+        counters["sectors_transferred"] += sectors
+        byte_addr = line_addr * self.line_bytes
+        bank = byte_addr // self._row_bytes % self._banks
+        row = byte_addr // self._bank_stripe_bytes
+        if self._open_rows[bank] == row:
+            counters["row_hits"] += 1
+            return start + self._row_hit_latency + burst
+        self._open_rows[bank] = row
+        counters["row_misses"] += 1
+        return start + self._row_miss_latency + burst

@@ -28,10 +28,15 @@ from repro.errors import SimulationError
 from repro.frontend.config import GPUConfig
 from repro.frontend.isa import InstKind
 from repro.frontend.trace import TraceInstruction
-from repro.memory.access import SectorTransaction, coalesce
+from repro.memory.access import SectorTransaction, coalesce, touched_sectors
 from repro.memory.cache import AccessStatus, SectoredCache
 from repro.memory.dram import DRAMPartition
-from repro.memory.l2 import build_l2_slices, partition_for_line, slice_line_addr
+from repro.memory.l2 import (
+    build_l2_slices,
+    partition_for_line,
+    route_line,
+    slice_line_addr,
+)
 from repro.memory.noc import DetailedNoC, ReservedNoC
 from repro.sim.engine import ClockedModule, Engine
 from repro.sim.module import ModelLevel, Module
@@ -43,18 +48,16 @@ _MAX_RETRIES = 10_000
 _STALL_STATUSES = (AccessStatus.MSHR_FULL, AccessStatus.RESERVATION_FAIL)
 
 
-def _retry_access(
+def _retry_stalled(
     cache: SectoredCache, line: int, sector: int, is_write: bool, cycle: int
 ):
-    """Access ``cache``, retrying past MSHR/reservation stalls.
+    """Retry an access that stalled on the MSHR or a reservation at
+    ``cycle`` until it goes through.
 
     Reservation-mode invariant: every MSHR entry has its fill cycle set,
     so a structural stall always clears at the next fill.  Returns the
     (result, cycle_of_successful_access) pair.
     """
-    result = cache.access(line, sector, is_write, cycle)
-    if result.status not in _STALL_STATUSES:
-        return result, cycle  # overwhelmingly common: no structural stall
     for __ in range(_MAX_RETRIES):
         next_fill = cache.next_fill_cycle(cycle)
         if next_fill is None:
@@ -98,8 +101,8 @@ class QueuedMemorySystem(Module):
         ]
         self._last_l1_start = 0
         # Per-transaction hot-path constants, hoisted off the config chain.
-        self._l1_line_bytes = config.l1.line_bytes
         self._l1_sector_bytes = config.l1.sector_bytes
+        self._l1_sectors_per_line = config.l1.sectors_per_line
         self._l1_latency = config.l1.latency
         self._l2_latency = config.l2.latency
         self._partitions = config.memory_partitions
@@ -125,81 +128,80 @@ class QueuedMemorySystem(Module):
         busy — until the last sector transaction has entered the L1 (bank
         camping therefore back-pressures issue, as it does in hardware).
         """
-        transactions = coalesce(
-            inst.addresses, self._l1_line_bytes, self._l1_sector_bytes
-        )
+        # One transaction per touched sector, in first-touch order; the
+        # sector number alone says which line and which sector of it.
+        sectors = touched_sectors(inst.addresses, self._l1_sector_bytes)
+        sectors_per_line = self._l1_sectors_per_line
         kind = inst.kind
         is_store = kind is InstKind.STORE
         is_atomic = kind is InstKind.ATOMIC
         completion = cycle
         self._last_l1_start = cycle
-        for transaction in transactions:
+        for sector_addr in sectors:
+            line, sector = divmod(sector_addr, sectors_per_line)
             if is_atomic:
-                done = self._atomic_transaction(
-                    transaction.line_addr, transaction.sector, cycle
-                )
+                done = self._atomic_transaction(line, sector, cycle)
             elif is_store:
-                done = self._store_transaction(
-                    sm_id, transaction.line_addr, transaction.sector, cycle
-                )
+                done = self._store_transaction(sm_id, line, sector, cycle)
             else:
-                done = self._load_transaction(
-                    sm_id, transaction.line_addr, transaction.sector, cycle
-                )
+                done = self._load_transaction(sm_id, line, sector, cycle)
             if done > completion:
                 completion = done
-        self.counters.add("global_instructions")
-        self.counters.add("sector_transactions", len(transactions))
+        self.counters["global_instructions"] += 1
+        self.counters["sector_transactions"] += len(sectors)
         port_cycles = max(1, self._last_l1_start - cycle + 1)
-        return completion, len(transactions), port_cycles
+        return completion, len(sectors), port_cycles
 
-    def _l1_port(self, sm_id: int, line: int, cycle: int) -> int:
-        """Reserve the L1 bank port; returns the access start cycle."""
+    # A sector transaction makes one call into each module it crosses:
+    # the bank ports (L1 per SM, L2 per partition — one access per bank
+    # per cycle) are reserved inline, and the stall-retry loop is entered
+    # only by an access that did stall.
+
+    def _load_transaction(self, sm_id: int, line: int, sector: int, cycle: int) -> int:
         bank_free = self._l1_bank_free[sm_id]
         bank = line % len(bank_free)
         start = bank_free[bank]
         if start < cycle:
             start = cycle
         else:
-            self.counters.add("l1_bank_stall_cycles", start - cycle)
+            self.counters["l1_bank_stall_cycles"] += start - cycle
         bank_free[bank] = start + 1
         if start > self._last_l1_start:
             self._last_l1_start = start
-        return start
-
-    def _l2_port(self, partition: int, slice_line: int, cycle: int) -> int:
-        bank_free = self._l2_bank_free[partition]
-        bank = slice_line % len(bank_free)
-        start = bank_free[bank]
-        if start < cycle:
-            start = cycle
-        else:
-            self.counters.add("l2_bank_stall_cycles", start - cycle)
-        bank_free[bank] = start + 1
-        return start
-
-    def _load_transaction(self, sm_id: int, line: int, sector: int, cycle: int) -> int:
         l1 = self.l1_caches[sm_id]
-        start = self._l1_port(sm_id, line, cycle)
-        result, start = _retry_access(l1, line, sector, False, start)
+        result = l1.access(line, sector, False, start)
+        if result.status in _STALL_STATUSES:
+            result, start = _retry_stalled(l1, line, sector, False, start)
+        status = result.status
         hit_latency = self._l1_latency
-        if result.status is AccessStatus.HIT:
+        if status is AccessStatus.HIT:
             return start + hit_latency
-        if result.status is AccessStatus.PENDING_HIT:
+        if status is AccessStatus.PENDING_HIT:
             ready = result.ready_cycle
             if ready is None:
                 raise SimulationError("pending hit with unresolved fill cycle")
             return max(ready, start) + 1
         # MISS or MISS_BYPASS: go downstream.
         response_at = self._fetch_from_l2(line, sector, start + hit_latency, False)
-        if result.status is AccessStatus.MISS:
+        if status is AccessStatus.MISS:
             l1.set_fill_cycle(line, sector, response_at)
         return response_at + 1
 
     def _store_transaction(self, sm_id: int, line: int, sector: int, cycle: int) -> int:
+        bank_free = self._l1_bank_free[sm_id]
+        bank = line % len(bank_free)
+        start = bank_free[bank]
+        if start < cycle:
+            start = cycle
+        else:
+            self.counters["l1_bank_stall_cycles"] += start - cycle
+        bank_free[bank] = start + 1
+        if start > self._last_l1_start:
+            self._last_l1_start = start
         l1 = self.l1_caches[sm_id]
-        start = self._l1_port(sm_id, line, cycle)
-        result, start = _retry_access(l1, line, sector, True, start)
+        result = l1.access(line, sector, True, start)
+        if result.status in _STALL_STATUSES:
+            result, start = _retry_stalled(l1, line, sector, True, start)
         if result.status not in (AccessStatus.HIT, AccessStatus.MISS_BYPASS):
             raise SimulationError(
                 f"unexpected write-through store status {result.status}"
@@ -207,35 +209,42 @@ class QueuedMemorySystem(Module):
         # Write-through: the sector always travels to the L2 (address flit
         # + data flit). The store retires once handed to the NoC; the L2
         # write still consumes bandwidth behind it.
-        partition = partition_for_line(line, self._partitions)
-        arrival = self.noc.send_request(start + 1, partition, flits=2)
-        self._l2_write(line, sector, arrival)
+        partition, slice_line = route_line(line, self._partitions)
+        arrival = self.noc.send_request(start + 1, partition, 2)
+        self._l2_write(partition, slice_line, line, sector, arrival)
         return start + 1
 
     def _atomic_transaction(self, line: int, sector: int, cycle: int) -> int:
         """Atomics bypass the L1 and are performed at the L2."""
-        partition = partition_for_line(line, self._partitions)
-        arrival = self.noc.send_request(cycle, partition, flits=2)
-        done_at_l2 = self._l2_write(line, sector, arrival)
-        response = self.noc.send_response(done_at_l2, partition, flits=1)
-        return response + 1
+        partition, slice_line = route_line(line, self._partitions)
+        arrival = self.noc.send_request(cycle, partition, 2)
+        done_at_l2 = self._l2_write(partition, slice_line, line, sector, arrival)
+        return self.noc.send_response(done_at_l2, partition, 1) + 1
 
     def _fetch_from_l2(
         self, line: int, sector: int, cycle: int, is_write: bool
     ) -> int:
         """Read ``sector`` from the L2 (fetching from DRAM on a miss);
         returns the cycle the response lands back at the SM."""
-        partitions = self._partitions
-        partition = partition_for_line(line, partitions)
-        slice_line = slice_line_addr(line, partitions)
-        arrival = self.noc.send_request(cycle, partition, flits=1)
-        start = self._l2_port(partition, slice_line, arrival)
+        partition, slice_line = route_line(line, self._partitions)
+        arrival = self.noc.send_request(cycle, partition, 1)
+        bank_free = self._l2_bank_free[partition]
+        bank = slice_line % len(bank_free)
+        start = bank_free[bank]
+        if start < arrival:
+            start = arrival
+        else:
+            self.counters["l2_bank_stall_cycles"] += start - arrival
+        bank_free[bank] = start + 1
         l2 = self.l2_slices[partition]
-        result, start = _retry_access(l2, slice_line, sector, is_write, start)
+        result = l2.access(slice_line, sector, is_write, start)
+        if result.status in _STALL_STATUSES:
+            result, start = _retry_stalled(l2, slice_line, sector, is_write, start)
+        status = result.status
         l2_latency = self._l2_latency
-        if result.status is AccessStatus.HIT:
+        if status is AccessStatus.HIT:
             data_at = start + l2_latency
-        elif result.status is AccessStatus.PENDING_HIT:
+        elif status is AccessStatus.PENDING_HIT:
             ready = result.ready_cycle
             if ready is None:
                 raise SimulationError("L2 pending hit with unresolved fill cycle")
@@ -251,25 +260,34 @@ class QueuedMemorySystem(Module):
                     sectors=result.dirty_writeback_sectors,
                     is_write=True,
                 )
-        return self.noc.send_response(data_at, partition, flits=1) + 1
+        return self.noc.send_response(data_at, partition, 1) + 1
 
-    def _l2_write(self, line: int, sector: int, cycle: int) -> int:
-        """Perform a write at the L2 slice; returns the write-done cycle."""
-        partition = partition_for_line(line, self._partitions)
-        slice_line = slice_line_addr(line, self._partitions)
-        start = self._l2_port(partition, slice_line, cycle)
+    def _l2_write(
+        self, partition: int, slice_line: int, line: int, sector: int, cycle: int
+    ) -> int:
+        """Perform a write at the L2 slice ``line`` routes to; returns the
+        write-done cycle."""
+        bank_free = self._l2_bank_free[partition]
+        bank = slice_line % len(bank_free)
+        start = bank_free[bank]
+        if start < cycle:
+            start = cycle
+        else:
+            self.counters["l2_bank_stall_cycles"] += start - cycle
+        bank_free[bank] = start + 1
         l2 = self.l2_slices[partition]
-        result, start = _retry_access(l2, slice_line, sector, True, start)
-        dram = self.drams[partition]
+        result = l2.access(slice_line, sector, True, start)
+        if result.status in _STALL_STATUSES:
+            result, start = _retry_stalled(l2, slice_line, sector, True, start)
         if result.dirty_writeback_sectors:
-            dram.reserve(
+            self.drams[partition].reserve(
                 start, line, sectors=result.dirty_writeback_sectors, is_write=True
             )
         if result.status is AccessStatus.PENDING_HIT:
             ready = result.ready_cycle
             if ready is not None and ready > start:
                 start = ready
-        return start + self.config.l2.latency
+        return start + self._l2_latency
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +438,7 @@ class DetailedMemorySystem(ClockedModule):
         queue = self._l1_queues[sm_id]
         if len(queue) + len(transactions) > self.L1_QUEUE_CAPACITY:
             self._rejected[inst.addresses] = transactions
-            self.counters.add("l1_queue_stalls")
+            self.counters["l1_queue_stalls"] += 1
             return False
         kind = inst.kind
         pending = _PendingInstr(listener, warp, inst, len(transactions), sm_id)
@@ -434,8 +452,8 @@ class DetailedMemorySystem(ClockedModule):
                     pending,
                 )
             )
-        self.counters.add("global_instructions")
-        self.counters.add("sector_transactions", len(transactions))
+        self.counters["global_instructions"] += 1
+        self.counters["sector_transactions"] += len(transactions)
         self._outstanding += 1
         if self.engine is not None:
             self.engine.wake(self, cycle + 1)
@@ -540,7 +558,7 @@ class DetailedMemorySystem(ClockedModule):
             work = queue[0]
             bank = work.line % num_banks
             if bank in banks_used:
-                self.counters.add("l1_bank_conflicts")
+                self.counters["l1_bank_conflicts"] += 1
                 break
             if work.is_atomic:
                 queue.popleft()
@@ -558,7 +576,7 @@ class DetailedMemorySystem(ClockedModule):
             result = l1.access(work.line, work.sector, work.is_write, cycle)
             status = result.status
             if status in _STALL_STATUSES:
-                self.counters.add("l1_stall_cycles")
+                self.counters["l1_stall_cycles"] += 1
                 break
             queue.popleft()
             budget -= 1
@@ -629,7 +647,7 @@ class DetailedMemorySystem(ClockedModule):
             result = l2.access(slice_line, request.sector, is_write, cycle)
             status = result.status
             if status in _STALL_STATUSES:
-                self.counters.add("l2_stall_cycles")
+                self.counters["l2_stall_cycles"] += 1
                 return
             queue.popleft()
             if result.dirty_writeback_sectors:
@@ -686,10 +704,10 @@ class DetailedMemorySystem(ClockedModule):
             burst = dram.burst_cycles(1)
             self._dram_busy[partition] = cycle + burst
             if request.kind == "wb":
-                dram.counters.add("writes")
-                dram.counters.add("sectors_transferred")
+                dram.counters["writes"] += 1
+                dram.counters["sectors_transferred"] += 1
                 continue
             latency = dram.access_latency(request.line)
-            dram.counters.add("reads")
-            dram.counters.add("sectors_transferred")
+            dram.counters["reads"] += 1
+            dram.counters["sectors_transferred"] += 1
             self._post(cycle + latency + burst, "l2_fill", request)

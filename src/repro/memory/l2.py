@@ -9,7 +9,7 @@ mapping lives here as the single shared definition.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.frontend.config import GPUConfig
 from repro.memory.cache import SectoredCache
@@ -27,6 +27,13 @@ def slice_line_addr(line_addr: int, num_partitions: int) -> int:
     index bits above the partition bits), matching how banked L2s hash.
     """
     return line_addr // num_partitions
+
+
+def route_line(line_addr: int, num_partitions: int) -> Tuple[int, int]:
+    """``(partition_for_line, slice_line_addr)`` of ``line_addr`` in one
+    call, for the drivers that route every sector transaction."""
+    slice_line, partition = divmod(line_addr, num_partitions)
+    return partition, slice_line
 
 
 def build_l2_slices(config: GPUConfig, seed: int = 0) -> List[SectoredCache]:

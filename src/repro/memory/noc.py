@@ -30,7 +30,7 @@ class ReservedNoC(Module):
         super().__init__(name)
         self.config = config
         self.num_partitions = num_partitions
-        # _send runs once per memory transaction in both directions —
+        # A send runs once per memory transaction in both directions —
         # keep its constants off the config attribute chain.
         self._flits_per_cycle = config.flits_per_cycle
         self._latency = config.latency
@@ -42,25 +42,36 @@ class ReservedNoC(Module):
         self._request_free = [0] * self.num_partitions
         self._response_free = [0] * self.num_partitions
 
-    def _send(self, free: List[int], cycle: int, partition: int, flits: int) -> int:
+    # The two directions are the same reservation on their own port
+    # table, spelled out twice so a send is one frame.
+
+    def send_request(self, cycle: int, partition: int, flits: int = 1) -> int:
+        """Inject a request toward ``partition``; return its arrival cycle."""
+        free = self._request_free
         start = free[partition]
         if start < cycle:
             start = cycle
         else:
-            self.counters.add("stall_cycles", start - cycle)
+            self.counters["stall_cycles"] += start - cycle
         per_cycle = self._flits_per_cycle
         occupancy = (flits + per_cycle - 1) // per_cycle
         free[partition] = start + occupancy
-        self.counters.add("flits", flits)
+        self.counters["flits"] += flits
         return start + occupancy - 1 + self._latency
-
-    def send_request(self, cycle: int, partition: int, flits: int = 1) -> int:
-        """Inject a request toward ``partition``; return its arrival cycle."""
-        return self._send(self._request_free, cycle, partition, flits)
 
     def send_response(self, cycle: int, partition: int, flits: int = 1) -> int:
         """Inject a response from ``partition``; return its arrival cycle."""
-        return self._send(self._response_free, cycle, partition, flits)
+        free = self._response_free
+        start = free[partition]
+        if start < cycle:
+            start = cycle
+        else:
+            self.counters["stall_cycles"] += start - cycle
+        per_cycle = self._flits_per_cycle
+        occupancy = (flits + per_cycle - 1) // per_cycle
+        free[partition] = start + occupancy
+        self.counters["flits"] += flits
+        return start + occupancy - 1 + self._latency
 
     def invariants(self, cycle: int) -> List[str]:
         broken: List[str] = []
@@ -127,11 +138,11 @@ class DetailedNoC(Module):
 
     def send_request(self, partition: int, payload: object, flits: int = 1) -> None:
         self._request_queues[partition].append(_Packet(flits, payload))
-        self.counters.add("flits", flits)
+        self.counters["flits"] += flits
 
     def send_response(self, partition: int, payload: object, flits: int = 1) -> None:
         self._response_queues[partition].append(_Packet(flits, payload))
-        self.counters.add("flits", flits)
+        self.counters["flits"] += flits
 
     @property
     def busy(self) -> bool:
@@ -170,7 +181,7 @@ class DetailedNoC(Module):
                     (cycle + self.config.latency + 1, partition, is_request, packet.payload)
                 )
         if queue:
-            self.counters.add("stall_cycles")
+            self.counters["stall_cycles"] += 1
 
     def invariants(self, cycle: int) -> List[str]:
         broken: List[str] = []

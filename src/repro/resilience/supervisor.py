@@ -33,6 +33,7 @@ subprocess mode.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass, field
@@ -199,7 +200,6 @@ class Supervisor:
         workers: Optional[int] = None,
         chaos: Optional[ChaosPlan] = None,
         context: str = "",
-        poll_interval: float = 0.005,
     ) -> None:
         self.policy = policy if policy is not None else RetryPolicy()
         if workers is None:
@@ -207,7 +207,6 @@ class Supervisor:
         self.workers = max(1, workers)
         self.chaos = chaos
         self.context = context
-        self.poll_interval = poll_interval
         #: Workers spawned over the supervisor's lifetime (respawns
         #: included) — observability for tests and reports.
         self.workers_spawned = 0
@@ -419,6 +418,32 @@ class Supervisor:
             )
         return None
 
+    def _wait_for_event(
+        self,
+        ready: List[Tuple[float, int, Task, int]],
+        running: List[_Running],
+    ) -> None:
+        """Block until some attempt can have changed state: a worker's
+        pipe turned readable (result or EOF) or its process exited, the
+        nearest per-attempt deadline passed, or — with a worker slot
+        free — the nearest backed-off retry came due."""
+        wake_at = [
+            slot.deadline for slot in running if slot.deadline is not None
+        ]
+        if len(running) < self.workers:
+            wake_at.extend(item[0] for item in ready)
+        timeout = (
+            max(0.0, min(wake_at) - time.monotonic()) if wake_at else None
+        )
+        if running:
+            multiprocessing.connection.wait(
+                [waitable for slot in running
+                 for waitable in (slot.conn, slot.process.sentinel)],
+                timeout,
+            )
+        elif timeout:
+            time.sleep(timeout)
+
     def _run_pooled(self, tasks: Sequence[Task]) -> Dict[str, TaskOutcome]:
         outcomes = {task.key: TaskOutcome(key=task.key) for task in tasks}
         #: (ready_at, submission_index, task, attempt)
@@ -464,7 +489,7 @@ class Supervisor:
                         slot.attempt + 1,
                     ))
             if not progressed:
-                time.sleep(self.poll_interval)
+                self._wait_for_event(ready, running)
         return outcomes
 
 

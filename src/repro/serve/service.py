@@ -226,15 +226,27 @@ class SweepService:
         loop = asyncio.get_running_loop()
         try:
             request = JobRequest.from_dict(payload)
-            identity = await loop.run_in_executor(
-                None, self.identify, request
-            )
+            # Only the first sighting of a trace is slow (it generates
+            # the trace to fingerprint it).  After that, identifying a
+            # job is some hashing and the store probe one small read —
+            # both cheaper than a hop to the executor, so a cache hit is
+            # answered without leaving the loop.
+            on_loop = (request.app, request.scale) in self._trace_ids
+            if on_loop:
+                identity = self.identify(request)
+            else:
+                identity = await loop.run_in_executor(
+                    None, self.identify, request
+                )
         except ServeError as exc:
             return response_error("bad_request", str(exc))
         key = identity["key"]
 
         # Rung 1: the exact cache.
-        cached = await loop.run_in_executor(None, self.store.get, key)
+        if on_loop:
+            cached = self.store.get(key)
+        else:
+            cached = await loop.run_in_executor(None, self.store.get, key)
         if cached is not None:
             self.stats.bump("hits")
             if self.journal.unsettled(key):

@@ -25,43 +25,46 @@ class ModelLevel(Enum):
     ANALYTICAL = "analytical"  # closed-form latency/throughput equations
 
 
-class Counters:
+class Counters(dict):
     """A bag of named integer counters.
 
     The Metrics Gatherer reads these; modules only ever add to them
     (paper §III-C: "architects only need to update the code of the
     counter within modules to collect the desired metrics").
+
+    Counting is a dict store: ``counters["sector_hits"] += 1``.  The dict
+    itself holds the additive counters (a name's first ``+=`` reads 0
+    through :meth:`__missing__` and creates it, ``+= 0`` included; a
+    plain read of an unknown name creates nothing); high-water marks
+    tracked with :meth:`peak` live beside it.  ``in``, iteration,
+    :meth:`get`, :meth:`as_dict` and :meth:`reset` cover both kinds; the
+    rest of the inherited mapping API sees the additive counters only.
     """
 
-    __slots__ = ("_adds", "_peaks")
+    __slots__ = ("_peaks",)
 
     # Counters sit on the hottest path in the whole simulator (every
-    # issue, cache access, and queue push increments one), so add/peak
-    # storage is split by kind: the steady-state case is a single dict
-    # lookup plus an in-place update, and the add-vs-peak mixing check
-    # only costs anything the first time a name appears.
+    # issue, cache access, and queue push increments one), so the
+    # steady-state count runs no Python frame at all, and the
+    # add-vs-peak mixing check only costs anything the first time a
+    # name appears.
 
     def __init__(self) -> None:
-        self._adds: Dict[str, int] = {}
+        super().__init__()
         self._peaks: Dict[str, int] = {}
 
     @staticmethod
     def _kind_error(name: str, prior: str, kind: str) -> CounterKindError:
         return CounterKindError(
-            f"counter {name!r} already used with {prior}() semantics; "
-            f"mixing {prior}() and {kind}() on one name would produce a "
+            f"counter {name!r} already used with {prior} semantics; "
+            f"mixing {prior} and {kind} on one name would produce a "
             f"meaningless value — use two counter names"
         )
 
-    def add(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` by ``amount`` (created at zero)."""
-        adds = self._adds
-        if name in adds:
-            adds[name] += amount
-        elif name in self._peaks:
-            raise self._kind_error(name, "peak", "add")
-        else:
-            adds[name] = amount
+    def __missing__(self, name: str) -> int:
+        if name in self._peaks:
+            raise self._kind_error(name, "peak()", "+=")
+        return 0
 
     def peak(self, name: str, value: int) -> None:
         """Track the maximum of ``value`` seen under ``name``."""
@@ -70,32 +73,32 @@ class Counters:
         if current is not None:
             if value > current:
                 peaks[name] = value
-        elif name in self._adds:
-            raise self._kind_error(name, "add", "peak")
+        elif dict.__contains__(self, name):
+            raise self._kind_error(name, "+=", "peak()")
         else:
             peaks[name] = value
 
     def get(self, name: str, default: int = 0) -> int:
-        value = self._adds.get(name)
+        value = dict.get(self, name)
         if value is not None:
             return value
         return self._peaks.get(name, default)
 
     def as_dict(self) -> Dict[str, int]:
-        """Snapshot of all counters."""
-        snapshot = dict(self._adds)
+        """Snapshot of all counters: adds in first-touch order, then peaks."""
+        snapshot = dict.copy(self)
         snapshot.update(self._peaks)
         return snapshot
 
     def reset(self) -> None:
-        self._adds.clear()
+        self.clear()
         self._peaks.clear()
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._adds or name in self._peaks
+    def __contains__(self, name: object) -> bool:
+        return dict.__contains__(self, name) or name in self._peaks
 
     def __iter__(self) -> Iterator[str]:
-        yield from self._adds
+        yield from dict.__iter__(self)
         yield from self._peaks
 
     def __repr__(self) -> str:

@@ -20,6 +20,6 @@ class WellBehaved(ClockedModule):
 
     def tick(self, cycle):
         for item in sorted(self.pending):
-            self.counters.add("drained")
+            self.counters["drained"] += 1
         self.pending.clear()
         return None

@@ -78,14 +78,14 @@ class ReferenceSubCore(SubCore):
                 if not warp.drained(cycle):
                     drain = warp.drain_cycle()
                     if drain is None:
-                        self.counters.add("drain_wait_cycles")
+                        self.counters["drain_wait_cycles"] += 1
                     elif drain < wake:
                         wake = drain
                     continue
             else:
                 ready = warp.scoreboard.ready_cycle(inst)
                 if ready is None:
-                    self.counters.add("scoreboard_wait_cycles")
+                    self.counters["scoreboard_wait_cycles"] += 1
                     continue
                 if ready > cycle:
                     if ready < wake:
@@ -94,7 +94,7 @@ class ReferenceSubCore(SubCore):
             candidates.append(warp)
         if not candidates:
             if self.warps:
-                self.counters.add("idle_cycles")
+                self.counters["idle_cycles"] += 1
             return wake
         issued = 0
         issue_width = self._issue_width
@@ -108,10 +108,10 @@ class ReferenceSubCore(SubCore):
             elif retry is not None and retry < wake:
                 wake = max(retry, cycle + 1)
         if issued:
-            self.counters.add("instructions_committed", issued)
+            self.counters["instructions_committed"] += issued
             wake = cycle + 1
         else:
-            self.counters.add("stalled_cycles")
+            self.counters["stalled_cycles"] += 1
         return wake
 
     def _dispatch(self, warp: WarpState, cycle: int):
@@ -120,7 +120,7 @@ class ReferenceSubCore(SubCore):
         if kind is InstKind.BARRIER:
             self._finish_issue(warp, cycle)
             warp.block.barrier_arrive(warp, cycle)
-            self.counters.add("barriers")
+            self.counters["barriers"] += 1
             return True, None
         if kind is InstKind.EXIT:
             self._finish_issue(warp, cycle)
@@ -220,10 +220,10 @@ class ReferenceSMCore(SMCore):
         more_blocks = self._take_blocks(cycle)
         if not self._blocks:
             if self.idle_tick and not getattr(self.block_source, "all_done", True):
-                self.counters.add("empty_cycles")
+                self.counters["empty_cycles"] += 1
                 return cycle + 1
             return None
-        self.counters.add("active_cycles")
+        self.counters["active_cycles"] += 1
         wake = cycle + 1 if more_blocks else NEVER
         for subcore in self.subcores:
             sub_wake = subcore.tick(cycle)

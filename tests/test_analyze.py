@@ -286,7 +286,7 @@ class TestSelfLint:
 class TestCounterKinds:
     def test_add_then_peak_on_one_name_raises(self):
         counters = Counters()
-        counters.add("issued")
+        counters["issued"] += 1
         with pytest.raises(CounterKindError):
             counters.peak("issued", 5)
 
@@ -294,12 +294,12 @@ class TestCounterKinds:
         counters = Counters()
         counters.peak("occupancy", 3)
         with pytest.raises(CounterKindError):
-            counters.add("occupancy")
+            counters["occupancy"] += 1
 
     def test_same_kind_reuse_is_fine(self):
         counters = Counters()
-        counters.add("issued", 2)
-        counters.add("issued", 3)
+        counters["issued"] += 2
+        counters["issued"] += 3
         counters.peak("occupancy", 1)
         counters.peak("occupancy", 4)
         assert counters.get("issued") == 5
@@ -307,7 +307,7 @@ class TestCounterKinds:
 
     def test_reset_forgets_kinds(self):
         counters = Counters()
-        counters.add("issued")
+        counters["issued"] += 1
         counters.reset()
         counters.peak("issued", 7)
         assert counters.get("issued") == 7

@@ -87,7 +87,7 @@ class _Worker(ClockedModule):
     def tick(self, cycle):
         if cycle >= self.work:
             return None
-        self.counters.add("units_done")
+        self.counters["units_done"] += 1
         return cycle + 1
 
     def is_done(self):
@@ -236,13 +236,15 @@ class TestTornCheckpoints:
         build no longer has, version 3 ``OpcodeInfo`` objects without the
         stored ``is_memory`` field, version 4 ``SubCore`` objects without
         ``quiet_until`` and the sink table, version 5 possibly a sharded
-        engine, a class this build cannot even import) is
+        engine, a class this build cannot even import, version 6
+        ``Counters`` objects with an ``_adds`` slot this build's dict
+        subclass does not have) is
         refused on the meta line, before anything is unpickled, and
         resume falls back past every such file."""
         self._write(tmp_path, cycle=500)
-        current = b'"format_version": 6'
+        current = b'"format_version": 7'
         for cycle, version in (
-            (1000, 1), (1500, 2), (2000, 3), (2500, 4), (3000, 5),
+            (1000, 1), (1500, 2), (2000, 3), (2500, 4), (3000, 5), (3500, 6),
         ):
             stale = self._write(tmp_path, cycle=cycle)
             assert stale.read_bytes().count(current) == 1
@@ -250,7 +252,7 @@ class TestTornCheckpoints:
                 current, b'"format_version": %d' % version))
             with pytest.raises(
                 CheckpointCorruption,
-                match=rf"format version {version} \(this build reads 6\)",
+                match=rf"format version {version} \(this build reads 7\)",
             ):
                 read_checkpoint(stale)
         path, meta, __ = find_resumable(tmp_path)
@@ -364,10 +366,16 @@ class TestWatchdog:
         worker = _Worker(work=40)
         engine.add(worker)
         late = _Worker(work=50_100, name="late")
-        late.tick = lambda cycle: (None if cycle >= 50_100
-                                   else (50_000 if cycle < 50_000
-                                         else (late.counters.add("units_done")
-                                               or cycle + 1)))
+
+        def late_tick(cycle):
+            if cycle >= 50_100:
+                return None
+            if cycle < 50_000:
+                return 50_000
+            late.counters["units_done"] += 1
+            return cycle + 1
+
+        late.tick = late_tick
         engine.add(late)
         watchdog = ProgressWatchdog(engine, stall_window=1_000,
                                     check_every=64)
@@ -381,9 +389,9 @@ class TestWatchdog:
         engine.add(worker)
         engine.run(max_cycles=100)
         before = progress_signature(engine)
-        worker.counters.add("idle_cycles", 1000)
+        worker.counters["idle_cycles"] += 1000
         assert progress_signature(engine) == before
-        worker.counters.add("units_done")
+        worker.counters["units_done"] += 1
         assert progress_signature(engine) == before + 1
 
     def test_ignored_counters_in_sync_with_shadow_pillar(self):

@@ -1,8 +1,13 @@
 """Tests for the composed memory systems (queued and detailed)."""
 
+import os
+import sys
+
 import pytest
 
+import repro
 from repro.frontend.isa import InstKind
+from repro.frontend.trace import TraceInstruction
 from repro.memory.hierarchy import DetailedMemorySystem, QueuedMemorySystem
 from repro.memory.l2 import partition_for_line, slice_line_addr
 from repro.sim.engine import ClockedModule, Engine
@@ -89,6 +94,123 @@ class TestQueuedMemorySystem:
         memory.reset()
         again, __, __p = memory.access_global(0, load(0, 1, coalesced_addrs(base=0xA00000)), 0)
         assert again == cold
+
+
+def _calls_of_one_sector(memory, sm_id, inst, cycle):
+    """``(file, function)`` of every Python-level call inside ``repro``
+    that one single-sector instruction makes, from the transaction
+    method inclusive; also returns the completion cycle."""
+    package = os.path.dirname(repro.__file__) + os.sep
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append((frame.f_code.co_filename[len(package):],
+                          frame.f_code.co_name))
+
+    sys.setprofile(profiler)
+    try:
+        completion, transactions, __ = memory.access_global(sm_id, inst, cycle)
+    finally:
+        sys.setprofile(None)
+    assert transactions == 1
+    first = next(i for i, (__, name) in enumerate(calls)
+                 if name.endswith("_transaction"))
+    return calls[first:], completion
+
+
+class TestCallsPerSectorTransaction:
+    """The fixed per-event cost, counted not timed: on the queued path a
+    sector transaction makes one call into each module it crosses, and a
+    count is an in-place dict store (nothing in ``sim/module.py`` runs
+    once a counter name exists)."""
+
+    LINE = 128
+
+    @pytest.fixture
+    def warm(self, tiny_gpu):
+        """Every L1 and L2 set full (a miss evicts) with clean lines
+        oldest, every counter name touched in every module, nothing in
+        flight."""
+        memory = QueuedMemorySystem(tiny_gpu)
+        cycle = 0
+
+        def issue(sm_id, make, line, at):
+            inst = make(0, 1, [line * self.LINE], mask=1)
+            return memory.access_global(sm_id, inst, at)[0]
+
+        for line in range(2048):
+            for sm_id in (0, 1):
+                cycle = issue(sm_id, load, line, cycle) + 1000
+            if line % 64 == 0 and line < 1024:
+                # Written back and evicted again before the loop ends.
+                cycle = issue(0, store, line, cycle) + 1000
+        for line in range(2040, 2048):  # every partition, twice
+            for sm_id in (0, 1):
+                cycle = issue(sm_id, load, line, cycle) + 1000   # L1 hit
+                cycle = issue(sm_id, store, line, cycle) + 1000  # written through
+                cycle = issue(sm_id, store, line - 1024, cycle) + 1000  # L1 miss
+                done = issue(sm_id, load, (1 << 19) + line, cycle)
+                issue(sm_id, load, (1 << 19) + line, cycle + 1)  # fill in flight
+                cycle = done + 1000
+        red = TraceInstruction(0, "RED", src_regs=(1,), active_mask=1,
+                               addresses=(0,))
+        cycle = memory.access_global(0, red, cycle)[0] + 1000
+        return memory, cycle
+
+    def one(self, memory, sm_id, make, line, cycle):
+        inst = make(0, 1, [line * self.LINE], mask=1)
+        calls, completion = _calls_of_one_sector(memory, sm_id, inst, cycle)
+        assert not [c for c in calls if c[0] == os.path.join("sim", "module.py")]
+        return calls, completion + 1000
+
+    def test_l1_hit(self, warm):
+        memory, cycle = warm
+        hits = memory.l1_caches[0].counters.get("sector_hits")
+        calls, __ = self.one(memory, 0, load, 2047, cycle)
+        assert memory.l1_caches[0].counters.get("sector_hits") == hits + 1
+        assert len(calls) <= 4
+        assert [name for __, name in calls][:2] == ["_load_transaction", "access"]
+
+    def test_miss_to_dram_with_an_eviction_at_both_levels(self, warm):
+        memory, cycle = warm
+        reads = sum(d.counters.get("reads") for d in memory.drams)
+        evictions = memory.l1_caches[0].counters.get("evictions_clean")
+        calls, __ = self.one(memory, 0, load, 1 << 20, cycle)
+        assert sum(d.counters.get("reads") for d in memory.drams) == reads + 1
+        assert memory.l1_caches[0].counters.get("evictions_clean") == evictions + 1
+        assert len(calls) <= 24
+        # One call into each module crossed (a cache is told the fill
+        # time in a second one, once downstream has answered).
+        names = [name for __, name in calls]
+        for name, count in (
+            ("_load_transaction", 1), ("_fetch_from_l2", 1), ("route_line", 1),
+            ("access", 2), ("set_fill_cycle", 2), ("send_request", 1),
+            ("send_response", 1), ("reserve", 1),
+        ):
+            assert names.count(name) == count, (name, names)
+
+    def test_pending_hit_and_miss_to_l2(self, warm):
+        memory, cycle = warm
+        l1, l2 = memory.l1_caches[0], memory.l2_slices[0]
+        pending = l1.counters.get("pending_hits")
+        __, after = self.one(memory, 0, load, 1 << 21, cycle)
+        calls, __ = self.one(memory, 0, load, 1 << 21, cycle + 1)  # in flight
+        assert l1.counters.get("pending_hits") == pending + 1
+        assert len(calls) <= 5
+        l2_hits = l2.counters.get("sector_hits")
+        calls, __ = self.one(memory, 1, load, 1 << 21, after)  # other SM
+        assert l2.counters.get("sector_hits") == l2_hits + 1
+        assert len(calls) <= 16
+
+    def test_store_and_atomic(self, warm):
+        memory, cycle = warm
+        calls, cycle = self.one(memory, 0, store, 2047, cycle)
+        assert len(calls) <= 12
+        red = TraceInstruction(0, "RED", src_regs=(1,), active_mask=1,
+                               addresses=(2047 * self.LINE,))
+        calls, __ = _calls_of_one_sector(memory, 0, red, cycle)
+        assert len(calls) <= 10
 
 
 class _Recorder(CompletionListener):

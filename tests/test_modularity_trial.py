@@ -42,14 +42,14 @@ _QUEUED_SIGNATURE = (
 _QUEUED_INIT = "        self._last_l1_start = 0\n"
 _QUEUED_BODY = (
     "        self._last_l1_start = cycle\n"
-    "        for transaction in transactions:\n"
+    "        for sector_addr in sectors:\n"
 )
 _DETAILED_ISSUE = (
     "        # The memory system retains listener/warp/inst until completion:\n"
 )
 _DETAILED_ACCEPT = (
     "        self._port_free = cycle + 1\n"
-    "        self.counters.add(\"instructions\")\n"
+    "        self.counters[\"instructions\"] += 1\n"
     "        return PENDING\n"
 )
 _DETAILED_TICK = (

@@ -4,6 +4,7 @@ the run journal, and their wiring into the parallel driver, the
 evaluation harness, and the CLI."""
 
 import json
+import multiprocessing.connection
 import os
 import signal
 import time
@@ -49,6 +50,11 @@ from conftest import make_tiny_gpu
 # cheap module-level task functions (picklable, fork-safe)
 
 def _double(value):
+    return value * 2
+
+
+def _nap_then_double(value):
+    time.sleep(0.05)
     return value * 2
 
 
@@ -319,6 +325,44 @@ class TestSupervisorPooled:
             attempts.extend(outcome.attempts)
         assert [r.outcome for r in attempts if r.outcome == "crash"] == []
         assert len(attempts) == 300
+
+    def test_waits_on_its_workers_not_on_a_timer(self, monkeypatch):
+        """A pooled run blocks on each running attempt's pipe and exit
+        sentinel, bounded by the nearest attempt deadline; the one timed
+        sleep left is a backed-off retry with nothing running."""
+        waits, sleeps = [], []
+        real_wait, real_sleep = multiprocessing.connection.wait, time.sleep
+
+        def wait(waitables, timeout=None):
+            if len(waitables) > 1:  # Connection.poll() waits on itself
+                waits.append((len(waitables), timeout))
+            return real_wait(waitables, timeout)
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", wait)
+        monkeypatch.setattr(time, "sleep", sleep)
+
+        outcomes = Supervisor(NO_RETRY, workers=2).run(
+            [Task("a", _nap_then_double, (1,)), Task("b", _nap_then_double, (2,))]
+        )
+        assert outcomes["a"].result == 2 and outcomes["b"].result == 4
+        assert sleeps == []
+        assert waits and all(timeout is None for __, timeout in waits)
+        assert {count for count, __ in waits} <= {2, 4}  # pipe + sentinel each
+
+        del waits[:]
+        policy = RetryPolicy(max_attempts=2, base_delay=0.05, jitter=0.0,
+                             timeout_seconds=30.0)
+        outcome = Supervisor(
+            policy, workers=2, chaos=ScriptedChaos({("a", 1): "crash"})
+        ).run([Task("a", _double, (7,))])["a"]
+        assert [r.outcome for r in outcome.attempts] == ["crash", "ok"]
+        assert outcome.attempts[0].backoff == pytest.approx(0.05)
+        assert all(0.0 <= timeout <= 30.0 for __, timeout in waits)
+        assert len(sleeps) == 1 and 0.0 < sleeps[0] <= 0.05
 
     def test_worker_exception_reported_not_fatal(self):
         outcomes = Supervisor(NO_RETRY, workers=2).run(

@@ -401,6 +401,36 @@ class TestServiceLadder:
         assert len(store) == 1
         assert service.stats.hits == 1
 
+    def test_cache_hit_never_leaves_the_event_loop(self, tmp_path):
+        """Only the first sighting of a trace goes to the executor (it
+        generates the trace); once the identity is cached, identifying
+        the job and probing the store are cheaper than the hop."""
+        service, __, __ = make_service(
+            tmp_path, runner=lambda request, identity: exact_result()
+        )
+        hops = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            hop = loop.run_in_executor
+
+            def counting(executor, fn, *args):
+                hops.append(getattr(fn, "__name__", repr(fn)))
+                return hop(executor, fn, *args)
+
+            loop.run_in_executor = counting
+            first = await service.submit_request(dict(REQUEST))
+            cold = list(hops)
+            del hops[:]
+            second = await service.submit_request(dict(REQUEST))
+            return first, cold, second
+
+        first, cold, second = run(scenario())
+        assert cold[:2] == ["identify", "get"]  # first sighting: off the loop
+        assert hops == []
+        assert second == dict(first, cached=True)
+        assert service.stats.hits == 1
+
     def test_identical_inflight_requests_deduped(self, tmp_path):
         started = asyncio.Event()
         release = asyncio.Event()

@@ -1,11 +1,13 @@
 """Unit tests for the framework core: modules, counters, engine, plans,
 metrics."""
 
+import copy
+import pickle
 import warnings
 
 import pytest
 
-from repro.errors import MetricsError, PlanError, SimulationError
+from repro.errors import CounterKindError, MetricsError, PlanError, SimulationError
 from repro.sim.engine import ClockedModule, Engine
 from repro.sim.metrics import DuplicateModuleNameWarning, MetricsGatherer
 from repro.sim.module import Counters, ModelLevel, Module
@@ -21,8 +23,8 @@ from repro.sim.plan import (
 class TestCounters:
     def test_add_and_get(self):
         counters = Counters()
-        counters.add("x")
-        counters.add("x", 4)
+        counters["x"] += 1
+        counters["x"] += 4
         assert counters.get("x") == 5
         assert counters.get("missing") == 0
 
@@ -35,17 +37,60 @@ class TestCounters:
 
     def test_reset_and_contains(self):
         counters = Counters()
-        counters.add("x")
+        counters["x"] += 1
         assert "x" in counters
         counters.reset()
         assert "x" not in counters
 
     def test_as_dict_is_snapshot(self):
         counters = Counters()
-        counters.add("x")
+        counters["x"] += 1
         snapshot = counters.as_dict()
-        counters.add("x")
+        counters["x"] += 1
         assert snapshot == {"x": 1}
+
+    def test_counting_zero_creates_the_name_and_reading_does_not(self):
+        """``+= 0`` is a first touch (a stall counter that never stalled
+        still reports 0); looking at a name is not."""
+        counters = Counters()
+        assert counters["never"] == 0 and counters.get("never") == 0
+        assert "never" not in counters and counters.as_dict() == {}
+        counters["stall_cycles"] += 0
+        assert "stall_cycles" in counters
+        assert counters.as_dict() == {"stall_cycles": 0}
+
+    def test_as_dict_lists_adds_in_first_touch_order_then_peaks(self):
+        counters = Counters()
+        counters.peak("depth", 2)
+        counters["b"] += 1
+        counters["a"] += 1
+        counters.peak("width", 9)
+        counters["b"] += 1
+        assert list(counters.as_dict().items()) == [
+            ("b", 2), ("a", 1), ("depth", 2), ("width", 9),
+        ]
+        assert list(counters) == ["b", "a", "depth", "width"]
+
+    @pytest.mark.parametrize("clone", (
+        copy.deepcopy,
+        lambda counters: pickle.loads(pickle.dumps(counters)),
+        lambda counters: pickle.loads(
+            pickle.dumps(counters, pickle.HIGHEST_PROTOCOL)),
+    ), ids=("deepcopy", "pickle-default", "pickle-highest"))
+    def test_copies_keep_both_kinds(self, clone):
+        counters = Counters()
+        counters["issued"] += 3
+        counters.peak("occupancy", 5)
+        twin = clone(counters)
+        assert type(twin) is Counters and twin.as_dict() == counters.as_dict()
+        twin["issued"] += 1
+        twin.peak("occupancy", 8)
+        assert twin.as_dict() == {"issued": 4, "occupancy": 8}
+        assert counters.as_dict() == {"issued": 3, "occupancy": 5}
+        with pytest.raises(CounterKindError):
+            twin["occupancy"] += 1
+        with pytest.raises(CounterKindError):
+            twin.peak("issued", 1)
 
 
 class TestModuleTree:
@@ -58,7 +103,7 @@ class TestModuleTree:
     def test_reset_clears_subtree_counters(self):
         root = Module("root")
         child = root.add_child(Module("child"))
-        child.counters.add("x")
+        child.counters["x"] += 1
         root.reset()
         assert child.counters.get("x") == 0
 
@@ -250,9 +295,9 @@ class TestModelingPlan:
 class TestMetricsGatherer:
     def test_gather_merges_same_names(self):
         a = Module("sm0")
-        a.counters.add("instructions_committed", 5)
+        a.counters["instructions_committed"] += 5
         b = Module("sm0")
-        b.counters.add("instructions_committed", 7)
+        b.counters["instructions_committed"] += 7
         report = MetricsGatherer([a, b]).gather(total_cycles=100)
         assert report.get("sm0", "instructions_committed") == 12
         assert report.instructions == 12
@@ -260,11 +305,11 @@ class TestMetricsGatherer:
 
     def test_prefix_totals(self):
         l1a = Module("l1_sm0")
-        l1a.counters.add("sector_accesses", 10)
-        l1a.counters.add("sector_misses", 5)
+        l1a.counters["sector_accesses"] += 10
+        l1a.counters["sector_misses"] += 5
         l2 = Module("l2_slice0")
-        l2.counters.add("sector_accesses", 4)
-        l2.counters.add("sector_misses", 1)
+        l2.counters["sector_accesses"] += 4
+        l2.counters["sector_misses"] += 1
         report = MetricsGatherer([l1a, l2]).gather(10)
         assert report.l1_miss_rate() == pytest.approx(0.5)
         assert report.l2_miss_rate() == pytest.approx(0.25)
@@ -276,7 +321,7 @@ class TestMetricsGatherer:
     def test_walks_children(self):
         root = Module("root")
         child = root.add_child(Module("leaf"))
-        child.counters.add("x", 3)
+        child.counters["x"] += 3
         report = MetricsGatherer([root]).gather(1)
         assert report.get("leaf", "x") == 3
 
@@ -289,10 +334,10 @@ class TestMetricsGatherer:
         """Two modules named "sm0" filling *different* component slots."""
         sm = Module("sm0")
         sm.component = "sm"
-        sm.counters.add("instructions_committed", 5)
+        sm.counters["instructions_committed"] += 5
         cache = Module("sm0")
         cache.component = "cache"
-        cache.counters.add("sector_misses", 7)
+        cache.counters["sector_misses"] += 7
         return sm, cache
 
     def test_cross_component_duplicate_warns(self):
@@ -327,8 +372,8 @@ class TestMetricsGatherer:
         # The documented aggregation path must never warn: every
         # sub-core's "ldst" unit merges into one row by design.
         a, b = Module("ldst"), Module("ldst")
-        a.counters.add("x", 1)
-        b.counters.add("x", 2)
+        a.counters["x"] += 1
+        b.counters["x"] += 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = MetricsGatherer([a, b]).gather(1)
