@@ -16,67 +16,71 @@ Quickstart::
     print(result.total_cycles, result.ipc)
 """
 
-from repro.check import (
-    CheckReport,
-    EngineSanitizer,
-    differential_check,
-    run_checks,
-    shadow_jump_check,
-)
-from repro.errors import (
-    CheckError,
-    ConfigError,
-    CorruptResult,
-    MetricsError,
-    PlanError,
-    ResourceExhausted,
-    SimulationError,
-    SwiftSimError,
-    TaskFailure,
-    TaskTimeout,
-    TraceError,
-    WorkerCrash,
-    WorkloadError,
-)
-from repro.resilience import (
-    ChaosPlan,
-    RetryPolicy,
-    RunJournal,
-    Supervisor,
-)
-from repro.frontend import (
-    ApplicationTrace,
-    GPUConfig,
-    GPU_PRESETS,
-    KernelTrace,
-    TraceInstruction,
-    WarpTrace,
-    get_preset,
-    load_gpu_config,
-    load_trace,
-    save_gpu_config,
-    save_trace,
-)
-from repro.sim.plan import (
-    ACCEL_LIKE_PLAN,
-    SWIFT_ANALYTIC_PLAN,
-    SWIFT_BASIC_PLAN,
-    SWIFT_MEMORY_PLAN,
-    ModelingPlan,
-)
-from repro.simulators import (
-    AccelSimLike,
-    GPUSimulator,
-    IntervalSimulator,
-    PlanSimulator,
-    SampledSimulator,
-    SimulationResult,
-    SwiftSimAnalytic,
-    SwiftSimBasic,
-    SwiftSimMemory,
-    simulate_apps_parallel,
-)
-from repro.tracegen import APPLICATIONS, make_app
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.check": (
+        "CheckReport",
+        "EngineSanitizer",
+        "differential_check",
+        "run_checks",
+        "shadow_jump_check",
+    ),
+    "repro.errors": (
+        "CheckError",
+        "ConfigError",
+        "CorruptResult",
+        "MetricsError",
+        "PlanError",
+        "ResourceExhausted",
+        "SimulationError",
+        "SwiftSimError",
+        "TaskFailure",
+        "TaskTimeout",
+        "TraceError",
+        "WorkerCrash",
+        "WorkloadError",
+    ),
+    "repro.resilience": (
+        "ChaosPlan",
+        "RetryPolicy",
+        "RunJournal",
+        "Supervisor",
+    ),
+    "repro.frontend": (
+        "ApplicationTrace",
+        "GPUConfig",
+        "GPU_PRESETS",
+        "KernelTrace",
+        "TraceInstruction",
+        "WarpTrace",
+        "get_preset",
+        "load_gpu_config",
+        "load_trace",
+        "save_gpu_config",
+        "save_trace",
+    ),
+    "repro.sim.plan": (
+        "ACCEL_LIKE_PLAN",
+        "SWIFT_ANALYTIC_PLAN",
+        "SWIFT_BASIC_PLAN",
+        "SWIFT_MEMORY_PLAN",
+        "ModelingPlan",
+    ),
+    "repro.simulators": (
+        "AccelSimLike",
+        "GPUSimulator",
+        "IntervalSimulator",
+        "PlanSimulator",
+        "SampledSimulator",
+        "SimulationResult",
+        "SwiftSimAnalytic",
+        "SwiftSimBasic",
+        "SwiftSimMemory",
+        "simulate_apps_parallel",
+    ),
+    "repro.tracegen": ("APPLICATIONS", "make_app"),
+})
 
 __version__ = "1.0.0"
 

@@ -49,27 +49,40 @@ Drive it with ``repro lint`` (text/JSON/SARIF output) or as the sixth
 ``docs/static-analysis.md``.
 """
 
-from repro.analyze.baseline import (
-    apply_baseline,
-    load_baseline,
-    prune_baseline,
-    write_baseline,
-)
-from repro.analyze.callgraph import CallGraph, build_callgraph
-from repro.analyze.findings import SEVERITIES, LintFinding
-from repro.analyze.index import AstCache, ProgramIndex, SourceFile, load_index
-from repro.analyze.partition import Partition, build_partition, write_manifest
-from repro.analyze.registry import (
-    FAMILIES,
-    RULES,
-    Rule,
-    all_rules,
-    catalog_hash,
-    resolve_rules,
-)
-from repro.analyze.runner import FAIL_ON, LintReport, lint_paths
-from repro.analyze.sarif import to_sarif, to_sarif_json
-from repro.analyze.stateflow import StateFlow, build_stateflow
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analyze.baseline": (
+        "apply_baseline",
+        "load_baseline",
+        "prune_baseline",
+        "write_baseline",
+    ),
+    "repro.analyze.callgraph": ("CallGraph", "build_callgraph"),
+    "repro.analyze.findings": ("FAIL_ON", "SEVERITIES", "LintFinding"),
+    "repro.analyze.index": (
+        "AstCache",
+        "ProgramIndex",
+        "SourceFile",
+        "load_index",
+    ),
+    "repro.analyze.partition": (
+        "Partition",
+        "build_partition",
+        "write_manifest",
+    ),
+    "repro.analyze.registry": (
+        "FAMILIES",
+        "RULES",
+        "Rule",
+        "all_rules",
+        "catalog_hash",
+        "resolve_rules",
+    ),
+    "repro.analyze.runner": ("LintReport", "lint_paths"),
+    "repro.analyze.sarif": ("to_sarif", "to_sarif_json"),
+    "repro.analyze.stateflow": ("StateFlow", "build_stateflow"),
+})
 
 __all__ = [
     "FAIL_ON",

@@ -16,6 +16,10 @@ from typing import Dict
 #: Finding severities, in increasing order of badness.
 SEVERITIES = ("warning", "error")
 
+#: What ``--fail-on`` accepts.  Kept here, not beside ``lint_paths``, so
+#: the CLI can list them without importing the index or a rule.
+FAIL_ON = ("error", "warning")
+
 
 @dataclass(frozen=True)
 class LintFinding:

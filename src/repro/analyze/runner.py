@@ -23,13 +23,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analyze.baseline import apply_baseline, load_baseline
-from repro.analyze.findings import LintFinding
+from repro.analyze.findings import FAIL_ON, LintFinding
 from repro.analyze.index import AstCache, ProgramIndex, load_index
 from repro.analyze.registry import Rule, all_rules, resolve_rules
 from repro.errors import AnalysisError, UnknownRuleError
-
-#: What ``--fail-on`` accepts.
-FAIL_ON = ("error", "warning")
 
 
 @dataclass

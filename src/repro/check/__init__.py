@@ -45,20 +45,24 @@ command line and emits a machine-readable JSON report; see
 ``docs/verification.md`` for the methodology.
 """
 
-from repro.check.determinism import determinism_check
-from repro.check.differential import (
-    DEFAULT_TOLERANCE,
-    SLOT_EXACT_COUNTERS,
-    differential_check,
-)
-from repro.check.guard import guard_check
-from repro.check.report import CheckFinding, CheckReport
-from repro.check.resilience import resilience_check
-from repro.check.runner import MODES, run_checks, select_apps
-from repro.check.sanitizer import EngineSanitizer
-from repro.check.serve import serve_check
-from repro.check.shadow import TICK_OBSERVER_COUNTERS, shadow_jump_check
-from repro.check.static import static_check
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.check.determinism": ("determinism_check",),
+    "repro.check.differential": (
+        "DEFAULT_TOLERANCE",
+        "SLOT_EXACT_COUNTERS",
+        "differential_check",
+    ),
+    "repro.check.guard": ("guard_check",),
+    "repro.check.report": ("MODES", "CheckFinding", "CheckReport"),
+    "repro.check.resilience": ("resilience_check",),
+    "repro.check.runner": ("run_checks", "select_apps"),
+    "repro.check.sanitizer": ("EngineSanitizer",),
+    "repro.check.serve": ("serve_check",),
+    "repro.check.shadow": ("TICK_OBSERVER_COUNTERS", "shadow_jump_check"),
+    "repro.check.static": ("static_check",),
+})
 
 __all__ = [
     "CheckFinding",

@@ -18,6 +18,16 @@ from typing import Dict, List
 #: Finding severities, in increasing order of badness.
 SEVERITIES = ("info", "violation")
 
+#: The verification modes ``repro check`` accepts.  "all" covers the
+#: in-process pillars; "serve" spawns server subprocesses and binds
+#: unix sockets, so it only runs when requested by name.  Kept here, not
+#: beside ``run_checks``, so the CLI can list them without importing a
+#: pillar.
+MODES = (
+    "shadow-jump", "differential", "determinism", "sanitize",
+    "resilience", "static", "guard", "serve", "all",
+)
+
 
 @dataclass(frozen=True)
 class CheckFinding:

@@ -17,19 +17,11 @@ from repro.tracegen.suites import APPLICATIONS, app_names, make_app
 from repro.check.determinism import determinism_check
 from repro.check.differential import DEFAULT_TOLERANCE, differential_check
 from repro.check.guard import guard_check
-from repro.check.report import CheckReport, info
+from repro.check.report import MODES, CheckReport, info
 from repro.check.resilience import resilience_check
 from repro.check.sanitizer import EngineSanitizer
 from repro.check.shadow import shadow_jump_check
 from repro.check.static import static_check
-
-#: The verification modes ``repro check`` accepts.  "all" covers the
-#: in-process pillars; "serve" spawns server subprocesses and binds
-#: unix sockets, so it only runs when requested by name.
-MODES = (
-    "shadow-jump", "differential", "determinism", "sanitize",
-    "resilience", "static", "guard", "serve", "all",
-)
 
 
 def select_apps(

@@ -39,14 +39,13 @@ import sys
 from typing import List, Optional
 
 from repro.errors import SwiftSimError
-from repro.eval.figures import figure4, figure5, figure6
-from repro.eval.tables import render_table1, render_table2
-from repro.frontend.config_io import load_gpu_config
-from repro.frontend.presets import GPU_PRESETS, get_preset
-from repro.frontend.trace_io import load_trace, save_trace
-from repro.oracle.hardware import HardwareOracle
 from repro.simulators import SIMULATORS
-from repro.tracegen.suites import APPLICATIONS, app_names, make_app
+
+# Nothing else of ``repro`` is imported up here: the parser is built on
+# every invocation, before the command is known, so it may cost only what
+# listing names costs (``SIMULATORS`` imports a simulator on lookup, and
+# the three ``choices=`` tuples live in modules that import no pillar,
+# harness or rule).  Each handler imports what it runs.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "figure5":
             fig.add_argument("--workers", type=int, default=None)
 
-    from repro.check import MODES as CHECK_MODES
+    from repro.check.report import MODES as CHECK_MODES
 
     check = commands.add_parser(
         "check",
@@ -155,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--verbose", action="store_true",
                        help="also print info-level findings")
 
-    from repro.eval.harness import FAILURE_POLICIES
+    from repro.resilience.policy import FAILURE_POLICIES
 
     evaluate = commands.add_parser(
         "eval",
@@ -366,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--drain", action="store_true",
                         help="drain and shut down the server")
 
-    from repro.analyze import FAIL_ON
+    from repro.analyze.findings import FAIL_ON
 
     lint = commands.add_parser(
         "lint",
@@ -422,18 +421,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_gpu(args):
     if getattr(args, "config", None):
+        from repro.frontend.config_io import load_gpu_config
+
         return load_gpu_config(args.config)
+    from repro.frontend.presets import get_preset
+
     return get_preset(args.gpu)
 
 
 def _resolve_app(args):
     if getattr(args, "trace", None):
+        from repro.frontend.trace_io import load_trace
+
         return load_trace(
             args.trace,
             skip_corrupt_kernels=getattr(args, "skip_corrupt_kernels", False),
         )
     if not getattr(args, "app", None):
         raise SwiftSimError("either --app or --trace is required")
+    from repro.tracegen.suites import make_app
+
     return make_app(args.app, scale=args.scale)
 
 
@@ -444,6 +451,8 @@ def _apps_arg(args) -> Optional[List[str]]:
 
 
 def _cmd_apps(args) -> None:
+    from repro.tracegen.suites import APPLICATIONS, app_names
+
     print(f"{'app':12s} {'suite':10s}")
     for name in app_names():
         suite, __ = APPLICATIONS[name]
@@ -451,6 +460,8 @@ def _cmd_apps(args) -> None:
 
 
 def _cmd_presets(args) -> None:
+    from repro.frontend.presets import GPU_PRESETS
+
     for key, preset in GPU_PRESETS.items():
         print(
             f"{key:10s} {preset.name:12s} {preset.architecture:7s} "
@@ -461,6 +472,8 @@ def _cmd_presets(args) -> None:
 
 
 def _cmd_tables(args) -> None:
+    from repro.eval.tables import render_table1, render_table2
+
     print(render_table1())
     print()
     print(render_table2())
@@ -510,6 +523,8 @@ def _cmd_profile(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    from repro.oracle.hardware import HardwareOracle
+
     gpu = _resolve_gpu(args)
     app = _resolve_app(args)
     oracle_cycles = HardwareOracle(gpu).measure(app)
@@ -553,12 +568,17 @@ def _cmd_report(args) -> None:
 
 
 def _cmd_trace(args) -> None:
+    from repro.frontend.trace_io import save_trace
+    from repro.tracegen.suites import make_app
+
     app = make_app(args.app, scale=args.scale)
     save_trace(app, args.out)
     print(f"wrote {app.num_instructions} warp instructions to {args.out}")
 
 
 def _cmd_figure4(args) -> None:
+    from repro.eval.figures import figure4
+
     data = figure4(scale=args.scale, apps=_apps_arg(args))
     print(data.render())
     print()
@@ -566,10 +586,14 @@ def _cmd_figure4(args) -> None:
 
 
 def _cmd_figure5(args) -> None:
+    from repro.eval.figures import figure5
+
     print(figure5(scale=args.scale, apps=_apps_arg(args), workers=args.workers).render())
 
 
 def _cmd_figure6(args) -> None:
+    from repro.eval.figures import figure6
+
     print(figure6(scale=args.scale, apps=_apps_arg(args)).render())
 
 
@@ -603,6 +627,7 @@ def _cmd_eval(args) -> None:
     from repro.eval.report import render_suite
     from repro.resilience.journal import RunJournal
     from repro.serve.keys import config_hash, workload_hash
+    from repro.tracegen.suites import app_names
 
     gpu = _resolve_gpu(args)
     journal = None
@@ -835,6 +860,7 @@ def _chaos_sim_scenarios(gpu, simulator_cls, scale, kinds) -> int:
 
     from repro.errors import InvariantViolation, SimulationStall
     from repro.guard import GuardConfig, SimulationGuard
+    from repro.tracegen.suites import make_app
 
     expected = {"stall": SimulationStall, "violation": InvariantViolation}
     failed = 0

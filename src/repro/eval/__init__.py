@@ -8,11 +8,19 @@
   Figure 5 (speedup contribution analysis), Figure 6 (cross-GPU errors).
 """
 
-from repro.eval.bottleneck import BottleneckReport, analyze
-from repro.eval.harness import AppEvaluation, EvaluationHarness, SuiteEvaluation
-from repro.eval.report import generate_report
-from repro.eval.figures import figure4, figure5, figure6
-from repro.eval.tables import render_table1, render_table2
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.eval.bottleneck": ("BottleneckReport", "analyze"),
+    "repro.eval.harness": (
+        "AppEvaluation",
+        "EvaluationHarness",
+        "SuiteEvaluation",
+    ),
+    "repro.eval.report": ("generate_report",),
+    "repro.eval.figures": ("figure4", "figure5", "figure6"),
+    "repro.eval.tables": ("render_table1", "render_table2"),
+})
 
 __all__ = [
     "AppEvaluation",

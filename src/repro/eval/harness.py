@@ -25,12 +25,10 @@ from repro.frontend.config import GPUConfig
 from repro.guard import GuardConfig, SimulationGuard
 from repro.oracle.hardware import HardwareOracle
 from repro.resilience.journal import RunJournal
+from repro.resilience.policy import FAILURE_POLICIES
 from repro.simulators.base import GPUSimulator, PlanSimulator
 from repro.tracegen.suites import app_names, make_app
 from repro.utils.stats import geomean
-
-#: What `evaluate` does when one (app, simulator) pair fails.
-FAILURE_POLICIES = ("raise", "skip", "degrade")
 
 
 @dataclass(frozen=True)

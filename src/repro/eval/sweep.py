@@ -22,34 +22,14 @@ and IPC, ready for plotting or tabulation (``render()``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Sequence, Type
 
 from repro.errors import ConfigError
-from repro.frontend.config import GPUConfig
+from repro.frontend.config import GPUConfig, apply_override
 from repro.frontend.precharacterize import precharacterize
 from repro.frontend.trace import ApplicationTrace
 from repro.simulators.base import PlanSimulator
-
-
-def apply_override(gpu: GPUConfig, path: str, value: Any) -> GPUConfig:
-    """Return a copy of ``gpu`` with the dotted-``path`` field replaced."""
-    parts = path.split(".")
-    if not all(parts):
-        raise ConfigError(f"malformed override path {path!r}")
-    if len(parts) == 1:
-        if not hasattr(gpu, parts[0]):
-            raise ConfigError(f"GPUConfig has no field {parts[0]!r}")
-        return replace(gpu, **{parts[0]: value})
-    if len(parts) == 2:
-        section_name, leaf = parts
-        section = getattr(gpu, section_name, None)
-        if section is None:
-            raise ConfigError(f"GPUConfig has no section {section_name!r}")
-        if not hasattr(section, leaf):
-            raise ConfigError(f"{section_name!r} has no field {leaf!r}")
-        return replace(gpu, **{section_name: replace(section, **{leaf: value})})
-    raise ConfigError(f"override path {path!r} nests too deep (max 2 levels)")
 
 
 @dataclass(frozen=True)

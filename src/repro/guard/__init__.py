@@ -23,25 +23,29 @@ Everything is off by default (:data:`NO_GUARD`); an unguarded engine
 keeps its fast dispatch loop and pays nothing.
 """
 
-from repro.guard.checkpoint import (
-    FORMAT_VERSION,
-    checkpoint_name,
-    find_resumable,
-    list_checkpoints,
-    prune_checkpoints,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.guard.config import NO_GUARD, GuardConfig
-from repro.guard.forensic import config_hash, write_bundle
-from repro.guard.guard import GuardResume, SimulationGuard
-from repro.guard.invariants import InvariantGuard
-from repro.guard.saboteur import InvariantSaboteur, StallSaboteur
-from repro.guard.watchdog import (
-    PROGRESS_IGNORED_COUNTERS,
-    ProgressWatchdog,
-    progress_signature,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.guard.checkpoint": (
+        "FORMAT_VERSION",
+        "checkpoint_name",
+        "find_resumable",
+        "list_checkpoints",
+        "prune_checkpoints",
+        "read_checkpoint",
+        "write_checkpoint",
+    ),
+    "repro.guard.config": ("NO_GUARD", "GuardConfig"),
+    "repro.guard.forensic": ("config_hash", "write_bundle"),
+    "repro.guard.guard": ("GuardResume", "SimulationGuard"),
+    "repro.guard.invariants": ("InvariantGuard",),
+    "repro.guard.saboteur": ("InvariantSaboteur", "StallSaboteur"),
+    "repro.guard.watchdog": (
+        "PROGRESS_IGNORED_COUNTERS",
+        "ProgressWatchdog",
+        "progress_signature",
+    ),
+})
 
 __all__ = [
     "FORMAT_VERSION",

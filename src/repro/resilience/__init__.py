@@ -17,26 +17,30 @@ survive them:
 See ``docs/resilience.md`` for the methodology.
 """
 
-from repro.resilience.chaos import (
-    CRASH_EXIT_CODE,
-    ChaosPlan,
-    CorruptedResult,
-    NO_CHAOS,
-)
-from repro.resilience.journal import (
-    RunJournal,
-    result_from_dict,
-    result_to_dict,
-)
-from repro.resilience.policy import NO_RETRY, RetryPolicy
-from repro.resilience.supervisor import (
-    AttemptRecord,
-    Supervisor,
-    Task,
-    TaskOutcome,
-    classify_failure,
-    raise_first_failure,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.resilience.chaos": (
+        "CRASH_EXIT_CODE",
+        "ChaosPlan",
+        "CorruptedResult",
+        "NO_CHAOS",
+    ),
+    "repro.resilience.journal": (
+        "RunJournal",
+        "result_from_dict",
+        "result_to_dict",
+    ),
+    "repro.resilience.policy": ("NO_RETRY", "RetryPolicy"),
+    "repro.resilience.supervisor": (
+        "AttemptRecord",
+        "Supervisor",
+        "Task",
+        "TaskOutcome",
+        "classify_failure",
+        "raise_first_failure",
+    ),
+})
 
 __all__ = [
     "AttemptRecord",

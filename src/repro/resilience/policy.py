@@ -16,6 +16,12 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.utils.rng import derive_seed
 
+#: What ``EvaluationHarness.evaluate`` does with an (app, simulator) pair
+#: that still fails once its retries are spent: abort the suite, drop
+#: the app, or record an explicit gap.  Kept here, not in the harness, so
+#: the CLI can list them without importing a simulator.
+FAILURE_POLICIES = ("raise", "skip", "degrade")
+
 
 @dataclass(frozen=True)
 class RetryPolicy:

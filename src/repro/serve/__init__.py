@@ -22,20 +22,24 @@ Pieces, innermost first:
   for replaying Fig. 4-scale sweeps against a server.
 """
 
-from repro.serve.admission import AdmissionController, CostModel
-from repro.serve.breaker import BreakerBoard, CircuitBreaker
-from repro.serve.client import SweepClient, build_grid, replay_grid
-from repro.serve.jobs import JobRequest, response_error, response_ok
-from repro.serve.journal import ServeJournal
-from repro.serve.keys import (
-    canonical_json,
-    config_hash,
-    job_key,
-    trace_hash,
-    workload_hash,
-)
-from repro.serve.service import SweepService
-from repro.serve.store import ResultStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.serve.admission": ("AdmissionController", "CostModel"),
+    "repro.serve.breaker": ("BreakerBoard", "CircuitBreaker"),
+    "repro.serve.client": ("SweepClient", "build_grid", "replay_grid"),
+    "repro.serve.jobs": ("JobRequest", "response_error", "response_ok"),
+    "repro.serve.journal": ("ServeJournal",),
+    "repro.serve.keys": (
+        "canonical_json",
+        "config_hash",
+        "job_key",
+        "trace_hash",
+        "workload_hash",
+    ),
+    "repro.serve.service": ("SweepService",),
+    "repro.serve.store": ("ResultStore",),
+})
 
 __all__ = [
     "AdmissionController",

@@ -19,8 +19,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, ServeError
-from repro.eval.sweep import apply_override
-from repro.frontend.config import GPUConfig
+from repro.frontend.config import GPUConfig, apply_override
 from repro.frontend.config_io import gpu_config_to_dict
 
 

@@ -48,6 +48,7 @@ from repro.errors import (
 )
 from repro.frontend.config_io import gpu_config_to_dict
 from repro.resilience.chaos import ChaosPlan
+from repro.resilience.journal import result_to_dict
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.supervisor import Supervisor, Task
 from repro.serve.admission import AdmissionController
@@ -210,8 +211,6 @@ class SweepService:
 
     def _run_degraded(self, request: JobRequest, identity: Dict) -> Dict:
         """Tier 4: the analytic fallback (blocking, but ~ms-scale)."""
-        from repro.resilience.journal import result_to_dict
-
         gpu = resolve_gpu(request.config, request.gpu)
         app = make_app(request.app, scale=request.scale)
         simulator = SIMULATORS[DEGRADED_SIMULATOR](gpu)

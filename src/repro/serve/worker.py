@@ -6,6 +6,13 @@ driver's tasks obey.  Each execution rebuilds everything from the
 request's value form (app name, scale, config dict): workers share no
 in-memory state with the server, which is what makes a crashed worker
 retryable and a crashed *server* recoverable from the journal alone.
+
+Importing this module imports every registered simulator.  The registry
+resolves a class on lookup, and a Supervisor worker is forked per
+attempt: a class first looked up inside :func:`execute_job` would be
+imported again by every worker on the cold path.  A long-lived process
+imports before it forks (``docs/architecture.md`` § "Lazy exports";
+``tests/test_import_budget.py`` holds the server to it).
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from repro.frontend.presets import get_preset
 from repro.resilience.journal import result_to_dict
 from repro.simulators import SIMULATORS
 from repro.tracegen.suites import make_app
+
+tuple(SIMULATORS.values())  # the import-before-fork rule, see module doc
 
 
 def resolve_gpu(config: Optional[Dict], gpu_preset: str) -> GPUConfig:

@@ -14,26 +14,51 @@ uses.  :data:`SIMULATORS` is the one registry of the names the CLI and
 the sweep service accept.
 """
 
-from typing import Dict
+from collections.abc import Mapping
 
-from repro.simulators.accel_like import AccelSimLike
-from repro.simulators.base import GPUSimulator, PlanSimulator
-from repro.simulators.interval import IntervalSimulator
-from repro.simulators.parallel import simulate_apps_parallel
-from repro.simulators.results import KernelResult, SimulationResult
-from repro.simulators.sampled import SampledSimulator
-from repro.simulators.swift_analytic import SwiftSimAnalytic
-from repro.simulators.swift_basic import SwiftSimBasic
-from repro.simulators.swift_memory import SwiftSimMemory
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.simulators.accel_like": ("AccelSimLike",),
+    "repro.simulators.base": ("GPUSimulator", "PlanSimulator"),
+    "repro.simulators.interval": ("IntervalSimulator",),
+    "repro.simulators.parallel": ("simulate_apps_parallel",),
+    "repro.simulators.results": ("KernelResult", "SimulationResult"),
+    "repro.simulators.sampled": ("SampledSimulator",),
+    "repro.simulators.swift_analytic": ("SwiftSimAnalytic",),
+    "repro.simulators.swift_basic": ("SwiftSimBasic",),
+    "repro.simulators.swift_memory": ("SwiftSimMemory",),
+})
+
+
+class _SimulatorRegistry(Mapping):
+    """Read-only ``name -> simulator class``; a class is imported when
+    its name is looked up, never by listing or testing names."""
+
+    def __init__(self, exports):
+        self._exports = exports
+
+    def __getitem__(self, name):
+        return __getattr__(self._exports[name])
+
+    def __contains__(self, name):
+        return name in self._exports
+
+    def __iter__(self):
+        return iter(self._exports)
+
+    def __len__(self):
+        return len(self._exports)
+
 
 #: Simulator classes by the name ``--simulator`` and serve jobs use.
-SIMULATORS: Dict[str, type] = {
-    "accel-like": AccelSimLike,
-    "swift-basic": SwiftSimBasic,
-    "swift-memory": SwiftSimMemory,
-    "swift-analytic": SwiftSimAnalytic,
-    "interval": IntervalSimulator,
-}
+SIMULATORS = _SimulatorRegistry({
+    "accel-like": "AccelSimLike",
+    "swift-basic": "SwiftSimBasic",
+    "swift-memory": "SwiftSimMemory",
+    "swift-analytic": "SwiftSimAnalytic",
+    "interval": "IntervalSimulator",
+})
 
 __all__ = [
     "AccelSimLike",

@@ -1,28 +1,26 @@
-"""Trace Parser: NVBit-style textual trace format.
+"""Frozen reference for the trace codec.
 
-The on-disk format is line-oriented, mirroring the structure of traces
-produced by the paper's NVBit extension:
+A copy of ``repro.frontend.trace_io`` as it stood before the parser was
+made to touch each line once: ``_Parser._peek`` strips and classifies the
+line under the cursor every time it is asked (twice per instruction line:
+once from the ``_parse_warp`` loop, once inside ``_next``),
+``_parse_instruction`` walks a four-way ``startswith`` chain per field
+and calls the constructor by keyword, and ``_format_instruction`` formats
+every register and address through a generator of f-strings.  It exists
+only so that ``test_trace_parser_equivalence.py`` can hold the live codec
+to it — byte-identical files, equal traces, and the same exception with
+the same ``source:line:`` message on every malformed input; do not
+optimise or otherwise edit it.
 
-.. code-block:: text
-
-    #SWIFTSIM-TRACE v1
-    app bfs suite=rodinia
-    kernel bfs_kernel grid=16,1,1
-    block 0 smem=0 regs=24
-    warp 0
-    0x0000 IADD3 d=4 s=2,3
-    0x0010 LDG d=5 s=4 m=0xffffffff a=0x10000,0x10004,...
-    0x0020 EXIT
-
-Blank lines and ``#`` comments are ignored.  Register lists, masks, and
-addresses are optional per instruction; addresses are hexadecimal.
+``_Parser`` and ``_format_instruction`` are verbatim; :func:`format_trace`
+is the text ``save_trace`` wrote (everything but the file I/O), and
+:func:`parse_trace` returns the parser's ``skipped_kernels`` beside the
+trace so the resynchronisation path can be compared too.
 """
 
 from __future__ import annotations
 
-import gzip
-from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Tuple
 
 from repro.errors import TraceCorruption, TraceError
 from repro.frontend.trace import (
@@ -35,16 +33,9 @@ from repro.frontend.trace import (
 
 _HEADER = "#SWIFTSIM-TRACE v1"
 
-#: What ends a warp's instruction stream (besides the end of the trace).
-_SECTION_STARTS = ("warp ", "block ", "kernel ")
 
-
-def save_trace(trace: ApplicationTrace, path: Union[str, Path]) -> None:
-    """Serialize an application trace to the textual format.
-
-    Paths ending in ``.gz`` are gzip-compressed transparently (real NVBit
-    trace archives ship compressed; ours can too).
-    """
+def format_trace(trace: ApplicationTrace) -> str:
+    """The file contents the frozen ``save_trace`` wrote for ``trace``."""
     lines: List[str] = [_HEADER, f"app {trace.name} suite={trace.suite}"]
     for kernel in trace.kernels:
         gx, gy, gz = kernel.grid_dim
@@ -58,40 +49,24 @@ def save_trace(trace: ApplicationTrace, path: Union[str, Path]) -> None:
                 lines.append(f"warp {warp.warp_id}")
                 for inst in warp.instructions:
                     lines.append(_format_instruction(inst))
-    text = "\n".join(lines) + "\n"
-    path = Path(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "wt") as handle:
-            handle.write(text)
-    else:
-        path.write_text(text)
+    return "\n".join(lines) + "\n"
 
 
 def _format_instruction(inst: TraceInstruction) -> str:
     parts = [f"{inst.pc:#06x}", inst.opcode]
     if inst.dest_regs:
-        parts.append("d=" + ",".join(map(str, inst.dest_regs)))
+        parts.append("d=" + ",".join(str(r) for r in inst.dest_regs))
     if inst.src_regs:
-        parts.append("s=" + ",".join(map(str, inst.src_regs)))
+        parts.append("s=" + ",".join(str(r) for r in inst.src_regs))
     if inst.active_mask != 0xFFFFFFFF:
-        parts.append("m=" + hex(inst.active_mask))
+        parts.append(f"m={inst.active_mask:#x}")
     if inst.addresses:
-        parts.append("a=" + ",".join(map(hex, inst.addresses)))
+        parts.append("a=" + ",".join(f"{a:#x}" for a in inst.addresses))
     return " ".join(parts)
 
 
 class _Parser:
     """Single-pass recursive-descent parser over trace lines.
-
-    Each line is stripped and classified once: :meth:`_peek` keeps the
-    line it stopped on until :meth:`_next` consumes it, and the
-    per-instruction loop of :meth:`_parse_warp` is the two unrolled.
-    ``_index`` is what :meth:`_fail` reports, so where it rests is part
-    of the contract: on the next significant line after a peek (the end
-    of the trace if there is none), one past a line once it is consumed.
-    ``tests/trace_parser_reference.py`` is the parser this one replaced;
-    ``tests/test_trace_parser_equivalence.py`` holds the two to the same
-    traces and the same ``source:line:`` messages.
 
     With ``skip_corrupt_kernels`` the parser degrades instead of dying:
     a kernel whose body is malformed or truncated is dropped, parsing
@@ -106,8 +81,6 @@ class _Parser:
         self._lines = lines
         self._source = source
         self._index = 0
-        #: The stripped line at ``_index`` while a peek is outstanding.
-        self._ahead: Optional[str] = None
         self._skip_corrupt = skip_corrupt_kernels
         #: ``(kernel_name_or_?, error_message)`` per dropped kernel.
         self.skipped_kernels: List[tuple] = []
@@ -117,25 +90,18 @@ class _Parser:
                               line=self._index)
 
     def _peek(self) -> Optional[str]:
-        if self._ahead is None:
-            lines = self._lines
-            index = self._index
-            end = len(lines)
-            while index < end:
-                stripped = lines[index].strip()
-                if stripped and stripped[0] != "#":
-                    self._ahead = stripped
-                    break
-                index += 1
-            self._index = index
-        return self._ahead
+        while self._index < len(self._lines):
+            stripped = self._lines[self._index].strip()
+            if stripped and not stripped.startswith("#"):
+                return stripped
+            self._index += 1
+        return None
 
     def _next(self) -> str:
         line = self._peek()
         if line is None:
             self._fail("unexpected end of trace")
         self._index += 1
-        self._ahead = None
         return line  # type: ignore[return-value]
 
     def parse(self) -> ApplicationTrace:
@@ -186,7 +152,6 @@ class _Parser:
     def _skip_to_next_kernel(self, mark: int) -> None:
         """Reskew past a corrupt kernel: resume at the next ``kernel``
         line strictly after the one that failed."""
-        self._ahead = None
         self._index = mark + 1
         while self._index < len(self._lines):
             if self._lines[self._index].strip().startswith("kernel "):
@@ -253,21 +218,11 @@ class _Parser:
         except (IndexError, ValueError):
             self._fail(f"malformed warp line {line!r}")
         instructions: List[TraceInstruction] = []
-        lines = self._lines
-        index = self._index
-        end = len(lines)
-        while index < end:
-            line = lines[index].strip()
-            if not line or line[0] == "#":
-                index += 1
-            elif line.startswith(_SECTION_STARTS):
-                self._ahead = line
+        while True:
+            nxt = self._peek()
+            if nxt is None or nxt.startswith(("warp ", "block ", "kernel ")):
                 break
-            else:
-                index += 1
-                self._index = index
-                instructions.append(self._parse_instruction(line))
-        self._index = index
+            instructions.append(self._parse_instruction(self._next()))
         if not instructions:
             self._fail(f"warp {warp_id} has no instructions")
         return WarpTrace(warp_id, instructions)
@@ -280,20 +235,20 @@ class _Parser:
             pc = int(fields[0], 16)
         except ValueError:
             self._fail(f"malformed PC {fields[0]!r}")
-        dest_regs: Sequence[int] = ()
-        src_regs: Sequence[int] = ()
+        opcode = fields[1]
+        dest_regs: List[int] = []
+        src_regs: List[int] = []
         mask = 0xFFFFFFFF
-        addresses: Sequence[int] = ()
+        addresses: List[int] = []
         for field in fields[2:]:
-            tag = field[:2]
             try:
-                if tag == "d=":
+                if field.startswith("d="):
                     dest_regs = [int(v) for v in field[2:].split(",")]
-                elif tag == "s=":
+                elif field.startswith("s="):
                     src_regs = [int(v) for v in field[2:].split(",")]
-                elif tag == "m=":
+                elif field.startswith("m="):
                     mask = int(field[2:], 16)
-                elif tag == "a=":
+                elif field.startswith("a="):
                     addresses = [int(v, 16) for v in field[2:].split(",")]
                 else:
                     self._fail(f"unknown instruction field {field!r}")
@@ -301,38 +256,22 @@ class _Parser:
                 self._fail(f"malformed field {field!r}")
         try:
             return TraceInstruction(
-                pc, fields[1], dest_regs, src_regs, mask, addresses
+                pc=pc,
+                opcode=opcode,
+                dest_regs=dest_regs,
+                src_regs=src_regs,
+                active_mask=mask,
+                addresses=addresses,
             )
         except TraceError as exc:
             self._fail(str(exc))
         raise AssertionError("unreachable")
 
 
-def load_trace(path: Union[str, Path],
-               skip_corrupt_kernels: bool = False) -> ApplicationTrace:
-    """Parse a (possibly gzipped) trace file into an :class:`ApplicationTrace`.
-
-    ``skip_corrupt_kernels`` degrades instead of failing: kernels with
-    malformed or truncated bodies are dropped (the CLI's
-    ``--skip-corrupt-kernels``), raising only when no kernel survives.
-    """
-    path = Path(path)
-    try:
-        if path.suffix == ".gz":
-            with gzip.open(path, "rt") as handle:
-                text = handle.read()
-        else:
-            text = path.read_text()
-    except FileNotFoundError:
-        raise TraceError(f"trace file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TraceError(f"cannot read trace file {path}: {exc}") from exc
-    return parse_trace(text, source=str(path),
-                       skip_corrupt_kernels=skip_corrupt_kernels)
-
-
-def parse_trace(text: str, source: str = "<string>",
-                skip_corrupt_kernels: bool = False) -> ApplicationTrace:
-    """Parse trace text (see module docstring for the format)."""
-    return _Parser(text.splitlines(), source,
-                   skip_corrupt_kernels=skip_corrupt_kernels).parse()
+def parse_trace(
+    text: str, source: str = "<string>", skip_corrupt_kernels: bool = False
+) -> Tuple[ApplicationTrace, List[tuple]]:
+    """Parse with the frozen parser: ``(trace, skipped_kernels)``."""
+    parser = _Parser(text.splitlines(), source,
+                     skip_corrupt_kernels=skip_corrupt_kernels)
+    return parser.parse(), parser.skipped_kernels
