@@ -9,7 +9,7 @@ per :class:`~repro.sim.module.Module` subclass:
 * **foreign accesses** — reads and writes of *another module's* state
   through module-typed references (``self.peer.count += 1``, mutator
   calls like ``self.peer.queue.append(...)``, ``getattr(self.src,
-  "all_done")``, and property reads, which dispatch to the owner's
+  "blocks_remaining")``, and property reads, which dispatch to the owner's
   property method).  Each is tagged ``synchronized`` when it goes
   through a ``# repro: port``-marked member — the declared cross-shard
   channels the PDES core will serialize;

@@ -33,7 +33,6 @@ from repro.check.report import CheckFinding, info, violation
 #: module receives, so per-cycle clocking legitimately inflates them.
 TICK_OBSERVER_COUNTERS = frozenset({
     "active_cycles",
-    "empty_cycles",
     "idle_cycles",
     "stalled_cycles",
     "dispatch_stalls",

@@ -42,7 +42,7 @@ class BlockScheduler(Module, BlockSource):
         return len(self._queue)
 
     @property
-    def all_done(self) -> bool:  # repro: port
+    def all_done(self) -> bool:
         return self._completed == len(self.kernel.blocks)
 
     def peek_block(self) -> Optional[BlockTrace]:  # repro: port

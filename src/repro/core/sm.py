@@ -4,7 +4,9 @@ The SM pulls thread blocks from the Block Scheduler whenever its
 occupancy limits (blocks, warps, threads, registers, shared memory)
 allow, distributes each block's warps across its sub-cores, and ticks
 the sub-cores.  Its tick returns the earliest cycle anything inside can
-change, so under the hybrid plans whole SMs sleep through memory stalls.
+change, so under the hybrid plans whole SMs sleep through memory stalls;
+an SM that holds no block returns ``None`` and is not scheduled, under
+every plan.
 """
 
 from __future__ import annotations
@@ -35,17 +37,12 @@ class SMCore(ClockedModule):
         config: GPUConfig,
         block_source: BlockSource,
         subcore_factory: Callable[["SMCore", int], "SubCore"],
-        idle_tick: bool = False,
         name: str = "",
     ) -> None:
         super().__init__(name or f"sm{sm_id}")
         self.sm_id = sm_id
         self.config = config
         self.block_source = block_source
-        # Per-cycle simulators tick every SM every cycle, busy or not,
-        # exactly like GPGPU-Sim's cluster loop; hybrid plans let empty
-        # SMs leave the schedule.
-        self.idle_tick = idle_tick
         #: One shared-memory unit serves every sub-core of this SM; the
         #: simulator factory populates this while building the first
         #: sub-core and reuses it for the rest.
@@ -210,11 +207,7 @@ class SMCore(ClockedModule):
     def tick(self, cycle: int) -> Optional[int]:
         more_blocks = not self._source_drained and self._take_blocks(cycle)
         if not self._blocks:
-            if self.idle_tick and not self.block_source.all_done:
-                # Stay in the per-cycle loop until the kernel retires.
-                self.counters["empty_cycles"] += 1
-                return cycle + 1
-            return None  # drained, or waiting for blocks that never come
+            return None  # holds nothing: out of the schedule, in every plan
         self._block_finished_this_tick = False
         self.counters["active_cycles"] += 1
         wake = cycle + 1 if more_blocks else NEVER

@@ -45,9 +45,10 @@ MAGIC = b"REPROCKPT1\n"
 #:    the peaks in its one slot; ``DRAMPartition`` carries its per-access
 #:    constants and ``QueuedMemorySystem`` the L1's sectors per line in
 #:    place of its line size.
+#: 8: a pickled ``SMCore`` carries no tick-while-empty flag.
 #: ``tests/test_guard.py`` pins the pickled classes' field layout beside
 #: this number, so a layout change without a bump fails there.
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 
 def checkpoint_name(cycle: int) -> str:

@@ -30,7 +30,6 @@ from repro.sim.engine import ClockedModule, Engine, EngineChecker
 PROGRESS_IGNORED_COUNTERS = frozenset(
     {
         "active_cycles",
-        "empty_cycles",
         "idle_cycles",
         "stalled_cycles",
         "dispatch_stalls",

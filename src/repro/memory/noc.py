@@ -163,8 +163,12 @@ class DetailedNoC(Module):
                 else:
                     self._deliver_response(partition, payload, cycle)
         for partition in range(self.num_partitions):
-            self._advance(cycle, partition, self._request_queues[partition], True)
-            self._advance(cycle, partition, self._response_queues[partition], False)
+            queue = self._request_queues[partition]
+            if queue:  # an empty port moves nothing and counts nothing
+                self._advance(cycle, partition, queue, True)
+            queue = self._response_queues[partition]
+            if queue:
+                self._advance(cycle, partition, queue, False)
 
     def _advance(
         self, cycle: int, partition: int, queue: Deque[_Packet], is_request: bool

@@ -30,13 +30,14 @@ class CostModel:
     #: ``1 / (1e3 * <tier>_kinst_per_s)`` from one full
     #: ``python3 benchmarks/perf/run.py`` (host time calibrated by the
     #: harness) at commit 2429f64 on
-    #: Linux-6.18.44-fc-v50-x86_64-with-glibc2.36, 2 CPUs: accel-like
-    #: 13.9, swift-memory 69.5, swift-basic 31.1 kinst/s (on
-    #: ``hybrid-membound``, the slower of its two workloads).  interval
+    #: Linux-6.18.44-fc-v50-x86_64-with-glibc2.36, 2 CPUs: swift-memory
+    #: 69.5, swift-basic 31.1 kinst/s (on ``hybrid-membound``, the slower
+    #: of its two workloads); accel-like 27.7, re-read the same way on
+    #: that host once it stopped ticking SMs that hold no block.  interval
     #: and swift-analytic keep their earlier ratios to swift-basic (10x
     #: and 125x faster; docs/performance.md, docs/analytic-tier.md).
     DEFAULTS: Dict[str, float] = {
-        "accel-like": 7.2e-5,
+        "accel-like": 3.6e-5,
         "swift-basic": 3.2e-5,
         "swift-memory": 1.4e-5,
         "interval": 3.2e-6,

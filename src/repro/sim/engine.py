@@ -3,11 +3,14 @@
 The engine drives :class:`ClockedModule` instances.  Each tick returns
 the next cycle at which the module wants to run again:
 
-* a fully cycle-accurate module returns ``cycle + 1`` every time, so it
-  is ticked every cycle exactly like GPGPU-Sim's core loop;
+* a cycle-accurate module that holds work returns ``cycle + 1``, so it
+  is ticked every cycle for as long as it does;
 * a hybrid module whose pending work all completes at known future
   cycles may return that future cycle, letting the engine *jump* the
-  clock across the idle gap.
+  clock across the idle gap;
+* a module that holds nothing returns ``None`` and leaves the schedule
+  under either clocking mode: per-cycle clocking clamps every
+  *requested* wake to the next cycle, it never invents a tick.
 
 Jumping is exact, not an approximation: a module that returns a wake
 cycle ``w`` asserts that its externally visible state cannot change
@@ -176,8 +179,9 @@ class Engine:
 
     def _schedule(self, module: ClockedModule, cycle: int) -> None:
         if not self.allow_jump and cycle > self.cycle + 1:
-            # Per-cycle mode: tick every cycle even when the module knows
-            # nothing happens before ``cycle`` (the Accel-Sim-style loop).
+            # Per-cycle mode: a module that asked to be ticked is ticked
+            # every cycle, even when it knows nothing happens before
+            # ``cycle``.
             cycle = self.cycle + 1
         self._scheduled[module] = cycle
         heapq.heappush(self._heap, (cycle, self._rank[module], self._seq, module))

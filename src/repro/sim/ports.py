@@ -87,9 +87,3 @@ class BlockSource(ABC):
         only after peeking that it fits, so a source that has blocks to
         give overrides this; the default has nothing to show."""
         return None
-
-    @property
-    def all_done(self) -> bool:  # repro: port
-        """True once every block handed out has been reported done
-        (per-cycle SMs keep ticking, empty, until then)."""
-        return True

@@ -1,7 +1,9 @@
 """The fully cycle-accurate baseline simulator (Accel-Sim stand-in).
 
 Every component slot uses its cycle-accurate implementation and the
-engine ticks every cycle: per-warp fetch/i-buffer front end, operand
+engine ticks every module that holds work every cycle (an SM that holds
+no block, like one whose warps all await memory callbacks, is not in the
+schedule): per-warp fetch/i-buffer front end, operand
 collector with register-bank conflicts, stage-pipelined execution units
 arbitrating a shared result bus, and the per-cycle detailed memory
 pipeline (L1 MSHRs, NoC flits, L2 slices, DRAM row buffers).

@@ -168,7 +168,6 @@ class PlanSimulator(GPUSimulator):
         """
         plan_jump = self.plan["clocking"] == "event_jump"
         allow_jump = plan_jump if engine_allow_jump is None else engine_allow_jump
-        per_cycle = not plan_jump
         resume = guard.load_resume() if (
             guard is not None and guard.auto_resume
         ) else None
@@ -217,20 +216,16 @@ class PlanSimulator(GPUSimulator):
                 else:
                     memory = persistent_memory
                 scheduler = BlockScheduler(kernel)
-                # Per-cycle simulators tick the full SM array every cycle
-                # (the Accel-Sim main loop); hybrid plans only build
-                # occupied SMs.
-                if per_cycle:
-                    num_sms = self.config.num_sms
-                else:
-                    num_sms = min(self.config.num_sms, len(kernel.blocks))
+                # An SM takes at most one block per cycle, in rank order,
+                # so only the first min(num_sms, blocks) SMs ever hold one;
+                # the rest could decide nothing and are not built.
+                num_sms = min(self.config.num_sms, len(kernel.blocks))
                 sms = [
                     SMCore(
                         sm_id,
                         self.config,
                         scheduler,
                         self._subcore_factory(memory),
-                        idle_tick=per_cycle,
                     )
                     for sm_id in range(num_sms)
                 ]

@@ -219,9 +219,6 @@ class ReferenceSMCore(SMCore):
         self._block_finished_this_tick = False
         more_blocks = self._take_blocks(cycle)
         if not self._blocks:
-            if self.idle_tick and not getattr(self.block_source, "all_done", True):
-                self.counters["empty_cycles"] += 1
-                return cycle + 1
             return None
         self.counters["active_cycles"] += 1
         wake = cycle + 1 if more_blocks else NEVER

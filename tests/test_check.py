@@ -336,18 +336,26 @@ class _ComponentTicks(EngineChecker):
         self.ticks[module.component] += 1
 
 
-@pytest.mark.parametrize("app_name", ["bfs", "gemm"])
+#: accel-like's exact (memory-side ticks, all ticks) at ``tiny``: 88.2 %
+#: and 50.2 % -- a two-way cut is bounded by all / busier side, 1.13x
+#: and 1.99x.
+ACCEL_LIKE_MEMORY_SIDE_TICKS = {"bfs": (13_350, 15_131), "gemm": (966, 1_923)}
+
+
+@pytest.mark.parametrize("app_name", sorted(ACCEL_LIKE_MEMORY_SIDE_TICKS))
 @pytest.mark.parametrize(
     "simulator_cls", [AccelSimLike, SwiftSimBasic, SwiftSimMemory],
     ids=lambda cls: cls.__name__,
 )
 def test_memory_side_tick_share_under_the_two_way_cut(simulator_cls, app_name):
     """Pins the measurement behind the removal of the sharded engine
-    (docs/parallel-engine.md): cut at SM | memory, the hybrid tiers clock
-    nothing on the memory side and the cycle-accurate baseline under 5 %
-    of its ticks, so no parallel schedule of this graph can beat
-    1/(1 - share).  If this fails because a tier gained a clocked memory
-    side, re-measure the bound before touching the threshold."""
+    (docs/parallel-engine.md): cut at SM | memory, the hybrid tiers --
+    the simulators the paper is about -- clock nothing on the memory
+    side, so no parallel schedule of their graph beats 1.00x.  The
+    cycle-accurate baseline does tick its memory side; its share is
+    pinned exactly, as measured once SMs that hold no block stopped
+    padding the denominator.  If this fails, re-measure the table in the
+    doc and re-pin; there is no threshold here to loosen."""
     counter = _ComponentTicks()
     simulator_cls(get_preset("rtx2080ti")).simulate(
         make_app(app_name, scale="tiny"), gather_metrics=False, checker=counter
@@ -356,6 +364,6 @@ def test_memory_side_tick_share_under_the_two_way_cut(simulator_cls, app_name):
     total = sum(ticks.values())
     if simulator_cls is AccelSimLike:
         assert set(ticks) == {"sm", "memory"}
-        assert 0 < ticks["memory"] < 0.05 * total
+        assert (ticks["memory"], total) == ACCEL_LIKE_MEMORY_SIDE_TICKS[app_name]
     else:
         assert set(ticks) == {"sm"} and total > 0

@@ -238,13 +238,15 @@ class TestTornCheckpoints:
         ``quiet_until`` and the sink table, version 5 possibly a sharded
         engine, a class this build cannot even import, version 6
         ``Counters`` objects with an ``_adds`` slot this build's dict
-        subclass does not have) is
+        subclass does not have, version 7 ``SMCore`` objects with a
+        tick-while-empty flag) is
         refused on the meta line, before anything is unpickled, and
         resume falls back past every such file."""
         self._write(tmp_path, cycle=500)
-        current = b'"format_version": 7'
+        current = b'"format_version": 8'
         for cycle, version in (
             (1000, 1), (1500, 2), (2000, 3), (2500, 4), (3000, 5), (3500, 6),
+            (4000, 7),
         ):
             stale = self._write(tmp_path, cycle=cycle)
             assert stale.read_bytes().count(current) == 1
@@ -252,7 +254,7 @@ class TestTornCheckpoints:
                 current, b'"format_version": %d' % version))
             with pytest.raises(
                 CheckpointCorruption,
-                match=rf"format version {version} \(this build reads 7\)",
+                match=rf"format version {version} \(this build reads 8\)",
             ):
                 read_checkpoint(stale)
         path, meta, __ = find_resumable(tmp_path)

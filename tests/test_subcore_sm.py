@@ -8,17 +8,17 @@ from repro.core.sm import SMCore
 from repro.core.warp import WarpStatus
 from repro.errors import SimulationError
 from repro.frontend.trace import BlockTrace, KernelTrace, TraceInstruction, WarpTrace
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineChecker
 from repro.simulators.swift_basic import SwiftSimBasic
 
 from conftest import alu, make_tiny_gpu, make_warp
 
 
-def build_sm(gpu, kernel, simulator=None, idle_tick=False):
+def build_sm(gpu, kernel, simulator=None):
     simulator = simulator or SwiftSimBasic(gpu)
     scheduler = BlockScheduler(kernel)
     memory = simulator._build_memory()
-    sm = SMCore(0, gpu, scheduler, simulator._subcore_factory(memory), idle_tick=idle_tick)
+    sm = SMCore(0, gpu, scheduler, simulator._subcore_factory(memory))
     return sm, scheduler
 
 
@@ -96,29 +96,38 @@ class TestResidency:
         assert sm._threads_used == 0 and sm._smem_used == 0 and sm._regs_used == 0
 
 
-class TestIdleTick:
-    def test_idle_tick_keeps_sm_alive_until_kernel_done(self, tiny_gpu):
-        kernel = simple_kernel(num_blocks=1)
-        # Two SMs, one block: the second SM idles but must keep ticking.
-        simulator = SwiftSimBasic(tiny_gpu)
-        scheduler = BlockScheduler(kernel)
-        memory = simulator._build_memory()
-        sm0 = SMCore(0, tiny_gpu, scheduler, simulator._subcore_factory(memory), idle_tick=True)
-        sm1 = SMCore(1, tiny_gpu, scheduler, simulator._subcore_factory(memory), idle_tick=True)
-        sm0.tick(0)
-        result = sm1.tick(0)
-        assert result == 1  # idle but re-armed
-        assert sm1.counters.get("empty_cycles") == 1
+class TickLog(EngineChecker):
+    def __init__(self):
+        self.ticks = []
 
-    def test_no_idle_tick_sleeps_immediately(self, tiny_gpu):
-        kernel = simple_kernel(num_blocks=1)
+    def on_tick(self, module, cycle, rank):
+        self.ticks.append((cycle, module.name))
+
+
+class TestEmptySM:
+    @pytest.mark.parametrize("allow_jump", (True, False))
+    def test_sm_without_a_block_leaves_the_schedule(self, tiny_gpu, allow_jump):
+        # Two SMs, one block: the second SM is ticked once, finds the
+        # source drained and is never scheduled again -- under per-cycle
+        # clocking exactly as under event jumping.
         simulator = SwiftSimBasic(tiny_gpu)
-        scheduler = BlockScheduler(kernel)
+        scheduler = BlockScheduler(simple_kernel(num_blocks=1))
         memory = simulator._build_memory()
-        sm0 = SMCore(0, tiny_gpu, scheduler, simulator._subcore_factory(memory))
-        sm1 = SMCore(1, tiny_gpu, scheduler, simulator._subcore_factory(memory))
-        sm0.tick(0)
-        assert sm1.tick(0) is None
+        engine = Engine(allow_jump=allow_jump)
+        log = TickLog()
+        engine.attach_checker(log)
+        sms = [
+            SMCore(sm_id, tiny_gpu, scheduler, simulator._subcore_factory(memory))
+            for sm_id in range(2)
+        ]
+        for sm in sms:
+            sm.attach_engine(engine)
+            engine.add(sm)
+        engine.run()
+        assert scheduler.all_done
+        assert [tick for tick in log.ticks if tick[1] == "sm1"] == [(0, "sm1")]
+        assert len(log.ticks) > 2  # sm0 ran the block on its own
+        assert sms[1].is_done() and not sms[1].counters.as_dict()
 
 
 class TestIssueLoop:
