@@ -8,10 +8,22 @@ blocks; a block is a list of warps; a warp is a list of
 :class:`TraceInstruction` is the hot object of the whole simulator — it
 uses ``__slots__`` and resolves its :class:`~repro.frontend.isa.OpcodeInfo`
 once at construction so modeling code never re-parses mnemonics.
+
+A trace holds each thing once.  Instructions are immutable value
+objects: nothing stores to one after construction, ``==`` and ``hash``
+are by value, and the warps of a kernel run the same code, so both
+producers (:class:`~repro.tracegen.base.KernelBuilder` and the parser in
+:mod:`~repro.frontend.trace_io`) let them share one object per distinct
+address-free instruction.  Do not tell instructions apart by identity.
+``addresses`` is a read-only integer sequence — sized, indexable,
+iterable; one ``array("Q")`` per memory instruction and the empty tuple
+otherwise — so it is not hashable and never equal to a tuple or list:
+compare ``list(inst.addresses)``.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.errors import TraceError
@@ -30,7 +42,9 @@ class TraceInstruction:
     ``addresses`` holds one byte address per *active* thread (in ascending
     lane order) for memory instructions, exactly as an NVBit memory trace
     records them; it is empty for non-memory instructions and for
-    shared-memory instructions it holds shared-memory offsets.
+    shared-memory instructions it holds shared-memory offsets.  Every
+    address is an unsigned 64-bit integer; anything else is a
+    :class:`~repro.errors.TraceError`.
     """
 
     __slots__ = (
@@ -63,18 +77,26 @@ class TraceInstruction:
                     f"{opcode} at pc {pc:#x}: {len(addresses)} addresses for "
                     f"{active_threads} active threads"
                 )
-            # Never empty here: the mask has at least one lane set.
-            if min(addresses) < 0:
-                raise TraceError(f"{opcode} at pc {pc:#x}: negative address")
+            try:
+                # Never empty here: the mask has at least one lane set.
+                if min(addresses) < 0:
+                    raise TraceError(f"{opcode} at pc {pc:#x}: negative address")
+                addresses = array("Q", addresses)
+            except (OverflowError, TypeError):
+                raise TraceError(
+                    f"{opcode} at pc {pc:#x}: an address is not a 64-bit integer"
+                ) from None
         elif addresses:
             raise TraceError(f"{opcode} at pc {pc:#x} carries addresses but is not memory")
+        else:
+            addresses = ()
         self.pc = pc
         self.opcode = opcode
         self.info = info
         self.dest_regs = tuple(dest_regs)
         self.src_regs = tuple(src_regs)
         self.active_mask = active_mask
-        self.addresses = tuple(addresses)
+        self.addresses = addresses
         # Flattened from ``info`` — these are read millions of times on
         # the simulators' hot paths, where attribute loads beat properties.
         self.kind = info.kind

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import gzip
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import TraceCorruption, TraceError
 from repro.frontend.trace import (
@@ -109,6 +109,10 @@ class _Parser:
         #: The stripped line at ``_index`` while a peek is outstanding.
         self._ahead: Optional[str] = None
         self._skip_corrupt = skip_corrupt_kernels
+        #: Address-free instructions of the kernel being parsed, by their
+        #: stripped line: warps of a kernel repeat them, and a repeat is a
+        #: lookup, not a parse.
+        self._shared: Dict[str, TraceInstruction] = {}
         #: ``(kernel_name_or_?, error_message)`` per dropped kernel.
         self.skipped_kernels: List[tuple] = []
 
@@ -197,6 +201,7 @@ class _Parser:
         line = self._next()
         if not line.startswith("kernel "):
             self._fail(f"expected 'kernel', got {line!r}")
+        self._shared = {}
         fields = line.split()
         if len(fields) < 2:
             self._fail("kernel line is missing the kernel name")
@@ -253,6 +258,7 @@ class _Parser:
         except (IndexError, ValueError):
             self._fail(f"malformed warp line {line!r}")
         instructions: List[TraceInstruction] = []
+        shared = self._shared
         lines = self._lines
         index = self._index
         end = len(lines)
@@ -265,8 +271,13 @@ class _Parser:
                 break
             else:
                 index += 1
-                self._index = index
-                instructions.append(self._parse_instruction(line))
+                inst = shared.get(line)
+                if inst is None:
+                    self._index = index
+                    inst = self._parse_instruction(line)
+                    if not inst.is_memory:
+                        shared[line] = inst
+                instructions.append(inst)
         self._index = index
         if not instructions:
             self._fail(f"warp {warp_id} has no instructions")

@@ -46,9 +46,12 @@ MAGIC = b"REPROCKPT1\n"
 #:    constants and ``QueuedMemorySystem`` the L1's sectors per line in
 #:    place of its line size.
 #: 8: a pickled ``SMCore`` carries no tick-while-empty flag.
+#: 9: ``TraceInstruction.addresses`` pickles as one ``array("Q")`` (the
+#:    shared ``()`` when address-free) and ``DetailedMemorySystem`` keys
+#:    its rejected instructions on ``(sm_id, warp slot)``.
 #: ``tests/test_guard.py`` pins the pickled classes' field layout beside
 #: this number, so a layout change without a bump fails there.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 
 def checkpoint_name(cycle: int) -> str:

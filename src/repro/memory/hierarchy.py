@@ -393,11 +393,13 @@ class DetailedMemorySystem(ClockedModule):
         self._events: List[Tuple[int, int, str, object]] = []
         self._event_seq = 0
         self._outstanding = 0
-        # Transactions of instructions the L1 queue turned away, kept
-        # until the retry that gets them in.  Keyed by the lane addresses,
-        # which alone decide them (an instruction hashes without its
-        # addresses, so every warp at one PC would collide).
-        self._rejected: Dict[Tuple[int, ...], List[SectorTransaction]] = {}
+        # The instruction the L1 queue last turned away from each warp
+        # slot, with its transactions, kept until the retry that gets it
+        # in.  Keyed by who was rejected, (sm_id, warp slot): a warp
+        # re-offers that one instruction until it is accepted.
+        self._rejected: Dict[
+            Tuple[int, int], Tuple[TraceInstruction, List[SectorTransaction]]
+        ] = {}
 
     def attach_engine(self, engine: Engine) -> None:
         """Let the memory system re-arm itself when cores hand it work."""
@@ -430,14 +432,17 @@ class DetailedMemorySystem(ClockedModule):
         Returns False (structural stall) when the queue cannot take all
         of the instruction's sector transactions this cycle.
         """
-        transactions = self._rejected.pop(inst.addresses, None)
-        if transactions is None:
+        who = (sm_id, warp.slot)
+        entry = self._rejected.pop(who, None)
+        if entry is not None and entry[0] is inst:
+            transactions = entry[1]
+        else:
             transactions = coalesce(
                 inst.addresses, self.config.l1.line_bytes, self.config.l1.sector_bytes
             )
         queue = self._l1_queues[sm_id]
         if len(queue) + len(transactions) > self.L1_QUEUE_CAPACITY:
-            self._rejected[inst.addresses] = transactions
+            self._rejected[who] = (inst, transactions)
             self.counters["l1_queue_stalls"] += 1
             return False
         kind = inst.kind

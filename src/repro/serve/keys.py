@@ -101,7 +101,7 @@ def trace_fingerprint(trace: ApplicationTrace) -> dict:
                     hasher.update(
                         f"{inst.pc} {inst.opcode} {inst.dest_regs} "
                         f"{inst.src_regs} {inst.active_mask} "
-                        f"{inst.addresses}\n".encode("utf-8")
+                        f"{tuple(inst.addresses)}\n".encode("utf-8")
                     )
                     num_instructions += 1
     return {

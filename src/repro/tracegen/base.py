@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum, unique
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import WorkloadError
 from repro.frontend.trace import (
@@ -85,12 +85,21 @@ class RegisterPool:
 class WarpBuilder:
     """Builds one warp's dynamic instruction stream."""
 
-    def __init__(self, warp_id: int, rng: random.Random) -> None:
+    def __init__(
+        self,
+        warp_id: int,
+        rng: random.Random,
+        shared: Optional[Dict[tuple, TraceInstruction]] = None,
+    ) -> None:
         self.warp_id = warp_id
         self.rng = rng
         self.regs = RegisterPool()
         self._instructions: List[TraceInstruction] = []
         self._pc = 0
+        # Address-free instructions by value.  Warps of one kernel run
+        # the same code, so :meth:`KernelBuilder.build` hands them one
+        # table and each ALU / branch / barrier / EXIT exists once.
+        self._shared = {} if shared is None else shared
 
     def __len__(self) -> int:
         return len(self._instructions)
@@ -103,9 +112,16 @@ class WarpBuilder:
         mask: int = _FULL_MASK,
         addresses: Sequence[int] = (),
     ) -> None:
-        self._instructions.append(
-            TraceInstruction(self._pc, opcode, dest, src, mask, addresses)
-        )
+        if addresses:
+            inst = TraceInstruction(self._pc, opcode, dest, src, mask, addresses)
+        else:
+            key = (self._pc, opcode, tuple(dest), tuple(src), mask)
+            try:
+                inst = self._shared[key]
+            except KeyError:
+                inst = TraceInstruction(self._pc, opcode, dest, src, mask)
+                self._shared[key] = inst
+        self._instructions.append(inst)
         self._pc += _PC_STEP
 
     # -- arithmetic ----------------------------------------------------
@@ -206,13 +222,14 @@ class KernelBuilder:
 
     def build(self, generate: WarpGenerator) -> KernelTrace:
         blocks = []
+        shared: Dict[tuple, TraceInstruction] = {}
         for block_id in range(self.num_blocks):
             warps = []
             for warp_id in range(self.warps_per_block):
                 rng = random.Random(
                     derive_seed(self.seed_label, block_id, warp_id)
                 )
-                builder = WarpBuilder(warp_id, rng)
+                builder = WarpBuilder(warp_id, rng, shared)
                 generate(builder, block_id, warp_id)
                 warps.append(builder.finish())
             blocks.append(

@@ -7,6 +7,8 @@ every code path the full presets do.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.frontend.config import (
@@ -102,6 +104,11 @@ def store(pc: int, src: int, addresses, mask: int = 0xFFFFFFFF) -> TraceInstruct
     return TraceInstruction(
         pc, "STG", src_regs=(src,), active_mask=mask, addresses=tuple(addresses)
     )
+
+
+def warp_in_slot(slot: int = 0) -> SimpleNamespace:
+    """What ``issue_global`` needs of the issuing warp: its hardware slot."""
+    return SimpleNamespace(slot=slot)
 
 
 def coalesced_addrs(base: int = 0x10000, count: int = 32, step: int = 4):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.check import EngineSanitizer
 from repro.errors import CheckpointCorruption, SwiftSimError, TraceError
+from repro.frontend.trace import TraceInstruction
 from repro.frontend.trace_io import parse_trace, save_trace
 from repro.frontend.config_io import gpu_config_from_dict, gpu_config_to_dict
 from repro.errors import ConfigError
@@ -72,6 +73,40 @@ class TestTraceParserFuzz:
             parse_trace(text)
         except TraceError:
             pass
+
+
+class TestAddressListFuzz:
+    """``TraceInstruction`` is the one door into a trace for every
+    producer (generator, both parsers, the NVBit adapter, user code):
+    whatever is handed to it as an address list either becomes an
+    unsigned 64-bit array or raises the typed error."""
+
+    junk = st.one_of(
+        st.integers(-(1 << 70), 1 << 70), st.floats(allow_nan=True),
+        st.none(), st.text(max_size=3), st.booleans(),
+    )
+
+    @given(st.lists(junk, min_size=1, max_size=32))
+    @settings(max_examples=200, deadline=None)
+    def test_any_address_list_is_an_array_or_a_trace_error(self, addresses):
+        mask = (1 << len(addresses)) - 1
+        try:
+            inst = TraceInstruction(0, "LDG", (1,), (), mask, addresses)
+        except TraceError:
+            assert not all(
+                type(a) in (int, bool) and 0 <= a < 1 << 64 for a in addresses
+            )
+        else:
+            assert inst.addresses.typecode == "Q"
+            assert list(inst.addresses) == addresses
+
+    @pytest.mark.parametrize("addresses", [
+        [1.5], [1 << 64], [-1], ["0x10"], [None], [0x10, 2.0],
+    ])
+    def test_named_cases_raise_trace_error(self, addresses):
+        mask = (1 << len(addresses)) - 1
+        with pytest.raises(TraceError):
+            TraceInstruction(0, "LDG", (1,), (), mask, addresses)
 
 
 class TestConfigFuzz:

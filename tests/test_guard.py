@@ -239,14 +239,15 @@ class TestTornCheckpoints:
         engine, a class this build cannot even import, version 6
         ``Counters`` objects with an ``_adds`` slot this build's dict
         subclass does not have, version 7 ``SMCore`` objects with a
-        tick-while-empty flag) is
+        tick-while-empty flag, version 8 address tuples and a
+        rejected-instruction memo keyed on them) is
         refused on the meta line, before anything is unpickled, and
         resume falls back past every such file."""
         self._write(tmp_path, cycle=500)
-        current = b'"format_version": 8'
+        current = b'"format_version": 9'
         for cycle, version in (
             (1000, 1), (1500, 2), (2000, 3), (2500, 4), (3000, 5), (3500, 6),
-            (4000, 7),
+            (4000, 7), (4500, 8),
         ):
             stale = self._write(tmp_path, cycle=cycle)
             assert stale.read_bytes().count(current) == 1
@@ -254,7 +255,7 @@ class TestTornCheckpoints:
                 current, b'"format_version": %d' % version))
             with pytest.raises(
                 CheckpointCorruption,
-                match=rf"format version {version} \(this build reads 8\)",
+                match=rf"format version {version} \(this build reads 9\)",
             ):
                 read_checkpoint(stale)
         path, meta, __ = find_resumable(tmp_path)

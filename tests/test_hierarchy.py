@@ -13,7 +13,7 @@ from repro.memory.l2 import partition_for_line, slice_line_addr
 from repro.sim.engine import ClockedModule, Engine
 from repro.sim.ports import CompletionListener
 
-from conftest import load, make_tiny_gpu, store, coalesced_addrs
+from conftest import load, make_tiny_gpu, store, coalesced_addrs, warp_in_slot
 
 
 class TestL2Mapping:
@@ -232,7 +232,7 @@ class _MemoryDriver(ClockedModule):
     def tick(self, cycle):
         while self.schedule and self.schedule[0][0] <= cycle:
             __, sm_id, listener, inst = self.schedule.pop(0)
-            accepted = self.memory.issue_global(sm_id, listener, None, inst, cycle)
+            accepted = self.memory.issue_global(sm_id, listener, warp_in_slot(), inst, cycle)
             assert accepted
         if self.schedule:
             return self.schedule[0][0]
@@ -251,6 +251,20 @@ def run_detailed(tiny_gpu, schedule, max_cycles=100000):
 
 
 class TestDetailedMemorySystem:
+    @pytest.fixture
+    def coalesced(self, monkeypatch):
+        """The address lists ``issue_global`` had coalesced, in order."""
+        import repro.memory.hierarchy as hierarchy
+        coalesce = hierarchy.coalesce
+        seen = []
+
+        def counting(addresses, *args):
+            seen.append(addresses)
+            return coalesce(addresses, *args)
+
+        monkeypatch.setattr(hierarchy, "coalesce", counting)
+        return seen
+
     def test_load_completes_via_callback(self, tiny_gpu):
         listener = _Recorder()
         inst = load(0, 1, coalesced_addrs(base=0x100000))
@@ -308,48 +322,85 @@ class TestDetailedMemorySystem:
         # One divergent instruction with more transactions than the queue.
         addrs = [0x800000 + 128 * i for i in range(32)]
         big = load(0, 1, addrs)
-        assert memory.issue_global(0, listener, None, big, 0)
-        assert memory.issue_global(0, listener, None, big, 0)
+        assert memory.issue_global(0, listener, warp_in_slot(), big, 0)
+        assert memory.issue_global(0, listener, warp_in_slot(), big, 0)
         # Queue (64) now full: the third must be rejected.
-        assert not memory.issue_global(0, listener, None, big, 0)
+        assert not memory.issue_global(0, listener, warp_in_slot(), big, 0)
         assert memory.counters.get("l1_queue_stalls") == 1
 
-    def test_rejected_instruction_is_coalesced_once(self, tiny_gpu, monkeypatch):
+    def test_rejected_instruction_is_coalesced_once(self, tiny_gpu, coalesced):
         """A retry reuses the transactions the rejection already paid for
         (the LD/ST unit re-offers a stalled instruction every cycle)."""
-        import repro.memory.hierarchy as hierarchy
-        coalesce = hierarchy.coalesce
-        coalesced = []
-
-        def counting(addresses, *args):
-            coalesced.append(addresses)
-            return coalesce(addresses, *args)
-
-        monkeypatch.setattr(hierarchy, "coalesce", counting)
         memory = DetailedMemorySystem(tiny_gpu)
         listener = _Recorder()
         filler = load(0, 1, [0x800000 + 128 * i for i in range(32)])
         stalled = load(16, 2, [0x900000 + 128 * i for i in range(32)])
-        assert memory.issue_global(0, listener, None, filler, 0)
-        assert memory.issue_global(0, listener, None, filler, 0)
+        assert memory.issue_global(0, listener, warp_in_slot(), filler, 0)
+        assert memory.issue_global(0, listener, warp_in_slot(), filler, 0)
         for cycle in range(3):
-            assert not memory.issue_global(0, listener, None, stalled, cycle)
+            assert not memory.issue_global(0, listener, warp_in_slot(), stalled, cycle)
         assert memory.counters.get("l1_queue_stalls") == 3
         assert len(coalesced) == 3          # filler twice, stalled once
         engine = Engine()
         memory.attach_engine(engine)
         engine.add(memory)
         engine.run()                        # the queue drains
-        assert memory.issue_global(0, listener, None, stalled, engine.cycle + 1)
+        assert memory.issue_global(0, listener, warp_in_slot(), stalled, engine.cycle + 1)
         assert len(coalesced) == 3
         assert memory.counters.get("sector_transactions") == 96
         # Accepted: nothing is kept, so the next offer starts afresh.
-        assert memory.issue_global(0, listener, None, stalled, engine.cycle + 2)
+        assert memory.issue_global(0, listener, warp_in_slot(), stalled, engine.cycle + 2)
         assert len(coalesced) == 4
-        assert not memory.issue_global(0, listener, None, filler, engine.cycle + 2)
+        assert not memory.issue_global(0, listener, warp_in_slot(), filler, engine.cycle + 2)
         memory.reset()
-        assert memory.issue_global(0, listener, None, filler, 0)
+        assert memory.issue_global(0, listener, warp_in_slot(), filler, 0)
         assert len(coalesced) == 6          # reset() dropped the kept one
+
+    def test_each_rejected_warp_gets_its_own_transactions_back(self, tiny_gpu, coalesced):
+        """The memo is keyed on who was rejected, not on the addresses:
+        two warps turned away in one cycle with equal addresses each
+        find their own entry, and an entry is reused only for the very
+        instruction that left it."""
+        memory = DetailedMemorySystem(tiny_gpu)
+        listener = _Recorder()
+        filler = load(0, 1, [0x800000 + 128 * i for i in range(32)])
+        addrs = [0x900000 + 128 * i for i in range(32)]
+        first, second = load(16, 2, addrs), load(16, 2, addrs)
+        assert first == second and first is not second
+        warps = (warp_in_slot(1), warp_in_slot(2))
+        assert memory.issue_global(0, listener, warp_in_slot(0), filler, 0)
+        assert memory.issue_global(0, listener, warp_in_slot(0), filler, 0)
+        for cycle in range(2):
+            assert not memory.issue_global(0, listener, warps[0], first, cycle)
+            assert not memory.issue_global(0, listener, warps[1], second, cycle)
+        assert len(coalesced) == 4          # filler twice, each warp once
+        kept = dict(memory._rejected)
+        assert set(kept) == {(0, 1), (0, 2)}
+        assert kept[0, 1][0] is first and kept[0, 2][0] is second
+        assert kept[0, 1][1] is not kept[0, 2][1]
+        # The same slot on another SM is someone else.
+        assert memory.issue_global(1, listener, warps[0], first, 2)
+        assert len(coalesced) == 5 and set(memory._rejected) == set(kept)
+        # A slot that offers another instruction does not get the old
+        # one's transactions, however equal its addresses.
+        assert not memory.issue_global(0, listener, warps[0], second, 2)
+        assert len(coalesced) == 6
+        assert memory._rejected[0, 1][0] is second
+
+    @pytest.mark.parametrize("name,cycles,digest", [
+        ("gemm", 738, "d149d5f4be23e99382493784741d33d5e605452b26ce8ae4b3a07025f9e3a415"),
+        ("bfs", 8199, "95cf0b95f414a8896c0e7fcb66a40119f020fd296df61108cf4583235abfce8f"),
+    ])
+    def test_rejection_memo_moves_no_counter(self, tiny_gpu, name, cycles, digest):
+        """accel-like's whole counter dict, recorded while the memo was
+        keyed on the address tuple (1 154 and 201 rejections here)."""
+        import hashlib
+        import json
+        result = repro.AccelSimLike(tiny_gpu).simulate(repro.make_app(name, scale="tiny"))
+        assert result.metrics.total("l1_queue_stalls") > 0
+        assert result.total_cycles == cycles
+        text = json.dumps(result.metrics.per_module, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_cross_sm_sharing_through_l2(self, tiny_gpu):
         listener = _Recorder()

@@ -14,7 +14,7 @@ from repro.memory.hierarchy import DetailedMemorySystem, QueuedMemorySystem
 from repro.sim.engine import ClockedModule, Engine
 from repro.sim.ports import CompletionListener
 
-from conftest import coalesced_addrs, load, make_tiny_gpu, store
+from conftest import coalesced_addrs, load, make_tiny_gpu, store, warp_in_slot
 
 
 class _Recorder(CompletionListener):
@@ -40,7 +40,7 @@ def detailed_latency(gpu, instructions, issue_gap=2000):
         def tick(self, cycle):
             while self.pending and self.pending[0][0] <= cycle:
                 __, sm, listener, inst = self.pending.pop(0)
-                assert memory.issue_global(sm, listener, None, inst, cycle)
+                assert memory.issue_global(sm, listener, warp_in_slot(), inst, cycle)
             return self.pending[0][0] if self.pending else None
 
     engine = Engine(allow_jump=False)

@@ -101,7 +101,7 @@ class TestParse:
         app = parse_nvbit(SAMPLE)
         ldg = app.kernels[0].blocks[0].warps[1].instructions[0]
         assert ldg.active_mask == 0xF
-        assert ldg.addresses == (0x20000000, 0x20000080, 0x20000100, 0x20000180)
+        assert list(ldg.addresses) == [0x20000000, 0x20000080, 0x20000100, 0x20000180]
 
     def test_parsed_trace_simulates(self, tiny_gpu):
         app = parse_nvbit(SAMPLE, app_name="vecadd")

@@ -34,7 +34,7 @@ class TestTraceInstruction:
             0, "LDG", dest_regs=(1,), active_mask=0b101, addresses=(0x100, 0x200)
         )
         assert inst.active_threads == 2
-        assert inst.addresses == (0x100, 0x200)
+        assert list(inst.addresses) == [0x100, 0x200]
 
     def test_non_memory_rejects_addresses(self):
         with pytest.raises(TraceError):

@@ -48,7 +48,7 @@ class TestRoundTrip:
         save_trace(app, path)
         inst = load_trace(path).kernels[0].blocks[0].warps[0].instructions[0]
         assert inst.active_mask == 0b101
-        assert inst.addresses == (0x100, 0x200)
+        assert list(inst.addresses) == [0x100, 0x200]
 
 
 class TestGzip:

@@ -13,6 +13,7 @@ import gzip
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import TraceCorruption
 from repro.frontend.trace import (
     ApplicationTrace,
     BlockTrace,
@@ -36,13 +37,14 @@ CASES = [(name, "tiny") for name in sorted(APPLICATIONS)] + [
 
 def contents(trace):
     """Everything a trace holds, as nested tuples (``trace_hash`` leaves
-    out the application's name and suite and the warp ids)."""
+    out the application's name and suite and the warp ids).  Addresses
+    are a typed array in memory; here they are the integers it holds."""
     return (trace.name, trace.suite, tuple(
         (kernel.name, kernel.grid_dim, tuple(
             (block.block_id, block.shared_mem_bytes, block.regs_per_thread, tuple(
                 (warp.warp_id, tuple(
                     (inst.pc, inst.opcode, inst.dest_regs, inst.src_regs,
-                     inst.active_mask, inst.addresses)
+                     inst.active_mask, tuple(inst.addresses))
                     for inst in warp.instructions
                 ))
                 for warp in block.warps
@@ -218,3 +220,57 @@ class TestMalformedInput:
         assert kind == "parsed"
         assert [kernel[0] for kernel in trace[2]] == ["k0", "k2"]
         assert [name for name, __ in skipped] == ["k1"]
+
+
+class TestAddressBoundary:
+    """An address list is one unsigned 64-bit array, so the boundary is
+    the constructor's: what does not fit fails closed as a
+    ``TraceCorruption`` with its ``source:line:``, never as a Python big
+    int that simulates, and costs only its kernel under
+    ``skip_corrupt_kernels``.
+
+    The frozen parser builds its instructions through the live
+    ``TraceInstruction`` too, so it rejects these inputs with the same
+    message and none of them needs carving out of the equivalence
+    property; the reference check below says so by name.  (Before
+    addresses were typed, both parsers accepted ``a=0x1ffffffffffffffff``.)
+    """
+
+    K1_LOAD = "a=0x1000,0x1004,0x1008,0x100c"
+
+    CASES = {
+        "does-not-fit-64-bits": ("a=0x1ffffffffffffffff,0x1004,0x1008,0x100c",
+                                 "not a 64-bit integer"),
+        "exactly-2-to-the-64": (f"a={1 << 64:#x},0x1004,0x1008,0x100c",
+                                "not a 64-bit integer"),
+        "negative": ("a=-0x4,0x1004,0x1008,0x100c", "negative address"),
+        "count-mismatch": ("a=0x1000,0x1004,0x1008", "3 addresses for 4 active threads"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fails_closed_with_source_and_line(self, case):
+        field, reason = self.CASES[case]
+        text = SPECIMEN.replace(self.K1_LOAD, field, 1)
+        bad = next(number for number, line in enumerate(text.splitlines(), 1)
+                   if field in line)
+        with pytest.raises(TraceCorruption) as caught:
+            parse_trace(text, source="fuzz.trace")
+        assert str(caught.value).startswith(f"fuzz.trace:{bad}: LDG at pc 0x10: ")
+        assert reason in str(caught.value)
+        assert (caught.value.source, caught.value.line) == ("fuzz.trace", bad)
+
+        kind, trace, skipped = outcome(live_parse, text, True)
+        assert kind == "parsed"
+        assert [kernel[0] for kernel in trace[2]] == ["k0", "k2"]
+        assert [name for name, __ in skipped] == ["k1"]
+        assert reason in skipped[0][1]
+        for skip in (False, True):
+            assert outcome(live_parse, text, skip) == outcome(
+                reference.parse_trace, text, skip
+            )
+
+    def test_the_largest_address_is_accepted(self):
+        field = f"a={(1 << 64) - 1:#x},0x1004,0x1008,0x100c"
+        trace = parse_trace(SPECIMEN.replace(self.K1_LOAD, field, 1))
+        inst = trace.kernels[1].blocks[0].warps[0].instructions[1]
+        assert list(inst.addresses) == [(1 << 64) - 1, 0x1004, 0x1008, 0x100c]
