@@ -4,7 +4,7 @@ The runtime verification stack (:mod:`repro.check`, PR 1) and the
 fault-tolerant sweep machinery (:mod:`repro.resilience`, PR 2) enforce
 Swift-Sim's contracts *after* a simulation runs.  This package enforces
 them at commit time, with an AST-based whole-program analysis (stdlib
-:mod:`ast`, no dependencies) organized as four rule families:
+:mod:`ast`, no dependencies) organized as five rule families:
 
 * **IF — interface conformance**: every ``Module`` subclass declares its
   component slot and :class:`~repro.sim.module.ModelLevel`, every
@@ -34,38 +34,21 @@ them at commit time, with an AST-based whole-program analysis (stdlib
 
 Mechanics shared by all rules: a pluggable registry
 (:mod:`~repro.analyze.registry`), per-rule severity with a
-``--fail-on`` gate, inline ``# repro: noqa[RULE]`` suppressions
-(unknown rule names are rejected with
-:class:`~repro.errors.UnknownRuleError`), a committed baseline for
-grandfathered findings (:mod:`~repro.analyze.baseline`, prunable via
-``--prune-baseline``), SARIF 2.1.0 output
-(:mod:`~repro.analyze.sarif`), and a persistent cache
-(:class:`~repro.analyze.index.AstCache`) holding both parsed ASTs and
-rule results, keyed on a digest of the rule catalog so editing any
-rule invalidates cached findings but not the parse.
+``--fail-on`` gate, and inline ``# repro: noqa[RULE]`` suppressions
+(counted in the report; unknown rule names are rejected with
+:class:`~repro.errors.UnknownRuleError`).
 
-Drive it with ``repro lint`` (text/JSON/SARIF output) or as the sixth
-``repro check`` pillar (``--mode static``); the rule catalog lives in
-``docs/static-analysis.md``.
+Drive it with ``repro lint`` (text on stdout, ``--json PATH`` for the
+machine-readable report) or as the ``repro check --mode static``
+pillar; the rule catalog lives in ``docs/static-analysis.md``.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.analyze.baseline": (
-        "apply_baseline",
-        "load_baseline",
-        "prune_baseline",
-        "write_baseline",
-    ),
     "repro.analyze.callgraph": ("CallGraph", "build_callgraph"),
     "repro.analyze.findings": ("FAIL_ON", "SEVERITIES", "LintFinding"),
-    "repro.analyze.index": (
-        "AstCache",
-        "ProgramIndex",
-        "SourceFile",
-        "load_index",
-    ),
+    "repro.analyze.index": ("ProgramIndex", "SourceFile", "load_index"),
     "repro.analyze.partition": (
         "Partition",
         "build_partition",
@@ -76,18 +59,15 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "RULES",
         "Rule",
         "all_rules",
-        "catalog_hash",
         "resolve_rules",
     ),
     "repro.analyze.runner": ("LintReport", "lint_paths"),
-    "repro.analyze.sarif": ("to_sarif", "to_sarif_json"),
     "repro.analyze.stateflow": ("StateFlow", "build_stateflow"),
 })
 
 __all__ = [
     "FAIL_ON",
     "FAMILIES",
-    "AstCache",
     "CallGraph",
     "LintFinding",
     "LintReport",
@@ -99,18 +79,11 @@ __all__ = [
     "SourceFile",
     "StateFlow",
     "all_rules",
-    "apply_baseline",
     "build_callgraph",
     "build_partition",
     "build_stateflow",
-    "catalog_hash",
     "lint_paths",
-    "load_baseline",
     "load_index",
-    "prune_baseline",
     "resolve_rules",
-    "to_sarif",
-    "to_sarif_json",
-    "write_baseline",
     "write_manifest",
 ]

@@ -1,15 +1,11 @@
 """Lint findings: what a static-analysis rule reports.
 
 A :class:`LintFinding` is the analyzer's unit of output, mirroring
-:class:`repro.check.report.CheckFinding` but carrying source position
-and a stable *fingerprint* so findings can be grandfathered into a
-committed baseline file without pinning line numbers (which drift on
-every unrelated edit).
+:class:`repro.check.report.CheckFinding` but carrying a source position.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict
 
@@ -38,18 +34,6 @@ class LintFinding:
                 f"severity must be one of {SEVERITIES}, got {self.severity!r}"
             )
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Deliberately excludes the line number: a grandfathered finding
-        stays grandfathered when unrelated edits shift the file, and
-        resurfaces when it moves to a different scope or its message
-        changes (i.e. when the code actually changed).
-        """
-        payload = "\x1f".join((self.rule, self.path, self.scope, self.message))
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
@@ -58,7 +42,6 @@ class LintFinding:
             "line": self.line,
             "scope": self.scope,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:

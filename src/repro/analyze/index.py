@@ -1,4 +1,4 @@
-"""Parsed-source index: files, the cross-file class hierarchy, and caching.
+"""Parsed-source index: files and the cross-file class hierarchy.
 
 The analyzer is whole-program: interface-conformance needs to know that
 ``DetailedMemorySystem`` is (transitively) a :class:`repro.sim.module.Module`
@@ -6,19 +6,12 @@ even though the two classes live in different files, and the wiring pass
 needs every instantiation site of every sink class.  :class:`ProgramIndex`
 builds that view once from a set of :class:`SourceFile`\\ s; rules then
 query it.
-
-Parsing dominates lint wall time on large trees, so the parsed-AST index
-can be persisted (:class:`AstCache`): entries are keyed by content hash
-and analyzer version, letting CI share one parse between the ``repro
-lint`` and ``repro check --mode static`` steps.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import pickle
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -27,7 +20,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from repro.errors import AnalysisError
 
-#: Bump when parsing/extraction changes, to invalidate persisted caches.
+#: Version of the parsing/extraction logic, recorded in the partition
+#: manifest so a manifest names the analysis that produced it.
 ANALYZER_VERSION = 2
 
 #: Framework root classes: subclassing one of these (by name, transitively
@@ -78,17 +72,14 @@ class ClassInfo:
 class SourceFile:
     """One parsed Python source file plus its lint annotations."""
 
-    def __init__(self, path: Path, root: Path, text: str,
-                 tree: Optional[ast.Module] = None) -> None:
-        self.abspath = path
+    def __init__(self, path: Path, root: Path, text: str) -> None:
         try:
             self.path = str(path.relative_to(root))
         except ValueError:
             self.path = str(path)
         self.text = text
-        self.content_hash = hashlib.sha1(text.encode("utf-8")).hexdigest()
         try:
-            self.tree = tree if tree is not None else ast.parse(text, filename=self.path)
+            self.tree = ast.parse(text, filename=self.path)
         except SyntaxError as exc:
             raise AnalysisError(f"cannot parse {self.path}: {exc}") from exc
         self.module_name = _module_name(path)
@@ -348,13 +339,6 @@ class ProgramIndex:
         names.update(info.name for info in self.subclasses_of(SINK_ROOTS))
         return names
 
-    def has_subclasses(self, info: ClassInfo) -> bool:
-        for definitions in self.classes.values():
-            for other in definitions:
-                if other is not info and info.name in other.base_names:
-                    return True
-        return False
-
     def declares(self, info: ClassInfo, attr: str) -> bool:
         """Does ``info`` (or an ancestor below the framework roots)
         declare ``attr`` as a class attribute or ``self.<attr>``?"""
@@ -396,7 +380,7 @@ class ProgramIndex:
 
 
 # ----------------------------------------------------------------------
-# collection and caching
+# collection
 
 
 def collect_paths(paths: Sequence[Path]) -> List[Path]:
@@ -414,117 +398,12 @@ def collect_paths(paths: Sequence[Path]) -> List[Path]:
     return collected
 
 
-class AstCache:
-    """Content-addressed parsed-AST and findings store for lint steps.
-
-    Maps ``sha1(source)`` to the pickled :mod:`ast` tree.  Misses parse
-    and populate; :meth:`save` persists for the next invocation (the CI
-    lint job caches this file between the ``repro lint`` and ``repro
-    check --mode static`` steps).
-
-    Alongside the trees, the cache holds *findings* entries keyed by the
-    exact (rule catalog, file contents, rule selection) triple that
-    produced them.  AST entries survive rule changes — parsing is
-    rule-independent — but findings are dropped whenever the persisted
-    rule-catalog hash differs from the running one, so editing or adding
-    a rule can never silently replay stale results.
-    """
-
-    def __init__(self, path: Optional[Path] = None,
-                 catalog: Optional[str] = None) -> None:
-        if catalog is None:
-            # Late import: registry pulls in the rule modules, which
-            # import this module for index helpers.
-            from repro.analyze.registry import catalog_hash
-            catalog = catalog_hash()
-        self.path = path
-        self.catalog = catalog
-        self.hits = 0
-        self.misses = 0
-        self._entries: Dict[str, bytes] = {}
-        self._findings: Dict[str, bytes] = {}
-        if path is not None and path.exists():
-            try:
-                with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
-                if payload.get("version") == ANALYZER_VERSION:
-                    self._entries = payload.get("entries", {})
-                    if payload.get("catalog") == catalog:
-                        self._findings = payload.get("findings", {})
-            except Exception:
-                self._entries = {}  # corrupt/stale cache: rebuild silently
-                self._findings = {}
-
-    def tree_for(self, text: str, filename: str) -> ast.Module:
-        key = hashlib.sha1(text.encode("utf-8")).hexdigest()
-        blob = self._entries.get(key)
-        if blob is not None:
-            try:
-                tree = pickle.loads(blob)
-                self.hits += 1
-                return tree
-            except Exception:
-                pass
-        tree = ast.parse(text, filename=filename)
-        self.misses += 1
-        self._entries[key] = pickle.dumps(tree)
-        return tree
-
-    # ------------------------------------------------------------------
-    # cached rule results (keyed by catalog + sources + rule selection)
-
-    def findings_key(self, content_hashes: Sequence[str],
-                     rule_ids: Sequence[str]) -> str:
-        digest = hashlib.sha1()
-        digest.update(self.catalog.encode("utf-8"))
-        for chash in sorted(content_hashes):
-            digest.update(b"\x1f" + chash.encode("utf-8"))
-        digest.update(("\x1e" + ",".join(sorted(rule_ids))).encode("utf-8"))
-        return digest.hexdigest()
-
-    def findings_for(self, key: str) -> Optional[object]:
-        blob = self._findings.get(key)
-        if blob is None:
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception:
-            return None
-
-    def store_findings(self, key: str, payload: object) -> None:
-        self._findings[key] = pickle.dumps(payload)
-
-    def save(self) -> None:
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "wb") as handle:
-            pickle.dump(
-                {
-                    "version": ANALYZER_VERSION,
-                    "catalog": self.catalog,
-                    "entries": self._entries,
-                    "findings": self._findings,
-                },
-                handle,
-            )
-
-
 def load_index(
-    paths: Sequence[Path],
-    root: Optional[Path] = None,
-    cache: Optional[AstCache] = None,
+    paths: Sequence[Path], root: Optional[Path] = None
 ) -> ProgramIndex:
     """Parse ``paths`` (files or directories) into a :class:`ProgramIndex`."""
     root = root if root is not None else Path.cwd()
-    sources = []
-    for path in collect_paths(paths):
-        text = path.read_text()
-        tree = None
-        if cache is not None:
-            try:
-                tree = cache.tree_for(text, str(path))
-            except SyntaxError as exc:
-                raise AnalysisError(f"cannot parse {path}: {exc}") from exc
-        sources.append(SourceFile(path, root, text, tree=tree))
-    return ProgramIndex(sources)
+    return ProgramIndex([
+        SourceFile(path, root, path.read_text())
+        for path in collect_paths(paths)
+    ])

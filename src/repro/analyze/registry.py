@@ -12,7 +12,6 @@ cross-file class hierarchy, not one file at a time.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List
 
@@ -80,32 +79,6 @@ def all_rules() -> List[Rule]:
     )
 
     return list(RULES.values())
-
-
-def catalog_hash() -> str:
-    """Stable digest of the loaded rule catalog, for cache keying.
-
-    Covers every rule's identity, metadata, and the *compiled bytecode*
-    of its check callable, plus the analyzer version — so editing a
-    rule's logic (not just its docstring) or adding/removing a rule
-    changes the hash and invalidates cached findings keyed on it.
-    """
-    from repro.analyze.index import ANALYZER_VERSION
-
-    digest = hashlib.sha1()
-    digest.update(f"analyzer/v{ANALYZER_VERSION}".encode("utf-8"))
-    for registered in sorted(all_rules(), key=lambda r: r.id):
-        digest.update(
-            "\x1f".join(
-                (registered.id, registered.title, registered.severity,
-                 registered.rationale)
-            ).encode("utf-8")
-        )
-        code = getattr(registered.check, "__code__", None)
-        if code is not None:
-            digest.update(code.co_code)
-            digest.update(repr(code.co_consts).encode("utf-8"))
-    return digest.hexdigest()
 
 
 def resolve_rules(ids: Iterable[str]) -> List[Rule]:

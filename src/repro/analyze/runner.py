@@ -1,18 +1,15 @@
-"""The lint driver: parse, run rules, suppress, baseline, report.
+"""The lint driver: parse, run rules, suppress, report.
 
 :func:`lint_paths` is the single entry point both ``repro lint`` and the
 ``repro check --mode static`` pillar use.  The pipeline:
 
-1. collect sources and parse them (through the optional
-   :class:`~repro.analyze.index.AstCache`);
-2. run every registered rule over the whole-program index;
+1. collect and parse the sources into a whole-program index;
+2. run every selected rule over it;
 3. drop findings covered by a ``# repro: noqa[RULE]`` on the offending
-   line (counted, so suppression stays visible);
-4. split the remainder against the committed baseline, if given.
+   line (counted, so suppression stays visible).
 
 The exit policy lives here too: ``--fail-on error`` (the default)
-gates on fresh error-severity findings, ``--fail-on warning`` on any
-fresh finding.
+gates on error-severity findings, ``--fail-on warning`` on any finding.
 """
 
 from __future__ import annotations
@@ -22,9 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.analyze.baseline import apply_baseline, load_baseline
 from repro.analyze.findings import FAIL_ON, LintFinding
-from repro.analyze.index import AstCache, ProgramIndex, load_index
+from repro.analyze.index import ProgramIndex, load_index
 from repro.analyze.registry import Rule, all_rules, resolve_rules
 from repro.errors import AnalysisError, UnknownRuleError
 
@@ -37,12 +33,8 @@ class LintReport:
     rules_run: int
     files_scanned: int
     findings: List[LintFinding] = field(default_factory=list)
-    grandfathered: List[LintFinding] = field(default_factory=list)
-    stale_baseline: List[dict] = field(default_factory=list)
     suppressed: int = 0
     fail_on: str = "error"
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def errors(self) -> List[LintFinding]:
@@ -68,16 +60,13 @@ class LintReport:
             "errors": len(self.errors),
             "warnings": len(self.warnings),
             "suppressed": self.suppressed,
-            "grandfathered": len(self.grandfathered),
-            "stale_baseline": self.stale_baseline,
             "findings": [f.as_dict() for f in self.findings],
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
         }
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
 
-    def render(self, verbose: bool = False) -> str:
+    def render(self) -> str:
         lines = [
             f"repro lint: {self.files_scanned} file(s), "
             f"{self.rules_run} rule(s), fail-on {self.fail_on}"
@@ -89,23 +78,6 @@ class LintReport:
             lines.append("  " + finding.render())
         if self.suppressed:
             lines.append(f"  ({self.suppressed} finding(s) noqa-suppressed)")
-        if self.grandfathered:
-            lines.append(
-                f"  ({len(self.grandfathered)} finding(s) grandfathered "
-                f"by the baseline)"
-            )
-        for entry in self.stale_baseline:
-            lines.append(
-                f"  stale baseline entry: {entry['rule']} {entry['path']} "
-                f"{entry['scope']} — fixed? regenerate the baseline"
-            )
-        if self.stale_baseline:
-            count = len(self.stale_baseline)
-            lines.append(
-                f"  warning: {count} stale baseline entr"
-                f"{'y' if count == 1 else 'ies'} — run "
-                f"`repro lint --prune-baseline` to drop them"
-            )
         if self.ok:
             lines.append(
                 "PASS: no "
@@ -123,15 +95,13 @@ def lint_paths(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Path] = None,
     fail_on: str = "error",
-    cache: Optional[AstCache] = None,
     index: Optional[ProgramIndex] = None,
 ) -> LintReport:
     """Lint ``paths`` and return a :class:`LintReport`.
 
     ``index`` lets callers that already built a :class:`ProgramIndex`
-    (tests, the check pillar) skip re-parsing.
+    (tests, the partition report) skip re-parsing.
     """
     if fail_on not in FAIL_ON:
         raise AnalysisError(f"fail_on must be one of {FAIL_ON}, got {fail_on!r}")
@@ -139,26 +109,13 @@ def lint_paths(
         resolve_rules(rules) if rules else all_rules()
     )
     if index is None:
-        index = load_index(paths, root=root, cache=cache)
+        index = load_index(paths, root=root)
     _validate_noqa(index)
     by_path = {source.path: source for source in index.files}
-    findings_key = None
-    cached = None
-    if cache is not None:
-        findings_key = cache.findings_key(
-            [source.content_hash for source in index.files],
-            [r.id for r in selected],
-        )
-        cached = cache.findings_for(findings_key)
-    if cached is not None:
-        kept, suppressed = cached
-    else:
-        raw: List[LintFinding] = []
-        for rule_obj in selected:
-            raw.extend(rule_obj.check(index))
-        kept = []
-        suppressed = 0
-        for finding in raw:
+    kept: List[LintFinding] = []
+    suppressed = 0
+    for rule_obj in selected:
+        for finding in rule_obj.check(index):
             source = by_path.get(finding.path)
             if source is not None and source.suppressed(
                 finding.line, finding.rule
@@ -166,30 +123,13 @@ def lint_paths(
                 suppressed += 1
             else:
                 kept.append(finding)
-        if cache is not None and findings_key is not None:
-            # Post-noqa, pre-baseline: suppression depends only on file
-            # content (hashed into the key); the baseline is applied
-            # fresh on every run so edits to it take effect immediately.
-            cache.store_findings(findings_key, (kept, suppressed))
-    if cache is not None:
-        cache.save()
-    grandfathered: List[LintFinding] = []
-    stale: List[dict] = []
-    if baseline is not None:
-        kept, grandfathered, stale = apply_baseline(
-            kept, load_baseline(baseline)
-        )
     return LintReport(
         paths=[str(path) for path in paths],
         rules_run=len(selected),
         files_scanned=len(index.files),
         findings=kept,
-        grandfathered=grandfathered,
-        stale_baseline=stale,
         suppressed=suppressed,
         fail_on=fail_on,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
     )
 
 

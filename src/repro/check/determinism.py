@@ -22,15 +22,11 @@ from repro.eval.harness import EvaluationHarness
 from repro.frontend.config import GPUConfig
 from repro.simulators.base import PlanSimulator
 from repro.simulators.parallel import simulate_apps_parallel
-from repro.simulators.results import SimulationResult
 from repro.tracegen.suites import make_app
 from repro.check.report import CheckFinding, info, violation
+from repro.check.shadow import compare_results
 
 _CHECK = "determinism"
-
-
-def _kernel_tuples(result: SimulationResult):
-    return [(k.name, k.start_cycle, k.end_cycle) for k in result.kernels]
 
 
 def _check_repeatability(
@@ -46,22 +42,10 @@ def _check_repeatability(
         runs.append(simulator_cls(config).simulate(app))
     first, second = runs
     subject = f"{first.simulator_name} x {app_name}"
-    findings: List[CheckFinding] = []
-    if first.total_cycles != second.total_cycles:
-        findings.append(violation(
-            _CHECK, subject,
-            f"repeated runs disagree on cycles: {first.total_cycles} "
-            f"vs {second.total_cycles}",
-        ))
-    if _kernel_tuples(first) != _kernel_tuples(second):
-        findings.append(violation(
-            _CHECK, subject, "repeated runs disagree on per-kernel cycles",
-        ))
-    if first.metrics is not None and second.metrics is not None:
-        if first.metrics.as_dict() != second.metrics.as_dict():
-            findings.append(violation(
-                _CHECK, subject, "repeated runs disagree on counters",
-            ))
+    findings = compare_results(
+        subject, first, second, ignore_counters=frozenset(), check=_CHECK,
+        labels=("first", "second"),
+    )
     if not findings:
         findings.append(info(
             _CHECK, subject,
@@ -94,17 +78,11 @@ def _check_parallel_equivalence(
     for app in apps:
         subject = f"{simulator.name} x {app.name}"
         serial_result = serial[app.name]
-        pooled_result = pooled[app.name]
-        if serial_result.total_cycles != pooled_result.total_cycles:
-            findings.append(violation(
-                _CHECK, subject,
-                f"serial vs pooled cycles differ: "
-                f"{serial_result.total_cycles} vs {pooled_result.total_cycles}",
-            ))
-        if _kernel_tuples(serial_result) != _kernel_tuples(pooled_result):
-            findings.append(violation(
-                _CHECK, subject, "serial vs pooled per-kernel cycles differ",
-            ))
+        findings.extend(compare_results(
+            subject, serial_result, pooled[app.name],
+            ignore_counters=frozenset(), check=_CHECK,
+            labels=("serial", "pooled"),
+        ))
         if harness_cycles[app.name] != serial_result.total_cycles:
             findings.append(violation(
                 _CHECK, subject,

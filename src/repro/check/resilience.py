@@ -29,9 +29,9 @@ from repro.simulators.parallel import (
     simulate_apps_parallel,
     simulate_apps_supervised,
 )
-from repro.simulators.results import SimulationResult
 from repro.tracegen.suites import make_app
 from repro.check.report import CheckFinding, info, violation
+from repro.check.shadow import compare_results
 
 _CHECK = "resilience"
 
@@ -44,16 +44,6 @@ DEFAULT_CHAOS = ChaosPlan(seed=2025, crash_rate=0.30, hang_rate=0.10,
 CHAOS_POLICY = RetryPolicy(max_attempts=10, base_delay=0.001,
                            backoff_factor=2.0, max_delay=0.05,
                            jitter=0.1, timeout_seconds=30.0)
-
-
-def results_identical(lhs: SimulationResult, rhs: SimulationResult) -> bool:
-    return (
-        lhs.total_cycles == rhs.total_cycles
-        and [(k.name, k.start_cycle, k.end_cycle, k.instructions)
-             for k in lhs.kernels]
-        == [(k.name, k.start_cycle, k.end_cycle, k.instructions)
-            for k in rhs.kernels]
-    )
 
 
 def _check_chaos_convergence(
@@ -85,12 +75,11 @@ def _check_chaos_convergence(
                 f"chaos run did not converge after "
                 f"{outcome.num_attempts} attempt(s): {outcome.failure}",
             ))
-        elif not results_identical(outcome.result, clean[app.name]):
-            findings.append(violation(
-                _CHECK, subject,
-                f"chaos run diverged from clean run: "
-                f"{outcome.result.total_cycles} vs "
-                f"{clean[app.name].total_cycles} cycles",
+        else:
+            findings.extend(compare_results(
+                subject, outcome.result, clean[app.name],
+                ignore_counters=frozenset(), check=_CHECK,
+                labels=("chaos", "clean"),
             ))
     if not findings:
         findings.append(info(
@@ -137,13 +126,12 @@ def _check_journal_resume(
                 simulator_cls(config), apps, workers=1, journal=journal,
             )
         for app in apps:
-            if not results_identical(resumed[app.name], clean[app.name]):
-                findings.append(violation(
-                    _CHECK, f"{simulator_name} x {app.name}",
-                    f"resumed sweep diverged from clean run: "
-                    f"{resumed[app.name].total_cycles} vs "
-                    f"{clean[app.name].total_cycles} cycles",
-                ))
+            findings.extend(compare_results(
+                f"{simulator_name} x {app.name}",
+                resumed[app.name], clean[app.name],
+                ignore_counters=frozenset(), check=_CHECK,
+                labels=("resumed", "clean"),
+            ))
     finally:
         if os.path.exists(path):
             os.unlink(path)

@@ -7,7 +7,7 @@ to ``cycle + 1``) must produce bit-identical results.  This check runs a
 workload twice — once with the plan's own engine clocking, once with the
 engine mode inverted while the assembly stays untouched — and compares:
 
-* final cycle and per-kernel (name, start, end) tuples,
+* final cycle and per-kernel (name, start, end, instructions) tuples,
 * total committed instructions,
 * every module counter, except the declared *tick observers*.
 
@@ -55,11 +55,13 @@ def compare_results(
 ) -> List[CheckFinding]:
     """Findings for any observable difference between two runs.
 
-    Shared bit-identity comparator: the shadow-jump pillar (its home),
-    the guard pillar, and the dispatch-equivalence tests all reduce to
-    "these two runs must agree on everything" — ``check`` tags whose
-    contract a difference violates and ``labels`` names the two runs in
-    the findings.
+    The one bit-identity comparator: the shadow-jump pillar (its home),
+    the guard, determinism and resilience pillars, ``repro chaos`` and
+    the dispatch-equivalence tests all reduce to "these two runs must
+    agree on everything" — ``check`` tags whose contract a difference
+    violates and ``labels`` names the two runs in the findings.
+    Counters are compared only when both results carry metrics (results
+    from worker processes or a journal carry none).
     """
     findings: List[CheckFinding] = []
     if primary.total_cycles != shadow.total_cycles:
@@ -68,12 +70,15 @@ def compare_results(
             f"final cycle differs: {labels[0]}={primary.total_cycles} "
             f"{labels[1]}={shadow.total_cycles}",
         ))
-    a_kernels = [(k.name, k.start_cycle, k.end_cycle) for k in primary.kernels]
-    b_kernels = [(k.name, k.start_cycle, k.end_cycle) for k in shadow.kernels]
+    a_kernels = [(k.name, k.start_cycle, k.end_cycle, k.instructions)
+                 for k in primary.kernels]
+    b_kernels = [(k.name, k.start_cycle, k.end_cycle, k.instructions)
+                 for k in shadow.kernels]
     if a_kernels != b_kernels:
         findings.append(violation(
             check, subject,
-            f"per-kernel cycles differ: {a_kernels} vs {b_kernels}",
+            f"per-kernel (name, start, end, instructions) differ: "
+            f"{a_kernels} vs {b_kernels}",
         ))
     if primary.instructions != shadow.instructions:
         findings.append(violation(

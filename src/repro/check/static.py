@@ -1,42 +1,32 @@
 """The static pillar: run :mod:`repro.analyze` as a verification check.
 
-The other five pillars execute simulations and watch invariants at
+The other seven pillars execute simulations and watch invariants at
 runtime; this one checks the *source* of the package against the same
 contracts — interface conformance, determinism hygiene, wiring, sweep
-safety — without running anything.  It lints the installed ``repro``
-package itself, so ``repro check --mode all`` covers both the behavior
-and the code that produces it.
+and shard safety — without running anything.  It lints the installed
+``repro`` package itself, so ``repro check --mode all`` covers both the
+behavior and the code that produces it.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import List, Optional
 
 from repro.check.report import CheckFinding, info, violation
 
-#: When set, the pillar persists/reuses the parsed-AST index here —
-#: CI points it at the same cache the ``repro lint`` gate wrote.
-CACHE_ENV = "REPRO_LINT_CACHE"
 
-
-def static_check(
-    paths: Optional[List[Path]] = None,
-    baseline: Optional[Path] = None,
-) -> List[CheckFinding]:
+def static_check(paths: Optional[List[Path]] = None) -> List[CheckFinding]:
     """Lint ``paths`` (default: the installed ``repro`` package) and map
     the lint findings onto check findings: lint errors become
     violations, lint warnings stay informational."""
-    from repro.analyze import AstCache, lint_paths
+    from repro.analyze import lint_paths
 
     if paths is None:
         import repro
 
         paths = [Path(repro.__file__).parent]
-    cache_path = os.environ.get(CACHE_ENV)
-    cache = AstCache(Path(cache_path)) if cache_path else None
-    report = lint_paths(paths, baseline=baseline, fail_on="error", cache=cache)
+    report = lint_paths(paths, fail_on="error")
     findings: List[CheckFinding] = []
     for lint_finding in report.findings:
         make = violation if lint_finding.severity == "error" else info
@@ -51,7 +41,6 @@ def static_check(
             "static",
             ", ".join(str(p) for p in paths),
             f"clean: {report.files_scanned} file(s) against "
-            f"{report.rules_run} rule(s), {report.suppressed} suppression(s), "
-            f"{len(report.grandfathered)} grandfathered",
+            f"{report.rules_run} rule(s), {report.suppressed} suppression(s)",
         ))
     return findings

@@ -381,30 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "(e.g. IF103,DT or SW); default: all rules",
     )
     lint.add_argument(
-        "--baseline", help="grandfather findings recorded in this baseline file",
-    )
-    lint.add_argument(
-        "--write-baseline", metavar="PATH",
-        help="write the current findings to PATH as the new baseline and exit 0",
-    )
-    lint.add_argument(
         "--fail-on", default="error", choices=FAIL_ON,
-        help="exit 1 on fresh findings at or above this severity",
-    )
-    lint.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop baseline entries no current finding matches "
-             "(rewrites the --baseline file in place) and exit",
-    )
-    lint.add_argument(
-        "--cache", metavar="PATH",
-        help="persist the parsed-AST index and cached findings here "
-             "(shared between CI steps; invalidated when the rule "
-             "catalog changes)",
-    )
-    lint.add_argument(
-        "--format", default="text", choices=("text", "json", "sarif"),
-        help="stdout format: human text, the JSON report, or SARIF 2.1.0",
+        help="exit 1 on findings at or above this severity",
     )
     lint.add_argument("--json", dest="json_out",
                       help="write the machine-readable report to this path")
@@ -764,7 +742,7 @@ def _cmd_guard(args) -> None:
 
 
 def _cmd_chaos(args) -> None:
-    from repro.check.resilience import results_identical
+    from repro.check.shadow import compare_results
     from repro.resilience.chaos import ChaosPlan
     from repro.resilience.policy import RetryPolicy
     from repro.simulators.parallel import (
@@ -820,9 +798,13 @@ def _cmd_chaos(args) -> None:
             print(f"  {app.name:12s} FAILED after {outcome.num_attempts} "
                   f"attempt(s): {outcome.failure}")
             failed += 1
-        elif not results_identical(outcome.result, clean[app.name]):
-            print(f"  {app.name:12s} DIVERGED: {outcome.result.total_cycles} "
-                  f"vs clean {clean[app.name].total_cycles} cycles")
+            continue
+        diverged = compare_results(
+            app.name, outcome.result, clean[app.name],
+            ignore_counters=frozenset(), labels=("chaos", "clean"),
+        )
+        if diverged:
+            print(f"  {app.name:12s} DIVERGED: {diverged[0].message}")
             failed += 1
         else:
             print(f"  {app.name:12s} converged in {outcome.num_attempts} "
@@ -899,15 +881,7 @@ def _chaos_sim_scenarios(gpu, simulator_cls, scale, kinds) -> int:
 def _cmd_lint(args) -> None:
     from pathlib import Path
 
-    from repro.analyze import (
-        FAMILIES,
-        AstCache,
-        all_rules,
-        lint_paths,
-        load_index,
-        prune_baseline,
-        write_baseline,
-    )
+    from repro.analyze import FAMILIES, all_rules, lint_paths, load_index
 
     if args.list_rules:
         for rule_obj in all_rules():
@@ -918,49 +892,11 @@ def _cmd_lint(args) -> None:
     rules = None
     if args.rules:
         rules = [item.strip() for item in args.rules.split(",") if item.strip()]
-    cache = AstCache(Path(args.cache)) if args.cache else None
     paths = [Path(p) for p in args.paths]
-    baseline_path = Path(args.baseline) if args.baseline else None
-    index = None
-    if args.partition_report:
-        # The manifest needs the program index lint_paths builds
-        # internally; build it once here and share it.
-        index = load_index(paths, cache=cache)
-    if args.prune_baseline:
-        if baseline_path is None:
-            from repro.errors import AnalysisError
-
-            raise AnalysisError("--prune-baseline requires --baseline")
-        report = lint_paths(
-            paths, rules=rules, baseline=None, fail_on=args.fail_on,
-            cache=cache, index=index,
-        )
-        kept, pruned = prune_baseline(baseline_path, report.findings)
-        print(f"pruned {pruned} stale baseline entr"
-              f"{'y' if pruned == 1 else 'ies'} from {args.baseline} "
-              f"({kept} kept)")
-        return
-    report = lint_paths(
-        paths,
-        rules=rules,
-        baseline=baseline_path,
-        fail_on=args.fail_on,
-        cache=cache,
-        index=index,
-    )
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), report.findings)
-        print(f"wrote baseline with {len(report.findings)} finding(s) "
-              f"to {args.write_baseline}")
-        return
-    if args.format == "sarif":
-        from repro.analyze.sarif import to_sarif_json
-
-        print(to_sarif_json(report))
-    elif args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render())
+    # Built here so the partition manifest can share it.
+    index = load_index(paths)
+    report = lint_paths(paths, rules=rules, fail_on=args.fail_on, index=index)
+    print(report.render())
     if args.json_out:
         with open(args.json_out, "w") as handle:
             handle.write(report.to_json())

@@ -3,8 +3,7 @@
 Covers the dataflow layers (:mod:`repro.analyze.callgraph`,
 :mod:`repro.analyze.stateflow`), the SH rule family on the seeded
 fixture, the partition manifest for the package's own source, and the
-CLI surface added alongside (``--partition-report``, ``--format
-sarif``, ``--prune-baseline``, catalog-keyed caching, noqa edge cases).
+CLI surface added alongside (``--partition-report``, noqa edge cases).
 """
 
 from __future__ import annotations
@@ -15,18 +14,10 @@ from pathlib import Path
 import pytest
 
 from repro.analyze import (
-    AstCache,
-    LintFinding,
-    all_rules,
     build_callgraph,
     build_partition,
     build_stateflow,
-    catalog_hash,
     lint_paths,
-    load_baseline,
-    prune_baseline,
-    to_sarif,
-    write_baseline,
 )
 from repro.analyze.index import load_index
 from repro.analyze.partition import MANIFEST_FORMAT, MEM_SIDE, SM_SIDE
@@ -175,137 +166,17 @@ class TestPartitionCli:
         assert manifest["summary"]["unsynchronized_writes"] == 0
 
     def test_gate_fails_on_unsynchronized_writes(self, tmp_path, capsys):
-        # Grandfather every finding so the lint itself passes; the
-        # partition gate must still reject the racy write.
-        baseline = tmp_path / "baseline.json"
-        report = lint_paths([FIXTURES], fail_on="warning")
-        write_baseline(baseline, report.findings)
+        # Only SH rules fire on the fixture, so selecting the other
+        # families makes the lint pass; the partition gate must still
+        # reject the racy write.
         out = tmp_path / "manifest.json"
         assert main(
-            ["lint", str(FIXTURES), "--baseline", str(baseline),
-             "--partition-report", str(out)]
+            ["lint", str(SHARDING_FIXTURE), "--rules", "IF,DT,WR,SW",
+             "--fail-on", "warning", "--partition-report", str(out)]
         ) == 1
-        capsys.readouterr()
+        assert "PASS" in capsys.readouterr().out
         manifest = json.loads(out.read_text())
         assert manifest["summary"]["unsynchronized_writes"] == 1
-
-
-class TestSarif:
-    def test_document_shape(self):
-        report = lint_paths([SHARDING_FIXTURE], fail_on="warning")
-        doc = to_sarif(report)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"SH501", "SH502", "SH503"} <= rule_ids
-        results = run["results"]
-        assert {r["ruleId"] for r in results} == {"SH501", "SH502", "SH503"}
-        assert all(r["baselineState"] == "new" for r in results)
-        assert all(
-            "reproLint/v1" in r["partialFingerprints"] for r in results
-        )
-
-    def test_baselined_findings_are_unchanged(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        first = lint_paths([SHARDING_FIXTURE], fail_on="warning")
-        write_baseline(baseline, first.findings)
-        rerun = lint_paths(
-            [SHARDING_FIXTURE], baseline=baseline, fail_on="warning"
-        )
-        states = {
-            r["baselineState"] for r in to_sarif(rerun)["runs"][0]["results"]
-        }
-        assert states == {"unchanged"}
-
-    def test_cli_format_sarif_is_parseable(self, capsys):
-        main(["lint", str(SHARDING_FIXTURE), "--format", "sarif",
-              "--fail-on", "warning"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["$schema"].endswith(".json")
-        assert doc["runs"][0]["tool"]["driver"]["name"] == "repro-lint"
-
-
-class TestPruneBaseline:
-    @staticmethod
-    def _ghost():
-        return LintFinding(
-            rule="DT202", severity="error", path="gone.py", line=1,
-            scope="gone", message="fixed long ago",
-        )
-
-    def test_prune_drops_only_stale_entries(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        report = lint_paths([SHARDING_FIXTURE], fail_on="warning")
-        write_baseline(baseline, [*report.findings, self._ghost()])
-        kept, pruned = prune_baseline(baseline, report.findings)
-        assert (kept, pruned) == (3, 1)
-        assert len(load_baseline(baseline)) == 3
-
-    def test_normal_run_warns_about_stale_entries(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, [self._ghost()])
-        report = lint_paths(
-            [SHARDING_FIXTURE], baseline=baseline, fail_on="warning"
-        )
-        rendered = report.render()
-        assert "stale baseline entr" in rendered
-        assert "--prune-baseline" in rendered
-
-    def test_cli_prune_requires_a_baseline(self, capsys):
-        assert main(
-            ["lint", str(SHARDING_FIXTURE), "--prune-baseline"]
-        ) == 2
-        assert "--baseline" in capsys.readouterr().err
-
-    def test_cli_prune_rewrites_the_file(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        report = lint_paths([SHARDING_FIXTURE], fail_on="warning")
-        write_baseline(baseline, [*report.findings, self._ghost()])
-        assert main(
-            ["lint", str(SHARDING_FIXTURE), "--baseline", str(baseline),
-             "--prune-baseline"]
-        ) == 0
-        assert "pruned 1 stale baseline entry" in capsys.readouterr().out
-        assert len(load_baseline(baseline)) == 3
-
-
-class TestCatalogKeyedCache:
-    def test_findings_are_cached_across_runs(self, tmp_path):
-        cache_path = tmp_path / "ast.cache"
-        cold = lint_paths(
-            [SHARDING_FIXTURE], cache=AstCache(cache_path),
-            fail_on="warning",
-        )
-        warm = lint_paths(
-            [SHARDING_FIXTURE], cache=AstCache(cache_path),
-            fail_on="warning",
-        )
-        assert warm.cache_misses == 0
-        assert [f.as_dict() for f in warm.findings] == [
-            f.as_dict() for f in cold.findings
-        ]
-
-    def test_catalog_change_drops_findings_keeps_trees(
-        self, tmp_path, fixture_index
-    ):
-        cache_path = tmp_path / "ast.cache"
-        first = AstCache(cache_path)
-        lint_paths([SHARDING_FIXTURE], cache=first, fail_on="warning")
-        key = first.findings_key(
-            [source.content_hash for source in fixture_index.files],
-            [rule.id for rule in all_rules()],
-        )
-        assert AstCache(cache_path).findings_for(key) is not None
-        edited = AstCache(cache_path, catalog="rules-were-edited")
-        assert edited.findings_for(key) is None
-        rerun = lint_paths(
-            [SHARDING_FIXTURE], cache=edited, fail_on="warning"
-        )
-        # Parsing is rule-independent: the AST store must survive.
-        assert rerun.cache_hits == 1 and rerun.cache_misses == 0
-
-    def test_catalog_hash_is_stable_within_a_process(self):
-        assert catalog_hash() == catalog_hash()
 
 
 class TestNoqaEdgeCases:

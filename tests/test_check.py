@@ -193,6 +193,20 @@ class TestShadowJump:
         findings = compare_results("s", a, b)
         assert any("per-kernel" in f.message for f in findings)
 
+    def test_comparison_detects_kernel_instruction_mismatch(self):
+        # Same spans and the same total: only the split between the two
+        # kernels' instruction counts differs.
+        a = SimulationResult("app", "sim", "gpu", 60, kernels=[
+            KernelResult("k0", 0, 30, 10), KernelResult("k1", 30, 60, 20),
+        ])
+        b = SimulationResult("app", "sim", "gpu", 60, kernels=[
+            KernelResult("k0", 0, 30, 20), KernelResult("k1", 30, 60, 10),
+        ])
+        assert a.instructions == b.instructions
+        findings = compare_results("s", a, b)
+        assert [f.severity for f in findings] == ["violation"]
+        assert "per-kernel" in findings[0].message
+
     def test_tick_observer_counters_are_declared(self):
         # The exemption list is a declared contract: these and only these
         # counter families may differ between clocking modes.
