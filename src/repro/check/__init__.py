@@ -5,9 +5,10 @@ modules must agree with per-cycle, cycle-accurate execution wherever
 their plans coincide.  This package turns those claims into
 machine-checked invariants, in eight pillars:
 
-1. :class:`~repro.check.sanitizer.EngineSanitizer` — runtime checker
-   hooks on the engine (monotonic ticks, stable same-cycle ordering, no
-   wake-before-now);
+1. :func:`~repro.check.sanitizer.sanitize_check` — runs every
+   simulator with an :class:`~repro.check.sanitizer.EngineSanitizer`
+   on the engine's checker hooks (monotonic ticks, stable same-cycle
+   ordering, no wake-before-now);
 2. :func:`~repro.check.shadow.shadow_jump_check` — re-runs a workload
    with the engine's clock jumping inverted and demands bit-identical
    cycles and counters;
@@ -26,11 +27,10 @@ machine-checked invariants, in eight pillars:
    must pass the interface/determinism/wiring/sweep-safety rules (see
    ``docs/static-analysis.md``);
 7. :func:`~repro.check.guard.guard_check` — :mod:`repro.guard` runs
-   (watchdog + invariant guards + checkpoints armed) must be
-   bit-identical to unguarded runs, a run killed at its first
-   checkpoint and resumed must be bit-identical to an uninterrupted
-   one, and injected saboteurs must be detected with forensic bundles
-   (see ``docs/robustness-guard.md``);
+   (watchdog + invariant guards armed) must be bit-identical to
+   unguarded runs, and injected stall and invariant saboteurs must be
+   caught, named, and leave a forensic bundle (see
+   ``docs/robustness-guard.md``);
 8. :func:`~repro.check.serve.serve_check` — the sweep service
    (:mod:`repro.serve`) killed mid-sweep and restarted must converge
    bit-identically to an uninterrupted server, grid re-submission must
@@ -40,6 +40,8 @@ machine-checked invariants, in eight pillars:
    when requested explicitly (``--mode serve``), never under
    ``--mode all``.
 
+Each pillar plugs into :func:`~repro.check.runner.run_checks` through
+one signature and one table (:data:`~repro.check.runner.PILLARS`).
 ``repro check`` (see :mod:`repro.cli`) drives all of this from the
 command line and emits a machine-readable JSON report; see
 ``docs/verification.md`` for the methodology.
@@ -58,7 +60,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.check.report": ("MODES", "CheckFinding", "CheckReport"),
     "repro.check.resilience": ("resilience_check",),
     "repro.check.runner": ("run_checks", "select_apps"),
-    "repro.check.sanitizer": ("EngineSanitizer",),
+    "repro.check.sanitizer": ("EngineSanitizer", "sanitize_check"),
     "repro.check.serve": ("serve_check",),
     "repro.check.shadow": ("TICK_OBSERVER_COUNTERS", "shadow_jump_check"),
     "repro.check.static": ("static_check",),
@@ -77,6 +79,7 @@ __all__ = [
     "guard_check",
     "resilience_check",
     "run_checks",
+    "sanitize_check",
     "select_apps",
     "serve_check",
     "shadow_jump_check",

@@ -101,15 +101,11 @@ def _check_parallel_equivalence(
 def determinism_check(
     config: GPUConfig,
     app_names: Sequence[str],
-    scale: str = "tiny",
-    simulator_classes: Optional[Sequence[Type[PlanSimulator]]] = None,
+    scale: str,
+    simulator_classes: Sequence[Type[PlanSimulator]],
     workers: Optional[int] = None,
 ) -> List[CheckFinding]:
     """Run all determinism contracts over ``app_names``."""
-    if simulator_classes is None:
-        from repro.simulators.swift_basic import SwiftSimBasic
-
-        simulator_classes = [SwiftSimBasic]
     findings: List[CheckFinding] = []
     for simulator_cls in simulator_classes:
         for app_name in app_names:

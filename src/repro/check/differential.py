@@ -48,14 +48,6 @@ SLOT_EXACT_COUNTERS: Dict[str, Sequence[str]] = {
 }
 
 
-def _default_simulators() -> List[Type[PlanSimulator]]:
-    from repro.simulators.accel_like import AccelSimLike
-    from repro.simulators.swift_basic import SwiftSimBasic
-    from repro.simulators.swift_memory import SwiftSimMemory
-
-    return [AccelSimLike, SwiftSimBasic, SwiftSimMemory]
-
-
 def _check_trace_anchoring(
     app: ApplicationTrace, result: SimulationResult
 ) -> List[CheckFinding]:
@@ -164,10 +156,14 @@ def differential_check(
     """Run ``app`` through all simulators and check declared invariants.
 
     The first simulator class is treated as the cycle-accurate baseline
-    for the bounded-divergence check.
+    for the bounded-divergence check; the default is the three engine
+    tiers of :func:`~repro.check.runner.default_simulators`.
     """
-    classes = list(simulator_classes) if simulator_classes else _default_simulators()
-    simulators = [cls(config) for cls in classes]
+    if not simulator_classes:
+        from repro.check.runner import default_simulators
+
+        simulator_classes = default_simulators()
+    simulators = [cls(config) for cls in simulator_classes]
     results = {sim.name: sim.simulate(app) for sim in simulators}
     findings: List[CheckFinding] = []
     for sim in simulators:

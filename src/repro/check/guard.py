@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import InvariantViolation, SimulationStall
 from repro.frontend.config import GPUConfig
@@ -85,74 +85,62 @@ def _check_guard_transparency(
     return findings
 
 
-def _check_stall_detection(
-    simulator_cls: Type[PlanSimulator],
-    config: GPUConfig,
-    app,
-    workdir: Path,
-) -> List[CheckFinding]:
-    """A wedged engine must raise SimulationStall naming the saboteur."""
-    simulator_name = simulator_cls(config).name
-    subject = f"{simulator_name} x {app.name} [stall saboteur]"
-    bundle_dir = workdir / f"stall_{simulator_name}_{app.name}"
-    guard = SimulationGuard(
-        GuardConfig(
-            watchdog=True,
-            stall_window=STALL_WINDOW,
-            check_every=CHECK_EVERY,
-            bundle_dir=str(bundle_dir),
-            inject=("stall",),
-        ),
-        app_name=app.name,
-        simulator_name=simulator_name,
-        gpu_config=config,
+def _stall_blame(exc: SimulationStall) -> Tuple[bool, str, str]:
+    suspects = list(exc.diagnosis.get("suspects", []))
+    return (
+        "stall_saboteur" in suspects,
+        f"watchdog fired but diagnosis names {suspects}, "
+        f"not the injected saboteur",
+        f"stall detected at cycle {exc.cycle}, suspects {suspects}",
     )
-    try:
-        _run(simulator_cls, config, app, guard=guard)
-    except SimulationStall as exc:
-        findings: List[CheckFinding] = []
-        suspects = list(exc.diagnosis.get("suspects", []))
-        if "stall_saboteur" not in suspects:
-            findings.append(violation(
-                _CHECK, subject,
-                f"watchdog fired but diagnosis names {suspects}, "
-                f"not the injected saboteur",
-            ))
-        if not guard.bundles:
-            findings.append(violation(
-                _CHECK, subject,
-                "stall detected but no forensic bundle was written",
-            ))
-        if not findings:
-            findings.append(info(
-                _CHECK, subject,
-                f"stall detected at cycle {exc.cycle}, suspects "
-                f"{suspects}, bundle at {guard.bundles[0]}",
-            ))
-        return findings
-    return [violation(
-        _CHECK, subject,
+
+
+def _invariant_blame(exc: InvariantViolation) -> Tuple[bool, str, str]:
+    return (
+        exc.module_name == "invariant_saboteur",
+        f"invariant guard fired but blamed {exc.module_name!r}, "
+        f"not the injected saboteur",
+        f"violation detected at cycle {exc.cycle} in {exc.module_name}",
+    )
+
+
+#: Per injected saboteur kind: its label, the guard switches that must
+#: catch it, the typed error it must raise, the blame test on that error
+#: (saboteur named?, message if not, detail if so), and the message when
+#: nothing fires.
+_SABOTEURS: Dict[str, tuple] = {
+    "stall": (
+        "stall", {"watchdog": True, "stall_window": STALL_WINDOW},
+        SimulationStall, _stall_blame,
         f"injected stall saboteur was never detected "
         f"(stall_window={STALL_WINDOW})",
-    )]
+    ),
+    "violation": (
+        "invariant", {"invariants": True},
+        InvariantViolation, _invariant_blame,
+        "injected invariant saboteur was never detected",
+    ),
+}
 
 
-def _check_invariant_detection(
+def _check_detection(
+    kind: str,
     simulator_cls: Type[PlanSimulator],
     config: GPUConfig,
     app,
     workdir: Path,
 ) -> List[CheckFinding]:
-    """A corrupted module must trip the invariant guards with a bundle."""
+    """An injected saboteur must raise its typed error, blame the
+    saboteur, and leave a forensic bundle."""
+    label, switches, expected, blame, undetected = _SABOTEURS[kind]
     simulator_name = simulator_cls(config).name
-    subject = f"{simulator_name} x {app.name} [invariant saboteur]"
-    bundle_dir = workdir / f"invariant_{simulator_name}_{app.name}"
+    subject = f"{simulator_name} x {app.name} [{label} saboteur]"
     guard = SimulationGuard(
         GuardConfig(
-            invariants=True,
             check_every=CHECK_EVERY,
-            bundle_dir=str(bundle_dir),
-            inject=("violation",),
+            bundle_dir=str(workdir / f"{label}_{simulator_name}_{app.name}"),
+            inject=(kind,),
+            **switches,
         ),
         app_name=app.name,
         simulator_name=simulator_name,
@@ -160,38 +148,32 @@ def _check_invariant_detection(
     )
     try:
         _run(simulator_cls, config, app, guard=guard)
-    except InvariantViolation as exc:
+    except expected as exc:
+        named, misblamed, detail = blame(exc)
         findings: List[CheckFinding] = []
-        if exc.module_name != "invariant_saboteur":
-            findings.append(violation(
-                _CHECK, subject,
-                f"invariant guard fired but blamed {exc.module_name!r}, "
-                f"not the injected saboteur",
-            ))
+        if not named:
+            findings.append(violation(_CHECK, subject, misblamed))
         if not guard.bundles:
             findings.append(violation(
                 _CHECK, subject,
-                "violation detected but no forensic bundle was written",
+                f"{kind} detected but no forensic bundle was written",
             ))
         if not findings:
             findings.append(info(
-                _CHECK, subject,
-                f"violation detected at cycle {exc.cycle} in "
-                f"{exc.module_name}, bundle at {guard.bundles[0]}",
+                _CHECK, subject, f"{detail}, bundle at {guard.bundles[0]}",
             ))
         return findings
-    return [violation(
-        _CHECK, subject,
-        "injected invariant saboteur was never detected",
-    )]
+    return [violation(_CHECK, subject, undetected)]
 
 
 def guard_check(
     config: GPUConfig,
     app_names: Sequence[str],
-    scale: str = "tiny",
-    simulator_classes: Optional[Sequence[Type[PlanSimulator]]] = None,
-    progress=None,
+    scale: str,
+    simulator_classes: Sequence[Type[PlanSimulator]],
+    workers: Optional[int],
+    tolerance: float,
+    progress: Callable[[str], None],
 ) -> List[CheckFinding]:
     """Run every guard scenario over the (simulator, app) grid.
 
@@ -199,18 +181,7 @@ def guard_check(
     baseline included.  The detection scenarios run once per simulator
     (on the first app): they test the guard machinery, not the workload.
     """
-    if simulator_classes is None:
-        from repro.simulators.accel_like import AccelSimLike
-        from repro.simulators.swift_basic import SwiftSimBasic
-        from repro.simulators.swift_memory import SwiftSimMemory
-
-        simulator_classes = [AccelSimLike, SwiftSimBasic, SwiftSimMemory]
     findings: List[CheckFinding] = []
-
-    def step(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
     with tempfile.TemporaryDirectory(prefix="repro-guard-check-") as tmp:
         workdir = Path(tmp)
         for simulator_cls in simulator_classes:
@@ -222,11 +193,9 @@ def guard_check(
                     simulator_cls, config, app, baseline,
                 ))
                 if position == 0:
-                    findings.extend(_check_stall_detection(
-                        simulator_cls, config, app, workdir,
-                    ))
-                    findings.extend(_check_invariant_detection(
-                        simulator_cls, config, app, workdir,
-                    ))
-                step(f"guard {simulator_name} x {name}")
+                    for kind in _SABOTEURS:
+                        findings.extend(_check_detection(
+                            kind, simulator_cls, config, app, workdir,
+                        ))
+                progress(f"guard {simulator_name} x {name}")
     return findings

@@ -74,8 +74,12 @@ class CheckReport:
     scale: str
     apps: List[str] = field(default_factory=list)
     simulators: List[str] = field(default_factory=list)
-    checks_run: int = 0
     findings: List[CheckFinding] = field(default_factory=list)
+
+    @property
+    def checks_run(self) -> int:
+        """Distinct ``(check, subject)`` pairs the findings cover."""
+        return len({(f.check, f.subject) for f in self.findings})
 
     @property
     def violations(self) -> List[CheckFinding]:

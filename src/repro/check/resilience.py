@@ -51,7 +51,6 @@ def _check_chaos_convergence(
     config: GPUConfig,
     app_names: Sequence[str],
     scale: str,
-    chaos: ChaosPlan,
     workers: int,
 ) -> List[CheckFinding]:
     findings: List[CheckFinding] = []
@@ -59,7 +58,7 @@ def _check_chaos_convergence(
     clean = simulate_apps_parallel(simulator_cls(config), apps, workers=1)
     outcomes = simulate_apps_supervised(
         simulator_cls(config), apps, workers=workers,
-        retry_policy=CHAOS_POLICY, chaos=chaos,
+        retry_policy=CHAOS_POLICY, chaos=DEFAULT_CHAOS,
     )
     injected = sum(
         1 for outcome in outcomes.values() for record in outcome.attempts
@@ -84,10 +83,11 @@ def _check_chaos_convergence(
     if not findings:
         findings.append(info(
             _CHECK, simulator_name,
-            f"chaos sweep (crash {chaos.crash_rate:.0%}, hang "
-            f"{chaos.hang_rate:.0%}, corrupt {chaos.corrupt_rate:.0%}, "
-            f"seed {chaos.seed}) survived {injected} injected fault(s) "
-            f"and matched the clean run bit-identically over "
+            f"chaos sweep (crash {DEFAULT_CHAOS.crash_rate:.0%}, "
+            f"hang {DEFAULT_CHAOS.hang_rate:.0%}, "
+            f"corrupt {DEFAULT_CHAOS.corrupt_rate:.0%}, "
+            f"seed {DEFAULT_CHAOS.seed}) survived {injected} injected "
+            f"fault(s) and matched the clean run bit-identically over "
             f"{len(apps)} app(s)",
         ))
     return findings
@@ -148,9 +148,8 @@ def _check_journal_resume(
 def resilience_check(
     config: GPUConfig,
     app_names: Sequence[str],
-    scale: str = "tiny",
-    simulator_classes: Optional[Sequence[Type[PlanSimulator]]] = None,
-    chaos: Optional[ChaosPlan] = None,
+    scale: str,
+    simulator_classes: Sequence[Type[PlanSimulator]],
     workers: Optional[int] = None,
 ) -> List[CheckFinding]:
     """Run both resilience contracts over ``app_names``.
@@ -158,18 +157,12 @@ def resilience_check(
     ``workers`` defaults to 1 (in-process supervision: injected faults
     become exceptions, which keeps the check fast and start-method
     agnostic).  Pass >= 2 to exercise real worker processes, reaping
-    included — that is what ``repro chaos`` does.
+    included — ``repro check --mode resilience --workers 2`` does.
     """
-    if simulator_classes is None:
-        from repro.simulators.swift_basic import SwiftSimBasic
-
-        simulator_classes = [SwiftSimBasic]
-    if chaos is None:
-        chaos = DEFAULT_CHAOS
     findings: List[CheckFinding] = []
     for simulator_cls in simulator_classes:
         findings.extend(_check_chaos_convergence(
-            simulator_cls, config, app_names, scale, chaos,
+            simulator_cls, config, app_names, scale,
             workers=workers if workers is not None else 1,
         ))
         findings.extend(_check_journal_resume(

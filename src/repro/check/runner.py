@@ -4,24 +4,37 @@ This is what ``repro check`` drives: pick a GPU, a scale, and a set of
 applications (explicitly, by suite, or everything), then run one pillar
 — or all of them — and aggregate the findings into a
 :class:`~repro.check.report.CheckReport`.
+
+Every pillar plugs in through one signature, :data:`Pillar`, and one
+table, :data:`PILLARS`; :func:`run_checks` is a loop over it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.errors import CheckError
 from repro.frontend.config import GPUConfig
+from repro.sim.plan import ACCEL_LIKE_PLAN
 from repro.simulators.base import PlanSimulator
 from repro.tracegen.suites import APPLICATIONS, app_names, make_app
 from repro.check.determinism import determinism_check
 from repro.check.differential import DEFAULT_TOLERANCE, differential_check
 from repro.check.guard import guard_check
-from repro.check.report import MODES, CheckReport, info
+from repro.check.report import MODES, CheckFinding, CheckReport
 from repro.check.resilience import resilience_check
-from repro.check.sanitizer import EngineSanitizer
+from repro.check.sanitizer import sanitize_check
 from repro.check.shadow import shadow_jump_check
 from repro.check.static import static_check
+
+#: One pillar: (config, app names, scale, simulator classes, workers,
+#: tolerance, progress) -> findings.  ``progress`` takes a one-line
+#: status string; a pillar ignores the arguments it has no use for.
+Pillar = Callable[
+    [GPUConfig, Sequence[str], str, Sequence[Type[PlanSimulator]],
+     Optional[int], float, Callable[[str], None]],
+    List[CheckFinding],
+]
 
 
 def select_apps(
@@ -48,35 +61,101 @@ def select_apps(
     return app_names()
 
 
-def _default_simulators() -> List[Type[PlanSimulator]]:
+def default_simulators(mode: str = "all") -> List[Type[PlanSimulator]]:
+    """The one default simulator lineup: the three engine tiers.
+
+    The differential pillar adds the closed-form tier when numpy is
+    present; it has no engine, so the engine-facing pillars cannot run it.
+    """
     from repro.simulators.accel_like import AccelSimLike
     from repro.simulators.swift_basic import SwiftSimBasic
     from repro.simulators.swift_memory import SwiftSimMemory
 
-    return [AccelSimLike, SwiftSimBasic, SwiftSimMemory]
+    lineup: List[Type[PlanSimulator]] = [
+        AccelSimLike, SwiftSimBasic, SwiftSimMemory,
+    ]
+    if mode == "differential":
+        from repro.frontend.precharacterize import numpy_available
+        from repro.simulators.swift_analytic import SwiftSimAnalytic
+
+        if numpy_available():
+            lineup.append(SwiftSimAnalytic)
+    return lineup
 
 
-def _run_sanitize(
-    config: GPUConfig,
-    names: Sequence[str],
-    scale: str,
+def _without_baseline(
     simulator_classes: Sequence[Type[PlanSimulator]],
-) -> List:
-    findings = []
-    for simulator_cls in simulator_classes:
+) -> List[Type[PlanSimulator]]:
+    """Drop the all-cycle-accurate baseline, wherever it sits, unless it
+    is all there is: it would dominate the wall time of the pillars that
+    run a suite several times over."""
+    hybrids = [
+        cls for cls in simulator_classes
+        if cls.plan.choices != ACCEL_LIKE_PLAN.choices
+    ]
+    return hybrids or list(simulator_classes)
+
+
+def _shadow_jump(config, names, scale, classes, workers, tolerance, progress):
+    findings: List[CheckFinding] = []
+    for simulator_cls in classes:
         for name in names:
-            app = make_app(name, scale=scale)
             simulator = simulator_cls(config)
-            sanitizer = EngineSanitizer()
-            simulator.simulate(app, gather_metrics=False, checker=sanitizer)
-            findings.extend(sanitizer.findings)
-            if sanitizer.ok:
-                findings.append(info(
-                    "sanitizer", f"{simulator.name} x {name}",
-                    f"clean: {sanitizer.ticks_observed} ticks, "
-                    f"{sanitizer.wakes_observed} wakes, 0 violations",
-                ))
+            findings.extend(
+                shadow_jump_check(simulator, make_app(name, scale=scale))
+            )
+            progress(f"shadow-jump {simulator.name} x {name}")
     return findings
+
+
+def _differential(config, names, scale, classes, workers, tolerance, progress):
+    findings: List[CheckFinding] = []
+    for name in names:
+        findings.extend(differential_check(
+            config, make_app(name, scale=scale), tolerance=tolerance,
+            simulator_classes=classes,
+        ))
+        progress(f"differential {name}")
+    return findings
+
+
+def _determinism(config, names, scale, classes, workers, tolerance, progress):
+    return determinism_check(
+        config, names, scale=scale,
+        simulator_classes=_without_baseline(classes), workers=workers,
+    )
+
+
+def _resilience(config, names, scale, classes, workers, tolerance, progress):
+    return resilience_check(
+        config, names, scale=scale,
+        simulator_classes=_without_baseline(classes), workers=workers,
+    )
+
+
+def _static(config, names, scale, classes, workers, tolerance, progress):
+    return static_check()
+
+
+def _serve(config, names, scale, classes, workers, tolerance, progress):
+    from repro.check.serve import serve_check
+
+    return serve_check(config, names, scale=scale)
+
+
+#: Every pillar, in run order.  ``--mode all`` runs all but ``serve``: it
+#: binds sockets and spawns server processes, which plain library
+#: consumers may not allow, so it runs only by name.
+PILLARS: Dict[str, Pillar] = {
+    "shadow-jump": _shadow_jump,
+    "differential": _differential,
+    "determinism": _determinism,
+    "sanitize": sanitize_check,
+    "resilience": _resilience,
+    "static": _static,
+    "guard": guard_check,
+    "serve": _serve,
+}
 
 
 def run_checks(
@@ -92,96 +171,37 @@ def run_checks(
 ) -> CheckReport:
     """Run the requested verification ``mode`` and return its report.
 
-    ``progress``, when given, is called with a one-line string after each
-    app-level step (for interactive feedback during long runs).
+    ``simulator_classes`` replaces :func:`default_simulators` for every
+    pillar.  ``progress``, when given, is called with a one-line string
+    after each app-level step (for interactive feedback during long
+    runs).
     """
     if mode not in MODES:
         raise CheckError(f"unknown check mode {mode!r}; known: {MODES}")
     names = select_apps(apps, suite)
-    classes = (
-        list(simulator_classes) if simulator_classes else _default_simulators()
-    )
     report = CheckReport(
         mode=mode,
         gpu_name=config.name,
         scale=scale,
         apps=list(names),
-        simulators=[cls(config).name for cls in classes],
+        simulators=[
+            cls(config).name
+            for cls in simulator_classes or default_simulators(mode)
+        ],
     )
 
     def step(message: str) -> None:
         if progress is not None:
             progress(message)
 
-    if mode in ("shadow-jump", "all"):
-        for simulator_cls in classes:
-            for name in names:
-                app = make_app(name, scale=scale)
-                report.extend(shadow_jump_check(simulator_cls(config), app))
-                report.checks_run += 1
-                step(f"shadow-jump {simulator_cls(config).name} x {name}")
-    if mode in ("differential", "all"):
-        # The closed-form tier joins the default differential lineup (it
-        # has no engine, so the engine-facing pillars skip it); explicit
-        # simulator selections are honored as given.
-        differential_classes = list(classes)
-        if simulator_classes is None:
-            from repro.frontend.precharacterize import numpy_available
-            from repro.simulators.swift_analytic import SwiftSimAnalytic
-
-            if numpy_available():
-                differential_classes.append(SwiftSimAnalytic)
-        for name in names:
-            app = make_app(name, scale=scale)
-            report.extend(differential_check(
-                config, app, tolerance=tolerance,
-                simulator_classes=differential_classes,
-            ))
-            report.checks_run += 1
-            step(f"differential {name}")
-    if mode in ("determinism", "all"):
-        report.extend(determinism_check(
-            config, names, scale=scale,
-            simulator_classes=classes[1:] or classes, workers=workers,
+    if mode == "all":
+        selected = [pillar for pillar in PILLARS if pillar != "serve"]
+    else:
+        selected = [mode]
+    for pillar in selected:
+        classes = list(simulator_classes or default_simulators(pillar))
+        report.extend(PILLARS[pillar](
+            config, names, scale, classes, workers, tolerance, step,
         ))
-        report.checks_run += 1
-        step("determinism")
-    if mode in ("sanitize", "all"):
-        report.extend(_run_sanitize(config, names, scale, classes))
-        report.checks_run += len(names) * len(classes)
-        step("sanitize")
-    if mode in ("resilience", "all"):
-        # Chaos convergence + journal resume on the hybrid simulators
-        # (the cycle-accurate baseline is covered by determinism and
-        # would dominate the wall time here).
-        report.extend(resilience_check(
-            config, names, scale=scale,
-            simulator_classes=classes[1:] or classes, workers=workers,
-        ))
-        report.checks_run += 2
-        step("resilience")
-    if mode in ("static", "all"):
-        report.extend(static_check())
-        report.checks_run += 1
-        step("static")
-    if mode in ("guard", "all"):
-        # Guarded-run transparency + kill-and-resume on every simulator
-        # (the resume contract explicitly covers the cycle-accurate
-        # baseline), plus stall/invariant detection scenarios.
-        report.extend(guard_check(
-            config, names, scale=scale, simulator_classes=classes,
-            progress=progress,
-        ))
-        report.checks_run += len(names) * len(classes)
-        step("guard")
-    if mode == "serve":
-        # Kill/resume convergence, cache-hit ratio, and degradation
-        # tagging against real server subprocesses (docs/serving.md).
-        # Deliberately not part of "all": it binds sockets and spawns
-        # processes, which plain library consumers may not allow.
-        from repro.check.serve import serve_check
-
-        report.extend(serve_check(config, names, scale=scale))
-        report.checks_run += 3
-        step("serve")
+        step(pillar)
     return report

@@ -19,15 +19,20 @@ Attach one via ``simulator.simulate(app, checker=EngineSanitizer())`` or
 ``engine.attach_checker(...)``; it observes, never mutates.  In strict
 mode the first violation raises :class:`~repro.errors.CheckError`;
 otherwise violations accumulate as findings for the report.
+:func:`sanitize_check` is the pillar: one sanitized run per
+(simulator, app).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Callable, List, Optional, Sequence, Set, Type
 
 from repro.errors import CheckError
+from repro.frontend.config import GPUConfig
 from repro.sim.engine import ClockedModule, EngineChecker
-from repro.check.report import CheckFinding, violation
+from repro.simulators.base import PlanSimulator
+from repro.tracegen.suites import make_app
+from repro.check.report import CheckFinding, info, violation
 
 #: Cap on recorded findings so a systemically broken run cannot eat memory.
 MAX_FINDINGS = 1000
@@ -116,3 +121,34 @@ class EngineSanitizer(EngineChecker):
         self._current_cycle = None
         self._max_rank_this_cycle = -1
         self._exempt_this_cycle.clear()
+
+
+def sanitize_check(
+    config: GPUConfig,
+    app_names: Sequence[str],
+    scale: str,
+    simulator_classes: Sequence[Type[PlanSimulator]],
+    workers: Optional[int],
+    tolerance: float,
+    progress: Callable[[str], None],
+) -> List[CheckFinding]:
+    """The sanitize pillar: every (simulator, app) pair runs with a fresh
+    :class:`EngineSanitizer` attached; a clean run leaves one info
+    finding."""
+    findings: List[CheckFinding] = []
+    for simulator_cls in simulator_classes:
+        for name in app_names:
+            simulator = simulator_cls(config)
+            sanitizer = EngineSanitizer()
+            simulator.simulate(
+                make_app(name, scale=scale), gather_metrics=False,
+                checker=sanitizer,
+            )
+            findings.extend(sanitizer.findings)
+            if sanitizer.ok:
+                findings.append(info(
+                    "sanitizer", f"{simulator.name} x {name}",
+                    f"clean: {sanitizer.ticks_observed} ticks, "
+                    f"{sanitizer.wakes_observed} wakes, 0 violations",
+                ))
+    return findings

@@ -4,9 +4,9 @@ Three contracts from ``docs/serving.md``, each exercised against real
 server subprocesses over a unix socket:
 
 * **kill/resume convergence** — a sweep interrupted by SIGKILL (the
-  deterministic ``--die-at-job`` stand-in, same discipline as the
-  guard's ``stop_after_checkpoints``) and resumed on restart produces
-  results bit-identical to an uninterrupted server's;
+  deterministic ``--die-at-job`` stand-in: an exit at a journaled job
+  boundary) and resumed on restart produces results bit-identical to an
+  uninterrupted server's;
 * **cache effectiveness** — re-submitting a completed grid is >90%
   cache hits;
 * **degradation tagging** — with chaos crashing every exact attempt,

@@ -56,8 +56,8 @@ def compare_results(
     """Findings for any observable difference between two runs.
 
     The one bit-identity comparator: the shadow-jump pillar (its home),
-    the guard, determinism and resilience pillars, ``repro chaos`` and
-    the dispatch-equivalence tests all reduce to "these two runs must
+    the guard, determinism and resilience pillars and the
+    dispatch-equivalence tests all reduce to "these two runs must
     agree on everything" — ``check`` tags whose contract a difference
     violates and ``labels`` names the two runs in the findings.
     Counters are compared only when both results carry metrics (results

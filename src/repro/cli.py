@@ -13,21 +13,20 @@ Everything a downstream user needs without writing Python::
     python -m repro figure5  --apps bfs,gemm --workers 4
     python -m repro figure6  --apps bfs,gemm
     python -m repro check    --mode shadow-jump --suite rodinia
+    python -m repro check    --mode resilience --apps bfs,gemm,sm --workers 2
     python -m repro eval     --apps bfs,gemm --journal sweep.journal
     python -m repro eval     --resume sweep.journal
     python -m repro guard    --app bfs --simulator accel-like \\
                              --bundle-dir bundles
-    python -m repro chaos    --smoke
     python -m repro serve    --socket serve.sock --store serve-store
     python -m repro submit   --socket serve.sock --apps bfs,gemm \\
                              --grid "num_sms=34,68"
     python -m repro lint     src --fail-on error
 
 All commands return a process exit code of 0 on success; configuration
-or workload errors print a one-line message and return 2.  ``check``,
-``chaos``, and ``lint`` additionally return 1 when a verification
-invariant is violated (for ``lint``: a fresh finding at or above the
-``--fail-on`` severity).
+or workload errors print a one-line message and return 2.  ``check`` and
+``lint`` additionally return 1 when a verification invariant is violated
+(for ``lint``: a fresh finding at or above the ``--fail-on`` severity).
 """
 
 from __future__ import annotations
@@ -146,7 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="relative cycle-divergence bound for hybrid simulators",
     )
     check.add_argument("--workers", type=int, default=None,
-                       help="pool size for the determinism checks")
+                       help="worker processes for the determinism pillar's "
+                            "pool and the resilience pillar's supervised "
+                            "chaos sweep")
     check.add_argument("--json", dest="json_out",
                        help="write the machine-readable report to this path")
     check.add_argument("--verbose", action="store_true",
@@ -208,59 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "when the watchdog or an invariant fires",
     )
     guard_cmd.add_argument(
-        "--trace-window", type=int, default=64,
-        help="trailing engine events kept for the forensic bundle",
-    )
-    guard_cmd.add_argument(
         "--inject", action="append", choices=("stall", "violation"),
         help="inject a saboteur module (repeatable; for testing "
              "detection end-to-end)",
-    )
-    guard_cmd.add_argument(
-        "--inject-at", type=int, default=0,
-        help="cycle at which injected saboteurs activate",
-    )
-
-    chaos = commands.add_parser(
-        "chaos",
-        help="run a sweep under seeded fault injection and assert it "
-             "converges to the clean run",
-    )
-    chaos.add_argument("--apps", help="comma-separated application subset")
-    chaos.add_argument("--suite", default=None, help="benchmark suite to cover")
-    chaos.add_argument("--gpu", default="rtx2080ti", help="GPU preset name")
-    chaos.add_argument("--config", help="path to a GPU config JSON (instead of --gpu)")
-    chaos.add_argument("--scale", default="tiny", help="workload scale")
-    chaos.add_argument(
-        "--simulator", default="swift-basic", choices=sorted(SIMULATORS),
-        help="which assembled simulator to stress",
-    )
-    chaos.add_argument("--seed", type=int, default=2025,
-                       help="chaos plan seed (injection points are "
-                            "deterministic in it)")
-    chaos.add_argument("--crash-rate", type=float, default=0.30)
-    chaos.add_argument("--hang-rate", type=float, default=0.10)
-    chaos.add_argument("--corrupt-rate", type=float, default=0.05)
-    chaos.add_argument("--stall-rate", type=float, default=0.0,
-                       help="probability of wedging the model with a "
-                            "stall saboteur (caught by the in-run "
-                            "watchdog, not the supervisor)")
-    chaos.add_argument("--violation-rate", type=float, default=0.0,
-                       help="probability of corrupting a module so the "
-                            "runtime invariant guards must fire")
-    chaos.add_argument("--hang-seconds", type=float, default=12.0,
-                       help="injected hang duration (above --timeout "
-                            "models a true hang)")
-    chaos.add_argument("--timeout", type=float, default=10.0,
-                       help="per-attempt wall-clock budget (seconds)")
-    chaos.add_argument("--max-attempts", type=int, default=10)
-    chaos.add_argument("--workers", type=int, default=2,
-                       help="supervised worker processes (1 = in-process "
-                            "injection)")
-    chaos.add_argument(
-        "--smoke", action="store_true",
-        help="fixed small CI configuration (bfs,gemm,sm at tiny scale, "
-             "seed 2025) regardless of other selection flags",
     )
 
     serve = commands.add_parser(
@@ -649,9 +600,7 @@ def _cmd_guard(args) -> None:
         stall_window=args.stall_window,
         check_every=args.check_every,
         bundle_dir=args.bundle_dir or "",
-        trace_window=args.trace_window,
         inject=tuple(args.inject or ()),
-        inject_at=args.inject_at,
     )
     guard = SimulationGuard(
         config,
@@ -668,143 +617,6 @@ def _cmd_guard(args) -> None:
     if guard.bundles:
         for bundle in guard.bundles:
             print(f"bundle     : {bundle}")
-
-
-def _cmd_chaos(args) -> None:
-    from repro.check.shadow import compare_results
-    from repro.resilience.chaos import ChaosPlan
-    from repro.resilience.policy import RetryPolicy
-    from repro.simulators.parallel import (
-        simulate_apps_parallel,
-        simulate_apps_supervised,
-    )
-    from repro.tracegen.suites import make_app
-
-    if args.smoke:
-        app_list, scale, seed = ["bfs", "gemm", "sm"], "tiny", 2025
-    else:
-        from repro.check import select_apps
-
-        app_list = select_apps(_apps_arg(args), args.suite)
-        scale, seed = args.scale, args.seed
-    gpu = _resolve_gpu(args)
-    chaos = ChaosPlan(
-        seed=seed,
-        crash_rate=args.crash_rate,
-        hang_rate=args.hang_rate,
-        corrupt_rate=args.corrupt_rate,
-        hang_seconds=args.hang_seconds,
-        stall_rate=args.stall_rate,
-        violation_rate=args.violation_rate,
-    )
-    policy = RetryPolicy(
-        max_attempts=args.max_attempts,
-        base_delay=0.01,
-        max_delay=0.5,
-        timeout_seconds=args.timeout,
-    )
-    apps = [make_app(name, scale=scale) for name in app_list]
-    simulator_cls = SIMULATORS[args.simulator]
-    print(f"chaos: {args.simulator} x {len(apps)} app(s) on {gpu.name}, "
-          f"scale {scale}, seed {seed} "
-          f"(crash {chaos.crash_rate:.0%}, hang {chaos.hang_rate:.0%}, "
-          f"corrupt {chaos.corrupt_rate:.0%}), {args.workers} worker(s)")
-    clean = simulate_apps_parallel(simulator_cls(gpu), apps, workers=1)
-    outcomes = simulate_apps_supervised(
-        simulator_cls(gpu), apps, workers=args.workers,
-        retry_policy=policy, chaos=chaos,
-    )
-    failed = 0
-    for app in apps:
-        outcome = outcomes[app.name]
-        faults = [record for record in outcome.attempts
-                  if record.outcome != "ok"]
-        detail = (
-            "clean first try" if not faults else
-            ", ".join(f"{record.outcome}@{record.index}" for record in faults)
-        )
-        if not outcome.ok:
-            print(f"  {app.name:12s} FAILED after {outcome.num_attempts} "
-                  f"attempt(s): {outcome.failure}")
-            failed += 1
-            continue
-        diverged = compare_results(
-            app.name, outcome.result, clean[app.name],
-            ignore_counters=frozenset(), labels=("chaos", "clean"),
-        )
-        if diverged:
-            print(f"  {app.name:12s} DIVERGED: {diverged[0].message}")
-            failed += 1
-        else:
-            print(f"  {app.name:12s} converged in {outcome.num_attempts} "
-                  f"attempt(s) ({detail}); bit-identical to clean run")
-    injected = sum(
-        1 for outcome in outcomes.values() for record in outcome.attempts
-        if record.outcome != "ok"
-    )
-    if args.smoke or chaos.sim_active:
-        kinds = (
-            ("stall", "violation") if args.smoke else tuple(
-                kind for kind, rate in (("stall", args.stall_rate),
-                                        ("violation", args.violation_rate))
-                if rate > 0
-            )
-        )
-        failed += _chaos_sim_scenarios(gpu, simulator_cls, scale, kinds)
-    if failed:
-        print(f"FAIL: {failed} scenario(s) did not converge or detect")
-        raise _CheckFailed()
-    print(f"PASS: survived {injected} injected fault(s); all "
-          f"{len(apps)} app(s) bit-identical to the clean run")
-
-
-def _chaos_sim_scenarios(gpu, simulator_cls, scale, kinds) -> int:
-    """In-simulation fault drills: wedge or corrupt the *model* and
-    demand the in-run guard catches it with a forensic bundle.
-
-    Unlike process faults these are terminal by design — a wedged model
-    should fail fast with forensics, not burn retry budget — so they run
-    as explicit detection scenarios rather than through the convergence
-    loop.  Returns the number of scenarios that failed to detect.
-    """
-    import tempfile
-
-    from repro.errors import InvariantViolation, SimulationStall
-    from repro.guard import GuardConfig, SimulationGuard
-    from repro.tracegen.suites import make_app
-
-    expected = {"stall": SimulationStall, "violation": InvariantViolation}
-    failed = 0
-    app = make_app("gemm", scale=scale)
-    print(f"in-simulation faults: {simulator_cls(gpu).name} x {app.name}")
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-sim-") as tmp:
-        for kind in kinds:
-            guard = SimulationGuard(
-                GuardConfig(
-                    watchdog=True,
-                    invariants=True,
-                    stall_window=2_000,
-                    check_every=64,
-                    bundle_dir=tmp,
-                    inject=(kind,),
-                ),
-                app_name=app.name,
-                simulator_name=simulator_cls(gpu).name,
-                gpu_config=gpu,
-            )
-            try:
-                simulator_cls(gpu).simulate(
-                    app, gather_metrics=False, guard=guard
-                )
-            except expected[kind] as exc:
-                print(f"  inject {kind:9s} detected at cycle {exc.cycle}: "
-                      f"{type(exc).__name__}, "
-                      f"{len(guard.bundles)} forensic bundle(s)")
-            else:
-                print(f"  inject {kind:9s} NOT DETECTED "
-                      f"(run finished normally)")
-                failed += 1
-    return failed
 
 
 def _cmd_lint(args) -> None:
@@ -974,7 +786,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "eval": _cmd_eval,
     "guard": _cmd_guard,
-    "chaos": _cmd_chaos,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "lint": _cmd_lint,

@@ -8,7 +8,7 @@ uninstrumented loop whenever no checker is attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ConfigError
@@ -34,13 +34,13 @@ class GuardConfig:
     Forensics
         ``bundle_dir`` is where watchdog/invariant violations drop their
         forensic bundle; empty string disables bundle writing (the typed
-        error is still raised).  ``trace_window`` bounds the trailing
-        event window recorded in the bundle.
+        error is still raised).  The bundle records the trailing
+        :data:`~repro.guard.watchdog.TRACE_WINDOW` engine events.
 
     Injection
         ``inject`` names saboteur modules (``"stall"``, ``"violation"``)
-        added to the engine at ``inject_at``, so detection can be tested
-        end to end.
+        added to the engine when the first kernel starts, so detection
+        can be tested end to end.
     """
 
     watchdog: bool = False
@@ -48,9 +48,7 @@ class GuardConfig:
     stall_window: int = 20_000
     check_every: int = 256
     bundle_dir: str = ""
-    trace_window: int = 64
     inject: Tuple[str, ...] = ()
-    inject_at: int = 0
 
     def __post_init__(self) -> None:
         for kind in self.inject:
@@ -59,23 +57,15 @@ class GuardConfig:
                     f"unknown injection kind {kind!r} "
                     f"(expected 'stall' or 'violation')"
                 )
-        if self.inject_at < 0:
-            raise ConfigError("inject_at must be >= 0")
         if self.stall_window <= 0:
             raise ConfigError("stall_window must be positive")
         if self.check_every <= 0:
             raise ConfigError("check_every must be positive")
-        if self.trace_window < 1:
-            raise ConfigError("trace_window must be >= 1")
 
     @property
     def active(self) -> bool:
         """True when any guard component needs an engine checker."""
         return bool(self.watchdog or self.invariants)
-
-    def with_(self, **changes: object) -> "GuardConfig":
-        """A copy with ``changes`` applied (frozen-dataclass helper)."""
-        return replace(self, **changes)
 
 
 #: Everything off — the default for normal simulation runs.

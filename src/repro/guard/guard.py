@@ -88,7 +88,6 @@ class SimulationGuard:
                 engine,
                 stall_window=cfg.stall_window,
                 check_every=cfg.check_every,
-                trace_window=cfg.trace_window,
                 on_violation=self._on_stall,
             )
             checkers.append(self._watchdog)
@@ -112,12 +111,11 @@ class SimulationGuard:
         if self._injected or not self.config.inject:
             return
         self._injected = True
-        at = self.config.inject_at
         if "stall" in self.config.inject:
-            engine.add(StallSaboteur(activate_at=at), start_cycle=engine.cycle)
+            engine.add(StallSaboteur(), start_cycle=engine.cycle)
         if "violation" in self.config.inject:
             engine.add(
-                InvariantSaboteur(activate_at=max(at, engine.cycle + 1)),
+                InvariantSaboteur(activate_at=engine.cycle + 1),
                 start_cycle=engine.cycle,
             )
 

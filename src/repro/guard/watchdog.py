@@ -40,6 +40,10 @@ PROGRESS_IGNORED_COUNTERS = frozenset(
     }
 )
 
+#: Trailing engine events (tick/wake) the watchdog keeps for a forensic
+#: bundle's ``trace_window.jsonl``.
+TRACE_WINDOW = 64
+
 
 def progress_signature(engine: Engine) -> int:
     """Sum of architectural-progress counters across the module graph.
@@ -76,7 +80,6 @@ class ProgressWatchdog(EngineChecker):
         engine: Engine,
         stall_window: int = 20_000,
         check_every: int = 256,
-        trace_window: int = 64,
         on_violation: Optional[
             Callable[[int, Dict[str, object]], str]
         ] = None,
@@ -93,7 +96,7 @@ class ProgressWatchdog(EngineChecker):
         self._flat_ticks: Dict[str, int] = {}
         self._flat_wakes: Dict[str, int] = {}
         self._ticked_since_check = False
-        self.events: Deque[Tuple[int, str, str]] = deque(maxlen=trace_window)
+        self.events: Deque[Tuple[int, str, str]] = deque(maxlen=TRACE_WINDOW)
 
     # -- EngineChecker hooks -------------------------------------------
 

@@ -12,7 +12,7 @@ survive them:
   checkpoint of completed (app, gpu, simulator) triples so interrupted
   sweeps resume bit-identically;
 * :class:`~repro.resilience.chaos.ChaosPlan` — seeded, deterministic
-  fault injection proving the above (``repro chaos``).
+  fault injection proving the above (``repro check --mode resilience``).
 
 See ``docs/resilience.md`` for the methodology.
 """

@@ -58,12 +58,6 @@ class ChaosPlan:
     hang_rate: float = 0.0
     corrupt_rate: float = 0.0
     hang_seconds: float = 5.0
-    #: In-simulation faults (see :mod:`repro.guard.saboteur`): rather
-    #: than attacking the worker process, these wedge or corrupt the
-    #: *model* so the in-run watchdog / invariant guards must catch it.
-    #: ``repro chaos`` drills each kind whose rate is nonzero.
-    stall_rate: float = 0.0
-    violation_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("crash_rate", "hang_rate", "corrupt_rate"):
@@ -77,24 +71,10 @@ class ChaosPlan:
             )
         if self.hang_seconds < 0:
             raise ConfigError("hang_seconds must be non-negative")
-        for name in ("stall_rate", "violation_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.stall_rate + self.violation_rate > 1.0:
-            raise ConfigError(
-                f"in-simulation injection rates sum to "
-                f"{self.stall_rate + self.violation_rate:.2f} > 1.0"
-            )
 
     @property
     def active(self) -> bool:
         return (self.crash_rate + self.hang_rate + self.corrupt_rate) > 0
-
-    @property
-    def sim_active(self) -> bool:
-        """True when any in-simulation fault kind can fire."""
-        return (self.stall_rate + self.violation_rate) > 0
 
     def decide(self, task: str, attempt: int) -> Optional[str]:
         """The fault to inject for this (task, attempt), or ``None``.

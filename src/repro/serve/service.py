@@ -25,8 +25,7 @@ after; on startup the server re-executes every unsettled job before
 serving, so a SIGKILL converges to the uninterrupted store contents.
 ``die_after_jobs`` makes that crash deterministic for tests — the
 server calls ``os._exit(9)`` (SIGKILL's exit code) after settling N
-jobs, the same stand-in discipline as the guard's
-``stop_after_checkpoints``.
+jobs.
 """
 
 from __future__ import annotations
@@ -315,8 +314,7 @@ class SweepService:
         )
         self._admitted_jobs += 1
         if self.die_at_job and self._admitted_jobs >= self.die_at_job:
-            # Deterministic SIGKILL stand-in (same discipline as the
-            # guard's stop_after_checkpoints): die right after admitting
+            # Deterministic SIGKILL stand-in: die right after admitting
             # — the job is journaled but unsettled, so restart recovery
             # owes it an execution.  No cleanup, exactly like kill -9.
             os._exit(9)

@@ -234,7 +234,7 @@ class Engine:
             if cycle > self.cycle:
                 # Peeked, not popped: every tick at self.cycle has finished
                 # and the heap is untouched, so engine + module state is a
-                # consistent cycle-boundary snapshot (checkpoint-safe).
+                # consistent cycle-boundary snapshot.
                 checker.on_cycle_start(cycle)
             heapq.heappop(heap)
             self.cycle = cycle

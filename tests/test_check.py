@@ -18,6 +18,7 @@ from repro.check import (
     select_apps,
     shadow_jump_check,
 )
+from repro.check.runner import PILLARS
 from repro.check.shadow import compare_results
 from repro.errors import CheckError, SimulationError
 from repro.frontend.presets import get_preset
@@ -264,7 +265,7 @@ class TestDeterminism:
 class TestCheckReport:
     def test_json_round_trip(self):
         report = CheckReport(mode="all", gpu_name="g", scale="tiny",
-                             apps=["a"], simulators=["s"], checks_run=2)
+                             apps=["a"], simulators=["s"])
         report.extend([
             CheckFinding("sanitizer", "violation", "m", "broken"),
             CheckFinding("shadow-jump", "info", "m", "fine"),
@@ -284,6 +285,18 @@ class TestCheckReport:
     def test_invalid_severity_rejected(self):
         with pytest.raises(ValueError):
             CheckFinding("sanitizer", "catastrophic", "m", "boom")
+
+    def test_checks_run_counts_distinct_check_subject_pairs(self):
+        report = CheckReport(mode="all", gpu_name="g", scale="tiny")
+        assert report.checks_run == 0
+        report.extend([
+            CheckFinding("guard", "info", "sim x a [guarded]", "fine"),
+            CheckFinding("guard", "violation", "sim x a [guarded]", "bad"),
+            CheckFinding("guard", "info", "sim x a [stall saboteur]", "ok"),
+            CheckFinding("sanitizer", "info", "sim x a [guarded]", "ok"),
+        ])
+        assert report.checks_run == 3
+        assert json.loads(report.to_json())["checks_run"] == 3
 
 
 class TestRunner:
@@ -324,11 +337,37 @@ class TestRunner:
         with pytest.raises(CheckError, match="unknown check mode"):
             run_checks(tiny_gpu, mode="vibes")
 
+    def test_guard_mode_counts_every_pair_it_covered(self, tiny_gpu):
+        """Two apps on three simulators: six transparency pairs plus a
+        stall and an invariant scenario per simulator."""
+        report = run_checks(tiny_gpu, mode="guard", apps=["bfs", "gemm"],
+                            scale="tiny")
+        pairs = {(f.check, f.subject) for f in report.findings}
+        assert report.checks_run == len(pairs) == 12
+
+    @pytest.mark.parametrize("mode, lineup, covered", [
+        ("determinism", [SwiftSimBasic, SwiftSimMemory],
+         {"swift-basic", "swift-memory"}),
+        ("resilience", [SwiftSimBasic, SwiftSimMemory],
+         {"swift-basic", "swift-memory"}),
+        ("determinism", [SwiftSimBasic, AccelSimLike], {"swift-basic"}),
+    ])
+    def test_baseline_is_skipped_by_plan_not_position(self, tiny_gpu, mode,
+                                                      lineup, covered):
+        """An explicit lineup without the cycle-accurate baseline loses
+        nothing; with it, the baseline is skipped wherever it sits."""
+        report = run_checks(tiny_gpu, mode=mode, apps=["bfs"], scale="tiny",
+                            simulator_classes=lineup)
+        assert report.ok
+        assert report.simulators == [cls(tiny_gpu).name for cls in lineup]
+        assert {f.subject.split(" x ")[0] for f in report.findings} == covered
+
     def test_all_modes_run_over_one_app(self, tiny_gpu):
         assert set(MODES) == {
             "shadow-jump", "differential", "determinism",
             "sanitize", "resilience", "static", "guard", "serve", "all"
         }
+        assert set(MODES) == {*PILLARS, "all"}
         report = run_checks(tiny_gpu, mode="all", apps=["gemm"], scale="tiny")
         assert report.ok, [f.message for f in report.violations]
         assert report.checks_run > 0

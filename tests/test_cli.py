@@ -177,6 +177,24 @@ class TestCheckCommand:
         assert "unknown suite" in capsys.readouterr().err
 
 
+class TestRetiredCommands:
+    @pytest.mark.parametrize("retired", [
+        ["chaos", "--smoke"],
+        ["guard", "--app", "bfs", "--inject-at", "5"],
+        ["guard", "--app", "bfs", "--trace-window", "8"],
+    ])
+    def test_retired_command_and_flags_are_usage_errors(self, retired,
+                                                        capsys):
+        """`repro chaos` folded into `repro check --mode resilience` and
+        `--mode guard`; the guard's injection cycle and event window are
+        constants."""
+        with pytest.raises(SystemExit) as exc:
+            main(retired)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
+
 class TestFigures:
     def test_figure4_subset(self, capsys, monkeypatch):
         # Full presets are too slow for unit tests; patch the default GPU.

@@ -31,7 +31,6 @@ from repro.guard import (
     progress_signature,
 )
 from repro.memory.cache import SectoredCache
-from repro.resilience.chaos import ChaosPlan
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
 from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.swift_basic import SwiftSimBasic
@@ -349,7 +348,7 @@ class TestHarnessIntegration:
 
 
 # ---------------------------------------------------------------------------
-# config + chaos plan
+# config
 
 
 class TestGuardConfig:
@@ -360,15 +359,3 @@ class TestGuardConfig:
         with pytest.raises(ConfigError):
             GuardConfig(inject=("meteor",))
 
-    def test_with_replaces(self):
-        base = GuardConfig(watchdog=True)
-        derived = base.with_(invariants=True, check_every=64)
-        assert derived.watchdog and derived.invariants
-        assert derived.check_every == 64
-        assert not base.invariants and base.check_every == 256
-
-
-class TestChaosSimFaults:
-    def test_sim_rates_validated(self):
-        with pytest.raises(ConfigError):
-            ChaosPlan(stall_rate=0.7, violation_rate=0.5)

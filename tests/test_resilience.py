@@ -721,19 +721,20 @@ class TestResilienceCheckPillar:
 
 
 class TestResilienceCLI:
-    def test_chaos_command_inline(self, capsys, tmp_path):
+    def test_resilience_check_command_inline(self, capsys, tmp_path):
         from repro.cli import main
         from repro.frontend.config_io import save_gpu_config
 
         config_path = str(tmp_path / "tiny.json")
         save_gpu_config(make_tiny_gpu(), config_path)
         code = main([
-            "chaos", "--apps", "bfs,sm", "--scale", "tiny",
-            "--config", config_path, "--workers", "1", "--seed", "2025",
+            "check", "--mode", "resilience", "--apps", "bfs,sm",
+            "--scale", "tiny", "--config", config_path, "--workers", "1",
+            "--verbose",
         ])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "PASS" in out and "bit-identical" in out
+        assert "PASS" in out and "bit-identically" in out
 
     def test_eval_command_with_resume(self, capsys, tmp_path):
         from repro.cli import main
