@@ -226,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--journal", default="serve.journal",
                        help="service journal path (crash recovery)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="supervised worker processes per job "
+                       help="kept supervised worker processes, forked on "
+                            "first need and shared by every job "
                             "(1 = in-process execution)")
     serve.add_argument("--max-attempts", type=int, default=3)
     serve.add_argument("--timeout", type=float, default=60.0,

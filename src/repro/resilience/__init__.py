@@ -5,8 +5,10 @@ The paper's bulk-evaluation workflow (~20 apps x 3 GPUs x 3 simulators,
 expected events, not exceptions.  This package makes the execution layer
 survive them:
 
-* :class:`~repro.resilience.supervisor.Supervisor` — supervised
-  per-task workers with timeouts, reaping, and retry/backoff
+* :class:`~repro.resilience.supervisor.Supervisor` — at most
+  ``workers`` kept, supervised worker processes that run attempt after
+  attempt, with timeouts, reaping (and a fresh fork only after a crash,
+  timeout or OOM), and retry/backoff
   (:class:`~repro.resilience.policy.RetryPolicy`);
 * :class:`~repro.resilience.journal.RunJournal` — durable JSON-lines
   checkpoint of completed (app, gpu, simulator) triples so interrupted

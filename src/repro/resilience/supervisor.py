@@ -1,18 +1,24 @@
 """Supervised task execution: the fault-tolerant parallel driver core.
 
-The paper's bulk-evaluation workflow (§IV-B2) runs tens of independent
-simulations concurrently for hours; a bare ``ProcessPoolExecutor`` lets
+The paper's bulk-evaluation workflow (§IV-B2) keeps a fixed set of
+simulation workers busy for hours; a bare ``ProcessPoolExecutor`` lets
 one crashed or hung worker unwind the whole campaign.  The
-:class:`Supervisor` replaces it with per-task worker processes it
-actually supervises:
+:class:`Supervisor` replaces it with kept worker processes it actually
+supervises:
 
+* at most ``workers`` processes, each forked on first need and then
+  kept: it runs one attempt after another, each ``(fn, args)`` pickled
+  to it over its pipe, and goes back to the idle set after an ``ok``,
+  ``error`` or ``corrupt`` outcome;
 * per-task state machine (pending → running → done/failed) with a full
   attempt history;
 * per-attempt wall-clock timeouts — hung workers are reaped (killed and
   joined) and the task retried;
 * retries with exponential backoff + deterministic jitter
   (:class:`~repro.resilience.policy.RetryPolicy`);
-* dead workers are reaped and a fresh process spawned for the retry;
+* a worker that crashed, timed out, ran out of memory or sent an
+  undecodable payload is reaped, and a fresh one forked when next
+  needed;
 * failures classified into the typed taxonomy in :mod:`repro.errors`
   (:class:`~repro.errors.WorkerCrash`,
   :class:`~repro.errors.TaskTimeout`,
@@ -23,6 +29,14 @@ actually supervises:
   (:class:`~repro.resilience.chaos.ChaosPlan`) so all of the above is
   provable, not aspirational.
 
+Kept workers belong to the supervisor, and to every supervisor
+:meth:`Supervisor.with_policy` derives from it: :meth:`Supervisor.close`
+stops them, and so does the supervisor's garbage collection.  A worker
+also exits on its own when its pipe reaches end-of-file, so the death of
+its owner, even by ``SIGKILL``, takes it down; and it closes every
+socket it inherited from the fork, so it holds none of a server's
+listening socket or client connections.
+
 With ``workers <= 1`` the supervisor runs attempts in-process (no pool
 overhead, same retry/backoff/chaos semantics); injected crashes and
 true-hangs are then simulated as exceptions since the supervisor cannot
@@ -32,11 +46,16 @@ subprocess mode.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import multiprocessing.connection
 import os
+import stat
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -53,9 +72,14 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.policy import RetryPolicy
 
-#: How long (seconds) to wait for a terminated worker before escalating
-#: to SIGKILL.
+#: How long (seconds) to wait for a worker to exit (on end-of-file, or
+#: after SIGTERM) before escalating to SIGTERM, then SIGKILL.
 _REAP_GRACE = 0.5
+
+#: Held while a worker is forked and while an idle set changes hands, so
+#: no fork can copy another worker's half-built pipe.  Re-entrant: a
+#: collected pool's finalizer may run while this thread holds it.
+_POOL_LOCK = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -68,10 +92,11 @@ class Task:
     raises to reject it (the rejection is classified as a retryable
     :class:`~repro.errors.CorruptResult`).
 
+    ``fn`` and ``args`` are pickled to the worker on every attempt.
     Every attempt runs ``fn(*args)`` whole: a retry after a
     :class:`~repro.errors.TaskTimeout` or
     :class:`~repro.errors.WorkerCrash` starts the work over from the
-    beginning, in a fresh worker.
+    beginning, in another worker.
     """
 
     key: str
@@ -126,34 +151,52 @@ class TaskOutcome:
         )
 
 
-def _safe_send(conn, payload) -> None:
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket a forked worker inherited but ``keep`` and the
+    standard streams: a server's listening socket, its client
+    connections, and the other workers' pipes, whose copies here would
+    keep those workers from seeing end-of-file when their owner dies."""
     try:
-        conn.send(payload)
-    except (BrokenPipeError, OSError):
-        pass
+        descriptors = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:
+        return  # no descriptor table to read: nothing was inherited
+    for fd in descriptors:
+        if fd in (0, 1, 2, keep):
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            pass  # the directory listing's own descriptor, now closed
 
 
-def _attempt_entry(conn, fn, args, chaos: Optional[ChaosPlan], key: str,
-                   attempt: int) -> None:
-    """Worker-process entry point for one attempt (module-level so it
-    survives both fork and spawn start methods)."""
-    action = chaos.decide(key, attempt) if chaos is not None else None
-    if action == "crash":
-        conn.close()
-        os._exit(CRASH_EXIT_CODE)
-    try:
-        if action == "hang":
-            time.sleep(chaos.hang_seconds)
-        result = fn(*args)
-        if action == "corrupt":
-            result = chaos.corrupt(result)
-        _safe_send(conn, ("ok", result))
-    except MemoryError as exc:
-        _safe_send(conn, ("exhausted", repr(exc)))
-    except BaseException as exc:  # noqa: BLE001 — full report, then die
-        _safe_send(conn, ("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
+def _worker_main(conn) -> None:
+    """A kept worker's life (module-level so it survives both fork and
+    spawn start methods): run each ``(fn, args, fault, hang_seconds)``
+    the pipe delivers and answer ``(status, payload)``, until the pipe
+    reaches end-of-file."""
+    _close_inherited_sockets(conn.fileno())
+    while True:
+        try:
+            fn, args, fault, hang_seconds = conn.recv()
+        except (EOFError, OSError):
+            return  # the owner closed the pipe, or died
+        if fault == "crash":
+            os._exit(CRASH_EXIT_CODE)
+        try:
+            if fault == "hang":
+                time.sleep(hang_seconds)
+            reply = ForkingPickler.dumps(("ok", fn(*args)))
+        except MemoryError as exc:
+            reply = ForkingPickler.dumps(("exhausted", repr(exc)))
+        except Exception as exc:  # noqa: BLE001 — report, keep serving
+            reply = ForkingPickler.dumps(
+                ("error", f"{type(exc).__name__}: {exc}")
+            )
+        try:
+            conn.send_bytes(reply)
+        except OSError:
+            return
 
 
 _FAILURE_CLASSES = {
@@ -172,14 +215,59 @@ def classify_failure(outcome: str, message: str, *, task: str,
     return cls(message, task=task, attempt=attempt, context=context)
 
 
+@dataclass(eq=False)
+class _Worker:
+    process: multiprocessing.Process
+    conn: object
+
+
+def _stop(worker: _Worker, force: bool = False) -> None:
+    """End one worker and join it: close its pipe (an idle worker exits
+    on end-of-file), then SIGTERM and SIGKILL whatever is still alive —
+    at once when ``force``, else after a grace period."""
+    worker.conn.close()
+    process = worker.process
+    if not force:
+        process.join(_REAP_GRACE)
+    if process.is_alive():
+        process.terminate()
+        process.join(_REAP_GRACE)
+        if process.is_alive():
+            process.kill()
+    process.join()
+
+
+def _stop_idle(idle: List[_Worker]) -> int:
+    """Stop every worker in ``idle`` and empty it; return how many."""
+    with _POOL_LOCK:
+        stopping = idle[:]
+        del idle[:]
+    for worker in stopping:
+        _stop(worker)
+    return len(stopping)
+
+
+class _Pool:
+    """The idle workers one supervisor and its derivations share, and
+    the lifetime counts of workers forked and reaped."""
+
+    def __init__(self) -> None:
+        self.idle: List[_Worker] = []
+        self.spawned = 0
+        self.reaped = 0
+        weakref.finalize(self, _stop_idle, self.idle)
+
+
 @dataclass
 class _Running:
     task: Task
     attempt: int
-    process: multiprocessing.Process
-    conn: object
+    worker: _Worker
     started: float
     deadline: Optional[float]
+    fault: Optional[str] = None
+    #: Set when the task could not be pickled to its worker.
+    unshippable: str = ""
 
 
 class Supervisor:
@@ -198,13 +286,41 @@ class Supervisor:
         self.workers = max(1, workers)
         self.chaos = chaos
         self.context = context
-        #: Workers spawned over the supervisor's lifetime (respawns
-        #: included) — observability for tests and reports.
-        self.workers_spawned = 0
-        self.workers_reaped = 0
+        self._pool = _Pool()
+
+    @property
+    def workers_spawned(self) -> int:
+        """Workers forked over the pool's lifetime (replacements
+        included) — observability for tests and reports."""
+        return self._pool.spawned
+
+    @property
+    def workers_reaped(self) -> int:
+        """Workers stopped over the pool's lifetime."""
+        return self._pool.reaped
 
     # ------------------------------------------------------------------
     # public API
+
+    def with_policy(self, policy: RetryPolicy, context: str) -> "Supervisor":
+        """A supervisor with its own policy and context that runs its
+        attempts on this one's workers."""
+        derived = copy.copy(self)
+        derived.policy = policy
+        derived.context = context
+        return derived
+
+    def close(self) -> None:
+        """Stop every idle worker.  A later pooled run forks anew."""
+        stopped = _stop_idle(self._pool.idle)
+        with _POOL_LOCK:
+            self._pool.reaped += stopped
+
+    def __enter__(self) -> "Supervisor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(self, tasks: Sequence[Task]) -> Dict[str, TaskOutcome]:
         """Run every task to a terminal state; never raises for task
@@ -335,72 +451,104 @@ class Supervisor:
     # ------------------------------------------------------------------
     # pooled (subprocess) execution
 
-    def _spawn(self, task: Task, attempt: int) -> _Running:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_attempt_entry,
-            args=(child_conn, task.fn, task.args,
-                  self.chaos, task.key, attempt),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self.workers_spawned += 1
+    def _acquire(self) -> _Worker:
+        """An idle worker, else a newly forked one."""
+        with _POOL_LOCK:
+            if self._pool.idle:
+                return self._pool.idle.pop()
+            parent_conn, child_conn = multiprocessing.Pipe()
+            process = multiprocessing.Process(
+                target=_worker_main, args=(child_conn,), daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            self._pool.spawned += 1
+        return _Worker(process=process, conn=parent_conn)
+
+    def _release(self, worker: _Worker) -> None:
+        """Return a healthy worker to the idle set, or stop it when the
+        set already holds ``workers``."""
+        with _POOL_LOCK:
+            if len(self._pool.idle) < self.workers:
+                self._pool.idle.append(worker)
+                return
+        self._reap(worker)
+
+    def _reap(self, worker: _Worker, force: bool = False) -> None:
+        """Stop (and if ``force``, kill) a finished or condemned worker."""
+        _stop(worker, force)
+        with _POOL_LOCK:
+            self._pool.reaped += 1
+
+    def _start(self, task: Task, attempt: int) -> _Running:
+        worker = self._acquire()
         started = time.monotonic()
         timeout = self.policy.timeout_seconds
-        return _Running(
-            task=task, attempt=attempt, process=process, conn=parent_conn,
-            started=started,
-            deadline=None if timeout is None else started + timeout,
+        fault = (
+            self.chaos.decide(task.key, attempt)
+            if self.chaos is not None else None
         )
-
-    def _reap(self, running: _Running, force: bool = False) -> None:
-        """Join (and if needed kill) a finished or condemned worker."""
-        process = running.process
-        if force and process.is_alive():
-            process.terminate()
-            process.join(_REAP_GRACE)
-            if process.is_alive():
-                process.kill()
-        process.join()
-        running.conn.close()
-        self.workers_reaped += 1
+        running = _Running(
+            task=task, attempt=attempt, worker=worker, started=started,
+            deadline=None if timeout is None else started + timeout,
+            fault=fault,
+        )
+        hang_seconds = self.chaos.hang_seconds if fault == "hang" else 0.0
+        try:
+            worker.conn.send((task.fn, task.args, fault, hang_seconds))
+        except OSError:
+            pass  # the worker died idle: the poll sees its end-of-file
+        except Exception as exc:  # noqa: BLE001 — fn or args do not pickle
+            running.unshippable = (
+                f"cannot ship the task to a worker: "
+                f"{type(exc).__name__}: {exc}"
+            )
+        return running
 
     def _poll_worker(self, running: _Running):
         """Inspect one running attempt; return (status, message, result)
         or ``None`` if it is still in flight."""
-        # Message first: a worker may send its result and exit before we
+        worker = running.worker
+        if running.unshippable:
+            self._release(worker)
+            return "error", running.unshippable, None
+        # Message first: a worker may send its result and die before we
         # look at liveness -- or between the two looks, so a dead worker's
         # pipe is polled once more before its exit counts as a crash.
-        ready = running.conn.poll()
-        alive = ready or running.process.is_alive()
+        # Liveness is the exit sentinel, which turns readable as the
+        # worker's descriptors close: ``is_alive()`` stays true until the
+        # exit completes, and looping on a readable sentinel until then
+        # would spin against the dying worker for its CPU.
+        ready = worker.conn.poll()
+        alive = ready or not multiprocessing.connection.wait(
+            [worker.process.sentinel], 0
+        )
         if not alive:
-            ready = running.conn.poll()
+            ready = worker.conn.poll()
         if ready:
             try:
-                status, payload = running.conn.recv()
+                status, payload = worker.conn.recv()
             except (EOFError, OSError):
-                self._reap(running)
-                return "crash", "worker closed its pipe mid-send", None
+                self._reap(worker)
+                return "crash", self._death(worker), None
             except Exception as exc:  # unpicklable / torn payload
-                self._reap(running, force=True)
+                self._reap(worker, force=True)
                 return "corrupt", f"undecodable worker payload: {exc}", None
-            self._reap(running)
+            if status == "exhausted":
+                self._reap(worker)
+            else:
+                self._release(worker)
             if status == "ok":
+                if running.fault == "corrupt":
+                    payload = self.chaos.corrupt(payload)
                 return "ok", "", payload
             return status, str(payload), None
         if not alive:
-            exitcode = running.process.exitcode
-            self._reap(running)
-            detail = (
-                "injected chaos crash"
-                if exitcode == CRASH_EXIT_CODE
-                else f"worker died with exit code {exitcode}"
-            )
-            return "crash", detail, None
+            self._reap(worker)
+            return "crash", self._death(worker), None
         if (running.deadline is not None
                 and time.monotonic() > running.deadline):
-            self._reap(running, force=True)
+            self._reap(worker, force=True)
             budget = self.policy.timeout_seconds
             return (
                 "timeout",
@@ -408,6 +556,13 @@ class Supervisor:
                 None,
             )
         return None
+
+    @staticmethod
+    def _death(worker: _Worker) -> str:
+        exitcode = worker.process.exitcode
+        if exitcode == CRASH_EXIT_CODE:
+            return "injected chaos crash"
+        return f"worker died with exit code {exitcode}"
 
     def _wait_for_event(
         self,
@@ -429,7 +584,8 @@ class Supervisor:
         if running:
             multiprocessing.connection.wait(
                 [waitable for slot in running
-                 for waitable in (slot.conn, slot.process.sentinel)],
+                 for waitable in (slot.worker.conn,
+                                  slot.worker.process.sentinel)],
                 timeout,
             )
         elif timeout:
@@ -451,7 +607,7 @@ class Supervisor:
                 if ready_at > now:
                     break
                 ready.pop(0)
-                running.append(self._spawn(task, attempt))
+                running.append(self._start(task, attempt))
             progressed = False
             for slot in list(running):
                 polled = self._poll_worker(slot)

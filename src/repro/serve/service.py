@@ -3,8 +3,11 @@
 One event loop owns all bookkeeping — the in-flight dedupe table, the
 admission ledger, the breaker board, the journal — while actual
 simulation runs through the :class:`~repro.resilience.Supervisor` in an
-executor thread (and, for ``supervisor_workers > 1``, worker
-processes).  Requests arrive as JSON lines over a unix socket.
+executor thread.  With ``supervisor_workers > 1`` the service owns one
+set of at most that many kept worker processes for its lifetime: each
+is forked when a cold job first needs it, runs job after job, and is
+stopped on drain and on exit.  Requests arrive as JSON lines over a unix
+socket.
 
 The degradation ladder, top rung first:
 
@@ -113,10 +116,13 @@ class SweepService:
         self.policy = policy if policy is not None else RetryPolicy(
             max_attempts=3, base_delay=0.01, timeout_seconds=60.0,
         )
-        self.chaos = chaos
         self.admission = admission or AdmissionController()
         self.breakers = breakers or BreakerBoard()
-        self.supervisor_workers = supervisor_workers
+        #: The service's workers; each request derives its own policy
+        #: and context from it (:meth:`Supervisor.with_policy`).
+        self._supervisor = Supervisor(
+            self.policy, workers=supervisor_workers, chaos=chaos,
+        )
         self.die_at_job = die_at_job
         self.stats = ServiceStats()
         #: Injectable execution hooks so unit tests can drive the ladder
@@ -126,8 +132,10 @@ class SweepService:
         self._degraded_runner = degraded_runner or self._run_degraded
         self._clock = clock
         self._inflight: Dict[str, asyncio.Future] = {}
-        #: (app, scale) -> (trace_hash, num_instructions); traces are
-        #: deterministic in the key, so this never invalidates.
+        #: (app, scale) -> (trace_hash, num_instructions, trace); traces
+        #: are deterministic in the key, so this never invalidates.  The
+        #: degraded runner simulates the kept trace, so its tasklist is
+        #: characterized once per server, not once per request.
         self._trace_ids: Dict[tuple, tuple] = {}
         self._settled_jobs = 0
         self._admitted_jobs = 0
@@ -141,8 +149,10 @@ class SweepService:
         key = (app, scale)
         cached = self._trace_ids.get(key)
         if cached is None:
-            fingerprint = trace_fingerprint(make_app(app, scale=scale))
-            cached = (fingerprint["digest"], fingerprint["instructions"])
+            trace = make_app(app, scale=scale)
+            fingerprint = trace_fingerprint(trace)
+            cached = (fingerprint["digest"], fingerprint["instructions"],
+                      trace)
             self._trace_ids[key] = cached
         return cached
 
@@ -166,7 +176,7 @@ class SweepService:
                 f"not match server-side {cfg_hash[:12]}... — client and "
                 f"server disagree on the canonical config"
             )
-        trc_hash, num_instructions = self._trace_identity(
+        trc_hash, num_instructions, __ = self._trace_identity(
             request.app, request.scale
         )
         if request.trace_hash and request.trace_hash != trc_hash:
@@ -199,9 +209,8 @@ class SweepService:
                   request.gpu, request.simulator),
             validate=validate_result_payload,
         )
-        supervisor = Supervisor(
-            policy, workers=self.supervisor_workers, chaos=self.chaos,
-            context=f"serve {request.app}/{request.simulator}",
+        supervisor = self._supervisor.with_policy(
+            policy, context=f"serve {request.app}/{request.simulator}",
         )
         outcome = supervisor.run([task])[task.key]
         if outcome.failure is not None:
@@ -209,9 +218,10 @@ class SweepService:
         return outcome.result
 
     def _run_degraded(self, request: JobRequest, identity: Dict) -> Dict:
-        """Tier 4: the analytic fallback (blocking, but ~ms-scale)."""
+        """Tier 4: the analytic fallback (blocking, but ~ms-scale), on
+        the trace :meth:`identify` fingerprinted."""
         gpu = resolve_gpu(request.config, request.gpu)
-        app = make_app(request.app, scale=request.scale)
+        app = self._trace_identity(request.app, request.scale)[2]
         simulator = SIMULATORS[DEGRADED_SIMULATOR](gpu)
         return result_to_dict(simulator.simulate(app))
 
@@ -439,7 +449,11 @@ class SweepService:
         if op == "drain":
             self._draining = True
             while self._inflight:
-                await asyncio.sleep(0.01)
+                await asyncio.gather(
+                    *map(asyncio.shield, list(self._inflight.values())),
+                    return_exceptions=True,
+                )
+            self._supervisor.close()
             if self._server is not None:
                 self._server.close()
             return {"status": "ok", "drained": True,
@@ -495,5 +509,6 @@ class SweepService:
             async with self._server:
                 await self._server.wait_closed()
         finally:
+            self._supervisor.close()
             if os.path.exists(socket_path):
                 os.unlink(socket_path)

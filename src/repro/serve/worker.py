@@ -1,18 +1,19 @@
 """Job execution: the function the service hands to the Supervisor.
 
-Lives at module level (not a closure) so pooled Supervisor workers can
-pickle it across process boundaries — the same constraint the sweep
+Lives at module level (not a closure) so it pickles by reference to the
+service's kept Supervisor workers — the same constraint the sweep
 driver's tasks obey.  Each execution rebuilds everything from the
-request's value form (app name, scale, config dict): workers share no
-in-memory state with the server, which is what makes a crashed worker
-retryable and a crashed *server* recoverable from the journal alone.
+request's value form (app name, scale, config dict): a job shares no
+in-memory state with the server or with the jobs its worker ran before,
+which is what makes a crashed worker retryable and a crashed *server*
+recoverable from the journal alone.
 
 Importing this module imports every registered simulator.  The registry
-resolves a class on lookup, and a Supervisor worker is forked per
-attempt: a class first looked up inside :func:`execute_job` would be
-imported again by every worker on the cold path.  A long-lived process
-imports before it forks (``docs/architecture.md`` § "Lazy exports";
-``tests/test_import_budget.py`` holds the server to it).
+resolves a class on lookup, and the service forks its workers after it
+has started serving: a class first looked up inside :func:`execute_job`
+would be imported again by every worker on the cold path.  A long-lived
+process imports before it forks (``docs/architecture.md`` § "Lazy
+exports"; ``tests/test_import_budget.py`` holds the server to it).
 """
 
 from __future__ import annotations

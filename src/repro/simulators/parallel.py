@@ -4,14 +4,14 @@ The paper credits Swift-Sim's modular design with making parallel
 simulation easy and reports a further ~5x from running simulations
 concurrently (50 threads on a 2-socket server).  Applications are
 independent, so the parallel driver fans application traces out to
-supervised worker processes — the same throughput-level concurrency,
-sized to this machine, but fault-tolerant: workers that crash, hang, or
-OOM are reaped and their tasks retried under a
-:class:`~repro.resilience.policy.RetryPolicy` (see
-:mod:`repro.resilience`).  Worker processes rebuild the simulator from
-its (picklable) configuration and plan, simulate, and ship back the
-result without the metrics report (module trees do not cross process
-boundaries).
+at most ``workers`` kept, supervised worker processes — the same
+throughput-level concurrency, sized to this machine, but fault-tolerant:
+workers that crash, hang, or OOM are reaped and their tasks retried
+under a :class:`~repro.resilience.policy.RetryPolicy` (see
+:mod:`repro.resilience`).  Each task pickles the simulator's
+configuration and plan and one application trace to a worker, which
+rebuilds the simulator, simulates, and ships back the result without the
+metrics report (module trees do not cross process boundaries).
 """
 
 from __future__ import annotations
@@ -49,8 +49,30 @@ def _simulate_one(
     return simulator.simulate(app, gather_metrics=False)
 
 
+def _simulate_pickled(
+    simulator_cls: Type[PlanSimulator],
+    config: GPUConfig,
+    plan: ModelingPlan,
+    hit_rate_source: str,
+    app_bytes: bytes,
+) -> SimulationResult:
+    """:func:`_simulate_one` on a trace :func:`validate_picklable` pickled."""
+    return _simulate_one(simulator_cls, config, plan, hit_rate_source,
+                         pickle.loads(app_bytes))
+
+
+def _pickled(label: str, value: object) -> bytes:
+    try:
+        return pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # noqa: BLE001 — any pickling failure
+        raise SimulationError(
+            f"cannot ship {label} to worker processes: not picklable "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def validate_picklable(simulator: PlanSimulator,
-                       apps: Sequence[ApplicationTrace]) -> None:
+                       apps: Sequence[ApplicationTrace]) -> Dict[str, bytes]:
     """Pre-flight the pool: everything a worker rebuilds from must
     pickle.
 
@@ -58,23 +80,17 @@ def validate_picklable(simulator: PlanSimulator,
     surfaces as an opaque ``ProcessPoolExecutor``-style error deep in
     the pool machinery; here it is a typed
     :class:`~repro.errors.SimulationError` naming the offending field
-    before any worker launches.
+    before any worker launches.  Returns each app's pickled trace by
+    name: the bytes its task ships, so no trace is pickled twice.
     """
-    fields = [
+    for label, value in (
         ("simulator class", type(simulator)),
         ("config", simulator.config),
         ("plan", simulator.plan),
         ("hit_rate_source", simulator.hit_rate_source),
-    ]
-    fields.extend((f"app {app.name!r} trace", app) for app in apps)
-    for label, value in fields:
-        try:
-            pickle.dumps(value)
-        except Exception as exc:  # noqa: BLE001 — any pickling failure
-            raise SimulationError(
-                f"cannot ship {label} to worker processes: not picklable "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
+    ):
+        _pickled(label, value)
+    return {app.name: _pickled(f"app {app.name!r} trace", app) for app in apps}
 
 
 def _result_validator(app: ApplicationTrace):
@@ -120,20 +136,14 @@ def simulate_apps_supervised(
     :class:`~repro.resilience.supervisor.TaskOutcome` carries either a
     result or a typed :class:`~repro.errors.TaskFailure` with its full
     attempt history.  A retried attempt runs the app again from cycle 0.
+    The call forks at most ``workers`` processes, plus one for each worker
+    a crash or timeout killed, and stops them before it returns.
     Triples already present in ``journal`` are served from it without
     simulating; fresh completions are durably appended.
     """
     if workers is None:
         workers = default_worker_count()
     workers = min(workers, max(len(apps), 1))
-    if workers > 1:
-        validate_picklable(simulator, apps)
-    supervisor = Supervisor(
-        policy=retry_policy,
-        workers=workers,
-        chaos=chaos,
-        context=f"{simulator.name} on {simulator.config.name}",
-    )
     outcomes: Dict[str, TaskOutcome] = {}
     pending = []
     for app in apps:
@@ -145,22 +155,31 @@ def simulate_apps_supervised(
             outcomes[app.name] = TaskOutcome(key=app.name, result=journaled)
         else:
             pending.append(app)
+    fn, shipped = _simulate_one, {app.name: app for app in pending}
+    if workers > 1:
+        fn, shipped = _simulate_pickled, validate_picklable(simulator, pending)
     tasks = [
         Task(
             key=app.name,
-            fn=_simulate_one,
+            fn=fn,
             args=(
                 type(simulator),
                 simulator.config,
                 simulator.plan,
                 simulator.hit_rate_source,
-                app,
+                shipped[app.name],
             ),
             validate=_result_validator(app),
         )
         for app in pending
     ]
-    outcomes.update(supervisor.run(tasks))
+    with Supervisor(
+        policy=retry_policy,
+        workers=workers,
+        chaos=chaos,
+        context=f"{simulator.name} on {simulator.config.name}",
+    ) as supervisor:
+        outcomes.update(supervisor.run(tasks))
     if journal is not None:
         for app in pending:
             outcome = outcomes[app.name]

@@ -4,10 +4,13 @@ the run journal, and their wiring into the parallel driver, the
 evaluation harness, and the CLI."""
 
 import json
+import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -279,9 +282,12 @@ class TestSupervisorPooled:
         )
         assert outcomes["a"].result == 14 and outcomes["b"].result == 16
         assert [r.outcome for r in outcomes["a"].attempts] == ["crash", "ok"]
-        # the dead worker was reaped and a fresh one spawned for retry
-        assert supervisor.workers_spawned == 3
-        assert supervisor.workers_reaped == 3
+        # the dead worker was reaped; the retry ran on a kept worker or
+        # a fresh one, never on more than workers + one per crash
+        assert supervisor.workers_reaped == 1
+        assert 2 <= supervisor.workers_spawned <= 3
+        supervisor.close()
+        assert supervisor.workers_reaped == supervisor.workers_spawned
 
     def test_hung_worker_reaped_on_timeout(self):
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
@@ -370,6 +376,154 @@ class TestSupervisorPooled:
         )
         assert "ValueError" in str(outcomes["a"].failure)
         assert outcomes["b"].result == 4  # sibling task unharmed
+
+
+class TestKeptWorkers:
+    """workers>=2 forks at most ``workers`` processes, keeps them across
+    attempts, and replaces one only when a crash or timeout killed it."""
+
+    def test_healthy_tasks_fork_at_most_workers(self):
+        supervisor = Supervisor(NO_RETRY, workers=2)
+        outcomes = supervisor.run(
+            [Task(f"t{n}", _double, (n,)) for n in range(8)]
+        )
+        assert [outcomes[f"t{n}"].result for n in range(8)] == \
+            [2 * n for n in range(8)]
+        assert supervisor.workers_spawned <= 2
+        assert supervisor.workers_reaped == 0
+        supervisor.close()
+        assert supervisor.workers_reaped == supervisor.workers_spawned
+
+    def test_each_crash_costs_exactly_one_fork(self):
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        supervisor = Supervisor(
+            policy, workers=2, chaos=ScriptedChaos({("t0", 1): "crash"})
+        )
+        outcomes = supervisor.run(
+            [Task(f"t{n}", _double, (n,)) for n in range(8)]
+        )
+        assert all(outcome.ok for outcome in outcomes.values())
+        assert [r.outcome for r in outcomes["t0"].attempts] == ["crash", "ok"]
+        assert supervisor.workers_spawned == 2 + 1
+        assert supervisor.workers_reaped == 1
+        supervisor.close()
+
+    def test_each_timeout_costs_one_reap_and_at_most_one_fork(self):
+        """A retry may reuse a worker freed meanwhile, so only the first
+        retry (the other worker still hangs) must fork."""
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
+                             timeout_seconds=0.5)
+        chaos = ScriptedChaos({("a", 1): "hang", ("b", 1): "hang"},
+                              hang_seconds=99.0)
+        supervisor = Supervisor(policy, workers=2, chaos=chaos)
+        outcomes = supervisor.run(
+            [Task("a", _double, (1,)), Task("b", _double, (2,))]
+        )
+        for outcome in outcomes.values():
+            assert [r.outcome for r in outcome.attempts] == ["timeout", "ok"]
+        assert supervisor.workers_reaped == 2
+        assert 3 <= supervisor.workers_spawned <= 2 + 2
+        supervisor.close()
+
+    def test_error_and_corrupt_outcomes_keep_the_worker(self):
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        supervisor = Supervisor(
+            policy, workers=2, chaos=ScriptedChaos({("c", 1): "corrupt"})
+        )
+        outcomes = supervisor.run(
+            [Task("e", _raise_value_error), Task("c", _double, (3,))]
+        )
+        assert "ValueError" in str(outcomes["e"].failure)
+        assert [r.outcome for r in outcomes["c"].attempts] == \
+            ["corrupt", "ok"]
+        assert supervisor.workers_reaped == 0
+        supervisor.close()
+
+    def test_concurrent_runs_share_the_kept_workers(self):
+        """Derived supervisors on several threads (the server's executor)
+        never hand one worker two attempts at once: every answer is the
+        one its own task asked for."""
+        supervisor = Supervisor(NO_RETRY, workers=2)
+
+        def client(n):
+            derived = supervisor.with_policy(NO_RETRY, f"client {n}")
+            return [
+                derived.run([Task(f"{n}.{i}", _double, (100 * n + i,))])
+                [f"{n}.{i}"].result
+                for i in range(10)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                answers = list(pool.map(client, range(6), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [[2 * (100 * n + i) for i in range(10)]
+                           for n in range(6)]
+        supervisor.close()
+        assert supervisor.workers_reaped == supervisor.workers_spawned
+
+    def test_unpicklable_task_is_a_typed_error(self):
+        supervisor = Supervisor(NO_RETRY, workers=2)
+        outcomes = supervisor.run([
+            Task("lambda", lambda: 1), Task("ok", _double, (4,)),
+        ])
+        assert "cannot ship the task" in str(outcomes["lambda"].failure)
+        assert outcomes["ok"].result == 8
+        supervisor.close()
+
+    def test_simulate_apps_parallel_forks_workers_not_tasks(
+            self, tiny_gpu, monkeypatch):
+        apps = [make_app(name, scale="tiny")
+                for name in ("bfs", "gemm", "sm", "nw")]
+        serial = simulate_apps_parallel(SwiftSimBasic(tiny_gpu), apps,
+                                        workers=1)
+        starts = _count_process_starts(monkeypatch)
+        pooled = simulate_apps_parallel(SwiftSimBasic(tiny_gpu), apps,
+                                        workers=2)
+        assert len(starts) == 2
+        assert not any(process.is_alive() for process in starts)
+        for app in apps:
+            assert pooled[app.name].total_cycles == \
+                serial[app.name].total_cycles
+
+
+class TestWorkerLifetime:
+    """No kept worker outlives its owner."""
+
+    def test_close_stops_the_kept_workers(self):
+        before = set(multiprocessing.active_children())
+        supervisor = Supervisor(NO_RETRY, workers=2)
+        supervisor.run([Task("a", _nap_then_double, (1,)),
+                        Task("b", _nap_then_double, (2,))])
+        kept = set(multiprocessing.active_children()) - before
+        assert len(kept) == 2
+        supervisor.close()
+        assert not any(process.is_alive() for process in kept)
+
+    def test_a_collected_one_shot_supervisor_stops_its_workers(
+            self, monkeypatch):
+        before = set(multiprocessing.active_children())
+        starts = _count_process_starts(monkeypatch)
+        Supervisor(NO_RETRY, workers=2).run([Task("a", _double, (1,))])
+        assert len(starts) == 1
+        assert not starts[0].is_alive()
+        assert set(multiprocessing.active_children()) <= before
+
+
+def _count_process_starts(monkeypatch):
+    """Record every process started from here on."""
+    starts = []
+    real_start = multiprocessing.Process.start
+
+    def start(process):
+        starts.append(process)
+        real_start(process)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    return starts
 
 
 #: The acceptance-criteria chaos matrix: crash-only, hang-only, mixed

@@ -625,6 +625,117 @@ class TestServiceLadder:
         assert not journal.unsettled(key)
 
 
+class TestServiceWorkers:
+    """What a server's execution tiers cost it: forks for the exact tier,
+    characterizations for the degraded one, timers for a drain."""
+
+    def test_six_cold_jobs_fork_at_most_two_workers(self, tmp_path,
+                                                    monkeypatch):
+        import multiprocessing
+
+        starts = []
+        real_start = multiprocessing.Process.start
+
+        def start(process):
+            starts.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        service, store, __ = make_service(tmp_path, supervisor_workers=2)
+        requests = [
+            {"app": app, "scale": "tiny", "simulator": "swift-basic",
+             "config": gpu_config_to_dict(make_tiny_gpu(num_sms=num_sms))}
+            for app in ("bfs", "gemm") for num_sms in (2, 3, 4)
+        ]
+
+        async def scenario():
+            answers = [await service.submit_request(dict(request))
+                       for request in requests]
+            drained = await service.handle_request({"op": "drain"})
+            return answers, drained
+
+        answers, drained = run(scenario())
+        assert [a["status"] for a in answers] == ["ok"] * 6
+        assert not any(a["cached"] or a["degraded"] for a in answers)
+        assert service.stats.executed == 6 and len(store) == 6
+        assert 1 <= len(starts) <= 2
+        assert drained["drained"] is True
+        assert not any(process.is_alive() for process in starts)
+
+    def test_degraded_tier_characterizes_each_kernel_once(self, tmp_path,
+                                                          monkeypatch):
+        pytest.importorskip("numpy")
+        import repro.frontend.precharacterize as precharacterize_module
+
+        characterized = []
+        characterize = precharacterize_module._characterize_kernel
+
+        def counted(kernel):
+            characterized.append(kernel.name)
+            return characterize(kernel)
+
+        monkeypatch.setattr(precharacterize_module, "_characterize_kernel",
+                            counted)
+
+        def failing(request, identity):
+            raise SimulationError("engine wedged")
+
+        service, store, __ = make_service(tmp_path, runner=failing)
+
+        async def scenario():
+            return [
+                await service.submit_request({
+                    "app": "bfs", "scale": "tiny", "simulator": "swift-basic",
+                    "config": gpu_config_to_dict(make_tiny_gpu(num_sms=n)),
+                })
+                for n in (2, 3, 4)
+            ]
+
+        answers = run(scenario())
+        assert [a["degraded"] for a in answers] == [True] * 3
+        assert len({a["result"]["total_cycles"] for a in answers}) > 1
+        kernels = [kernel.name for kernel in make_app("bfs", "tiny").kernels]
+        assert sorted(characterized) == sorted(kernels)
+        assert len(store) == 0
+
+    def test_drain_awaits_inflight_jobs_not_a_timer(self, tmp_path,
+                                                    monkeypatch):
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+
+        def runner(request, identity):
+            entered.set()
+            release.wait(30.0)
+            return exact_result()
+
+        service, store, __ = make_service(tmp_path, runner=runner)
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def sleep(delay, result=None):
+            sleeps.append(delay)
+            return await real_sleep(delay, result)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            job = asyncio.create_task(service.submit_request(dict(REQUEST)))
+            await loop.run_in_executor(None, entered.wait, 30.0)
+            in_flight = len(service._inflight)
+            monkeypatch.setattr(asyncio, "sleep", sleep)
+            drain = asyncio.create_task(
+                service.handle_request({"op": "drain"})
+            )
+            await loop.run_in_executor(None, release.set)
+            return in_flight, await job, await drain
+
+        in_flight, answer, drained = run(scenario())
+        assert in_flight == 1
+        assert answer["status"] == "ok" and len(store) == 1
+        assert drained == {"status": "ok", "drained": True, "settled": 1}
+        assert sleeps == []
+
+
 # ----------------------------------------------------------------------
 # retired request keys
 
@@ -731,3 +842,123 @@ class TestSocketEndToEnd:
         assert stats["stats"]["submitted"] == 2
         assert stats["store_entries"] == 1
         assert not os.path.exists(socket_path)
+
+
+# ----------------------------------------------------------------------
+# kept workers of a real `repro serve` process
+
+
+def _children_of(pid):
+    """Pids whose parent is ``pid`` (read from /proc)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _exited(pid, timeout=10.0):
+    """Wait for ``pid`` to be gone (or a zombie nobody reaps)."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            return True
+        if state in ("Z", "X"):
+            return True
+        time.sleep(0.02)
+    return False
+
+
+def _socket_inodes(pid):
+    """The sockets ``pid`` holds, the standard streams aside."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        if int(fd) <= 2:
+            continue
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:"):
+            inodes.add(target)
+    return inodes
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="reads the process table from /proc")
+class TestServerWorkerLifetime:
+    """A kept worker holds none of the server's sockets and dies with
+    the server, however the server dies."""
+
+    def start(self, tmp_path, *flags):
+        import subprocess
+        import sys
+
+        from repro.serve.client import SweepClient
+
+        socket_path = str(tmp_path / "s.sock")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", socket_path,
+             "--store", str(tmp_path / "store"),
+             "--journal", str(tmp_path / "journal"), "--workers", "2",
+             *flags],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+        )
+        client = SweepClient(socket_path, timeout=60.0)
+        client.connect(retries=600, delay=0.05)
+        return server, client
+
+    @staticmethod
+    def job(num_sms):
+        return {"app": "gemm", "scale": "tiny", "simulator": "swift-basic",
+                "config": gpu_config_to_dict(make_tiny_gpu(num_sms=num_sms))}
+
+    def test_worker_holds_no_server_socket_and_dies_on_sigkill(self,
+                                                               tmp_path):
+        import signal
+
+        server, client = self.start(tmp_path)
+        try:
+            assert client.submit(self.job(2))["status"] == "ok"
+            (worker,) = _children_of(server.pid)
+            held = _socket_inodes(worker)
+            assert len(held) == 1  # its own pipe to the server
+            assert held.isdisjoint(_socket_inodes(server.pid))
+            os.kill(server.pid, signal.SIGKILL)
+            server.wait(timeout=30)
+            assert _exited(worker)
+        finally:
+            client.close()
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+
+    def test_worker_exits_when_the_server_dies_at_a_job(self, tmp_path):
+        server, client = self.start(tmp_path, "--die-at-job", "2")
+        try:
+            assert client.submit(self.job(2))["status"] == "ok"
+            (worker,) = _children_of(server.pid)
+            with pytest.raises((ServeError, OSError)):
+                client.submit(self.job(3))
+            assert server.wait(timeout=30) == 9
+            assert _exited(worker)
+        finally:
+            client.close()
+            if server.poll() is None:
+                server.kill()
+                server.wait()
