@@ -62,10 +62,15 @@ def canonical(value):
 
 def canonical_json(value) -> str:
     """The canonical wire/hash form: sorted keys, compact separators."""
-    return json.dumps(
-        canonical(value), sort_keys=True, separators=(",", ":"),
-        allow_nan=False,
-    )
+    try:
+        return json.dumps(
+            canonical(value), sort_keys=True, separators=(",", ":"),
+            allow_nan=False,
+        )
+    except RecursionError:
+        raise ServeError(
+            "cannot canonicalize a value nested this deeply"
+        ) from None
 
 
 def _sha256(text: str) -> str:

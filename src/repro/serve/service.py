@@ -23,6 +23,14 @@ The degradation ladder, top rung first:
 5. **typed error** — the shed/failure reason, when degradation is
    disallowed or unavailable.
 
+Identity is a pure function of the request's bytes, and clients repeat
+lines byte for byte (``replay_grid`` resubmits a grid as it sent it), so
+the service remembers the identity of the last :data:`KNOWN_LINES`
+submit lines that identified successfully.  A known line skips JSON
+decoding and :meth:`SweepService.identify` and goes straight to rung 1,
+which still reads and verifies the store entry: the map holds
+identities, never results.
+
 Crash safety: admitted jobs are journaled before execution and settled
 after; on startup the server re-executes every unsettled job before
 serving, so a SIGKILL converges to the uninterrupted store contents.
@@ -41,12 +49,14 @@ from typing import Dict, Optional
 
 from repro.errors import (
     CircuitOpen,
+    ConfigError,
     DeadlineExceeded,
     DegradationUnavailable,
     LoadShedError,
     QueueSaturated,
     ServeError,
     SwiftSimError,
+    WorkloadError,
 )
 from repro.frontend.config_io import gpu_config_to_dict
 from repro.resilience.chaos import ChaosPlan
@@ -71,6 +81,16 @@ from repro.serve.worker import (
 )
 from repro.simulators import SIMULATORS
 from repro.tracegen.suites import make_app
+
+#: How many distinct submit lines the service remembers the identity of;
+#: the oldest is forgotten first.  An entry is the line (~1.6 KB with a
+#: full config) and its parsed request and identity (~9 KB), so the map
+#: stays near 11 MB at most.
+KNOWN_LINES = 1024
+
+#: The longest request line read, in bytes (asyncio's default limit);
+#: a longer one is refused and its connection closed.
+LINE_LIMIT = 2 ** 16
 
 
 class ServiceStats:
@@ -137,6 +157,9 @@ class SweepService:
         #: degraded runner simulates the kept trace, so its tasklist is
         #: characterized once per server, not once per request.
         self._trace_ids: Dict[tuple, tuple] = {}
+        #: raw submit line -> (JobRequest, identity), in insertion order
+        #: (module doc); only lines that identified successfully.
+        self._known_lines: Dict[bytes, tuple] = {}
         self._settled_jobs = 0
         self._admitted_jobs = 0
         self._draining = False
@@ -157,19 +180,22 @@ class SweepService:
         return cached
 
     def identify(self, request: JobRequest) -> Dict:
-        """Derive the job's content address and execution inputs."""
+        """Derive the job's content address and execution inputs.
+
+        Raises a typed error (``ServeError``, ``ConfigError`` or
+        ``WorkloadError``) for a request no tier could run: an unknown
+        simulator, app or scale, an invalid config, a pin mismatch.
+        """
         if request.simulator not in SIMULATORS:
             raise ServeError(
                 f"unknown simulator {request.simulator!r}; "
                 f"known: {sorted(SIMULATORS)}"
             )
-        if request.config is not None:
-            config_dict = request.config
-        else:
-            config_dict = gpu_config_to_dict(
-                resolve_gpu(None, request.gpu)
-            )
-        cfg_hash = config_hash(config_dict)
+        gpu = resolve_gpu(request.config, request.gpu)
+        cfg_hash = config_hash(
+            request.config if request.config is not None
+            else gpu_config_to_dict(gpu)
+        )
         if request.config_hash and request.config_hash != cfg_hash:
             raise ServeError(
                 f"client config_hash {request.config_hash[:12]}... does "
@@ -189,7 +215,7 @@ class SweepService:
             "key": job_key(trc_hash, cfg_hash, request.simulator),
             "trace_hash": trc_hash,
             "config_hash": cfg_hash,
-            "config_dict": config_dict,
+            "gpu": gpu,
             "num_instructions": num_instructions,
         }
 
@@ -220,25 +246,28 @@ class SweepService:
     def _run_degraded(self, request: JobRequest, identity: Dict) -> Dict:
         """Tier 4: the analytic fallback (blocking, but ~ms-scale), on
         the trace :meth:`identify` fingerprinted."""
-        gpu = resolve_gpu(request.config, request.gpu)
         app = self._trace_identity(request.app, request.scale)[2]
-        simulator = SIMULATORS[DEGRADED_SIMULATOR](gpu)
+        simulator = SIMULATORS[DEGRADED_SIMULATOR](identity["gpu"])
         return result_to_dict(simulator.simulate(app))
 
     # ------------------------------------------------------------------
     # the ladder
 
-    async def submit_request(self, payload: Dict) -> Dict:
-        """Answer one submit payload; the testable core of the server."""
+    async def submit_request(self, payload: Dict, line: bytes = b"") -> Dict:
+        """Answer one submit payload; the testable core of the server.
+
+        ``line`` is the raw request line ``payload`` was decoded from,
+        if any; it is remembered once the request identifies.
+        """
         self.stats.bump("submitted")
         loop = asyncio.get_running_loop()
         try:
             request = JobRequest.from_dict(payload)
             # Only the first sighting of a trace is slow (it generates
             # the trace to fingerprint it).  After that, identifying a
-            # job is some hashing and the store probe one small read —
-            # both cheaper than a hop to the executor, so a cache hit is
-            # answered without leaving the loop.
+            # job is some parsing and hashing and the store probe one
+            # small read — both cheaper than a hop to the executor, so
+            # a cache hit is answered without leaving the loop.
             on_loop = (request.app, request.scale) in self._trace_ids
             if on_loop:
                 identity = self.identify(request)
@@ -246,8 +275,18 @@ class SweepService:
                 identity = await loop.run_in_executor(
                     None, self.identify, request
                 )
-        except ServeError as exc:
+        except (ServeError, ConfigError, WorkloadError) as exc:
             return response_error("bad_request", str(exc))
+        if line:
+            if len(self._known_lines) >= KNOWN_LINES:
+                self._known_lines.pop(next(iter(self._known_lines)))
+            self._known_lines[line] = (request, identity)
+        return await self._answer(request, identity, on_loop)
+
+    async def _answer(self, request: JobRequest, identity: Dict,
+                      on_loop: bool) -> Dict:
+        """Walk an identified request down the ladder from rung 1."""
+        loop = asyncio.get_running_loop()
         key = identity["key"]
 
         # Rung 1: the exact cache.
@@ -430,8 +469,29 @@ class SweepService:
             self.stats.bump("recovered")
         return len(pending)
 
-    async def handle_request(self, payload: Dict) -> Dict:
-        """Dispatch one protocol message (already JSON-decoded)."""
+    async def handle_line(self, line: bytes) -> Dict:
+        """Answer one raw request line.
+
+        A submit line this service has identified before goes straight
+        to rung 1 (module doc); any other line is decoded and
+        dispatched.
+        """
+        known = self._known_lines.get(line)
+        # A draining server refuses submits; handle_request says so.
+        if known is not None and not self._draining:
+            self.stats.bump("submitted")
+            return await self._answer(*known, on_loop=True)
+        try:
+            payload = json.loads(line.decode("utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError("payload must be an object")
+        except (ValueError, RecursionError) as exc:
+            return response_error("bad_request", f"unparsable request: {exc}")
+        return await self.handle_request(payload, line)
+
+    async def handle_request(self, payload: Dict, line: bytes = b"") -> Dict:
+        """Dispatch one protocol message (already JSON-decoded from
+        ``line``, if given)."""
         op = payload.get("op", "submit")
         if op == "ping":
             return {"status": "ok", "pong": True}
@@ -463,30 +523,33 @@ class SweepService:
                 return response_error(
                     "draining", "server is draining; resubmit after restart"
                 )
-            return await self.submit_request(payload)
+            return await self.submit_request(payload, line)
         return response_error("bad_request", f"unknown op {op!r}")
 
     async def _handle_connection(self, reader, writer) -> None:
+        async def reply(response: Dict) -> None:
+            writer.write(
+                (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
+            )
+            await writer.drain()
+
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Longer than LINE_LIMIT: the reader dropped what it
+                    # had buffered, and the rest may still be on its
+                    # way, so where the next line starts is lost.
+                    # Answer, then close.
+                    await reply(response_error(
+                        "bad_request",
+                        f"request line longer than {LINE_LIMIT} bytes",
+                    ))
+                    break
                 if not line:
                     break
-                try:
-                    payload = json.loads(line.decode("utf-8"))
-                    if not isinstance(payload, dict):
-                        raise ValueError("payload must be an object")
-                except (ValueError, UnicodeDecodeError) as exc:
-                    response = response_error(
-                        "bad_request", f"unparsable request: {exc}"
-                    )
-                else:
-                    response = await self.handle_request(payload)
-                writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n")
-                    .encode("utf-8")
-                )
-                await writer.drain()
+                await reply(await self.handle_line(line))
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -503,7 +566,7 @@ class SweepService:
         if os.path.exists(socket_path):
             os.unlink(socket_path)  # stale socket from a killed server
         self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=socket_path
+            self._handle_connection, path=socket_path, limit=LINE_LIMIT
         )
         try:
             async with self._server:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Dict, Optional
 
 from repro.errors import FrameCorruption, ServeError
@@ -34,6 +35,9 @@ MAGIC = b"REPROSERV1\n"
 
 _ENTRY_SUFFIX = ".res"
 
+#: A job key: lowercase hex, at least 8 digits (the fan-out uses 2).
+_KEY = re.compile(r"[0-9a-f]{8,}")
+
 
 class ResultStore:
     """Memoized exact results, content-addressed by job key."""
@@ -43,7 +47,7 @@ class ResultStore:
         os.makedirs(self.root, exist_ok=True)
 
     def _entry_path(self, key: str) -> str:
-        if len(key) < 8 or not all(c in "0123456789abcdef" for c in key):
+        if not _KEY.fullmatch(key):
             raise ServeError(f"malformed store key {key!r}")
         return os.path.join(self.root, key[:2], key + _ENTRY_SUFFIX)
 

@@ -113,3 +113,36 @@ def warp_in_slot(slot: int = 0) -> SimpleNamespace:
 
 def coalesced_addrs(base: int = 0x10000, count: int = 32, step: int = 4):
     return [base + i * step for i in range(count)]
+
+
+class StreamTranscript:
+    """A stream writer that keeps what was written to it."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+async def serve_connection(service, lines) -> list:
+    """Feed ``lines`` (raw bytes, newlines included) to one connection of
+    a ``SweepService`` and return every response it wrote, decoded."""
+    import asyncio
+    import json
+
+    from repro.serve.service import LINE_LIMIT
+
+    reader = asyncio.StreamReader(limit=LINE_LIMIT)
+    for line in lines:
+        reader.feed_data(line)
+    reader.feed_eof()
+    writer = StreamTranscript()
+    await service._handle_connection(reader, writer)
+    return [json.loads(line) for line in writer.data.splitlines()]

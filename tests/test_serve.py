@@ -35,11 +35,12 @@ from repro.serve.keys import (
     trace_fingerprint,
     workload_hash,
 )
-from repro.serve.service import SweepService
+from repro.serve import service as service_module
+from repro.serve.service import LINE_LIMIT, SweepService
 from repro.serve.store import MAGIC, ResultStore
 from repro.tracegen.suites import make_app
 
-from conftest import make_tiny_gpu
+from conftest import make_tiny_gpu, serve_connection
 
 
 def run(coro):
@@ -71,6 +72,13 @@ class TestKeys:
     def test_non_string_keys_rejected(self):
         with pytest.raises(ServeError, match="non-string dict key"):
             canonical_json({1: "x"})
+
+    def test_too_deep_nesting_rejected(self):
+        deep = []
+        for __ in range(5000):
+            deep = [deep]
+        with pytest.raises(ServeError, match="nested"):
+            config_hash({"name": deep})
 
     def test_config_hash_accepts_config_and_dict(self):
         gpu = make_tiny_gpu()
@@ -623,6 +631,173 @@ class TestServiceLadder:
         cached = run(service.submit_request(dict(REQUEST)))
         assert cached["cached"]
         assert not journal.unsettled(key)
+
+
+def line_of(payload, **fields):
+    """A submit line as ``SweepClient.call`` writes it."""
+    return (json.dumps(dict(payload, op="submit", **fields), sort_keys=True)
+            + "\n").encode("utf-8")
+
+
+PING = b'{"op": "ping"}\n'
+
+
+def counting_identify(service):
+    """Count the service's calls to ``identify``."""
+    calls = []
+    real = service.identify
+
+    def identify(request):
+        calls.append(request)
+        return real(request)
+
+    service.identify = identify
+    return calls
+
+
+class TestKnownLines:
+    """A submit line that identified once is not decoded or identified
+    again; the store is still read on every hit."""
+
+    def test_identical_lines_identify_once(self, tmp_path):
+        service, __, __ = make_service(
+            tmp_path, runner=lambda r, i: exact_result()
+        )
+        identified = counting_identify(service)
+        responses = run(serve_connection(service, [line_of(REQUEST)] * 4))
+        assert len(identified) == 1
+        assert [r["cached"] for r in responses] == [False, True, True, True]
+        assert all(r["result"] == responses[0]["result"] for r in responses)
+        assert service.stats.submitted == 4 and service.stats.hits == 3
+
+    def test_a_changed_byte_identifies_again(self, tmp_path):
+        service, __, __ = make_service(
+            tmp_path, runner=lambda r, i: exact_result()
+        )
+        identified = counting_identify(service)
+        line = line_of(REQUEST)
+        respelled = line.replace(b'"app": "gemm"', b'"app":"gemm"')
+        assert respelled != line
+        first, second = run(serve_connection(service, [line, respelled]))
+        assert len(identified) == 2
+        assert second["key"] == first["key"] and second["cached"]
+
+    def test_a_failed_line_is_never_remembered(self, tmp_path):
+        service, __, __ = make_service(
+            tmp_path, runner=lambda r, i: exact_result()
+        )
+        identified = counting_identify(service)
+        bad = line_of(REQUEST, simulator="warp-drive")
+        responses = run(serve_connection(service, [bad, bad]))
+        assert [r["kind"] for r in responses] == ["bad_request"] * 2
+        assert len(identified) == 2
+        assert service._known_lines == {}
+
+    def test_the_map_keeps_the_newest_lines_within_its_cap(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "KNOWN_LINES", 3)
+        service, __, __ = make_service(
+            tmp_path, runner=lambda r, i: exact_result()
+        )
+        identified = counting_identify(service)
+        lines = [line_of(REQUEST, deadline_seconds=float(n))
+                 for n in range(1, 6)]
+        run(serve_connection(service, lines))
+        assert list(service._known_lines) == lines[2:]
+        run(serve_connection(service, lines[:1] + lines[4:]))
+        assert len(identified) == 6   # the first line was forgotten
+        assert list(service._known_lines) == lines[3:] + lines[:1]
+
+    def test_a_known_line_with_a_corrupt_entry_is_recomputed(self, tmp_path):
+        calls = []
+
+        def runner(request, identity):
+            calls.append(identity["key"])
+            return exact_result()
+
+        service, store, __ = make_service(tmp_path, runner=runner)
+        identified = counting_identify(service)
+        line = line_of(REQUEST)
+        cold, hit = run(serve_connection(service, [line, line]))
+        assert hit["cached"]
+        path = store._entry_path(cold["key"])
+        with open(path, "rb") as handle:
+            raw = bytearray(handle.read())
+        raw[-2] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(raw))
+        again, healed = run(serve_connection(service, [line, line]))
+        assert len(identified) == 1
+        assert calls == [cold["key"], cold["key"]]
+        assert not again["cached"] and again["result"] == cold["result"]
+        assert healed["cached"]
+
+    def test_a_known_line_is_refused_while_draining(self, tmp_path):
+        service, __, __ = make_service(
+            tmp_path, runner=lambda r, i: exact_result()
+        )
+        line = line_of(REQUEST)
+
+        async def scenario():
+            await serve_connection(service, [line])
+            await service.handle_request({"op": "drain"})
+            return await serve_connection(service, [line])
+
+        assert [r["kind"] for r in run(scenario())] == ["draining"]
+
+
+class TestRequestBoundary:
+    """Every line gets one typed answer and leaves the connection usable,
+    except a line too long to frame, which is answered and closes it."""
+
+    def test_unknown_app_scale_or_preset_is_a_bad_request(self, tmp_path):
+        service, __, journal = make_service(
+            tmp_path, runner=lambda r, i: exact_result()
+        )
+        responses = run(serve_connection(service, [
+            line_of(REQUEST, app="nope"), line_of(REQUEST, scale="huge"),
+            line_of(REQUEST, gpu="nope"), PING,
+        ]))
+        assert [r.get("kind") for r in responses[:3]] == ["bad_request"] * 3
+        assert "nope" in responses[0]["message"]
+        assert "huge" in responses[1]["message"]
+        assert responses[3] == {"status": "ok", "pong": True}
+        assert len(journal) == 0 and service._known_lines == {}
+
+    def test_an_oversized_line_is_answered_then_the_connection_closed(
+            self, tmp_path):
+        service, __, __ = make_service(tmp_path)
+        huge = line_of(REQUEST, app="x" * (LINE_LIMIT + 1))
+        responses = run(serve_connection(service, [huge, PING]))
+        assert len(responses) == 1
+        assert responses[0]["kind"] == "bad_request"
+        assert str(LINE_LIMIT) in responses[0]["message"]
+        assert service._known_lines == {}
+
+    def test_too_deep_json_is_a_bad_request(self, tmp_path):
+        service, __, __ = make_service(tmp_path)
+        deep = b"[" * 30000 + b"]" * 30000 + b"\n"
+        responses = run(serve_connection(service, [deep, PING]))
+        assert responses[0]["kind"] == "bad_request"
+        assert responses[1]["pong"] is True
+
+    @pytest.mark.parametrize("config", [
+        {"num_sms": -1},
+        dict(gpu_config_to_dict(make_tiny_gpu()), num_sms=-1),
+    ])
+    def test_an_invalid_config_is_refused_before_admission(self, tmp_path,
+                                                           config):
+        calls = []
+        service, store, journal = make_service(
+            tmp_path, runner=lambda r, i: calls.append(r) or exact_result(),
+            breakers=BreakerBoard(threshold=1),
+        )
+        response = run(service.submit_request(dict(REQUEST, config=config)))
+        assert response["status"] == "error"
+        assert response["kind"] == "bad_request"
+        assert calls == [] and len(journal) == 0 and len(store) == 0
+        assert service.breakers.snapshot() == {}
+        assert service.stats.failed == 0
 
 
 class TestServiceWorkers:
