@@ -4,24 +4,13 @@ The runtime verification stack (:mod:`repro.check`, PR 1) and the
 fault-tolerant sweep machinery (:mod:`repro.resilience`, PR 2) enforce
 Swift-Sim's contracts *after* a simulation runs.  This package enforces
 them at commit time, with an AST-based whole-program analysis (stdlib
-:mod:`ast`, no dependencies) organized as five rule families:
+:mod:`ast`, no dependencies).  Its rules are the ones a seeded trial
+found to be the *only* detector of a real bug (``docs/static-analysis.md``
+§ "Trial"), in two families:
 
-* **IF — interface conformance**: every ``Module`` subclass declares its
-  component slot and :class:`~repro.sim.module.ModelLevel`, every
-  ``ClockedModule`` implements ``tick``, and nothing reaches into
-  another module's private state around the :mod:`repro.sim.ports`
-  contracts;
-* **DT — determinism**: no wall-clock reads, unseeded randomness, bare
-  set iteration, or ``id()``-derived ordering in clocked code paths —
-  the hazards that silently break shadow-clocking bit-equivalence and
-  journal-resume convergence;
-* **WR — wiring & race surface**: dangling and double-driven sinks,
-  statically detectable duplicate module names (the compile-time twin of
-  ``MetricsGatherer``'s runtime warning), module-global state written
-  from the clocked phase, mutable class attributes on modules;
-* **SW — sweep safety**: unpicklable fields on objects shipped to
-  :mod:`repro.resilience` workers, complementing the runtime
-  ``validate_picklable`` pre-flight;
+* **DT — determinism**: bare set iteration in clocked code paths
+  (DT203), whose order depends on the hash seed — a hazard every
+  runtime pillar misses, because each runs under a single seed;
 * **SH — shard safety**: whole-program dataflow over every module's
   clocked surface (:mod:`~repro.analyze.callgraph`,
   :mod:`~repro.analyze.stateflow`) catching cross-module races before a

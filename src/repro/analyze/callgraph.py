@@ -60,7 +60,6 @@ PORT_CONTRACT_METHODS = frozenset({
 #: Methods that are build/teardown plumbing, never clocked entry points.
 NON_ENTRY_METHODS = frozenset({
     "__init__", "reset", "attach_engine",
-    "snapshot_state", "restore_state", "__getstate__", "__setstate__",
 })
 
 #: Framework base-class names excluded from analysis targets: they *are*

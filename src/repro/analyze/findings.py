@@ -21,7 +21,7 @@ FAIL_ON = ("error", "warning")
 class LintFinding:
     """One violation reported by a static-analysis rule."""
 
-    rule: str      #: rule ID, e.g. "IF103"
+    rule: str      #: rule ID, e.g. "SH501"
     severity: str  #: "warning" or "error"
     path: str      #: repo-relative source path
     line: int      #: 1-based line of the offending node

@@ -1,11 +1,10 @@
 """Parsed-source index: files and the cross-file class hierarchy.
 
-The analyzer is whole-program: interface-conformance needs to know that
+The analyzer is whole-program: a rule needs to know that
 ``DetailedMemorySystem`` is (transitively) a :class:`repro.sim.module.Module`
-even though the two classes live in different files, and the wiring pass
-needs every instantiation site of every sink class.  :class:`ProgramIndex`
-builds that view once from a set of :class:`SourceFile`\\ s; rules then
-query it.
+even though the two classes live in different files.
+:class:`ProgramIndex` builds that view once from a set of
+:class:`SourceFile`\\ s; rules then query it.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ ANALYZER_VERSION = 2
 #: Framework root classes: subclassing one of these (by name, transitively
 #: through the index) makes a class part of the modeled-module hierarchy.
 MODULE_ROOTS = frozenset({"Module", "ClockedModule"})
-CLOCKED_ROOTS = frozenset({"ClockedModule"})
 SINK_ROOTS = frozenset({"InstructionSink", "CompletionListener", "BlockSource"})
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?")
-_PAYLOAD_RE = re.compile(r"#\s*repro:\s*sweep-payload")
 _PORT_RE = re.compile(r"#\s*repro:\s*port\b")
 
 #: Statement kinds whose noqa coverage is their *header* only (covering
@@ -50,7 +47,6 @@ class ClassInfo:
     """One class definition, with what rules need pre-extracted."""
 
     name: str
-    qualname: str              #: "<module>.<Class>" (dotted module path)
     path: str                  #: repo-relative source path
     node: ast.ClassDef
     base_names: List[str]      #: last-segment names of the bases as written
@@ -85,8 +81,6 @@ class SourceFile:
         self.module_name = _module_name(path)
         #: line -> None (suppress all rules) or frozenset of rule IDs
         self.noqa: Dict[int, Optional[FrozenSet[str]]] = {}
-        #: lines carrying a ``# repro: sweep-payload`` marker
-        self.payload_lines: Set[int] = set()
         #: lines carrying a ``# repro: port`` marker
         self.port_lines: Set[int] = set()
         # Markers are honored only in *actual comments* (tokenize), never
@@ -101,8 +95,6 @@ class SourceFile:
                     frozenset(i.strip() for i in ids.split(",") if i.strip())
                     if ids else None
                 )
-            if _PAYLOAD_RE.search(comment):
-                self.payload_lines.add(lineno)
             if _PORT_RE.search(comment):
                 self.port_lines.add(lineno)
         #: noqa coverage widened to the enclosing statement: a suppression
@@ -121,14 +113,6 @@ class SourceFile:
                             best = (start, end)
                 if best is not None:
                     self._noqa_ranges.append((best[0], best[1], rules))
-        #: local names bound to imported *modules* (``import os`` -> "os")
-        self.imported_modules: Set[str] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.imported_modules.add(
-                        alias.asname or alias.name.split(".")[0]
-                    )
 
     def suppressed(self, line: int, rule_id: str) -> bool:
         """True when a ``# repro: noqa`` covers ``rule_id`` at ``line`` —
@@ -263,14 +247,11 @@ class ProgramIndex:
         self.analysis_cache: Dict[str, object] = {}
         #: bare class name -> definitions (collisions keep all)
         self.classes: Dict[str, List[ClassInfo]] = {}
-        #: class names instantiated anywhere (Call to the bare name)
-        self.instantiated: Set[str] = set()
         for source in self.files:
             for node in ast.walk(source.tree):
                 if isinstance(node, ast.ClassDef):
                     info = ClassInfo(
                         name=node.name,
-                        qualname=f"{source.module_name}.{node.name}",
                         path=source.path,
                         node=node,
                         base_names=[
@@ -281,10 +262,6 @@ class ProgramIndex:
                     )
                     _extract_class(info)
                     self.classes.setdefault(node.name, []).append(info)
-                elif isinstance(node, ast.Call):
-                    name = called_name(node.func)
-                    if name is not None:
-                        self.instantiated.add(name)
 
     # ------------------------------------------------------------------
     # hierarchy queries
@@ -329,15 +306,6 @@ class ProgramIndex:
 
     def module_classes(self) -> List[ClassInfo]:
         return self.subclasses_of(MODULE_ROOTS)
-
-    def clocked_classes(self) -> List[ClassInfo]:
-        return self.subclasses_of(CLOCKED_ROOTS)
-
-    def sink_class_names(self) -> Set[str]:
-        """Names of classes usable as modules or ports-level sinks."""
-        names = {info.name for info in self.module_classes()}
-        names.update(info.name for info in self.subclasses_of(SINK_ROOTS))
-        return names
 
     def declares(self, info: ClassInfo, attr: str) -> bool:
         """Does ``info`` (or an ancestor below the framework roots)

@@ -6,8 +6,8 @@ default severity, and a one-line rationale (rendered by
 A rule is a callable taking the whole-program
 :class:`~repro.analyze.index.ProgramIndex` and yielding
 :class:`~repro.analyze.findings.LintFinding`\\ s — whole-program by
-design, because the interface-conformance and wiring families need the
-cross-file class hierarchy, not one file at a time.
+design, because the rules need the cross-file class hierarchy, not one
+file at a time.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ from repro.errors import AnalysisError
 
 #: Rule families, keyed by ID prefix.
 FAMILIES = {
-    "IF": "interface conformance",
     "DT": "determinism",
-    "WR": "wiring & race surface",
-    "SW": "sweep safety",
     "SH": "shard safety",
 }
 
@@ -70,13 +67,7 @@ def rule(id: str, title: str, severity: str, rationale: str):
 def all_rules() -> List[Rule]:
     """Every registered rule, loading the built-in rule modules."""
     # Import for side effects: each module registers its rules on import.
-    from repro.analyze import (  # noqa: F401
-        rules_determinism,
-        rules_interface,
-        rules_sharding,
-        rules_sweep,
-        rules_wiring,
-    )
+    from repro.analyze import rules_determinism, rules_sharding  # noqa: F401
 
     return list(RULES.values())
 

@@ -1,148 +1,35 @@
-"""Determinism rules (DT2xx).
+"""Determinism rule (DT203).
 
-The whole PR 1/PR 2 verification stack — shadow-clocking
-bit-equivalence, chaos-retry convergence, journal resume — rests on
-simulations being bit-reproducible.  These rules flag the classic ways
-Python code silently loses that property *inside clocked code paths*,
-which the analyzer defines as the method bodies (including nested
-functions) of :class:`~repro.sim.module.Module` subclasses.
+The verification stack — shadow-clocking bit-equivalence, chaos-retry
+convergence, journal resume, the golden cycle pins — rests on
+simulations being bit-reproducible.  One way of losing that escapes
+every runtime check: an order that depends on the interpreter's hash
+seed.  Every pillar runs inside one process, under one seed, so it sees
+a single consistent order; a golden pin fires only when that seed's
+order happens to differ from the recorded one.  This rule flags the
+hazard inside *clocked code paths*, which the analyzer defines as the
+method bodies (including nested functions) of
+:class:`~repro.sim.module.Module` subclasses.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
 from repro.analyze.findings import LintFinding
-from repro.analyze.index import ClassInfo, ProgramIndex, called_name
+from repro.analyze.index import ProgramIndex
 from repro.analyze.registry import rule
 
-#: time/datetime attributes whose call reads the wall clock.
-_WALL_ATTRS = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns",
-    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
-    "now", "utcnow", "today",
-})
-_WALL_RECEIVERS = frozenset({"time", "datetime", "date"})
 
-#: random-module functions that use the shared, unseeded global RNG.
-_GLOBAL_RNG_FNS = frozenset({
-    "random", "randint", "randrange", "randbytes", "getrandbits", "choice",
-    "choices", "shuffle", "sample", "uniform", "triangular", "betavariate",
-    "expovariate", "gammavariate", "gauss", "lognormvariate", "normalvariate",
-    "vonmisesvariate", "paretovariate", "weibullvariate", "seed",
-})
-_NUMPY_RNG_FNS = frozenset({
-    "rand", "randn", "randint", "random", "random_sample", "choice",
-    "shuffle", "permutation", "seed", "uniform", "normal",
-})
-
-
-def _receiver_name(func: ast.expr) -> Optional[str]:
-    if isinstance(func, ast.Attribute):
-        value = func.value
-        if isinstance(value, ast.Name):
-            return value.id
-        if isinstance(value, ast.Attribute):
-            return value.attr
-    return None
-
-
-def _clocked_methods(index: ProgramIndex) -> Iterator[Tuple[ClassInfo, ast.FunctionDef]]:
-    for info in index.module_classes():
-        for name, method in info.methods.items():
-            yield info, method
-
-
-def _method_finding(rule_id: str, severity: str, info: ClassInfo,
-                    method: ast.FunctionDef, node: ast.AST, message: str) -> LintFinding:
-    return LintFinding(
-        rule=rule_id, severity=severity, path=info.path,
-        line=getattr(node, "lineno", method.lineno),
-        scope=f"{info.name}.{method.name}", message=message,
+def _set_valued(expr: ast.expr) -> bool:
+    if isinstance(expr, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id in ("set", "frozenset")
     )
-
-
-@rule(
-    "DT201",
-    "no wall-clock reads in clocked code paths",
-    "error",
-    "time.time()/datetime.now() inside a module's simulated behavior makes "
-    "two runs of the same trace diverge, breaking shadow-clocking "
-    "bit-equivalence and journal-resume convergence.  Wall-clock "
-    "*measurement* belongs in the drivers (PlanSimulator, the harness), "
-    "never in modeled state.",
-)
-def check_wall_clock(index: ProgramIndex) -> Iterator[LintFinding]:
-    for info, method in _clocked_methods(index):
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Call):
-                continue
-            attr = called_name(node.func)
-            receiver = _receiver_name(node.func)
-            if attr in _WALL_ATTRS and receiver in _WALL_RECEIVERS:
-                yield _method_finding(
-                    "DT201", "error", info, method, node,
-                    f"wall-clock read {receiver}.{attr}() inside a clocked "
-                    f"code path; simulated behavior must depend only on the "
-                    f"cycle argument and module state",
-                )
-
-
-@rule(
-    "DT202",
-    "no unseeded randomness",
-    "error",
-    "The global random module, os.urandom, and uuid4 cannot be replayed; "
-    "every stochastic model in this repo derives a seed via "
-    "repro.utils.rng.derive_seed and owns a random.Random instance.",
-)
-def check_unseeded_random(index: ProgramIndex) -> Iterator[LintFinding]:
-    for source in index.files:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            attr = called_name(node.func)
-            receiver = _receiver_name(node.func)
-            message = None
-            if receiver == "random" and attr in _GLOBAL_RNG_FNS:
-                message = (
-                    f"random.{attr}() uses the process-global RNG; construct "
-                    f"a seeded random.Random(derive_seed(...)) instead"
-                )
-            elif receiver == "random" and attr == "Random" and not node.args:
-                message = (
-                    "random.Random() without a seed draws from OS entropy; "
-                    "pass a derived seed"
-                )
-            elif receiver in ("np", "numpy"):
-                if attr == "default_rng" and not node.args:
-                    message = "numpy default_rng() without a seed is unreplayable"
-            elif attr == "urandom" and receiver == "os":
-                message = "os.urandom() is unreplayable entropy"
-            elif attr in ("uuid1", "uuid4") and receiver == "uuid":
-                message = f"uuid.{attr}() embeds clock/entropy state"
-            if message is None and isinstance(node.func, ast.Attribute):
-                # numpy.random.<fn> chains: receiver name is "random" with
-                # an outer np/numpy value.
-                func = node.func
-                if (
-                    isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "random"
-                    and isinstance(func.value.value, ast.Name)
-                    and func.value.value.id in ("np", "numpy")
-                    and attr in _NUMPY_RNG_FNS
-                ):
-                    message = (
-                        f"numpy.random.{attr}() uses numpy's global RNG; "
-                        f"use a seeded Generator"
-                    )
-            if message is not None:
-                yield LintFinding(
-                    rule="DT202", severity="error", path=source.path,
-                    line=node.lineno, scope=source.module_name,
-                    message=message,
-                )
 
 
 @rule(
@@ -150,57 +37,26 @@ def check_unseeded_random(index: ProgramIndex) -> Iterator[LintFinding]:
     "no bare set iteration in clocked code paths",
     "warning",
     "Set iteration order depends on insertion history and hash seeding; "
-    "inside a tick it silently reorders issue decisions between runs.  "
+    "inside a tick it silently reorders decisions between runs.  Every "
+    "runtime pillar runs under one hash seed, so none of them sees it.  "
     "Wrap the set in sorted() or keep an explicit list.",
 )
 def check_set_iteration(index: ProgramIndex) -> Iterator[LintFinding]:
-    def set_valued(expr: ast.expr) -> bool:
-        if isinstance(expr, (ast.Set, ast.SetComp)):
-            return True
-        return (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Name)
-            and expr.func.id in ("set", "frozenset")
-        )
-
-    for info, method in _clocked_methods(index):
-        iters = []
-        for node in ast.walk(method):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append((node, node.iter))
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iters.extend((node, gen.iter) for gen in node.generators)
-        for node, iterable in iters:
-            if set_valued(iterable):
-                yield _method_finding(
-                    "DT203", "warning", info, method, node,
-                    "iterates a set in a clocked code path; set order is "
-                    "not deterministic across processes — sort it first",
-                )
-
-
-@rule(
-    "DT204",
-    "no id()-derived keys or ordering in clocked code paths",
-    "warning",
-    "id() values change between runs and between the parent and its "
-    "worker processes; keying or ordering anything on them makes "
-    "determinism checks and journal resume flaky.  Key on stable module "
-    "names/ranks instead.",
-)
-def check_id_keys(index: ProgramIndex) -> Iterator[LintFinding]:
-    for info, method in _clocked_methods(index):
-        for node in ast.walk(method):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "id"
-                and len(node.args) == 1
-            ):
-                yield _method_finding(
-                    "DT204", "warning", info, method, node,
-                    "id()-derived value in a clocked code path; object "
-                    "addresses differ across runs and processes — use a "
-                    "stable key (name, registration rank) or `is` checks",
-                )
+    for info in index.module_classes():
+        for method in info.methods.values():
+            for node in ast.walk(method):
+                if isinstance(node, (ast.For, ast.AsyncFor)):
+                    iterables = [node.iter]
+                elif isinstance(node, (ast.ListComp, ast.SetComp,
+                                       ast.DictComp, ast.GeneratorExp)):
+                    iterables = [gen.iter for gen in node.generators]
+                else:
+                    continue
+                if any(_set_valued(iterable) for iterable in iterables):
+                    yield LintFinding(
+                        rule="DT203", severity="warning", path=info.path,
+                        line=node.lineno, scope=f"{info.name}.{method.name}",
+                        message="iterates a set in a clocked code path; set "
+                                "order is not deterministic across processes "
+                                "— sort it first",
+                    )

@@ -1,9 +1,9 @@
 """The static pillar: run :mod:`repro.analyze` as a verification check.
 
 The other seven pillars execute simulations and watch invariants at
-runtime; this one checks the *source* of the package against the same
-contracts — interface conformance, determinism hygiene, wiring, sweep
-and shard safety — without running anything.  It lints the installed
+runtime; this one checks the *source* of the package for the bugs they
+cannot see — hash-seed-dependent iteration order and cross-shard
+access around the ports — without running anything.  It lints the installed
 ``repro`` package itself, so ``repro check --mode all`` covers both the
 behavior and the code that produces it.
 """

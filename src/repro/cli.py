@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rules",
         help="comma-separated rule IDs or family prefixes "
-             "(e.g. IF103,DT or SW); default: all rules",
+             "(e.g. SH501,DT or SH); default: all rules",
     )
     lint.add_argument(
         "--fail-on", default="error", choices=FAIL_ON,

@@ -18,6 +18,7 @@ from repro.frontend.config import GPUConfig
 from repro.frontend.presets import RTX_2080_TI, RTX_3060, RTX_3090
 from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.parallel import default_worker_count, simulate_apps_parallel
+from repro.simulators.results import SimulationResult
 from repro.simulators.swift_analytic import SwiftSimAnalytic
 from repro.simulators.swift_basic import SwiftSimBasic
 from repro.simulators.swift_memory import SwiftSimMemory
@@ -183,7 +184,8 @@ def figure5(
 
     Single-thread speedups are geomeans of per-app wall-clock ratios;
     parallel gain is the throughput ratio of simulating the whole app
-    list with the multiprocess driver versus sequentially.
+    list with the multiprocess driver versus sequentially, both sides
+    counting the swift-memory pre-pass.
     """
     if config is None:
         config = RTX_2080_TI
@@ -195,31 +197,42 @@ def figure5(
     basic = SwiftSimBasic(config)
     memory = SwiftSimMemory(config)
 
-    def sequential_walls(simulator) -> Dict[str, float]:
+    def sequential_runs(simulator) -> Dict[str, SimulationResult]:
         return {
-            trace.name: simulator.simulate(trace, gather_metrics=False).wall_time_seconds
+            trace.name: simulator.simulate(trace, gather_metrics=False)
             for trace in traces
         }
 
-    accel_walls = sequential_walls(accel)
-    basic_walls = sequential_walls(basic)
-    memory_walls = sequential_walls(memory)
-    basic_single = geomean(accel_walls[n] / basic_walls[n] for n in accel_walls)
-    memory_single = geomean(accel_walls[n] / memory_walls[n] for n in accel_walls)
+    accel_runs = sequential_runs(accel)
+    basic_runs = sequential_runs(basic)
+    memory_runs = sequential_runs(memory)
 
-    def parallel_gain(simulator, sequential: Dict[str, float]) -> float:
+    def single(runs: Dict[str, SimulationResult]) -> float:
+        return geomean(
+            accel_runs[n].wall_time_seconds / runs[n].wall_time_seconds
+            for n in accel_runs
+        )
+
+    basic_single = single(basic_runs)
+    memory_single = single(memory_runs)
+
+    def parallel_gain(simulator, runs: Dict[str, SimulationResult]) -> float:
+        # The pooled wall includes every worker's swift-memory pre-pass,
+        # so the sequential side counts it too.
+        sequential = sum(
+            run.wall_time_seconds + run.profile_seconds for run in runs.values()
+        )
         start = time.perf_counter()
         simulate_apps_parallel(simulator, traces, workers=workers)
-        parallel_wall = time.perf_counter() - start
-        return sum(sequential.values()) / parallel_wall
+        return sequential / (time.perf_counter() - start)
 
     return Figure5Data(
         workers=workers,
         basic_single=basic_single,
         memory_single=memory_single,
         memory_over_basic=basic_single and memory_single / basic_single,
-        parallel_gain_basic=parallel_gain(basic, basic_walls),
-        parallel_gain_memory=parallel_gain(memory, memory_walls),
+        parallel_gain_basic=parallel_gain(basic, basic_runs),
+        parallel_gain_memory=parallel_gain(memory, memory_runs),
     )
 
 

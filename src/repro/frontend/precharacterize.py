@@ -21,8 +21,8 @@ number of candidate architectures.  Coalescing uses the fixed
 
 Tasklists are pure functions of the trace: same trace values in, same
 tasklist values out, no RNG, no wall-clock, no live handles — they are
-picklable and safe to ship across process boundaries (the sweep-payload
-lint family covers this module).
+picklable and safe to ship across process boundaries (the supervisor's
+``validate_picklable`` pre-flight checks every shipped payload).
 """
 
 from __future__ import annotations

@@ -156,12 +156,17 @@ class JsonLinesJournal:
                 continue
             try:
                 record = json.loads(stripped)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 if is_last:
                     break  # torn final write from a killed writer
                 raise SimulationError(
                     f"journal {path!r} line {index + 1} is corrupt "
                     f"mid-file: {stripped[:60]!r}"
+                )
+            if not isinstance(record, dict):
+                raise SimulationError(
+                    f"journal {path!r} line {index + 1} is not a JSON "
+                    f"object: {stripped[:60]!r}"
                 )
             kind = record.get("kind")
             if not saw_header:
@@ -184,7 +189,12 @@ class JsonLinesJournal:
                 journal.header = record
                 saw_header = True
             else:
-                journal._ingest(record)
+                try:
+                    journal._ingest(record)
+                except SimulationError as exc:
+                    raise SimulationError(
+                        f"journal {path!r} line {index + 1}: {exc}"
+                    ) from exc
             valid_bytes += len(line.encode("utf-8"))
         if not saw_header:
             raise SimulationError(f"journal {path!r} has no header line")
@@ -192,7 +202,8 @@ class JsonLinesJournal:
         return journal
 
     def _ingest(self, record: Dict) -> None:
-        """Absorb one loaded non-header record (subclass hook)."""
+        """Absorb one loaded non-header record (subclass hook); raise
+        :class:`SimulationError` for a record it cannot use."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -279,7 +290,7 @@ class RunJournal(JsonLinesJournal):
 
     def _ingest(self, record: Dict) -> None:
         if record.get("kind") == "result":
-            result = result_from_dict(record["result"])
+            result = result_from_dict(record.get("result"))
             key = (result.app_name, result.gpu_name, result.simulator_name)
             self._completed[key] = result
             self._attempts[key] = record.get("attempts", 1)

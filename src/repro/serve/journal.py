@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.errors import SimulationError
 from repro.resilience.journal import JsonLinesJournal
 
 #: ``done`` statuses.  "stored": exact result written to the store.
@@ -45,14 +46,23 @@ class ServeJournal(JsonLinesJournal):
 
     def _ingest(self, record: Dict) -> None:
         kind = record.get("kind")
+        if kind not in ("job", "done"):
+            return
+        key = record.get("key", "")
+        if not isinstance(key, str):
+            raise SimulationError(f"{kind} record key is not a string: {key!r}")
+        if not key:
+            return
         if kind == "job":
-            key = record.get("key", "")
-            if key:
-                self._jobs[key] = record.get("request", {})
-        elif kind == "done":
-            key = record.get("key", "")
-            if key:
-                self._done[key] = record.get("status", "stored")
+            request = record.get("request", {})
+            if not isinstance(request, dict):
+                raise SimulationError(f"job {key!r} request is not an object")
+            self._jobs[key] = request
+        else:
+            status = record.get("status", "stored")
+            if not isinstance(status, str):
+                raise SimulationError(f"done {key!r} status is not a string")
+            self._done[key] = status
 
     # ------------------------------------------------------------------
     # appends

@@ -158,37 +158,11 @@ class Module:
         for child in self._children:
             child.reset()
 
-    # ------------------------------------------------------------------
-    # state snapshot protocol (repro.guard: checkpointing + forensics)
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """The module's own mutable state as a dict of live references.
-
-        This is the pickling hook for mid-run checkpoints: pickle calls
-        it via :meth:`__getstate__`, so the whole module graph — shared
-        sub-modules, cross-references, warps resident in two owners — is
-        captured in *one* pickling pass with object identity preserved.
-        The default covers every attribute; subclasses override to drop
-        transient or rebuildable state (and must then override
-        :meth:`restore_state` to rebuild it).
-        """
-        return dict(self.__dict__)
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state` (the unpickling hook)."""
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.snapshot_state()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.restore_state(state)
-
     def state_summary(self, max_repr: int = 120) -> Dict[str, str]:
-        """JSON-safe rendering of :meth:`snapshot_state` for forensic
+        """JSON-safe rendering of the module's own attributes for forensic
         bundles: attribute name -> truncated ``repr``."""
         summary: Dict[str, str] = {}
-        for key, value in sorted(self.snapshot_state().items()):
+        for key, value in sorted(vars(self).items()):
             rendered = repr(value)
             if len(rendered) > max_repr:
                 rendered = rendered[: max_repr - 3] + "..."

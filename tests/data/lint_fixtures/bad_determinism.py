@@ -1,24 +1,18 @@
-"""Seeded determinism violations (DT2xx)."""
-
-import random
-import time
+"""Seeded determinism violation (DT203)."""
 
 from repro.sim.engine import ClockedModule
 
 
 class JitteryUnit(ClockedModule):
-    """Every classic way a tick loses reproducibility."""
+    """Drains its pending names in hash-seed order."""
 
     component = "jittery"
 
     def __init__(self):
         super().__init__("jittery")
-        self.level = None
         self.pending = set()
 
     def tick(self, cycle):
-        started = time.time()  # DT201
-        jitter = random.random()  # DT202
         for item in set(self.pending):  # DT203
-            key = id(item)  # DT204
-        return cycle + 1 if started + jitter else None
+            self.counters[item] += 1
+        return None

@@ -1,7 +1,19 @@
 """A violation with an explicit waiver: noqa must silence it."""
 
-import random
+from repro.sim.engine import ClockedModule
 
 
-def roll():
-    return random.random()  # repro: noqa[DT202]
+class CountsAnyOrder(ClockedModule):
+    """Sums over a set, where order cannot matter: a reviewed waiver."""
+
+    component = "counts_any_order"
+
+    def __init__(self):
+        super().__init__("counts_any_order")
+        self.sizes = set()
+
+    def tick(self, cycle):
+        self.counters["total"] += sum(
+            size for size in set(self.sizes)  # repro: noqa[DT203]
+        )
+        return None

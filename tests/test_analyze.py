@@ -4,7 +4,8 @@ The seeded fixture files under ``tests/data/lint_fixtures/`` plant one
 example of every rule violation; ``good_module.py`` exercises the same
 constructs done right and must stay silent.  The self-lint test at the
 bottom is the real deliverable: the package's own source passes every
-rule, with its one noqa waiver counted.
+rule, with its one noqa waiver counted.  Which rules exist at all was
+decided by seeding real bugs (``tests/test_modularity_trial.py``).
 """
 
 from __future__ import annotations
@@ -27,25 +28,14 @@ from repro.cli import main
 from repro.errors import AnalysisError, CounterKindError
 from repro.sim.module import Counters
 
+from conftest import cross_shard_source
+
 FIXTURES = Path(__file__).parent / "data" / "lint_fixtures"
 REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: rule -> expected hit count in the seeded fixtures.
 EXPECTED = {
-    "IF101": 2,  # HalfDeclared: neither component nor level
-    "IF102": 1,  # Silent has no tick
-    "IF103": 2,  # attribute reach-in + getattr string literal
-    "DT201": 1,  # time.time() in tick
-    "DT202": 1,  # random.random()
     "DT203": 1,  # set iteration in tick
-    "DT204": 1,  # id() in tick
-    "WR301": 1,  # dangling FixtureSink
-    "WR302": 1,  # sink driven twice
-    "WR303": 1,  # two modules literally named "dup"
-    "WR304": 1,  # ISSUE_LOG mutated in Hub.record
-    "WR305": 1,  # Hub.shared_scratch class dict
-    "SW401": 2,  # class-level lambda + open() on self
-    "SW402": 1,  # Task carrying a lambda
     "SH501": 1,  # RacyProducer writes RxQueue.drained directly
     "SH502": 1,  # scratch dict aliased across the enqueue port
     "SH503": 1,  # tick-order dependent read of peer.drained
@@ -66,9 +56,9 @@ class TestRuleCatalog:
             assert rule.rationale
 
     def test_resolve_by_family_prefix(self):
-        determinism = resolve_rules(["DT"])
-        assert sorted(r.id for r in determinism) == [
-            "DT201", "DT202", "DT203", "DT204",
+        shard_safety = resolve_rules(["SH"])
+        assert sorted(r.id for r in shard_safety) == [
+            "SH501", "SH502", "SH503",
         ]
 
     def test_resolve_unknown_rule_raises(self):
@@ -97,29 +87,27 @@ class TestSeededFixtures:
 
     def test_gate_fails_on_fresh_errors(self, fixture_report):
         assert not fixture_report.ok
-        assert len(fixture_report.errors) == 12
-        assert len(fixture_report.warnings) == 8
+        assert len(fixture_report.errors) == 1
+        assert len(fixture_report.warnings) == 3
 
 
 class TestNoqa:
     def test_bare_noqa_suppresses_any_rule(self, tmp_path):
-        bad = tmp_path / "wall.py"
-        bad.write_text(
-            "import random\n"
-            "x = random.random()  # repro: noqa\n"
-        )
-        report = lint_paths([bad])
+        bad = tmp_path / "race.py"
+        bad.write_text(cross_shard_source(
+            "self.peer.drained = self.peer.drained + 1  # repro: noqa"
+        ))
+        report = lint_paths([bad], fail_on="warning")
         assert report.findings == []
-        assert report.suppressed == 1
+        assert report.suppressed == 2
 
     def test_scoped_noqa_only_covers_listed_rules(self, tmp_path):
-        bad = tmp_path / "wall.py"
-        bad.write_text(
-            "import random\n"
-            "x = random.random()  # repro: noqa[DT201]\n"
-        )
+        bad = tmp_path / "race.py"
+        bad.write_text(cross_shard_source(
+            "self.peer.drained = 0  # repro: noqa[SH503]"
+        ))
         report = lint_paths([bad])
-        assert [f.rule for f in report.findings] == ["DT202"]
+        assert [f.rule for f in report.findings] == ["SH501"]
         assert report.suppressed == 0
 
 
@@ -130,11 +118,11 @@ class TestCli:
         assert "FAIL" in out
 
     def test_rule_selection_by_family(self, capsys):
-        assert main(["lint", str(FIXTURES), "--rules", "IF",
+        assert main(["lint", str(FIXTURES), "--rules", "DT",
                      "--fail-on", "warning"]) == 1
         out = capsys.readouterr().out
-        assert "IF10" in out
-        assert "DT20" not in out and "WR30" not in out and "SW40" not in out
+        assert "DT203" in out
+        assert "SH50" not in out
 
     def test_json_report(self, tmp_path, capsys):
         json_path = tmp_path / "lint.json"
@@ -142,7 +130,7 @@ class TestCli:
         capsys.readouterr()
         payload = json.loads(json_path.read_text())
         assert payload["ok"] is False
-        assert payload["errors"] == 12
+        assert payload["errors"] == 1
         assert {f["rule"] for f in payload["findings"]} == set(EXPECTED)
 
     def test_list_rules(self, capsys):
@@ -175,16 +163,10 @@ class TestCli:
 class TestFailOnPolicy:
     def test_fail_on_error_ignores_warnings(self, tmp_path):
         bad = tmp_path / "warn_only.py"
-        bad.write_text(
-            "from repro.sim.module import Module\n"
-            "class Chatty(Module):\n"
-            "    component = 'chatty'\n"
-            "    level = None\n"
-            "    journal = []\n"
-        )
+        bad.write_text(cross_shard_source("return self.peer.drained"))
         strict = lint_paths([bad], fail_on="warning")
         lax = lint_paths([bad], fail_on="error")
-        assert [f.rule for f in strict.findings] == ["WR305"]
+        assert [f.rule for f in strict.findings] == ["SH503"]
         assert not strict.ok
         assert lax.ok
 

@@ -27,6 +27,8 @@ from repro.analyze.partition import MANIFEST_FORMAT, MEM_SIDE, SM_SIDE
 from repro.cli import main
 from repro.errors import UnknownRuleError
 
+from conftest import cross_shard_source
+
 FIXTURES = Path(__file__).parent / "data" / "lint_fixtures"
 SHARDING_FIXTURE = FIXTURES / "bad_sharding.py"
 REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -188,13 +190,13 @@ class TestPartitionCli:
                 summary["unsynchronized_writes"]) == (6, 7, 0)
 
     def test_gate_fails_on_unsynchronized_writes(self, tmp_path, capsys):
-        # Only SH rules fire on the fixture, so selecting the other
-        # families makes the lint pass; the partition gate must still
+        # Without SH501 only warnings fire on the fixture, so the lint
+        # passes under --fail-on error; the partition gate must still
         # reject the racy write.
         out = tmp_path / "manifest.json"
         assert main(
-            ["lint", str(SHARDING_FIXTURE), "--rules", "IF,DT,WR,SW",
-             "--fail-on", "warning", "--partition-report", str(out)]
+            ["lint", str(SHARDING_FIXTURE), "--rules", "SH502,SH503",
+             "--fail-on", "error", "--partition-report", str(out)]
         ) == 1
         assert "PASS" in capsys.readouterr().out
         manifest = json.loads(out.read_text())
@@ -203,46 +205,34 @@ class TestPartitionCli:
 
 class TestNoqaEdgeCases:
     def test_multiple_rules_in_one_comment(self, tmp_path):
-        bad = tmp_path / "wall.py"
-        bad.write_text(
-            "import random\n"
-            "import time\n"
-            "from repro.sim.engine import ClockedModule\n"
-            "class M(ClockedModule):\n"
-            "    component = 'm'\n"
-            "    level = None\n"
-            "    def tick(self, cycle):\n"
-            "        return time.time() + random.random()"
-            "  # repro: noqa[DT201, DT202]\n"
-        )
+        bad = tmp_path / "race.py"
+        bad.write_text(cross_shard_source(
+            "self.peer.drained = self.peer.drained + 1"
+            "  # repro: noqa[SH501, SH503]"
+        ))
         report = lint_paths([bad], fail_on="warning")
         assert report.findings == []
         assert report.suppressed == 2
 
     def test_noqa_on_multiline_statement_covers_the_span(self, tmp_path):
-        bad = tmp_path / "wall.py"
-        bad.write_text(
-            "import random\n"
-            "x = (  # repro: noqa[DT202]\n"
-            "    1\n"
-            "    + random.random()\n"
-            ")\n"
-        )
+        bad = tmp_path / "race.py"
+        bad.write_text(cross_shard_source(
+            "self.peer.drained = (\n"
+            "            0  # repro: noqa[SH501]\n"
+            "        )"
+        ))
         report = lint_paths([bad], fail_on="warning")
         assert report.findings == []
         assert report.suppressed == 1
 
     def test_noqa_on_def_header_does_not_cover_the_body(self, tmp_path):
-        bad = tmp_path / "wall.py"
-        bad.write_text(
-            "import random\n"
-            "def f(  # repro: noqa[DT202]\n"
-            "    scale,\n"
-            "):\n"
-            "    return scale * random.random()\n"
-        )
+        bad = tmp_path / "race.py"
+        bad.write_text(cross_shard_source("self.peer.drained = 0").replace(
+            "    def tick(self, cycle):\n        self.peer",
+            "    def tick(self, cycle):  # repro: noqa[SH501]\n        self.peer",
+        ))
         report = lint_paths([bad], fail_on="warning")
-        assert [f.rule for f in report.findings] == ["DT202"]
+        assert [f.rule for f in report.findings] == ["SH501"]
 
     def test_unknown_rule_name_is_a_typed_error(self, tmp_path):
         bad = tmp_path / "wall.py"

@@ -4,6 +4,7 @@ exceptions — plus property tests that random module graphs uphold the
 engine's jump-exactness contract."""
 
 import heapq
+import json
 import os
 import random
 
@@ -11,13 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check import EngineSanitizer
-from repro.errors import SwiftSimError, TraceError
+from repro.errors import SimulationError, SwiftSimError, TraceError
 from repro.frontend.trace import TraceInstruction
 from repro.frontend.trace_io import parse_trace, save_trace
 from repro.frontend.config_io import gpu_config_from_dict, gpu_config_to_dict
 from repro.errors import ConfigError
+from repro.resilience.journal import RunJournal, result_to_dict
+from repro.serve.journal import ServeJournal
 from repro.serve.store import ResultStore
 from repro.sim.engine import ClockedModule, Engine
+from repro.simulators.results import KernelResult, SimulationResult
 from repro.tracegen.suites import make_app
 from repro.utils.rng import derive_seed
 
@@ -213,6 +217,131 @@ class TestFramedRecordFuzz:
     def test_damaged_store_entry_is_a_miss_and_evicted(self, store, entry_path, raw):
         payload = self._read_store_entry(store, entry_path, raw)
         assert payload in (None, _STORE_PAYLOAD)
+
+
+# ----------------------------------------------------------------------
+# journals: RunJournal and ServeJournal files
+
+
+def _journal_result(app: str) -> SimulationResult:
+    return SimulationResult(
+        app_name=app, simulator_name="swift-basic", gpu_name="TestGPU",
+        total_cycles=100 + len(app),
+        kernels=[KernelResult(name="k0", start_cycle=0, end_cycle=100,
+                              instructions=7)],
+    )
+
+
+def _three_records(cls):
+    """(records, how to read them back) for a valid three-record journal."""
+    if cls is RunJournal:
+        records = [
+            {"kind": "result", "attempts": 1, "result": result_to_dict(
+                _journal_result(app))}
+            for app in ("bfs", "gemm", "sm")
+        ]
+        return records, lambda journal: [key for key, __ in journal.completed()]
+    records = [
+        {"kind": "job", "key": "k1", "request": {"app": "bfs"}},
+        {"kind": "job", "key": "k2", "request": {"app": "sm"}},
+        {"kind": "done", "key": "k1", "status": "stored"},
+    ]
+    return records, lambda journal: (journal.pending(), journal.settled())
+
+
+def _header(cls, tmp_path) -> bytes:
+    path = tmp_path / f"header-{cls.KIND}.journal"
+    cls.create(str(path)).close()
+    return path.read_bytes()
+
+
+#: Records that parse as JSON but that neither loader can use.
+_BAD_RECORDS = {
+    "non-object-record": (RunJournal, "[1, 2]", 2),
+    "non-object-header": (ServeJournal, "5", 1),
+    "result-without-payload": (RunJournal, '{"kind": "result"}', 2),
+    "unhashable-job-key": (ServeJournal, '{"kind": "job", "key": [1]}', 2),
+}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "key", "request", "status", "result",
+                         "attempts", "app_name", "kernels"]),
+        children, max_size=4),
+    max_leaves=8,
+)
+_RECORDS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["result", "job", "done", "header", "other"])},
+    optional={"key": _JSON_VALUES, "request": _JSON_VALUES,
+              "status": _JSON_VALUES, "result": _JSON_VALUES},
+)
+_TAILS = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_JSON_VALUES | _RECORDS, max_size=4).map(
+        lambda records: "".join(json.dumps(r) + "\n" for r in records).encode()),
+)
+
+
+class TestJournalFuzz:
+    """Both journal loaders fail closed: a file either loads or raises a
+    typed :mod:`repro.errors` exception naming the path and line, and a
+    truncated journal loads exactly its complete lines."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_RECORDS))
+    def test_unusable_record_is_a_simulation_error(self, case, tmp_path):
+        cls, line, number = _BAD_RECORDS[case]
+        path = tmp_path / "bad.journal"
+        header = _header(cls, tmp_path) if number > 1 else b""
+        path.write_bytes(header + line.encode() + b"\n")
+        with pytest.raises(SimulationError) as raised:
+            cls.load(str(path))
+        assert str(path) in str(raised.value)
+        assert f"line {number}" in str(raised.value)
+
+    @pytest.mark.parametrize("cls", [RunJournal, ServeJournal],
+                             ids=["run", "serve"])
+    @given(tail=_TAILS)
+    @settings(max_examples=150, deadline=None)
+    def test_any_bytes_after_the_header_load_or_raise_typed(
+        self, cls, tail, tmp_path_factory
+    ):
+        directory = tmp_path_factory.mktemp("journal")
+        path = directory / "fuzzed.journal"
+        path.write_bytes(_header(cls, directory) + tail)
+        try:
+            cls.load(str(path))
+        except SwiftSimError:
+            pass
+
+    @pytest.mark.parametrize("cls", [RunJournal, ServeJournal],
+                             ids=["run", "serve"])
+    def test_every_truncation_loads_its_complete_lines(self, cls, tmp_path):
+        records, read_back = _three_records(cls)
+        raw = _header(cls, tmp_path) + b"".join(
+            json.dumps(r, sort_keys=True).encode() + b"\n" for r in records)
+        path = tmp_path / "cut.journal"
+        #: Byte offset just past each complete line: the header's, then
+        #: one per record.
+        ends = [at + 1 for at, byte in enumerate(raw) if byte == ord("\n")]
+        expected = []
+        for end in ends:
+            path.write_bytes(raw[:end])
+            expected.append(read_back(cls.load(str(path))))
+        for cut in range(len(raw) + 1):
+            path.write_bytes(raw[:cut])
+            if cut < ends[0]:
+                with pytest.raises(SimulationError, match="no header"):
+                    cls.load(str(path))
+                continue
+            complete = sum(end <= cut for end in ends) - 1
+            journal = cls.load(str(path))
+            assert read_back(journal) == expected[complete], cut
+            # The torn tail is dropped before the next append.
+            journal.append({"kind": "other"})
+            journal.close()
+            assert path.read_bytes() == (
+                raw[:ends[complete]] + b'{"kind": "other"}\n')
 
 
 # ----------------------------------------------------------------------

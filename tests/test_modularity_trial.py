@@ -1,17 +1,25 @@
-"""The modularity trial: seeded port-contract violations vs the SH rules.
+"""The lint trials: seeded bugs vs the rules that survived them.
 
 The paper's hybrid modeling rests on modules that interact only through
-fixed interfaces (§III-B2).  This file is the measurement that decided
-what checks that claim here (docs/parallel-engine.md): seven violations,
-each a few lines edited into a copy of the *real* ``core/`` and
-``memory/`` sources — a cross-module state write that bypasses its port,
-a mutable port argument the far side retains, a tick-order-dependent
-read — of which no runtime pillar names one, and the static SH rules
-name every one.  Each seed must be reported by exactly its rule at the
-seeded line, and the unseeded copy must be clean.
+fixed interfaces (§III-B2).  These seeds are the measurements that
+decided which static rules exist (docs/parallel-engine.md § "Measurement
+2", docs/static-analysis.md § "Trial"); each is a few lines edited into
+a copy of the *real* ``core/`` and ``memory/`` sources.
 
-An anchor that no longer matches exactly once fails loudly: re-seat the
-seed on the refactored code, do not delete it.
+* Seven port-contract violations — a cross-module state write that
+  bypasses its port, a mutable port argument the far side retains, a
+  tick-order-dependent read.  The golden cycle pins fire on all seven,
+  as on any timing change, and no runtime pillar kept today reports
+  any of them; the SH rules name every one.
+* One hash-seed-dependent iteration order in a tick.  Under
+  ``PYTHONHASHSEED=0`` it moves a pinned counter, under ``1`` every
+  tier-1 test and every pillar passes; DT203 is the one detector that
+  fires under both.
+
+Each seed must be reported by exactly its rule at the seeded line, and
+the unseeded copy must be clean.  An anchor that no longer matches
+exactly once fails loudly: re-seat the seed on the refactored code, do
+not delete it.
 """
 
 import shutil
@@ -55,6 +63,11 @@ _DETAILED_ACCEPT = (
 _DETAILED_TICK = (
     "        self._tick_l1(cycle)\n"
     "        return cycle + 1 if self.busy else None\n"
+)
+_DETAILED_STAGES = (
+    "        self._run_events(cycle)\n"
+    "        self._tick_dram(cycle)\n"
+    "        self._tick_l2(cycle)\n"
 )
 
 
@@ -141,6 +154,12 @@ SEEDS = {
              "        self.last_tick = -1\n"),
         ],
     ),
+    "D1-memory-stages-from-a-name-set": (
+        "DT203", (HIERARCHY, "for stage in {"),
+        [(HIERARCHY, _DETAILED_STAGES,
+          "        for stage in {\"_run_events\", \"_tick_dram\", \"_tick_l2\"}:\n"
+          "            getattr(self, stage)(cycle)\n")],
+    ),
 }
 
 
@@ -151,15 +170,15 @@ def _copy_tree(destination: Path) -> Path:
     return destination
 
 
-def _sh_findings(tree: Path):
-    report = lint_paths([tree], root=tree, rules=["SH"], fail_on="warning")
+def _findings(tree: Path):
+    report = lint_paths([tree], root=tree, fail_on="warning")
     return [
         (finding.rule, finding.path, finding.line) for finding in report.findings
     ]
 
 
-def test_unseeded_copy_has_no_sh_findings(tmp_path):
-    assert _sh_findings(_copy_tree(tmp_path)) == []
+def test_unseeded_copy_has_no_findings(tmp_path):
+    assert _findings(_copy_tree(tmp_path)) == []
 
 
 @pytest.mark.parametrize("name", sorted(SEEDS))
@@ -180,4 +199,4 @@ def test_seed_is_named_by_exactly_its_rule(name, tmp_path):
         if seeded_text in line
     ]
     assert len(seeded_lines) == 1
-    assert _sh_findings(tree) == [(rule, seeded_file, seeded_lines[0])]
+    assert _findings(tree) == [(rule, seeded_file, seeded_lines[0])]

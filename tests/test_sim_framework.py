@@ -7,6 +7,8 @@ import warnings
 
 import pytest
 
+from repro.core.block_scheduler import BlockScheduler
+from repro.core.sm import SMCore
 from repro.errors import CounterKindError, MetricsError, PlanError, SimulationError
 from repro.sim.engine import ClockedModule, Engine
 from repro.sim.metrics import DuplicateModuleNameWarning, MetricsGatherer
@@ -18,6 +20,8 @@ from repro.sim.plan import (
     SWIFT_MEMORY_PLAN,
     ModelingPlan,
 )
+from repro.simulators.accel_like import AccelSimLike
+from repro.tracegen.suites import make_app
 
 
 class TestCounters:
@@ -382,3 +386,63 @@ class TestMetricsGatherer:
     def test_invalid_duplicate_policy_rejected(self):
         with pytest.raises(MetricsError, match="on_duplicate"):
             MetricsGatherer([], on_duplicate="explode")
+
+
+def _run_kernel(simulator, memory, kernel, clock):
+    """One kernel of :meth:`PlanSimulator.simulate`'s loop on ``memory``;
+    returns the kernel's end cycle and its SMs."""
+    scheduler = BlockScheduler(kernel)
+    sms = [
+        SMCore(sm_id, simulator.config, scheduler,
+               simulator._subcore_factory(memory))
+        for sm_id in range(min(simulator.config.num_sms, len(kernel.blocks)))
+    ]
+    engine = Engine(allow_jump=simulator.plan["clocking"] == "event_jump",
+                    start_cycle=clock)
+    for sm in sms:
+        sm.attach_engine(engine)
+        engine.add(sm, start_cycle=clock)
+    memory.attach_engine(engine)
+    engine.add(memory, start_cycle=clock)
+    end = engine.run(max_cycles=clock + 10_000_000)
+    end = max(end, scheduler.last_completion_cycle,
+              *(sm.last_completion for sm in sms))
+    return end, sms
+
+
+def _census(roots):
+    return [
+        (type(module).__name__, module.name, module.counters.as_dict(),
+         sorted(vars(module)))
+        for root in roots for module in root.walk()
+    ]
+
+
+class TestModuleTreePickling:
+    """Modules pickle by default: an assembled tree comes back with the
+    same modules and counters, shared sub-modules still shared, and the
+    copy keeps simulating exactly like the original."""
+
+    def test_assembled_tree_round_trips_and_keeps_simulating(self, tiny_gpu):
+        simulator = AccelSimLike(tiny_gpu)
+        app = make_app("bfs", scale="tiny")
+        assert len(app.kernels) > 1
+        expected_ends = [k.end_cycle for k in simulator.simulate(app).kernels]
+        memory = simulator._build_memory()
+        clock, sms = _run_kernel(simulator, memory, app.kernels[0], 0)
+        assert clock == expected_ends[0]
+
+        copy_memory, copy_sms = pickle.loads(pickle.dumps((memory, sms)))
+        assert _census([copy_memory, *copy_sms]) == _census([memory, *sms])
+        for sm in copy_sms:
+            shared = {id(subcore.shared_unit) for subcore in sm.subcores}
+            assert shared == {id(sm.shared_unit)}
+            assert all(subcore.ldst_unit.memory is copy_memory
+                       for subcore in sm.subcores)
+
+        for kernel, expected in zip(app.kernels[1:], expected_ends[1:]):
+            end, __ = _run_kernel(simulator, memory, kernel, clock)
+            copy_end, __ = _run_kernel(simulator, copy_memory, kernel, clock)
+            assert end == copy_end == expected
+            clock = end
+        assert _census([copy_memory]) == _census([memory])
