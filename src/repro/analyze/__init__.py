@@ -1,78 +1,48 @@
-"""``repro.analyze`` — framework-contract linter and static analysis.
+"""``repro.analyze`` — the framework-contract linter.
 
-The runtime verification stack (:mod:`repro.check`, PR 1) and the
-fault-tolerant sweep machinery (:mod:`repro.resilience`, PR 2) enforce
-Swift-Sim's contracts *after* a simulation runs.  This package enforces
-them at commit time, with an AST-based whole-program analysis (stdlib
-:mod:`ast`, no dependencies).  Its rules are the ones a seeded trial
-found to be the *only* detector of a real bug (``docs/static-analysis.md``
-§ "Trial"), in two families:
+The runtime verification stack (:mod:`repro.check`) and the
+fault-tolerant sweep machinery (:mod:`repro.resilience`) enforce
+Swift-Sim's contracts *after* a simulation runs.  This package checks
+the source at commit time, with an AST pass over the whole program
+(stdlib :mod:`ast`, no dependencies).  It holds three rules, each the
+only detector of a seeded bug that did harm (``docs/static-analysis.md``
+§ "Trial"):
 
-* **DT — determinism**: bare set iteration in clocked code paths
-  (DT203), whose order depends on the hash seed — a hazard every
-  runtime pillar misses, because each runs under a single seed;
-* **SH — shard safety**: whole-program dataflow over every module's
-  clocked surface (:mod:`~repro.analyze.callgraph`,
-  :mod:`~repro.analyze.stateflow`) catching cross-module races before a
-  PDES decomposition exists to hit them — unsynchronized cross-shard
-  writes (SH501), mutable objects retained across ports (SH502), and
-  tick-order-dependent cross-module reads (SH503).  The same analysis
-  emits a partition manifest (:mod:`~repro.analyze.partition`,
-  ``repro lint --partition-report``) proposing SM-side/memory-side
-  shards with every cross-shard edge enumerated.
+* **DT203** — bare set iteration in clocked code paths, whose order
+  depends on the hash seed; every runtime pillar misses it, because
+  each runs under a single seed;
+* **SH501** — a clocked method writing another module's state around
+  its ports;
+* **SH502** — a mutable object passed across a port and retained by the
+  far side.
 
-Mechanics shared by all rules: a pluggable registry
-(:mod:`~repro.analyze.registry`), per-rule severity with a
-``--fail-on`` gate, and inline ``# repro: noqa[RULE]`` suppressions
-(counted in the report; unknown rule names are rejected with
-:class:`~repro.errors.UnknownRuleError`).
+The SH rules rest on a call graph (:mod:`~repro.analyze.callgraph`), a
+state-flow pass (:mod:`~repro.analyze.stateflow`) and a partition of the
+modules into clock domains (:mod:`~repro.analyze.partition`).  Every
+finding is an error; a ``# repro: noqa[RULE]`` comment on the reported
+line waives it, is counted in the report, and must name a known rule
+(else :class:`~repro.errors.UnknownRuleError`).
 
 Drive it with ``repro lint`` (text on stdout, ``--json PATH`` for the
-machine-readable report) or as the ``repro check --mode static``
-pillar; the rule catalog lives in ``docs/static-analysis.md``.
+machine-readable report; exit 1 on any finding) or as the
+``repro check --mode static`` pillar, which reports each finding as a
+violation.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.analyze.callgraph": ("CallGraph", "build_callgraph"),
-    "repro.analyze.findings": ("FAIL_ON", "SEVERITIES", "LintFinding"),
+    "repro.analyze.findings": ("LintFinding",),
     "repro.analyze.index": ("ProgramIndex", "SourceFile", "load_index"),
-    "repro.analyze.partition": (
-        "Partition",
-        "build_partition",
-        "write_manifest",
-    ),
-    "repro.analyze.registry": (
-        "FAMILIES",
-        "RULES",
-        "Rule",
-        "all_rules",
-        "resolve_rules",
-    ),
-    "repro.analyze.runner": ("LintReport", "lint_paths"),
-    "repro.analyze.stateflow": ("StateFlow", "build_stateflow"),
+    "repro.analyze.runner": ("RULES", "LintReport", "lint_paths"),
 })
 
 __all__ = [
-    "FAIL_ON",
-    "FAMILIES",
-    "CallGraph",
     "LintFinding",
     "LintReport",
-    "Partition",
     "ProgramIndex",
     "RULES",
-    "Rule",
-    "SEVERITIES",
     "SourceFile",
-    "StateFlow",
-    "all_rules",
-    "build_callgraph",
-    "build_partition",
-    "build_stateflow",
     "lint_paths",
     "load_index",
-    "resolve_rules",
-    "write_manifest",
 ]

@@ -1,11 +1,11 @@
 """Interprocedural call graph over module entry points.
 
-The shard-safety family (``rules_sharding``) and the partition manifest
-need a *whole-program* view the per-file rules never did: which methods
-run on a module's clocked path (``tick``, declared ports, checker
-hooks), what the receiver of every call may be, and which call edges
-cross the fixed ``repro.sim.ports`` interfaces.  This module builds that
-view from the :class:`~repro.analyze.index.ProgramIndex`:
+The shard-safety rules (``rules_sharding``) and the partition need a
+*whole-program* view: which methods run on a module's clocked path
+(``tick``, declared ports, checker hooks), what the receiver of every
+call may be, and which call edges cross the fixed ``repro.sim.ports``
+interfaces.  This module builds that view from the
+:class:`~repro.analyze.index.ProgramIndex`:
 
 * a :class:`ClassModel` per class — attribute and local *type lattices*
   inferred from constructor calls, annotations (string annotations and
@@ -18,8 +18,8 @@ view from the :class:`~repro.analyze.index.ProgramIndex`:
 * the *port* classification — an edge is a ``port`` edge when its callee
   is one of the abstract ``repro.sim.ports`` contract methods or carries
   an explicit ``# repro: port`` marker.  Port edges are the declared
-  synchronization points the future PDES core serializes on; everything
-  else is assumed shard-local.
+  interfaces between modules; everything else is assumed to stay inside
+  one clock domain.
 
 The analysis is deliberately conservative-but-cheap: a flow-insensitive
 type lattice over ``ast`` with no fixpoint iteration.  For the modeled
@@ -662,9 +662,6 @@ class CallGraph:
         """The clocked surface of ``cls_name`` (empty for unknown)."""
         return self._clocked.get(cls_name, set())
 
-    def edges_from(self, cls_name: str, method: str) -> List[CallSite]:
-        return self._edges_from.get((cls_name, method), [])
-
     def clocked_sites(self, cls_name: str) -> List[CallSite]:
         """Every call site on the clocked surface of ``cls_name``."""
         sites: List[CallSite] = []
@@ -672,11 +669,3 @@ class CallGraph:
             sites.extend(self._edges_from.get((cls_name, method), []))
         return sites
 
-
-def build_callgraph(index: ProgramIndex) -> CallGraph:
-    """Build (and memoize on ``index``) the whole-program call graph."""
-    cached = index.analysis_cache.get("callgraph")
-    if cached is None:
-        cached = CallGraph(index)
-        index.analysis_cache["callgraph"] = cached
-    return cached

@@ -19,27 +19,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from repro.errors import AnalysisError
 
-#: Version of the parsing/extraction logic, recorded in the partition
-#: manifest so a manifest names the analysis that produced it.
-ANALYZER_VERSION = 2
-
 #: Framework root classes: subclassing one of these (by name, transitively
 #: through the index) makes a class part of the modeled-module hierarchy.
 MODULE_ROOTS = frozenset({"Module", "ClockedModule"})
 SINK_ROOTS = frozenset({"InstructionSink", "CompletionListener", "BlockSource"})
 
-_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?")
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[([A-Za-z0-9_,\s]+)\]")
 _PORT_RE = re.compile(r"#\s*repro:\s*port\b")
-
-#: Statement kinds whose noqa coverage is their *header* only (covering
-#: the whole body would let one comment waive a hundred lines).
-_COMPOUND_STMTS = tuple(
-    getattr(ast, name)
-    for name in ("If", "For", "AsyncFor", "While", "With", "AsyncWith",
-                 "Try", "TryStar", "FunctionDef", "AsyncFunctionDef",
-                 "ClassDef", "Match")
-    if hasattr(ast, name)
-)
 
 
 @dataclass
@@ -73,14 +59,12 @@ class SourceFile:
             self.path = str(path.relative_to(root))
         except ValueError:
             self.path = str(path)
-        self.text = text
         try:
             self.tree = ast.parse(text, filename=self.path)
         except SyntaxError as exc:
             raise AnalysisError(f"cannot parse {self.path}: {exc}") from exc
-        self.module_name = _module_name(path)
-        #: line -> None (suppress all rules) or frozenset of rule IDs
-        self.noqa: Dict[int, Optional[FrozenSet[str]]] = {}
+        #: line -> rule IDs a ``# repro: noqa[...]`` on that line waives
+        self.noqa: Dict[int, FrozenSet[str]] = {}
         #: lines carrying a ``# repro: port`` marker
         self.port_lines: Set[int] = set()
         # Markers are honored only in *actual comments* (tokenize), never
@@ -90,41 +74,15 @@ class SourceFile:
         for lineno, comment in _comment_lines(text):
             match = _NOQA_RE.search(comment)
             if match:
-                ids = match.group(1)
-                self.noqa[lineno] = (
-                    frozenset(i.strip() for i in ids.split(",") if i.strip())
-                    if ids else None
+                self.noqa[lineno] = frozenset(
+                    i.strip() for i in match.group(1).split(",") if i.strip()
                 )
             if _PORT_RE.search(comment):
                 self.port_lines.add(lineno)
-        #: noqa coverage widened to the enclosing statement: a suppression
-        #: on any physical line of a multi-line statement (or on a
-        #: decorator / def header) covers findings reported anywhere in
-        #: that statement's span.  Compound statements cover their header
-        #: only, never their body.
-        self._noqa_ranges: List[Tuple[int, int, Optional[FrozenSet[str]]]] = []
-        if self.noqa:
-            spans = _statement_spans(self.tree)
-            for lineno, rules in self.noqa.items():
-                best: Optional[Tuple[int, int]] = None
-                for start, end in spans:
-                    if start <= lineno <= end:
-                        if best is None or end - start < best[1] - best[0]:
-                            best = (start, end)
-                if best is not None:
-                    self._noqa_ranges.append((best[0], best[1], rules))
 
     def suppressed(self, line: int, rule_id: str) -> bool:
-        """True when a ``# repro: noqa`` covers ``rule_id`` at ``line`` —
-        either written on that exact line, or anywhere within the same
-        (simple) statement / compound-statement header."""
-        rules = self.noqa.get(line, False)
-        if rules is not False and (rules is None or rule_id in rules):
-            return True
-        for start, end, rules in self._noqa_ranges:
-            if start <= line <= end and (rules is None or rule_id in rules):
-                return True
-        return False
+        """True when a ``# repro: noqa[...]`` on ``line`` names ``rule_id``."""
+        return rule_id in self.noqa.get(line, ())
 
 
 def _comment_lines(text: str) -> List[Tuple[int, str]]:
@@ -141,43 +99,6 @@ def _comment_lines(text: str) -> List[Tuple[int, str]]:
         ]
     except (tokenize.TokenError, IndentationError):  # pragma: no cover
         return list(enumerate(text.splitlines(), start=1))
-
-
-def _statement_spans(tree: ast.Module) -> List[Tuple[int, int]]:
-    """(start, end) line spans noqa comments extend over.
-
-    Simple statements span all their physical lines (decorator lines
-    included, via the enclosing def).  Compound statements span only
-    their header — first decorator line through the line before the
-    first body statement — so one comment cannot waive a whole block.
-    """
-    spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt):
-            continue
-        start = node.lineno
-        end = getattr(node, "end_lineno", None) or node.lineno
-        if isinstance(node, _COMPOUND_STMTS):
-            decorators = getattr(node, "decorator_list", [])
-            if decorators:
-                start = min([d.lineno for d in decorators] + [start])
-            body = getattr(node, "body", [])
-            if body:
-                end = max(start, body[0].lineno - 1)
-        spans.append((start, end))
-    return spans
-
-
-def _module_name(path: Path) -> str:
-    """Best-effort dotted module name from a file path."""
-    parts = list(path.with_suffix("").parts)
-    for anchor in ("src", "site-packages"):
-        if anchor in parts:
-            parts = parts[parts.index(anchor) + 1:]
-            break
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts[-4:]) if parts else str(path)
 
 
 def _base_name(node: ast.expr) -> Optional[str]:
@@ -241,10 +162,6 @@ class ProgramIndex:
 
     def __init__(self, files: Sequence[SourceFile]) -> None:
         self.files = list(files)
-        #: memoized derived analyses (call graph, state flow, partition)
-        #: keyed by analysis name — they are pure functions of the index,
-        #: so rules sharing one index share one computation
-        self.analysis_cache: Dict[str, object] = {}
         #: bare class name -> definitions (collisions keep all)
         self.classes: Dict[str, List[ClassInfo]] = {}
         for source in self.files:

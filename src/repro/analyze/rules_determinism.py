@@ -1,4 +1,4 @@
-"""Determinism rule (DT203).
+"""Determinism rule: no bare set iteration in clocked code (DT203).
 
 The verification stack — shadow-clocking bit-equivalence, chaos-retry
 convergence, journal resume, the golden cycle pins — rests on
@@ -9,7 +9,8 @@ a single consistent order; a golden pin fires only when that seed's
 order happens to differ from the recorded one.  This rule flags the
 hazard inside *clocked code paths*, which the analyzer defines as the
 method bodies (including nested functions) of
-:class:`~repro.sim.module.Module` subclasses.
+:class:`~repro.sim.module.Module` subclasses.  The fix is to iterate
+``sorted(...)`` or keep an explicit list.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterator
 
 from repro.analyze.findings import LintFinding
 from repro.analyze.index import ProgramIndex
-from repro.analyze.registry import rule
 
 
 def _set_valued(expr: ast.expr) -> bool:
@@ -32,15 +32,6 @@ def _set_valued(expr: ast.expr) -> bool:
     )
 
 
-@rule(
-    "DT203",
-    "no bare set iteration in clocked code paths",
-    "warning",
-    "Set iteration order depends on insertion history and hash seeding; "
-    "inside a tick it silently reorders decisions between runs.  Every "
-    "runtime pillar runs under one hash seed, so none of them sees it.  "
-    "Wrap the set in sorted() or keep an explicit list.",
-)
 def check_set_iteration(index: ProgramIndex) -> Iterator[LintFinding]:
     for info in index.module_classes():
         for method in info.methods.values():
@@ -54,7 +45,7 @@ def check_set_iteration(index: ProgramIndex) -> Iterator[LintFinding]:
                     continue
                 if any(_set_valued(iterable) for iterable in iterables):
                     yield LintFinding(
-                        rule="DT203", severity="warning", path=info.path,
+                        rule="DT203", path=info.path,
                         line=node.lineno, scope=f"{info.name}.{method.name}",
                         message="iterates a set in a clocked code path; set "
                                 "order is not deterministic across processes "

@@ -1,47 +1,30 @@
-"""Shard-safety rules (SH5xx): the fixed-interface claim, machine-checked.
+"""Shard-safety rules (SH501, SH502): the fixed-interface claim, checked.
 
 Hybrid modeling rests on modules that interact only through fixed
-interfaces (paper §III-B2), and the decomposition the manifest proposes
-(see :mod:`repro.analyze.partition`) is only sound if every cross-module
-interaction on a clocked path goes through a *declared* synchronization
-point: the :mod:`repro.sim.ports` contract methods plus anything marked
-``# repro: port``.  No engine runs that decomposition
-(``docs/parallel-engine.md``), and no runtime pillar names a violation
-of it — ``tests/test_modularity_trial.py`` seeds seven into the real
-sources and these rules are what reports them.  They flag the three
-ways module code breaks the contract:
+interfaces (paper §III-B2): the :mod:`repro.sim.ports` contract methods
+plus anything marked ``# repro: port``.  These two rules flag the ways
+module code goes around them on a clocked path:
 
 * **SH501** — a clocked method writes another module's state directly
   (attribute assignment, ``+=``, or an in-place container mutator).
   The owner's ports no longer describe how its state changes, so
-  neither side can be swapped for another modeling level safely (and
-  were the two ever ticked concurrently, it is a data race).
+  neither side can be swapped for another modeling level safely.
 * **SH502** — a mutable object (``self``, an owned container, a live
   instance of an indexed class) is passed across a port and the far
-  side *retains* it.  The port call itself is synchronized, but the
-  retained alias is a back-channel both shards can touch later.
-* **SH503** — a clocked method reads state that its owning module
-  writes on the owner's own clocked path, without going through a
-  port.  Same-cycle results then depend on which module ticked first.
-  Nothing catches that at runtime: registration order is fixed, so
-  every run agrees with every other, and the determinism pillar checks
-  repeatability and pooled-vs-serial agreement — it permutes nothing.
-  This rule is the only detector.
+  side *retains* it.  The port call itself is the interface, but the
+  retained alias is a back-channel both sides can touch later.
 
-All three are **partition-aware**: they fire only when the access
-actually crosses a boundary of the partition proposed by
-:mod:`repro.analyze.partition`.  Modules the partition colocates — a
-parent and the children it ticks, classes wired by synchronous calls —
-share one clock domain, where intra-cycle order is defined by the tree
-walk and a direct access is ordinary (if impolite) coupling, not a
-race.  The rules and the manifest therefore agree by construction:
-SH501 findings are exactly the manifest's ``unsynchronized_writes``
-(modulo justified noqas).
-
-All three analyze only :class:`~repro.sim.module.Module` subclasses.
-``EngineChecker`` observers run at cycle barriers, where the engine has
-already quiesced every shard, so their cross-module reads are safe by
-construction and stay out of scope.
+Each was the only detector of a seeded bug that did harm
+(``docs/static-analysis.md`` § "Trial"): SH501 of a write that moves
+cycles only under RANDOM replacement, SH502 of a retained alias that
+moves only a counter.  Both fire only when the access crosses a clock
+domain of :class:`~repro.analyze.partition.Partition`: modules it
+colocates (a parent and the children it ticks, classes wired by
+synchronous calls) share one domain, where a direct access is ordinary
+coupling.  ``EngineChecker`` observers run at cycle barriers and stay
+out of scope.  Counter updates (``peer.counters[...] += 1``) are not
+seen: ``counters`` is declared by the framework base class, which the
+analysis does not treat as module state.
 """
 
 from __future__ import annotations
@@ -52,57 +35,41 @@ from typing import Iterator, List, Optional, Tuple
 from repro.analyze.callgraph import CallGraph, ClassModel, LocalEnv, render_expr
 from repro.analyze.findings import LintFinding
 from repro.analyze.index import ProgramIndex
-from repro.analyze.partition import build_partition
-from repro.analyze.registry import rule
-from repro.analyze.stateflow import StateFlow, build_stateflow
+from repro.analyze.partition import Partition
+from repro.analyze.stateflow import StateFlow
 
 
-@rule(
-    "SH501",
-    "no unsynchronized cross-module state writes",
-    "error",
-    "A clocked method that assigns or mutates another module's attributes "
-    "bypasses the port contract; when the two modules land in different "
-    "PDES shards the write races with the owner's own tick. Route the "
-    "update through a port method on the owner, or move the state.",
-)
-def check_cross_module_writes(index: ProgramIndex) -> Iterator[LintFinding]:
-    flow = build_stateflow(index)
-    partition = build_partition(index)
-    for access in flow.foreign:
-        if access.kind != "write" or access.synchronized:
-            continue
+def check_shard_safety(index: ProgramIndex) -> Iterator[LintFinding]:
+    """SH501 and SH502 findings, over one call graph and partition."""
+    flow = StateFlow(CallGraph(index))
+    partition = Partition(flow)
+    yield from _cross_module_writes(flow, partition)
+    yield from _shared_across_ports(index, flow, partition)
+
+
+def _cross_module_writes(
+    flow: StateFlow, partition: Partition
+) -> Iterator[LintFinding]:
+    for access in flow.foreign_writes:
         cross = partition.crosses(access.cls, access.owners)
         if not cross:
             continue
         owners = "/".join(cross)
         yield LintFinding(
-            rule="SH501", severity="error", path=access.path,
+            rule="SH501", path=access.path,
             line=access.line, scope=f"{access.cls}.{access.method}",
             message=(
                 f"clocked write to {access.receiver}.{access.attr} mutates "
-                f"state owned by {owners} outside any declared port; under "
-                f"PDES sharding this is a cross-shard data race — add a "
-                f"port method on {owners} or move the state to the writer"
+                f"state owned by {owners} outside any declared port — add "
+                f"a port method on {owners} or move the state to the writer"
             ),
         )
 
 
-@rule(
-    "SH502",
-    "no shared mutable objects retained across ports",
-    "warning",
-    "A port call is a synchronization point, but if the callee stores the "
-    "argument (into its own state, an owned container, or a constructed "
-    "record) the two modules now alias one mutable object across the "
-    "shard boundary — every later access bypasses the port. Pass an "
-    "immutable snapshot, or document the alias as a designed completion "
-    "channel with a justified noqa.",
-)
-def check_shared_across_ports(index: ProgramIndex) -> Iterator[LintFinding]:
-    flow = build_stateflow(index)
+def _shared_across_ports(
+    index: ProgramIndex, flow: StateFlow, partition: Partition
+) -> Iterator[LintFinding]:
     graph = flow.graph
-    partition = build_partition(index)
     for cls in sorted(graph.module_names):
         model = graph.models.get(cls)
         if model is None:
@@ -117,7 +84,7 @@ def check_shared_across_ports(index: ProgramIndex) -> Iterator[LintFinding]:
             retained: List[Tuple[str, str, str]] = []
             seen = set()
             for target in sorted(site.targets):
-                if partition.shard_for(target) == partition.shard_for(cls):
+                if partition.domain_for(target) == partition.domain_for(cls):
                     continue
                 target_model = graph.models.get(target)
                 if target_model is None:
@@ -146,50 +113,15 @@ def check_shared_across_ports(index: ProgramIndex) -> Iterator[LintFinding]:
                 for name, desc, target in retained
             )
             yield LintFinding(
-                rule="SH502", severity="warning", path=model.info.path,
+                rule="SH502", path=model.info.path,
                 line=site.line, scope=f"{cls}.{site.caller_method}",
                 message=(
                     f"port call {site.callee_method}() shares mutable "
-                    f"state across the shard boundary: {detail}"
+                    f"state across a clock-domain boundary: {detail} — pass "
+                    f"an immutable snapshot, or waive a designed completion "
+                    f"channel with # repro: noqa[SH502]"
                 ),
             )
-
-
-@rule(
-    "SH503",
-    "no order-dependent cross-module reads",
-    "warning",
-    "Reading another module's attribute while its owner also writes it on "
-    "the owner's clocked path makes the value depend on intra-cycle tick "
-    "order, which only module registration order fixes — no runtime check "
-    "varies it, so this rule is the only detector. Read it through a "
-    "``# repro: port``-marked accessor or sample it at a cycle barrier "
-    "via an EngineChecker.",
-)
-def check_cross_module_reads(index: ProgramIndex) -> Iterator[LintFinding]:
-    flow = build_stateflow(index)
-    partition = build_partition(index)
-    for access in flow.foreign:
-        if access.kind != "read" or access.synchronized:
-            continue
-        writers = sorted(
-            owner for owner in partition.crosses(access.cls, access.owners)
-            if flow.writes_on_clock(owner, access.attr)
-        )
-        if not writers:
-            continue
-        owners = "/".join(writers)
-        kind = "property" if access.via_property else "attribute"
-        yield LintFinding(
-            rule="SH503", severity="warning", path=access.path,
-            line=access.line, scope=f"{access.cls}.{access.method}",
-            message=(
-                f"clocked read of {access.receiver}.{access.attr} "
-                f"({kind} written by {owners} on its own clocked path) is "
-                f"tick-order dependent; mark the accessor `# repro: port` "
-                f"or sample at a cycle barrier"
-            ),
-        )
 
 
 # ----------------------------------------------------------------------

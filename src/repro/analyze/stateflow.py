@@ -3,22 +3,16 @@
 Built on the :class:`~repro.analyze.callgraph.CallGraph`, this computes,
 per :class:`~repro.sim.module.Module` subclass:
 
-* **own accesses** — which ``self.<attr>`` state is read and written on
-  the class's clocked surface (``tick``, declared ports, callbacks, and
-  everything self-call-reachable from them);
-* **foreign accesses** — reads and writes of *another module's* state
-  through module-typed references (``self.peer.count += 1``, mutator
-  calls like ``self.peer.queue.append(...)``, ``getattr(self.src,
-  "blocks_remaining")``, and property reads, which dispatch to the owner's
-  property method).  Each is tagged ``synchronized`` when it goes
-  through a ``# repro: port``-marked member — the declared cross-shard
-  channels the PDES core will serialize;
+* **foreign writes** — assignments to, and in-place mutations of,
+  *another module's* state through module-typed references on the
+  class's clocked surface (``self.peer.count += 1``, mutator calls like
+  ``self.peer.queue.append(...)``);
 * **escapes** — which parameters of a method are *retained* by the
   callee (stored into ``self`` state, pushed into an owned container, or
   captured by a constructed object).  A port call whose argument escapes
   on the far side is a shared mutable object crossing a shard boundary.
 
-The sharding rules (SH family) and the partition manifest are thin
+The shard-safety rules (SH501, SH502) and the partition are thin
 consumers of this structure.
 """
 
@@ -26,15 +20,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.analyze.callgraph import (
-    CallGraph,
-    ClassModel,
-    LocalEnv,
-    build_callgraph,
-    render_expr,
-)
+from repro.analyze.callgraph import CallGraph, ClassModel, LocalEnv, render_expr
 from repro.analyze.index import ProgramIndex
 
 #: Method names that mutate their receiver in place.
@@ -46,31 +34,16 @@ MUTATORS = frozenset({
 
 
 @dataclass(frozen=True)
-class StateAccess:
-    """One access to a module's *own* state on its clocked surface."""
+class ForeignWrite:
+    """A clocked write to *another* module's state."""
 
-    cls: str
-    method: str
-    attr: str
-    kind: str            #: "read" | "write"
-    path: str
-    line: int
-
-
-@dataclass(frozen=True)
-class ForeignAccess:
-    """A clocked access to *another* module's state."""
-
-    cls: str             #: accessing class
+    cls: str             #: writing class
     method: str
     owners: FrozenSet[str]  #: candidate owning module classes
     attr: str
-    kind: str            #: "read" | "write"
     path: str
     line: int
     receiver: str        #: rendered receiver expression
-    synchronized: bool   #: True when through a ``# repro: port`` member
-    via_property: bool = False
 
 
 class StateFlow:
@@ -79,11 +52,8 @@ class StateFlow:
     def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
         self.index: ProgramIndex = graph.index
-        #: cls -> attr -> own accesses on the clocked surface
-        self.own_writes: Dict[str, Dict[str, List[StateAccess]]] = {}
-        self.own_reads: Dict[str, Dict[str, List[StateAccess]]] = {}
-        #: every clocked foreign access, program-wide
-        self.foreign: List[ForeignAccess] = []
+        #: every clocked foreign write, program-wide
+        self.foreign_writes: List[ForeignWrite] = []
         self._escapes: Dict[Tuple[str, str], Set[str]] = {}
         for name in sorted(graph.module_names):
             model = graph.models.get(name)
@@ -92,28 +62,6 @@ class StateFlow:
 
     # ------------------------------------------------------------------
     # queries
-
-    def writes_on_clock(self, cls: str, attr: str) -> bool:
-        """Does ``cls`` write ``attr`` (or the state behind a property of
-        that name) on its own clocked surface?"""
-        writes = self.own_writes.get(cls, {})
-        if attr in writes:
-            return True
-        model = self.graph.models.get(cls)
-        if model is None:
-            return False
-        prop = model.info.methods.get(attr)
-        if prop is not None and _is_property(prop):
-            # A property read exposes whatever attributes its body reads.
-            for node in ast.walk(prop):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                    and node.attr in writes
-                ):
-                    return True
-        return False
 
     def escaping_params(self, cls: str, method: str) -> Set[str]:
         """Parameter names of ``cls.method`` retained past the call."""
@@ -143,52 +91,23 @@ class StateFlow:
     # per-class analysis
 
     def _analyze_class(self, model: ClassModel) -> None:
-        name = model.name
-        self.own_writes.setdefault(name, {})
-        self.own_reads.setdefault(name, {})
-        for method_name in self.graph.clocked_methods(name):
+        for method_name in self.graph.clocked_methods(model.name):
             method = model.info.methods.get(method_name)
             if method is None:
                 continue
             env = self.graph.seed_env(model, method)
-            self._analyze_method(model, method_name, method, env)
-
-    def _analyze_method(
-        self,
-        model: ClassModel,
-        method_name: str,
-        method: ast.FunctionDef,
-        env: LocalEnv,
-    ) -> None:
-        # Attributes serving as the callee of a call are call edges
-        # (callgraph territory), not state reads.
-        call_funcs = {
-            id(node.func) for node in ast.walk(method)
-            if isinstance(node, ast.Call)
-        }
-        # Attributes being assigned are writes, not reads.
-        write_targets: Set[int] = set()
-        for node in ast.walk(method):
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    for sub in ast.walk(target):
-                        write_targets.add(id(sub))
-                    self._record_write_target(model, method_name, target, env)
-            if isinstance(node, ast.Call):
-                self._record_mutator(model, method_name, node, env)
-                self._record_getattr_read(model, method_name, node, env)
-        for node in ast.walk(method):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and id(node) not in call_funcs
-                and id(node) not in write_targets
-            ):
-                self._record_read(model, method_name, node, env)
+            for node in ast.walk(method):
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign)
+                        else [node.target]
+                    )
+                    for target in targets:
+                        self._record_write_target(
+                            model, method_name, target, env
+                        )
+                if isinstance(node, ast.Call):
+                    self._record_mutator(model, method_name, node, env)
 
     def _record_write_target(
         self,
@@ -206,24 +125,9 @@ class StateFlow:
             target = target.value
         if not isinstance(target, ast.Attribute):
             return
-        base = target.value
-        if isinstance(base, ast.Name) and base.id == "self":
-            self._add_own(model, method_name, target.attr, "write", target.lineno)
-            return
-        owners = self._foreign_owners(base, target.attr, model, env,
-                                      want_state=True)
-        if owners:
-            self.foreign.append(ForeignAccess(
-                cls=model.name,
-                method=method_name,
-                owners=frozenset(owners),
-                attr=target.attr,
-                kind="write",
-                path=model.info.path,
-                line=target.lineno,
-                receiver=render_expr(base),
-                synchronized=False,
-            ))
+        self._record_foreign_write(
+            model, method_name, target.value, target.attr, target.lineno, env
+        )
 
     def _record_mutator(
         self,
@@ -240,58 +144,11 @@ class StateFlow:
             recv = recv.value
         if not isinstance(recv, ast.Attribute):
             return
-        base = recv.value
-        if isinstance(base, ast.Name) and base.id == "self":
-            self._add_own(model, method_name, recv.attr, "write", node.lineno)
-            return
-        owners = self._foreign_owners(base, recv.attr, model, env,
-                                      want_state=True)
-        if owners:
-            self.foreign.append(ForeignAccess(
-                cls=model.name,
-                method=method_name,
-                owners=frozenset(owners),
-                attr=recv.attr,
-                kind="write",
-                path=model.info.path,
-                line=node.lineno,
-                receiver=render_expr(base),
-                synchronized=False,
-            ))
-
-    def _record_getattr_read(
-        self,
-        model: ClassModel,
-        method_name: str,
-        node: ast.Call,
-        env: LocalEnv,
-    ) -> None:
-        if not (isinstance(node.func, ast.Name) and node.func.id == "getattr"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str)):
-            return
-        attr = node.args[1].value
-        self._record_foreign_read(
-            model, method_name, node.args[0], attr, node.lineno, env
+        self._record_foreign_write(
+            model, method_name, recv.value, recv.attr, node.lineno, env
         )
 
-    def _record_read(
-        self,
-        model: ClassModel,
-        method_name: str,
-        node: ast.Attribute,
-        env: LocalEnv,
-    ) -> None:
-        base = node.value
-        if isinstance(base, ast.Name) and base.id == "self":
-            self._add_own(model, method_name, node.attr, "read", node.lineno)
-            return
-        self._record_foreign_read(
-            model, method_name, base, node.attr, node.lineno, env
-        )
-
-    def _record_foreign_read(
+    def _record_foreign_write(
         self,
         model: ClassModel,
         method_name: str,
@@ -300,76 +157,29 @@ class StateFlow:
         line: int,
         env: LocalEnv,
     ) -> None:
+        if isinstance(base, ast.Name) and base.id == "self":
+            return  # own state
         recv_types = frozenset(
             self.graph.value_types(base, model, env).direct
         )
-        owners = self.module_owners(recv_types)
-        state_owners: Set[str] = set()
-        prop_owners: Set[str] = set()
-        synchronized = False
-        for owner in owners:
-            owner_model = self.graph.models.get(owner)
-            if owner_model is None:
-                continue
-            prop = owner_model.info.methods.get(attr)
-            if prop is not None:
-                if _is_property(prop):
-                    prop_owners.add(owner)
-                    if self.index.port_marked(owner_model.info, attr):
-                        synchronized = True
-                # Plain bound-method reference (callback wiring): the
-                # call graph owns it, not the state graph.
-                continue
-            if self.index.declares(owner_model.info, attr):
-                state_owners.add(owner)
-        matched = state_owners | prop_owners
-        if not matched:
-            return
-        self.foreign.append(ForeignAccess(
-            cls=model.name,
-            method=method_name,
-            owners=frozenset(matched),
-            attr=attr,
-            kind="read",
-            path=model.info.path,
-            line=line,
-            receiver=render_expr(base),
-            synchronized=synchronized,
-            via_property=bool(prop_owners),
-        ))
-
-    def _foreign_owners(
-        self,
-        base: ast.expr,
-        attr: str,
-        model: ClassModel,
-        env: LocalEnv,
-        want_state: bool,
-    ) -> Set[str]:
-        recv_types = frozenset(
-            self.graph.value_types(base, model, env).direct
-        )
-        owners = self.module_owners(recv_types)
-        if not want_state:
-            return owners
-        matched: Set[str] = set()
-        for owner in owners:
-            owner_model = self.graph.models.get(owner)
-            if owner_model is not None and (
+        owners = {
+            owner for owner in self.module_owners(recv_types)
+            if (owner_model := self.graph.models.get(owner)) is not None
+            and (
                 self.index.declares(owner_model.info, attr)
                 or attr in owner_model.info.methods
-            ):
-                matched.add(owner)
-        return matched
-
-    def _add_own(
-        self, model: ClassModel, method: str, attr: str, kind: str, line: int
-    ) -> None:
-        store = self.own_writes if kind == "write" else self.own_reads
-        store[model.name].setdefault(attr, []).append(StateAccess(
-            cls=model.name, method=method, attr=attr, kind=kind,
-            path=model.info.path, line=line,
-        ))
+            )
+        }
+        if owners:
+            self.foreign_writes.append(ForeignWrite(
+                cls=model.name,
+                method=method_name,
+                owners=frozenset(owners),
+                attr=attr,
+                path=model.info.path,
+                line=line,
+                receiver=render_expr(base),
+            ))
 
     # ------------------------------------------------------------------
     # escape analysis
@@ -472,22 +282,3 @@ def _rooted_in_self(node: ast.expr) -> bool:
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
     return isinstance(node, ast.Name) and node.id == "self"
-
-
-def _is_property(node: ast.FunctionDef) -> bool:
-    for decorator in node.decorator_list:
-        name = decorator.id if isinstance(decorator, ast.Name) else (
-            decorator.attr if isinstance(decorator, ast.Attribute) else None
-        )
-        if name in ("property", "cached_property"):
-            return True
-    return False
-
-
-def build_stateflow(index: ProgramIndex) -> StateFlow:
-    """Build (and memoize on ``index``) the state-access graph."""
-    cached = index.analysis_cache.get("stateflow")
-    if cached is None:
-        cached = StateFlow(build_callgraph(index))
-        index.analysis_cache["stateflow"] = cached
-    return cached

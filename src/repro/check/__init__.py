@@ -24,8 +24,8 @@ machine-checked invariants, in eight pillars:
    bit-identically to a clean run;
 6. :func:`~repro.check.static.static_check` — the :mod:`repro.analyze`
    framework-contract linter run as a pillar: the package's own source
-   must pass the determinism (DT203) and shard-safety (SH5xx) rules (see
-   ``docs/static-analysis.md``);
+   must pass the determinism (DT203) and shard-safety (SH501, SH502)
+   rules (see ``docs/static-analysis.md``);
 7. :func:`~repro.check.guard.guard_check` — :mod:`repro.guard` runs
    (watchdog + invariant guards armed) must be bit-identical to
    unguarded runs, and injected stall and invariant saboteurs must be

@@ -21,12 +21,12 @@ Everything a downstream user needs without writing Python::
     python -m repro serve    --socket serve.sock --store serve-store
     python -m repro submit   --socket serve.sock --apps bfs,gemm \\
                              --grid "num_sms=34,68"
-    python -m repro lint     src --fail-on error
+    python -m repro lint     src
 
 All commands return a process exit code of 0 on success; configuration
 or workload errors print a one-line message and return 2.  ``check`` and
 ``lint`` additionally return 1 when a verification invariant is violated
-(for ``lint``: a fresh finding at or above the ``--fail-on`` severity).
+(for ``lint``: any finding).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from repro.simulators import SIMULATORS
 # Nothing else of ``repro`` is imported up here: the parser is built on
 # every invocation, before the command is known, so it may cost only what
 # listing names costs (``SIMULATORS`` imports a simulator on lookup, and
-# the three ``choices=`` tuples live in modules that import no pillar,
-# harness or rule).  Each handler imports what it runs.
+# the two ``choices=`` tuples live in modules that import no pillar or
+# harness).  Each handler imports what it runs.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,8 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--drain", action="store_true",
                         help="drain and shut down the server")
 
-    from repro.analyze.findings import FAIL_ON
-
     lint = commands.add_parser(
         "lint",
         help="run the framework-contract static analyzer over source trees",
@@ -293,25 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
     )
-    lint.add_argument(
-        "--rules",
-        help="comma-separated rule IDs or family prefixes "
-             "(e.g. SH501,DT or SH); default: all rules",
-    )
-    lint.add_argument(
-        "--fail-on", default="error", choices=FAIL_ON,
-        help="exit 1 on findings at or above this severity",
-    )
     lint.add_argument("--json", dest="json_out",
                       help="write the machine-readable report to this path")
-    lint.add_argument(
-        "--partition-report", metavar="PATH",
-        help="write the PDES partition manifest (proposed shards plus "
-             "every cross-shard edge) to PATH; exits 1 if any "
-             "unsynchronized cross-shard write remains",
-    )
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalog and exit")
     return parser
 
 
@@ -623,40 +604,15 @@ def _cmd_guard(args) -> None:
 def _cmd_lint(args) -> None:
     from pathlib import Path
 
-    from repro.analyze import FAMILIES, all_rules, lint_paths, load_index
+    from repro.analyze import lint_paths
 
-    if args.list_rules:
-        for rule_obj in all_rules():
-            family = FAMILIES[rule_obj.id[:2]]
-            print(f"{rule_obj.id} [{rule_obj.severity:7s}] ({family}) "
-                  f"{rule_obj.title}")
-        return
-    rules = None
-    if args.rules:
-        rules = [item.strip() for item in args.rules.split(",") if item.strip()]
-    paths = [Path(p) for p in args.paths]
-    # Built here so the partition manifest can share it.
-    index = load_index(paths)
-    report = lint_paths(paths, rules=rules, fail_on=args.fail_on, index=index)
+    report = lint_paths([Path(p) for p in args.paths])
     print(report.render())
     if args.json_out:
         with open(args.json_out, "w") as handle:
             handle.write(report.to_json())
         print(f"wrote JSON report to {args.json_out}")
-    manifest_bad = False
-    if args.partition_report:
-        from repro.analyze.partition import build_partition, write_manifest
-
-        manifest = build_partition(index).manifest(index)
-        write_manifest(manifest, args.partition_report)
-        summary = manifest["summary"]
-        print(f"wrote partition manifest to {args.partition_report}: "
-              f"{summary['shards']} shard(s), "
-              f"{summary['cross_shard_edges']} cross-shard port edge(s), "
-              f"{summary['unsynchronized_writes']} unsynchronized "
-              f"cross-shard write(s)")
-        manifest_bad = summary["unsynchronized_writes"] > 0
-    if not report.ok or manifest_bad:
+    if not report.ok:
         raise _CheckFailed()
 
 

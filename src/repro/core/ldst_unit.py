@@ -146,9 +146,9 @@ class DetailedLDSTUnit(Module, InstructionSink):
         # The memory system retains listener/warp/inst until completion:
         # that alias IS the designed completion back-channel (it answers
         # through the on_complete port, never by mutating them mid-run).
-        accepted = self.memory.issue_global(
+        accepted = self.memory.issue_global(  # repro: noqa[SH502]
             self.sm_id, self.listener, warp, inst, cycle
-        )  # repro: noqa[SH502]
+        )
         if not accepted:
             self.counters["queue_stalls"] += 1
             return None

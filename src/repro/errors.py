@@ -114,9 +114,9 @@ class CheckError(SwiftSimError):
 
 
 class AnalysisError(SwiftSimError):
-    """The :mod:`repro.analyze` static analyzer was misused (unknown
-    rule, unparsable source, corrupt baseline) — distinct from findings,
-    which are reported, not raised."""
+    """The :mod:`repro.analyze` static analyzer was misused (unparsable
+    source, a path that is not Python, a noqa naming an unknown rule) —
+    distinct from findings, which are reported, not raised."""
 
 
 class UnknownRuleError(AnalysisError):

@@ -9,7 +9,7 @@ architects edit the file, the collector parses and validates it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -59,11 +59,35 @@ def gpu_config_from_dict(data: Dict[str, Any]) -> GPUConfig:
         l2 = CacheConfig(**payload.pop("l2"))
         noc = NoCConfig(**payload.pop("noc"))
         dram = DRAMConfig(**payload.pop("dram"))
-        return GPUConfig(sm=sm, l1=l1, l2=l2, noc=noc, dram=dram, **payload)
+        config = GPUConfig(sm=sm, l1=l1, l2=l2, noc=noc, dram=dram, **payload)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed GPU configuration: {exc}") from exc
+    _require_int_fields(config)
+    return config
+
+
+def _require_int_fields(config: Any) -> None:
+    """Every field declared ``int`` in ``config``'s dataclass tree holds
+    an ``int``; a ``bool`` is not one.
+
+    The range checks of :mod:`repro.frontend.config` pass ``2.5`` and
+    ``true`` for a count: read from a file, ``2.5`` would then fail in
+    the middle of a simulation and ``true`` would silently mean 1.
+    """
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        for part in value if isinstance(value, tuple) else (value,):
+            if is_dataclass(part):
+                _require_int_fields(part)
+        if spec.type == "int" and (
+            isinstance(value, bool) or not isinstance(value, int)
+        ):
+            raise ConfigError(
+                f"{type(config).__name__}.{spec.name} must be an integer, "
+                f"got {value!r}"
+            )
 
 
 def save_gpu_config(config: GPUConfig, path: Union[str, Path]) -> None:
@@ -77,9 +101,17 @@ def load_gpu_config(path: Union[str, Path]) -> GPUConfig:
     """Read and validate a GPU configuration file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"configuration file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"configuration file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers too long to
+        # convert; RecursionError, nesting too deep to parse.
+        raise ConfigError(
+            f"configuration file {path} is not valid JSON: {exc}"
+        ) from exc
     return gpu_config_from_dict(raw)

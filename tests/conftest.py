@@ -150,10 +150,9 @@ async def serve_connection(service, lines) -> list:
 
 def cross_shard_source(tick_body: str) -> str:
     """Source of two clocked modules that the partition puts in different
-    shards, with no port between them.  ``tick_body`` is one statement of
-    ``Producer.tick`` (line 17), where ``self.peer`` is the ``Queue``:
-    writing ``self.peer.drained`` there is an SH501 error, reading it an
-    SH503 warning."""
+    clock domains, with no port between them.  ``tick_body`` is one
+    statement of ``Producer.tick`` (line 17), where ``self.peer`` is the
+    ``Queue``: writing ``self.peer.drained`` there is an SH501 finding."""
     return (
         "from repro.sim.engine import ClockedModule\n"
         "\n"

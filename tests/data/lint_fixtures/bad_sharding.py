@@ -1,8 +1,8 @@
-"""Seeded shard-safety violations (SH5xx).
+"""Seeded shard-safety violations (SH501, SH502).
 
-``RxQueue`` and ``RacyProducer`` land in different shards (``noc`` vs
-``sm`` components, wired only by the port-marked ``enqueue``), so every
-direct touch between them crosses the proposed partition boundary.
+``RxQueue`` and ``RacyProducer`` land in different clock domains (wired
+only by the port-marked ``enqueue``), so every direct touch between them
+crosses a partition boundary.
 """
 
 from repro.sim.engine import ClockedModule
@@ -43,9 +43,7 @@ class RacyProducer(ClockedModule):
         self.scratch = {}
 
     def tick(self, cycle):
-        self.peer.drained = 0  # SH501: cross-shard write, no port
-        if self.peer.drained > 4:  # SH503: tick-order dependent read
-            return None
+        self.peer.drained = 0  # SH501: cross-domain write, no port
         self.scratch["cycle"] = cycle
         self.peer.enqueue(self.scratch, cycle)  # SH502: aliases scratch
         return None

@@ -15,17 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze import (
-    FAIL_ON,
-    FAMILIES,
-    RULES,
-    all_rules,
-    lint_paths,
-    resolve_rules,
-)
+from repro.analyze import RULES, lint_paths
 from repro.check import MODES, static_check
 from repro.cli import main
-from repro.errors import AnalysisError, CounterKindError
+from repro.errors import CounterKindError
 from repro.sim.module import Counters
 
 from conftest import cross_shard_source
@@ -38,32 +31,12 @@ EXPECTED = {
     "DT203": 1,  # set iteration in tick
     "SH501": 1,  # RacyProducer writes RxQueue.drained directly
     "SH502": 1,  # scratch dict aliased across the enqueue port
-    "SH503": 1,  # tick-order dependent read of peer.drained
 }
 
 
 @pytest.fixture(scope="module")
 def fixture_report():
-    return lint_paths([FIXTURES], fail_on="warning")
-
-
-class TestRuleCatalog:
-    def test_every_rule_registered_with_known_family(self):
-        assert len(all_rules()) == len(EXPECTED)
-        for rule in all_rules():
-            assert rule.id[:2] in FAMILIES
-            assert rule.severity in ("warning", "error")
-            assert rule.rationale
-
-    def test_resolve_by_family_prefix(self):
-        shard_safety = resolve_rules(["SH"])
-        assert sorted(r.id for r in shard_safety) == [
-            "SH501", "SH502", "SH503",
-        ]
-
-    def test_resolve_unknown_rule_raises(self):
-        with pytest.raises(AnalysisError):
-            resolve_rules(["XX999"])
+    return lint_paths([FIXTURES])
 
 
 class TestSeededFixtures:
@@ -72,10 +45,7 @@ class TestSeededFixtures:
         for finding in fixture_report.findings:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         assert counts == EXPECTED
-
-    def test_severities_follow_the_registry(self, fixture_report):
-        for finding in fixture_report.findings:
-            assert finding.severity == RULES[finding.rule].severity
+        assert sorted(EXPECTED) == sorted(RULES)
 
     def test_good_and_suppressed_files_stay_silent(self, fixture_report):
         flagged = {finding.path for finding in fixture_report.findings}
@@ -87,24 +57,27 @@ class TestSeededFixtures:
 
     def test_gate_fails_on_fresh_errors(self, fixture_report):
         assert not fixture_report.ok
-        assert len(fixture_report.errors) == 1
-        assert len(fixture_report.warnings) == 3
+        assert f"FAIL: {sum(EXPECTED.values())} finding(s)" in (
+            fixture_report.render()
+        )
 
 
 class TestNoqa:
-    def test_bare_noqa_suppresses_any_rule(self, tmp_path):
-        bad = tmp_path / "race.py"
-        bad.write_text(cross_shard_source(
-            "self.peer.drained = self.peer.drained + 1  # repro: noqa"
-        ))
-        report = lint_paths([bad], fail_on="warning")
-        assert report.findings == []
-        assert report.suppressed == 2
-
     def test_scoped_noqa_only_covers_listed_rules(self, tmp_path):
         bad = tmp_path / "race.py"
         bad.write_text(cross_shard_source(
-            "self.peer.drained = 0  # repro: noqa[SH503]"
+            "self.peer.drained = 0  # repro: noqa[DT203]"
+        ))
+        report = lint_paths([bad])
+        assert [f.rule for f in report.findings] == ["SH501"]
+        assert report.suppressed == 0
+
+    def test_noqa_covers_only_its_own_line(self, tmp_path):
+        bad = tmp_path / "race.py"
+        bad.write_text(cross_shard_source(
+            "self.peer.drained = (\n"
+            "            0  # repro: noqa[SH501]\n"
+            "        )"
         ))
         report = lint_paths([bad])
         assert [f.rule for f in report.findings] == ["SH501"]
@@ -113,38 +86,22 @@ class TestNoqa:
 
 class TestCli:
     def test_lint_fixtures_exits_nonzero(self, capsys):
-        assert main(["lint", str(FIXTURES), "--fail-on", "warning"]) == 1
+        assert main(["lint", str(FIXTURES)]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
 
-    def test_rule_selection_by_family(self, capsys):
-        assert main(["lint", str(FIXTURES), "--rules", "DT",
-                     "--fail-on", "warning"]) == 1
-        out = capsys.readouterr().out
-        assert "DT203" in out
-        assert "SH50" not in out
-
     def test_json_report(self, tmp_path, capsys):
         json_path = tmp_path / "lint.json"
-        main(["lint", str(FIXTURES), "--json", str(json_path)])
+        assert main(["lint", str(FIXTURES), "--json", str(json_path)]) == 1
         capsys.readouterr()
         payload = json.loads(json_path.read_text())
         assert payload["ok"] is False
-        assert payload["errors"] == 1
+        assert payload["suppressed"] == 1
         assert {f["rule"] for f in payload["findings"]} == set(EXPECTED)
-
-    def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in EXPECTED:
-            assert rule_id in out
 
     def test_bad_fail_on_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["lint", str(FIXTURES), "--fail-on", "everything"])
-
-    def test_unknown_rule_exits_two(self, capsys):
-        assert main(["lint", str(FIXTURES), "--rules", "XX999"]) == 2
 
     @pytest.mark.parametrize("retired", [
         ["--baseline", "baseline.json"],
@@ -152,6 +109,9 @@ class TestCli:
         ["--prune-baseline"],
         ["--cache", "ast.cache"],
         ["--format", "json"],
+        ["--rules", "DT"],
+        ["--fail-on", "warning"],
+        ["--list-rules"],
     ])
     def test_retired_flags_are_usage_errors(self, retired, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -160,32 +120,16 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestFailOnPolicy:
-    def test_fail_on_error_ignores_warnings(self, tmp_path):
-        bad = tmp_path / "warn_only.py"
-        bad.write_text(cross_shard_source("return self.peer.drained"))
-        strict = lint_paths([bad], fail_on="warning")
-        lax = lint_paths([bad], fail_on="error")
-        assert [f.rule for f in strict.findings] == ["SH503"]
-        assert not strict.ok
-        assert lax.ok
-
-    def test_fail_on_values_are_stable(self):
-        assert FAIL_ON == ("error", "warning")
-
-
 class TestStaticPillar:
     def test_mode_is_registered(self):
         assert "static" in MODES
 
     def test_violations_map_from_lint_errors(self):
         findings = static_check(paths=[FIXTURES])
-        rules_seen = {f.message.split()[0] for f in findings
-                      if f.severity == "violation"}
-        assert rules_seen == {
-            rule_id for rule_id, count in EXPECTED.items()
-            if RULES[rule_id].severity == "error"
-        }
+        assert sorted(f.message.split()[0] for f in findings) == sorted(
+            EXPECTED
+        )
+        assert {f.severity for f in findings} == {"violation"}
 
     def test_package_source_is_a_clean_pillar(self):
         findings = static_check(paths=[REPO_SRC])
@@ -195,7 +139,7 @@ class TestStaticPillar:
 
 class TestSelfLint:
     def test_repo_source_lints_clean(self):
-        report = lint_paths([REPO_SRC], fail_on="warning")
+        report = lint_paths([REPO_SRC])
         assert report.findings == [], "\n" + report.render()
         assert report.ok
         # The one waiver in src/ (an SH502 noqa) stays visible as a count.

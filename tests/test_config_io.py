@@ -73,6 +73,40 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             gpu_config_from_dict(data)
 
+    @pytest.mark.parametrize("raw", [
+        b'{"num_sms": "\xff\xfe"}',            # not UTF-8
+        b'{"num_sms": ' + b"9" * 5000 + b"}",    # an integer too long to parse
+        b"[" * 100000 + b"]" * 100000,           # nesting too deep to parse
+    ], ids=["invalid-utf8", "5000-digit-int", "deep-nesting"])
+    def test_unparseable_file_is_a_config_error(self, tmp_path, raw):
+        path = tmp_path / "gpu.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError):
+            load_gpu_config(path)
+
+    def test_directory_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_gpu_config(tmp_path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_sms", 2.5),
+        ("num_sms", True),
+        ("memory_partitions", 4.0),
+        ("l1.assoc", True),
+        ("sm.max_warps", 16.0),
+        ("sm.decode_latency", "2"),
+        ("sm.exec_units.0.latency", 4.5),
+    ])
+    def test_integer_fields_reject_other_types(self, field, value):
+        data = gpu_config_to_dict(make_tiny_gpu())
+        *parents, leaf = field.split(".")
+        node = data
+        for key in parents:
+            node = node[int(key)] if key.isdigit() else node[key]
+        node[leaf] = value
+        with pytest.raises(ConfigError, match="must be an integer"):
+            gpu_config_from_dict(data)
+
     def test_edited_file_changes_simulated_gpu(self, tmp_path):
         # The paper's workflow: architects edit config files to explore.
         path = tmp_path / "gpu.json"

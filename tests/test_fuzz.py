@@ -15,7 +15,11 @@ from repro.check import EngineSanitizer
 from repro.errors import SimulationError, SwiftSimError, TraceError
 from repro.frontend.trace import TraceInstruction
 from repro.frontend.trace_io import parse_trace, save_trace
-from repro.frontend.config_io import gpu_config_from_dict, gpu_config_to_dict
+from repro.frontend.config_io import (
+    gpu_config_from_dict,
+    gpu_config_to_dict,
+    load_gpu_config,
+)
 from repro.errors import ConfigError
 from repro.resilience.journal import RunJournal, result_to_dict
 from repro.serve.journal import ServeJournal
@@ -107,6 +111,10 @@ class TestAddressListFuzz:
             TraceInstruction(0, "LDG", (1,), (), mask, addresses)
 
 
+#: A valid configuration file, spliced with random bytes below.
+_CONFIG_BYTES = json.dumps(gpu_config_to_dict(make_tiny_gpu())).encode()
+
+
 class TestConfigFuzz:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -123,6 +131,24 @@ class TestConfigFuzz:
         corrupt(data.get("dram", {}))
         try:
             gpu_config_from_dict(data)
+        except ConfigError:
+            pass
+
+    @given(raw=st.one_of(
+        st.binary(max_size=300),
+        st.tuples(st.integers(0, len(_CONFIG_BYTES)), st.integers(0, 40),
+                  st.binary(max_size=40)).map(
+            lambda cut: _CONFIG_BYTES[:cut[0]] + cut[2]
+            + _CONFIG_BYTES[cut[0] + cut[1]:]),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_in_a_config_file_load_or_raise_config_error(
+        self, raw, tmp_path_factory
+    ):
+        path = tmp_path_factory.mktemp("config") / "gpu.json"
+        path.write_bytes(raw)
+        try:
+            load_gpu_config(path)
         except ConfigError:
             pass
 

@@ -38,11 +38,10 @@ HEAVY = {"numpy", "asyncio", "multiprocessing"}
 APPARATUS = ("repro.analyze", "repro.check", "repro.eval", "repro.guard",
              "repro.oracle", "repro.profile", "repro.serve")
 
-#: The three ``choices=`` tuples the CLI parser lists live in modules
-#: that import no pillar, rule or harness (the third is in
+#: The two ``choices=`` tuples the CLI parser lists live in modules
+#: that import no pillar, rule or harness (the second is in
 #: ``repro.resilience.policy``, outside the apparatus).
-PARSER_CHOICES = {"repro.check", "repro.check.report",
-                  "repro.analyze", "repro.analyze.findings"}
+PARSER_CHOICES = {"repro.check", "repro.check.report"}
 
 QUIET = "import contextlib, io, sys\nwith contextlib.redirect_stdout(io.StringIO()):\n    "
 
@@ -73,12 +72,12 @@ ENTRY_POINTS = {
     ),
     "cli-apps": (
         QUIET + "import repro.cli; assert repro.cli.main(['apps']) == 0",
-        28, PARSER_CHOICES,
+        26, PARSER_CHOICES,
     ),
     "cli-simulate": (
         QUIET + "import repro.cli; assert repro.cli.main("
         "['simulate', '--app', 'gemm', '--scale', 'tiny']) == 0",
-        59, PARSER_CHOICES,
+        57, PARSER_CHOICES,
     ),
 }
 

@@ -16,9 +16,7 @@ from pathlib import Path
 
 import pytest
 
-#: The seven aggregating packages of the issue, plus ``repro.analyze``:
-#: the CLI reads ``FAIL_ON`` from inside it to build ``repro lint``'s
-#: parser, which every command pays for.
+#: Every package whose ``__init__`` resolves its exports lazily.
 LAZY_PACKAGES = (
     "repro",
     "repro.analyze",

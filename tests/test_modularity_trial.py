@@ -1,20 +1,30 @@
 """The lint trials: seeded bugs vs the rules that survived them.
 
 The paper's hybrid modeling rests on modules that interact only through
-fixed interfaces (§III-B2).  These seeds are the measurements that
-decided which static rules exist (docs/parallel-engine.md § "Measurement
-2", docs/static-analysis.md § "Trial"); each is a few lines edited into
-a copy of the *real* ``core/`` and ``memory/`` sources.
+fixed interfaces (§III-B2).  Which static rules exist was decided by
+seeding real bugs into a copy of the *real* ``core/`` and ``memory/``
+sources and recording which detector fires under both
+``PYTHONHASHSEED=0`` and ``1`` (docs/static-analysis.md § "Trial").
+Three seeds are the reason a rule exists — no golden pin, no other
+tier-1 test and no runtime pillar reported them:
 
-* Seven port-contract violations — a cross-module state write that
-  bypasses its port, a mutable port argument the far side retains, a
-  tick-order-dependent read.  The golden cycle pins fire on all seven,
-  as on any timing change, and no runtime pillar kept today reports
-  any of them; the SH rules name every one.
-* One hash-seed-dependent iteration order in a tick.  Under
+* W5 — the swift-basic LD/ST unit resets its L1's replacement seed.
+  Cycles move only under RANDOM replacement, which nothing pins; SH501
+  names the write.
+* A3b — the analytical memory model keeps the calling LD/ST unit and
+  reads its port on the next call.  Only the model's
+  ``port_stall_cycles`` counter moves; SH502 names the retained alias.
+* D1 — one hash-seed-dependent iteration order in a tick.  Under
   ``PYTHONHASHSEED=0`` it moves a pinned counter, under ``1`` every
   tier-1 test and every pillar passes; DT203 is the one detector that
   fires under both.
+
+The first trial's cross-module writes (W1–W3) and retained port
+arguments (A1, A2) stay as lint cases because SH501 and SH502 still
+name them, though the golden pins catch each of them too.  Its two
+tick-order-dependent reads, and both module registration-order
+permutations, were caught by the pins under both hash seeds; the rule
+that named the reads is deleted, so they live in the docs table only.
 
 Each seed must be reported by exactly its rule at the seeded line, and
 the unseeded copy must be clean.  An anchor that no longer matches
@@ -52,17 +62,9 @@ _QUEUED_BODY = (
     "        self._last_l1_start = cycle\n"
     "        for sector_addr in sectors:\n"
 )
-_DETAILED_ISSUE = (
-    "        # The memory system retains listener/warp/inst until completion:\n"
-)
-_DETAILED_ACCEPT = (
-    "        self._port_free = cycle + 1\n"
-    "        self.counters[\"instructions\"] += 1\n"
-    "        return PENDING\n"
-)
-_DETAILED_TICK = (
-    "        self._tick_l1(cycle)\n"
-    "        return cycle + 1 if self.busy else None\n"
+_ANALYTICAL_CALL = (
+    "        completion, transactions = self.model.access_global("
+    "self.sm_id, inst, cycle)\n"
 )
 _DETAILED_STAGES = (
     "        self._run_events(cycle)\n"
@@ -85,18 +87,6 @@ def _retain(param: str, attr: str):
          "        if self._caller is not None:\n"
          f"            cycle = max(cycle, self._caller.{attr})\n"
          "        self._caller = caller\n" + _QUEUED_BODY),
-    ]
-
-
-def _contend(condition: str):
-    """``DetailedLDSTUnit.try_issue`` samples ``condition`` off the memory
-    system before issuing and holds its port a cycle longer when it was
-    true (the SH503 shape: the answer depends on which ticked first)."""
-    return [
-        (LDST, _DETAILED_ISSUE,
-         f"        contended = {condition}\n" + _DETAILED_ISSUE),
-        (LDST, _DETAILED_ACCEPT,
-         _DETAILED_ACCEPT.replace("cycle + 1\n", "cycle + 1 + contended\n")),
     ]
 
 
@@ -131,6 +121,12 @@ SEEDS = {
         [(LDST, _QUEUED_CALL,
           "        self.memory.drams.reverse()\n" + _QUEUED_CALL)],
     ),
+    "W5-ldst-reseeds-its-l1": (
+        "SH501", (LDST, "._seed = 0"),
+        [(LDST, _QUEUED_CALL,
+          "        self.memory.l1_caches[self.sm_id]._seed = 0\n"
+          + _QUEUED_CALL)],
+    ),
     "A1-memory-retains-calling-unit": (
         "SH502", (LDST, "= self.memory.access_global("),
         _retain("self", "port_free_cycle"),
@@ -139,20 +135,24 @@ SEEDS = {
         "SH502", (LDST, "= self.memory.access_global("),
         _retain("warp", "ready_cycle"),
     ),
-    "R1-ldst-reads-memory-busy-property": (
-        "SH503", (LDST, "contended = self.memory.busy"),
-        _contend("self.memory.busy"),
-    ),
-    "R2-ldst-reads-attribute-set-in-memory-tick": (
-        "SH503", (LDST, "contended = self.memory.last_tick == cycle - 1"),
-        _contend("self.memory.last_tick == cycle - 1") + [
-            (HIERARCHY, _DETAILED_TICK,
-             "        self.last_tick = cycle\n" + _DETAILED_TICK),
-            (HIERARCHY,
-             "        self._dram_busy = [0] * config.memory_partitions\n",
-             "        self._dram_busy = [0] * config.memory_partitions\n"
-             "        self.last_tick = -1\n"),
-        ],
+    "A3b-analytical-model-retains-ldst-unit": (
+        "SH502", (LDST, "self.model.access_global(self.sm_id, inst, cycle, self)"),
+        [(LDST, _ANALYTICAL_CALL,
+          _ANALYTICAL_CALL.replace("cycle)", "cycle, self)")),
+         (ANALYTICAL,
+          "        self, sm_id: int, inst: TraceInstruction, cycle: int\n",
+          "        self, sm_id: int, inst: TraceInstruction, cycle: int,"
+          " caller=None\n"),
+         (ANALYTICAL,
+          "        self._port_free = [0] * config.num_sms\n",
+          "        self._port_free = [0] * config.num_sms\n"
+          "        self._caller = None\n"),
+         (ANALYTICAL,
+          "        self.counters[\"global_instructions\"] += 1\n",
+          "        if self._caller is not None and self._caller.port_free_cycle > cycle:\n"
+          "            self.counters[\"port_stall_cycles\"] += 1\n"
+          "        self._caller = caller\n"
+          "        self.counters[\"global_instructions\"] += 1\n")],
     ),
     "D1-memory-stages-from-a-name-set": (
         "DT203", (HIERARCHY, "for stage in {"),
@@ -171,7 +171,7 @@ def _copy_tree(destination: Path) -> Path:
 
 
 def _findings(tree: Path):
-    report = lint_paths([tree], root=tree, fail_on="warning")
+    report = lint_paths([tree], root=tree)
     return [
         (finding.rule, finding.path, finding.line) for finding in report.findings
     ]

@@ -784,6 +784,8 @@ class TestRequestBoundary:
     @pytest.mark.parametrize("config", [
         {"num_sms": -1},
         dict(gpu_config_to_dict(make_tiny_gpu()), num_sms=-1),
+        dict(gpu_config_to_dict(make_tiny_gpu()), num_sms=2.5),
+        dict(gpu_config_to_dict(make_tiny_gpu()), num_sms=True),
     ])
     def test_an_invalid_config_is_refused_before_admission(self, tmp_path,
                                                            config):
