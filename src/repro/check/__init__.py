@@ -3,7 +3,7 @@
 Swift-Sim's speedups are *exactness claims*: clock jumping and hybrid
 modules must agree with per-cycle, cycle-accurate execution wherever
 their plans coincide.  This package turns those claims into
-machine-checked invariants, in eight pillars:
+machine-checked invariants, in seven pillars:
 
 1. :func:`~repro.check.sanitizer.sanitize_check` — runs every
    simulator with an :class:`~repro.check.sanitizer.EngineSanitizer`
@@ -22,16 +22,12 @@ machine-checked invariants, in eight pillars:
    seeded fault injection (:mod:`repro.resilience`) and sweeps resumed
    from a :class:`~repro.resilience.journal.RunJournal` must converge
    bit-identically to a clean run;
-6. :func:`~repro.check.static.static_check` — the :mod:`repro.analyze`
-   framework-contract linter run as a pillar: the package's own source
-   must pass the determinism (DT203) and shard-safety (SH501, SH502)
-   rules (see ``docs/static-analysis.md``);
-7. :func:`~repro.check.guard.guard_check` — :mod:`repro.guard` runs
+6. :func:`~repro.check.guard.guard_check` — :mod:`repro.guard` runs
    (watchdog + invariant guards armed) must be bit-identical to
    unguarded runs, and injected stall and invariant saboteurs must be
    caught, named, and leave a forensic bundle (see
    ``docs/robustness-guard.md``);
-8. :func:`~repro.check.serve.serve_check` — the sweep service
+7. :func:`~repro.check.serve.serve_check` — the sweep service
    (:mod:`repro.serve`) killed mid-sweep and restarted must converge
    bit-identically to an uninterrupted server, grid re-submission must
    be >90% cache hits, and degraded answers must carry their tags and
@@ -63,7 +59,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.check.sanitizer": ("EngineSanitizer", "sanitize_check"),
     "repro.check.serve": ("serve_check",),
     "repro.check.shadow": ("TICK_OBSERVER_COUNTERS", "shadow_jump_check"),
-    "repro.check.static": ("static_check",),
 })
 
 __all__ = [
@@ -83,5 +78,4 @@ __all__ = [
     "select_apps",
     "serve_check",
     "shadow_jump_check",
-    "static_check",
 ]

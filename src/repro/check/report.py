@@ -25,7 +25,7 @@ SEVERITIES = ("info", "violation")
 #: pillar.
 MODES = (
     "shadow-jump", "differential", "determinism", "sanitize",
-    "resilience", "static", "guard", "serve", "all",
+    "resilience", "guard", "serve", "all",
 )
 
 

@@ -25,7 +25,6 @@ from repro.check.report import MODES, CheckFinding, CheckReport
 from repro.check.resilience import resilience_check
 from repro.check.sanitizer import sanitize_check
 from repro.check.shadow import shadow_jump_check
-from repro.check.static import static_check
 
 #: One pillar: (config, app names, scale, simulator classes, workers,
 #: tolerance, progress) -> findings.  ``progress`` takes a one-line
@@ -133,10 +132,6 @@ def _resilience(config, names, scale, classes, workers, tolerance, progress):
     )
 
 
-def _static(config, names, scale, classes, workers, tolerance, progress):
-    return static_check()
-
-
 def _serve(config, names, scale, classes, workers, tolerance, progress):
     from repro.check.serve import serve_check
 
@@ -152,7 +147,6 @@ PILLARS: Dict[str, Pillar] = {
     "determinism": _determinism,
     "sanitize": sanitize_check,
     "resilience": _resilience,
-    "static": _static,
     "guard": guard_check,
     "serve": _serve,
 }

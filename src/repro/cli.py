@@ -21,12 +21,10 @@ Everything a downstream user needs without writing Python::
     python -m repro serve    --socket serve.sock --store serve-store
     python -m repro submit   --socket serve.sock --apps bfs,gemm \\
                              --grid "num_sms=34,68"
-    python -m repro lint     src
 
 All commands return a process exit code of 0 on success; configuration
-or workload errors print a one-line message and return 2.  ``check`` and
-``lint`` additionally return 1 when a verification invariant is violated
-(for ``lint``: any finding).
+or workload errors print a one-line message and return 2.  ``check``
+additionally returns 1 when a verification invariant is violated.
 """
 
 from __future__ import annotations
@@ -282,17 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print server stats and exit")
     submit.add_argument("--drain", action="store_true",
                         help="drain and shut down the server")
-
-    lint = commands.add_parser(
-        "lint",
-        help="run the framework-contract static analyzer over source trees",
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument("--json", dest="json_out",
-                      help="write the machine-readable report to this path")
     return parser
 
 
@@ -601,21 +588,6 @@ def _cmd_guard(args) -> None:
             print(f"bundle     : {bundle}")
 
 
-def _cmd_lint(args) -> None:
-    from pathlib import Path
-
-    from repro.analyze import lint_paths
-
-    report = lint_paths([Path(p) for p in args.paths])
-    print(report.render())
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote JSON report to {args.json_out}")
-    if not report.ok:
-        raise _CheckFailed()
-
-
 class _CheckFailed(Exception):
     """Signals a completed check run that found violations (exit code 1)."""
 
@@ -745,7 +717,6 @@ _COMMANDS = {
     "guard": _cmd_guard,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
-    "lint": _cmd_lint,
 }
 
 

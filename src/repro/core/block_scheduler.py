@@ -45,7 +45,7 @@ class BlockScheduler(Module, BlockSource):
     def all_done(self) -> bool:
         return self._completed == len(self.kernel.blocks)
 
-    def peek_block(self) -> Optional[BlockTrace]:  # repro: port
+    def peek_block(self) -> Optional[BlockTrace]:
         """Next pending block without dispatching it (SMs check fit first)."""
         if not self._queue:
             return None

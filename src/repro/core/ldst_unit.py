@@ -146,7 +146,7 @@ class DetailedLDSTUnit(Module, InstructionSink):
         # The memory system retains listener/warp/inst until completion:
         # that alias IS the designed completion back-channel (it answers
         # through the on_complete port, never by mutating them mid-run).
-        accepted = self.memory.issue_global(  # repro: noqa[SH502]
+        accepted = self.memory.issue_global(
             self.sm_id, self.listener, warp, inst, cycle
         )
         if not accepted:

@@ -113,18 +113,6 @@ class CheckError(SwiftSimError):
     running in strict mode."""
 
 
-class AnalysisError(SwiftSimError):
-    """The :mod:`repro.analyze` static analyzer was misused (unparsable
-    source, a path that is not Python, a noqa naming an unknown rule) —
-    distinct from findings, which are reported, not raised."""
-
-
-class UnknownRuleError(AnalysisError):
-    """A ``# repro: noqa[RULE]`` comment names a rule the catalog does
-    not know.  A typo'd suppression silently suppresses nothing, so it
-    is rejected loudly instead of ignored."""
-
-
 class CounterKindError(MetricsError):
     """A counter name was used with both sum semantics (``+=``) and
     max semantics (``peak``); the mixed value would be meaningless."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.errors import TraceError
+from repro.errors import TraceCorruption, TraceError
 from repro.frontend.isa import OPCODES
 from repro.frontend.trace import (
     WARP_SIZE,
@@ -106,7 +106,13 @@ class _NVBitParser:
         self._index = 0
 
     def _fail(self, message: str) -> None:
-        raise TraceError(f"{self._source}:{self._index}: {message}")
+        raise TraceCorruption(message, source=self._source, line=self._index)
+
+    def _int(self, text: str, what: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            self._fail(f"{what} is not an integer: {text.strip()!r}")
 
     def _next_meaningful(self) -> Optional[str]:
         while self._index < len(self._lines):
@@ -129,25 +135,24 @@ class _NVBitParser:
             raise TraceError(f"{self._source}: no kernels found")
         return ApplicationTrace(app_name, kernels, suite=suite)
 
-    def _header_value(self, line: str, key: str) -> str:
-        if "=" not in line or not line.startswith(f"-{key}"):
+    def _header_value(self, line: Optional[str], key: str) -> str:
+        if line is None or "=" not in line or not line.startswith(f"-{key}"):
             self._fail(f"expected '-{key} = ...', got {line!r}")
         return line.split("=", 1)[1].strip()
 
-    @staticmethod
-    def _parse_dim(text: str) -> Tuple[int, int, int]:
-        stripped = text.strip().strip("()")
-        parts = [int(v) for v in stripped.split(",")]
+    def _parse_dim(self, key: str) -> Tuple[int, int, int]:
+        text = self._header_value(self._next_meaningful(), key)
+        parts = [self._int(v, key) for v in text.strip("()").split(",")]
         while len(parts) < 3:
             parts.append(1)
         return parts[0], parts[1], parts[2]
 
     def _parse_kernel(self, first_line: str) -> KernelTrace:
         name = self._header_value(first_line, "kernel name")
-        grid = self._parse_dim(self._header_value(self._next_meaningful(), "grid dim"))
-        block_dim = self._parse_dim(self._header_value(self._next_meaningful(), "block dim"))
-        shmem = int(self._header_value(self._next_meaningful(), "shmem"))
-        nregs = int(self._header_value(self._next_meaningful(), "nregs"))
+        grid = self._parse_dim("grid dim")
+        block_dim = self._parse_dim("block dim")
+        shmem = self._int(self._header_value(self._next_meaningful(), "shmem"), "shmem")
+        nregs = self._int(self._header_value(self._next_meaningful(), "nregs"), "nregs")
         num_blocks = grid[0] * grid[1] * grid[2]
         threads = block_dim[0] * block_dim[1] * block_dim[2]
         warps_per_block = max(1, (threads + WARP_SIZE - 1) // WARP_SIZE)
@@ -181,13 +186,15 @@ class _NVBitParser:
         line = self._next_meaningful()
         if not line or not line.startswith("warp"):
             self._fail(f"expected 'warp = N', got {line!r}")
-        warp_id = int(line.split("=", 1)[1]) if "=" in line else int(line.split()[-1])
+        warp_id = self._int(
+            line.split("=", 1)[1] if "=" in line else line.split()[-1], "warp"
+        )
         if warp_id != expected_warp:
             self._fail(f"expected warp {expected_warp}, trace says {warp_id}")
         line = self._next_meaningful()
-        if not line or not line.startswith("insts"):
+        if not line or not line.startswith("insts") or "=" not in line:
             self._fail(f"expected 'insts = N', got {line!r}")
-        count = int(line.split("=", 1)[1])
+        count = self._int(line.split("=", 1)[1], "insts")
         instructions = [self._parse_instruction() for __ in range(count)]
         if not instructions or instructions[-1].opcode != "EXIT":
             pc = instructions[-1].pc + 16 if instructions else 0
@@ -266,9 +273,18 @@ def load_nvbit(
     """Load an Accel-Sim/NVBit trace file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise TraceError(f"trace file not found: {path}") from None
+    except OSError as exc:
+        raise TraceError(f"cannot read trace file {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceCorruption(
+            f"not UTF-8 text: {exc.reason}", source=str(path),
+            line=raw.count(b"\n", 0, exc.start) + 1,
+        ) from None
     return parse_nvbit(
         text, app_name=app_name or path.stem, source=str(path), strict=strict
     )

@@ -221,7 +221,7 @@ class AnalyticalMemoryModel(Module):
         self._port_free = [0] * self.config.num_sms
         self._dram_virtual = 0.0
 
-    def access_global(  # repro: port
+    def access_global(
         self, sm_id: int, inst: TraceInstruction, cycle: int
     ) -> Tuple[int, int]:
         """Resolve one memory instruction; returns (completion, transactions)."""

@@ -118,7 +118,7 @@ class QueuedMemorySystem(Module):
 
     # ------------------------------------------------------------------
 
-    def access_global(  # repro: port
+    def access_global(
         self, sm_id: int, inst: TraceInstruction, cycle: int
     ) -> Tuple[int, int, int]:
         """Resolve one global/local memory instruction issued at ``cycle``.
@@ -419,7 +419,7 @@ class DetailedMemorySystem(ClockedModule):
     # ------------------------------------------------------------------
     # SM-facing interface
 
-    def issue_global(  # repro: port
+    def issue_global(
         self,
         sm_id: int,
         listener: CompletionListener,

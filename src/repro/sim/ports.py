@@ -81,7 +81,7 @@ class BlockSource(ABC):
     def block_done(self, sm_id: int, block, cycle: int) -> None:
         """Report that ``block`` finished on ``sm_id`` at ``cycle``."""
 
-    def peek_block(self):  # repro: port
+    def peek_block(self):
         """The block :meth:`next_block` would hand out, without
         dispatching it, or ``None`` when none remain.  An SM takes a block
         only after peeking that it fits, so a source that has blocks to

@@ -147,28 +147,3 @@ async def serve_connection(service, lines) -> list:
     await service._handle_connection(reader, writer)
     return [json.loads(line) for line in writer.data.splitlines()]
 
-
-def cross_shard_source(tick_body: str) -> str:
-    """Source of two clocked modules that the partition puts in different
-    clock domains, with no port between them.  ``tick_body`` is one
-    statement of ``Producer.tick`` (line 17), where ``self.peer`` is the
-    ``Queue``: writing ``self.peer.drained`` there is an SH501 finding."""
-    return (
-        "from repro.sim.engine import ClockedModule\n"
-        "\n"
-        "class Queue(ClockedModule):\n"
-        "    component = 'noc'\n"
-        "    def __init__(self):\n"
-        "        super().__init__('queue')\n"
-        "        self.drained = 0\n"
-        "    def tick(self, cycle):\n"
-        "        self.drained += 1\n"
-        "\n"
-        "class Producer(ClockedModule):\n"
-        "    component = 'sm'\n"
-        "    def __init__(self, peer: Queue):\n"
-        "        super().__init__('producer')\n"
-        "        self.peer = peer\n"
-        "    def tick(self, cycle):\n"
-        f"        {tick_body}\n"
-    )

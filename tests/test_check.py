@@ -365,7 +365,7 @@ class TestRunner:
     def test_all_modes_run_over_one_app(self, tiny_gpu):
         assert set(MODES) == {
             "shadow-jump", "differential", "determinism",
-            "sanitize", "resilience", "static", "guard", "serve", "all"
+            "sanitize", "resilience", "guard", "serve", "all"
         }
         assert set(MODES) == {*PILLARS, "all"}
         report = run_checks(tiny_gpu, mode="all", apps=["gemm"], scale="tiny")
@@ -373,7 +373,7 @@ class TestRunner:
         assert report.checks_run > 0
         checks_seen = {f.check for f in report.findings}
         assert {"shadow-jump", "differential",
-                "determinism", "sanitizer", "resilience", "static",
+                "determinism", "sanitizer", "resilience",
                 "guard"} <= checks_seen
 
 

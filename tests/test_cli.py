@@ -169,6 +169,12 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out and "exceeds" in out
 
+    def test_check_static_mode_is_gone_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--mode", "static"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'static'" in capsys.readouterr().err
+
     def test_check_unknown_suite_exits_2(self, capsys, tiny_config_path):
         code = main([
             "check", "--suite", "spec2017", "--config", tiny_config_path,

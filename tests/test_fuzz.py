@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.check import EngineSanitizer
 from repro.errors import SimulationError, SwiftSimError, TraceError
+from repro.frontend.nvbit_compat import load_nvbit, parse_nvbit
 from repro.frontend.trace import TraceInstruction
 from repro.frontend.trace_io import parse_trace, save_trace
 from repro.frontend.config_io import (
@@ -113,6 +114,80 @@ class TestAddressListFuzz:
 
 #: A valid configuration file, spliced with random bytes below.
 _CONFIG_BYTES = json.dumps(gpu_config_to_dict(make_tiny_gpu())).encode()
+
+
+_NVBIT_HEADER = "-kernel name = k\n-grid dim = (1,1,1)\n-block dim = (32,1,1)\n"
+_NVBIT_BLOCK = (
+    "-shmem = 0\n-nregs = 8\n#BEGIN_TB\nthread block = 0,0,0\n"
+    "warp = 0\ninsts = 2\n"
+    "0008 ffffffff 1 R5 LDG.E 1 R4 4 1 0x1000 4\n"
+    "0010 ffffffff 0 EXIT 0 0\n#END_TB\n"
+)
+_NVBIT_LINES = (_NVBIT_HEADER + _NVBIT_BLOCK).splitlines()
+
+#: name -> (trace text, line the error must name); each escaped the
+#: parser untyped (ValueError or TypeError) before it failed closed.
+_BAD_NVBIT = {
+    "grid-dim-not-a-number": (_NVBIT_HEADER.replace("(1,1,1)", "(a,1,1)"), 2),
+    "shmem-not-a-number": (
+        _NVBIT_HEADER + _NVBIT_BLOCK.replace("shmem = 0", "shmem = x"), 4),
+    "warp-id-not-a-number": (
+        _NVBIT_HEADER + _NVBIT_BLOCK.replace("warp = 0", "warp = q"), 8),
+    "ends-after-kernel-name": ("-kernel name = k\n", 1),
+}
+
+
+class TestNVBitFuzz:
+    """The Accel-Sim/NVBit importer fails closed: text either parses or
+    raises :class:`TraceError` naming the source and the line."""
+
+    def test_the_base_trace_parses(self):
+        assert parse_nvbit(_NVBIT_HEADER + _NVBIT_BLOCK).num_instructions == 2
+
+    @pytest.mark.parametrize("case", sorted(_BAD_NVBIT))
+    def test_malformed_header_is_a_trace_error(self, case):
+        text, line = _BAD_NVBIT[case]
+        with pytest.raises(TraceError, match=f"^<string>:{line}: "):
+            parse_nvbit(text)
+
+    def test_directory_is_a_trace_error(self, tmp_path):
+        with pytest.raises(TraceError, match="cannot read trace file") as raised:
+            load_nvbit(tmp_path)
+        assert str(tmp_path) in str(raised.value)
+
+    def test_invalid_utf8_is_a_trace_error(self, tmp_path):
+        path = tmp_path / "k.trace"
+        path.write_bytes(_NVBIT_HEADER.encode() + b"-shmem = \xff\n")
+        with pytest.raises(TraceError, match=f"^{path}:4: not UTF-8"):
+            load_nvbit(path)
+
+    @given(st.text(max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_any_text_parses_or_raises_trace_error(self, text):
+        try:
+            parse_nvbit(text)
+        except TraceError:
+            pass
+
+    @given(st.integers(0, len(_NVBIT_LINES) - 1), st.text(max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_corrupting_any_line_parses_or_raises_trace_error(self, index, junk):
+        lines = list(_NVBIT_LINES)
+        lines[index] += junk
+        try:
+            parse_nvbit("\n".join(lines))
+        except TraceError:
+            pass
+
+    @given(raw=st.binary(max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_any_bytes_load_or_raise_trace_error(self, raw, tmp_path_factory):
+        path = tmp_path_factory.mktemp("nvbit") / "fuzzed.trace"
+        path.write_bytes(raw)
+        try:
+            load_nvbit(path)
+        except TraceError:
+            pass
 
 
 class TestConfigFuzz:

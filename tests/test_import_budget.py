@@ -35,11 +35,11 @@ HEAVY = {"numpy", "asyncio", "multiprocessing"}
 
 #: Apparatus around the simulator; an entry point may load from these
 #: only what its row allows by name.
-APPARATUS = ("repro.analyze", "repro.check", "repro.eval", "repro.guard",
-             "repro.oracle", "repro.profile", "repro.serve")
+APPARATUS = ("repro.check", "repro.eval", "repro.guard", "repro.oracle",
+             "repro.profile", "repro.serve")
 
 #: The two ``choices=`` tuples the CLI parser lists live in modules
-#: that import no pillar, rule or harness (the second is in
+#: that import no pillar or harness (the second is in
 #: ``repro.resilience.policy``, outside the apparatus).
 PARSER_CHOICES = {"repro.check", "repro.check.report"}
 

@@ -19,7 +19,6 @@ import pytest
 #: Every package whose ``__init__`` resolves its exports lazily.
 LAZY_PACKAGES = (
     "repro",
-    "repro.analyze",
     "repro.check",
     "repro.eval",
     "repro.guard",

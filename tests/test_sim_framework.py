@@ -96,6 +96,34 @@ class TestCounters:
         with pytest.raises(CounterKindError):
             twin.peak("issued", 1)
 
+    def test_add_then_peak_on_one_name_raises(self):
+        counters = Counters()
+        counters["issued"] += 1
+        with pytest.raises(CounterKindError):
+            counters.peak("issued", 5)
+
+    def test_peak_then_add_on_one_name_raises(self):
+        counters = Counters()
+        counters.peak("occupancy", 3)
+        with pytest.raises(CounterKindError):
+            counters["occupancy"] += 1
+
+    def test_same_kind_reuse_is_fine(self):
+        counters = Counters()
+        counters["issued"] += 2
+        counters["issued"] += 3
+        counters.peak("occupancy", 1)
+        counters.peak("occupancy", 4)
+        assert counters.get("issued") == 5
+        assert counters.get("occupancy") == 4
+
+    def test_reset_forgets_kinds(self):
+        counters = Counters()
+        counters["issued"] += 1
+        counters.reset()
+        counters.peak("issued", 7)
+        assert counters.get("issued") == 7
+
 
 class TestModuleTree:
     def test_walk_depth_first(self):
