@@ -24,23 +24,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.frontend.trace import ApplicationTrace
+from repro.sim.module import TICK_OBSERVER_COUNTERS
 from repro.simulators.base import PlanSimulator
 from repro.simulators.results import SimulationResult
 from repro.check.report import CheckFinding, info, violation
-
-#: Counters that tally engine ticks (or per-tick conditions) rather than
-#: architectural events.  Each is incremented at most once per tick a
-#: module receives, so per-cycle clocking legitimately inflates them.
-TICK_OBSERVER_COUNTERS = frozenset({
-    "active_cycles",
-    "idle_cycles",
-    "stalled_cycles",
-    "dispatch_stalls",
-    "scoreboard_wait_cycles",
-    "drain_wait_cycles",
-    "fetch_idle_cycles",
-    "ibuffer_empty_cycles",
-})
 
 _CHECK = "shadow-jump"
 

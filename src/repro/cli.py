@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     compare = commands.add_parser(
-        "compare", help="run all three simulators plus the hardware oracle"
+        "compare", help="run every registered simulator plus the hardware oracle"
     )
     add_common(compare, with_simulator=False)
 
@@ -405,12 +405,29 @@ def _cmd_compare(args) -> None:
               f"{result.wall_time_seconds:>7.2f}s {speedup:>7.1f}x")
 
 
+def _engine_tier(args):
+    """The ``--simulator`` class of a command that observes an engine;
+    a closed-form tier is refused before anything is built."""
+    from repro.simulators import PlanSimulator
+
+    simulator_cls = SIMULATORS[args.simulator]
+    if not issubclass(simulator_cls, PlanSimulator):
+        engine_tiers = [name for name, cls in SIMULATORS.items()
+                        if issubclass(cls, PlanSimulator)]
+        raise SwiftSimError(
+            f"{args.command} needs an engine tier, and {args.simulator} "
+            f"has no engine; use one of {engine_tiers}"
+        )
+    return simulator_cls
+
+
 def _cmd_analyze(args) -> None:
     from repro.eval.bottleneck import analyze as analyze_metrics
 
+    simulator_cls = _engine_tier(args)
     gpu = _resolve_gpu(args)
     app = _resolve_app(args)
-    simulator = SIMULATORS[args.simulator](gpu)
+    simulator = simulator_cls(gpu)
     result = simulator.simulate(app)
     print(f"{app.name} on {gpu.name} via {result.simulator_name}: "
           f"{result.total_cycles} cycles, IPC {result.ipc:.3f}")
@@ -560,9 +577,10 @@ def _cmd_eval(args) -> None:
 def _cmd_guard(args) -> None:
     from repro.guard import GuardConfig, SimulationGuard
 
+    simulator_cls = _engine_tier(args)
     gpu = _resolve_gpu(args)
     app = _resolve_app(args)
-    simulator = SIMULATORS[args.simulator](gpu)
+    simulator = simulator_cls(gpu)
     config = GuardConfig(
         watchdog=not args.no_watchdog,
         invariants=not args.no_invariants,

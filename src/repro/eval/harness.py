@@ -174,14 +174,20 @@ class EvaluationHarness:
         like :class:`~repro.errors.CycleBudgetExceeded` (a truncated
         run is a gap, never a silently-wrong measurement) and
         :class:`~repro.errors.SimulationStall`.  With a ``journal``,
-        completed (app, gpu, simulator) triples are served from it and
-        fresh completions appended, so an interrupted sweep resumes
-        where it stopped.
+        completed (app, gpu, ``simulator.name``) triples are served from
+        it and fresh completions appended, so an interrupted sweep
+        resumes where it stopped.
         """
         if failure_policy not in FAILURE_POLICIES:
             raise WorkloadError(
                 f"unknown failure_policy {failure_policy!r}; "
                 f"known: {FAILURE_POLICIES}"
+            )
+        names = [simulator.name for simulator in simulators.values()]
+        if journal is not None and len(set(names)) < len(names):
+            raise WorkloadError(
+                f"a journal keys results on simulator.name, and {sorted(names)} "
+                f"repeats one: two simulators would share results"
             )
         suite = SuiteEvaluation(gpu_name=self.config.name, scale=self.scale)
         for app_name in self.app_list:
@@ -194,7 +200,7 @@ class EvaluationHarness:
             row_failures: List[FailureRecord] = []
             for sim_name, simulator in simulators.items():
                 result = (
-                    journal.get(app.name, self.config.name, sim_name)
+                    journal.get(app.name, self.config.name, simulator.name)
                     if journal is not None else None
                 )
                 if result is None:
@@ -211,16 +217,7 @@ class EvaluationHarness:
                         ))
                         continue
                     if journal is not None:
-                        # Journal triples key on the harness's name for
-                        # the simulator, which may differ from the
-                        # plan's internal name.
-                        entry = result
-                        if result.simulator_name != sim_name:
-                            import copy
-
-                            entry = copy.copy(result)
-                            entry.simulator_name = sim_name
-                        journal.record(entry)
+                        journal.record(result)
                 row.cycles[sim_name] = result.total_cycles
                 row.wall_seconds[sim_name] = result.wall_time_seconds
             suite.failures.extend(row_failures)

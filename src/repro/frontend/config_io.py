@@ -4,16 +4,19 @@ Configurations are stored as JSON with one object per component, mirroring
 the dataclass tree in :mod:`repro.frontend.config`.  This is the
 "configuration files" half of the Hardware Configuration Collector:
 architects edit the file, the collector parses and validates it.
+:func:`config_hash` is a configuration's content identity, over the
+:func:`canonical_json` form the sweep service also hashes requests by.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ServeError
 from repro.frontend.config import (
     CacheConfig,
     DRAMConfig,
@@ -115,3 +118,63 @@ def load_gpu_config(path: Union[str, Path]) -> GPUConfig:
             f"configuration file {path} is not valid JSON: {exc}"
         ) from exc
     return gpu_config_from_dict(raw)
+
+
+def canonical(value):
+    """Recursively normalize ``value`` for hashing.
+
+    Fixes the two ways semantically-equal configs diverge textually:
+    dict keys are sorted at every nesting level, and a float with an
+    integral value collapses to an int (``2.0`` and ``2`` hash alike; a
+    non-integral float keeps Python's shortest ``repr``).  NaN and the
+    infinities cannot round-trip JSON and never appear in a valid
+    config: they are refused.
+    """
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise ServeError(
+                f"cannot canonicalize non-finite float {value!r}"
+            )
+        if value.is_integer():
+            return int(value)
+        return value
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise ServeError(
+                    f"cannot canonicalize non-string dict key {key!r}"
+                )
+        return {key: canonical(value[key]) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    raise ServeError(
+        f"cannot canonicalize value of type {type(value).__name__}"
+    )
+
+
+def canonical_json(value) -> str:
+    """The canonical wire/hash form: sorted keys, compact separators."""
+    try:
+        return json.dumps(
+            canonical(value), sort_keys=True, separators=(",", ":"),
+            allow_nan=False,
+        )
+    except RecursionError:
+        raise ServeError(
+            "cannot canonicalize a value nested this deeply"
+        ) from None
+
+
+def config_hash(config) -> str:
+    """sha256 of a GPU configuration (accepts ``GPUConfig`` or the
+    ``gpu_config_to_dict`` form): the one config identity the result
+    store, the ``repro eval`` journal and forensic bundles record."""
+    # Imported here: hashlib maps OpenSSL (3.5 MiB resident, CPython 3.11
+    # on Linux), and every simulation imports this module but hashes nothing.
+    import hashlib
+
+    if isinstance(config, GPUConfig):
+        config = gpu_config_to_dict(config)
+    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()

@@ -27,15 +27,11 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.guard.config": ("NO_GUARD", "GuardConfig"),
-    "repro.guard.forensic": ("config_hash", "write_bundle"),
+    "repro.guard.forensic": ("write_bundle",),
     "repro.guard.guard": ("SimulationGuard",),
     "repro.guard.invariants": ("InvariantGuard",),
     "repro.guard.saboteur": ("InvariantSaboteur", "StallSaboteur"),
-    "repro.guard.watchdog": (
-        "PROGRESS_IGNORED_COUNTERS",
-        "ProgressWatchdog",
-        "progress_signature",
-    ),
+    "repro.guard.watchdog": ("ProgressWatchdog", "progress_signature"),
 })
 
 __all__ = [
@@ -43,11 +39,9 @@ __all__ = [
     "InvariantGuard",
     "InvariantSaboteur",
     "NO_GUARD",
-    "PROGRESS_IGNORED_COUNTERS",
     "ProgressWatchdog",
     "SimulationGuard",
     "StallSaboteur",
-    "config_hash",
     "progress_signature",
     "write_bundle",
 ]

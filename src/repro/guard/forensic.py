@@ -7,7 +7,7 @@ A bundle preserves it on disk first:
 .. code-block:: text
 
     <bundle_dir>/bundle_<kind>_c<cycle>/
-        manifest.json       kind, cycle, config hash, diagnosis, run meta
+        manifest.json       kind, cycle, diagnosis, run meta (config hash)
         modules.json        per-module state_summary() + counters
         trace_window.jsonl  trailing engine events (tick/wake), one per line
 
@@ -19,34 +19,11 @@ byte-identical bundles.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.engine import Engine
-
-
-def config_hash(config: object) -> str:
-    """Stable hash of a GPU configuration for a bundle's run meta.
-
-    Accepts either a :class:`repro.frontend.GPUConfig`-shaped object or
-    a plain dict; unknown shapes hash their ``repr`` (still stable for
-    dataclasses).
-    """
-    if isinstance(config, dict):
-        payload = config
-    else:
-        # Local import: keeps repro.guard importable without dragging
-        # the frontend in for engine-only users.
-        try:
-            from repro.frontend.config_io import gpu_config_to_dict
-
-            payload = gpu_config_to_dict(config)
-        except Exception:
-            payload = {"repr": repr(config)}
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _module_records(engine: Engine) -> List[Dict[str, object]]:

@@ -20,8 +20,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.frontend.config_io import config_hash
 from repro.guard.config import GuardConfig
-from repro.guard.forensic import config_hash, write_bundle
+from repro.guard.forensic import write_bundle
 from repro.guard.invariants import InvariantGuard
 from repro.guard.saboteur import InvariantSaboteur, StallSaboteur
 from repro.guard.watchdog import ProgressWatchdog

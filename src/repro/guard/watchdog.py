@@ -19,26 +19,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import SimulationStall
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
-
-# Counters that increment merely because a module *ticked* (cycle
-# bookkeeping), not because it advanced architectural state.  A livelock
-# keeps these climbing while everything here-excluded stays flat, so the
-# progress signature must ignore them.  Kept textually in sync with
-# ``repro.check.shadow.TICK_OBSERVER_COUNTERS`` (a test asserts this)
-# rather than imported: repro.check sits *above* the simulators in the
-# layering and repro.guard must stay below them.
-PROGRESS_IGNORED_COUNTERS = frozenset(
-    {
-        "active_cycles",
-        "idle_cycles",
-        "stalled_cycles",
-        "dispatch_stalls",
-        "scoreboard_wait_cycles",
-        "drain_wait_cycles",
-        "fetch_idle_cycles",
-        "ibuffer_empty_cycles",
-    }
-)
+from repro.sim.module import TICK_OBSERVER_COUNTERS
 
 #: Trailing engine events (tick/wake) the watchdog keeps for a forensic
 #: bundle's ``trace_window.jsonl``.
@@ -55,7 +36,7 @@ def progress_signature(engine: Engine) -> int:
     for root in engine.modules:
         for module in root.walk():
             for name, value in module.counters.as_dict().items():
-                if name not in PROGRESS_IGNORED_COUNTERS:
+                if name not in TICK_OBSERVER_COUNTERS:
                     total += value
     return total
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from weakref import WeakKeyDictionary
 from typing import Dict, List, Tuple
 
+from repro.errors import PlanError
 from repro.frontend.config import GPUConfig
 from repro.frontend.isa import InstKind, MemSpace
 from repro.frontend.trace import KernelTrace, TraceInstruction
@@ -39,6 +40,19 @@ from repro.utils.bitops import ceil_div
 #: config object (compared by identity) profiles the app, so a design-
 #: space sweep cannot accumulate dead entries.
 _PROFILE_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
+
+#: The hit-rate sources :meth:`MemoryProfile.for_application` knows.  A
+#: simulator checks its source against these when it is built, inline:
+#: building one makes no extra call.
+HIT_RATE_SOURCES = ("cache_sim", "reuse_distance")
+
+
+def unknown_hit_rate_source(source: str) -> PlanError:
+    """The error for a simulator built with a source not in
+    :data:`HIT_RATE_SOURCES`."""
+    return PlanError(
+        f"hit_rate_source must be one of {HIT_RATE_SOURCES}, got {source!r}"
+    )
 
 
 class MemoryProfile:

@@ -6,28 +6,20 @@
 :class:`~repro.simulators.results.SimulationResult` and the
 :class:`~repro.profile.report.ProfileReport` built from it.
 
-Simulators that never clock an engine (the interval model runs a purely
-analytical pass and takes no ``checker``) still get a report — phases
-and wall-clock come from the result; the module table is simply empty.
+Every simulator takes ``checker=`` (``docs/architecture.md``
+§ "Simulator contract").  A tier with no engine ignores it, so its
+report has phases and wall-clock from the result and an empty module
+table.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Tuple
 
 from repro.frontend.trace import ApplicationTrace
 from repro.profile.profiler import ModuleProfiler
 from repro.profile.report import ProfileReport
 from repro.simulators.results import SimulationResult
-
-
-def _accepts_checker(simulate) -> bool:
-    try:
-        parameters = inspect.signature(simulate).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return False
-    return "checker" in parameters
 
 
 def profile_simulation(
@@ -39,8 +31,5 @@ def profile_simulation(
     ``gather_metrics=False``).  Returns ``(result, report)``.
     """
     profiler = ModuleProfiler()
-    if _accepts_checker(simulator.simulate):
-        result = simulator.simulate(app, checker=profiler, **simulate_kwargs)
-    else:
-        result = simulator.simulate(app, **simulate_kwargs)
+    result = simulator.simulate(app, checker=profiler, **simulate_kwargs)
     return result, ProfileReport(profiler, result)

@@ -19,7 +19,7 @@ but only ``stored`` outcomes ever touch the exact cache.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import SimulationError
 from repro.resilience.journal import JsonLinesJournal
@@ -89,16 +89,17 @@ class ServeJournal(JsonLinesJournal):
     # ------------------------------------------------------------------
     # queries
 
-    def pending(self) -> List[Dict]:
-        """Requests admitted but never settled (the crash debt).
+    def pending(self) -> Dict[str, Dict]:
+        """``key -> request`` of the jobs admitted but never settled
+        (the crash debt).
 
         Ordered by admission order (dict insertion order mirrors the
         journal's line order), so recovery replays deterministically.
         """
-        return [
-            dict(request) for key, request in self._jobs.items()
+        return {
+            key: dict(request) for key, request in self._jobs.items()
             if key not in self._done
-        ]
+        }
 
     def unsettled(self, key: str) -> bool:
         """True when ``key`` was admitted but never settled."""

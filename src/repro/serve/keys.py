@@ -6,15 +6,11 @@ question share one cache entry and one in-flight execution.  Soundness
 rests on the determinism contract (``docs/verification.md``): equal
 hashes imply bit-identical results.
 
-Hashing goes through :func:`canonical_json`, which fixes the two ways
-semantically-equal configs diverge textually:
-
-* **dict ordering** — keys are sorted at every nesting level;
-* **float formatting** — floats with integral values collapse to ints
-  (``2.0`` and ``2`` hash alike; non-integral floats use Python's
-  shortest ``repr``, so ``0.1`` and ``0.10`` already agree after
-  parsing).  NaN and infinities are rejected: they cannot round-trip
-  JSON and never appear in a valid config.
+Hashing goes through :func:`~repro.frontend.config_io.canonical_json`,
+which sorts keys at every level and spells an integral float as an int;
+``config_hash`` lives beside it, so a forensic bundle records the same
+hash as the store and the ``repro eval`` journal without importing this
+package.
 
 The property suite (``tests/test_serve_properties.py``) holds these
 invariants under Hypothesis: key order and float spelling never change
@@ -24,65 +20,14 @@ a hash; materially distinct configs never collide on canonical form.
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 from typing import Iterable
 
-from repro.errors import ServeError
-from repro.frontend.config import GPUConfig
-from repro.frontend.config_io import gpu_config_to_dict
+from repro.frontend.config_io import canonical_json, config_hash
 from repro.frontend.trace import ApplicationTrace
-
-
-def canonical(value):
-    """Recursively normalize ``value`` for hashing (see module doc)."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise ServeError(
-                f"cannot canonicalize non-finite float {value!r}"
-            )
-        if value.is_integer():
-            return int(value)
-        return value
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise ServeError(
-                    f"cannot canonicalize non-string dict key {key!r}"
-                )
-        return {key: canonical(value[key]) for key in sorted(value)}
-    if isinstance(value, (list, tuple)):
-        return [canonical(item) for item in value]
-    raise ServeError(
-        f"cannot canonicalize value of type {type(value).__name__}"
-    )
-
-
-def canonical_json(value) -> str:
-    """The canonical wire/hash form: sorted keys, compact separators."""
-    try:
-        return json.dumps(
-            canonical(value), sort_keys=True, separators=(",", ":"),
-            allow_nan=False,
-        )
-    except RecursionError:
-        raise ServeError(
-            "cannot canonicalize a value nested this deeply"
-        ) from None
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def config_hash(config) -> str:
-    """sha256 of a GPU configuration (accepts ``GPUConfig`` or the
-    ``gpu_config_to_dict`` form)."""
-    if isinstance(config, GPUConfig):
-        config = gpu_config_to_dict(config)
-    return _sha256(canonical_json(config))
 
 
 def trace_fingerprint(trace: ApplicationTrace) -> dict:

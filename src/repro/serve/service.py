@@ -456,16 +456,20 @@ class SweepService:
     # recovery and protocol
 
     async def recover(self) -> int:
-        """Re-execute every admitted-but-unsettled job from the journal.
+        """Re-execute every admitted-but-unsettled job from the journal;
+        one that no longer identifies is settled as ``"failed"``.
 
         Returns the number of jobs recovered.  Runs before the socket
         opens, so clients never race recovery.
         """
         pending = self.journal.pending()
-        for request_dict in pending:
-            request_dict = dict(request_dict)
+        for key, request_dict in pending.items():
             request_dict.pop("deadline_seconds", None)  # stale deadline
-            await self.submit_request(request_dict)
+            answer = await self.submit_request(request_dict)
+            if answer.get("kind") == "bad_request":
+                # It no longer identifies (a retired simulator, a config
+                # now refused), so no restart could run it: settle it.
+                await self._settle(key, "failed")
             self.stats.bump("recovered")
         return len(pending)
 

@@ -59,7 +59,8 @@ def execute_job(
         )
     gpu = resolve_gpu(config, gpu_preset)
     app = make_app(app_name, scale=scale)
-    return result_to_dict(simulator_cls(gpu).simulate(app))
+    # The journal form keeps no counters, so none are gathered.
+    return result_to_dict(simulator_cls(gpu).simulate(app, gather_metrics=False))
 
 
 def validate_result_payload(payload: Dict) -> Dict:

@@ -16,6 +16,24 @@ from typing import Dict, Iterator, List, Optional
 from repro.errors import CounterKindError
 
 
+#: Counters that tally engine ticks (or per-tick conditions) rather than
+#: architectural events.  Each is incremented at most once per tick a
+#: module receives, so per-cycle clocking inflates them and a livelock
+#: keeps them climbing: the shadow-jump pillar compares every counter
+#: but these, and the guard's progress signature sums every counter but
+#: these.
+TICK_OBSERVER_COUNTERS = frozenset({
+    "active_cycles",
+    "idle_cycles",
+    "stalled_cycles",
+    "dispatch_stalls",
+    "scoreboard_wait_cycles",
+    "drain_wait_cycles",
+    "fetch_idle_cycles",
+    "ibuffer_empty_cycles",
+})
+
+
 @unique
 class ModelLevel(Enum):
     """How faithfully a module models its component."""

@@ -28,7 +28,12 @@ from repro.core.warp_scheduler import make_warp_scheduler
 from repro.errors import PlanError
 from repro.frontend.config import GPUConfig
 from repro.frontend.trace import ApplicationTrace
-from repro.memory.analytical import AnalyticalMemoryModel, MemoryProfile
+from repro.memory.analytical import (
+    HIT_RATE_SOURCES,
+    AnalyticalMemoryModel,
+    MemoryProfile,
+    unknown_hit_rate_source,
+)
 from repro.memory.hierarchy import DetailedMemorySystem, QueuedMemorySystem
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricsGatherer
@@ -41,14 +46,24 @@ DEFAULT_MAX_KERNEL_CYCLES = 200_000_000
 
 
 class GPUSimulator:
-    """Abstract simulator interface the evaluation harness drives."""
+    """The one simulator contract every tier keeps.
+
+    ``name`` is the tier's key in :data:`repro.simulators.SIMULATORS`
+    (a custom plan's name for a custom plan), and ``simulate`` takes the
+    keywords ``gather_metrics`` and ``checker`` (an
+    :class:`~repro.sim.engine.EngineChecker`).  A tier with no engine
+    ignores the checker.  A simulator pickles as itself, so the parallel
+    driver ships it to a worker whole.
+    """
 
     name = "simulator"
 
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
 
-    def simulate(self, app: ApplicationTrace) -> SimulationResult:
+    def simulate(
+        self, app: ApplicationTrace, *, gather_metrics: bool = True, checker=None
+    ) -> SimulationResult:
         raise NotImplementedError
 
 
@@ -69,11 +84,8 @@ class PlanSimulator(GPUSimulator):
             self.plan = plan
         if not hasattr(self, "plan"):
             raise PlanError(f"{type(self).__name__} has no modeling plan")
-        if hit_rate_source not in ("cache_sim", "reuse_distance"):
-            raise PlanError(
-                f"hit_rate_source must be 'cache_sim' or 'reuse_distance', "
-                f"got {hit_rate_source!r}"
-            )
+        if hit_rate_source not in HIT_RATE_SOURCES:
+            raise unknown_hit_rate_source(hit_rate_source)
         self.hit_rate_source = hit_rate_source
         self.name = self.plan.name
 
@@ -149,6 +161,10 @@ class PlanSimulator(GPUSimulator):
         guard=None,
     ) -> SimulationResult:
         """Simulate ``app`` and return a :class:`SimulationResult`.
+
+        Beyond the contract's keywords (:class:`GPUSimulator`), only an
+        engine tier takes ``max_kernel_cycles``, ``engine_allow_jump``
+        and ``guard``.
 
         ``engine_allow_jump`` overrides the *engine's* clocking mode only
         — module assembly still follows the plan — so :mod:`repro.check`

@@ -36,7 +36,11 @@ from repro.errors import SimulationError
 from repro.frontend.config import GPUConfig
 from repro.frontend.isa import InstKind, MemSpace
 from repro.frontend.trace import ApplicationTrace, BlockTrace, KernelTrace
-from repro.memory.analytical import MemoryProfile
+from repro.memory.analytical import (
+    HIT_RATE_SOURCES,
+    MemoryProfile,
+    unknown_hit_rate_source,
+)
 from repro.simulators.base import GPUSimulator
 from repro.simulators.results import KernelResult, SimulationResult
 from repro.utils.bitops import ceil_div
@@ -59,10 +63,12 @@ class WarpIntervalProfile:
 class IntervalSimulator(GPUSimulator):
     """Pure analytical performance model over interval profiles."""
 
-    name = "interval-analytical"
+    name = "interval"
 
     def __init__(self, config: GPUConfig, hit_rate_source: str = "cache_sim") -> None:
         super().__init__(config)
+        if hit_rate_source not in HIT_RATE_SOURCES:
+            raise unknown_hit_rate_source(hit_rate_source)
         self.hit_rate_source = hit_rate_source
         self._unit_latency = {
             unit_config.unit: unit_config.latency
@@ -148,9 +154,12 @@ class IntervalSimulator(GPUSimulator):
 
     # ------------------------------------------------------------------
 
-    def simulate(self, app: ApplicationTrace, gather_metrics: bool = False) -> SimulationResult:
-        """Estimate ``app``'s cycles (``gather_metrics`` accepted for API
-        compatibility; analytical models have no counters to gather)."""
+    def simulate(
+        self, app: ApplicationTrace, gather_metrics: bool = False, checker=None
+    ) -> SimulationResult:
+        """Estimate ``app``'s cycles.  ``gather_metrics`` and ``checker``
+        are the contract's keywords (:class:`GPUSimulator`); with no
+        counters and no engine, both are ignored."""
         profile_started = time.perf_counter()
         memory_profiles = MemoryProfile.for_application(
             self.config, app.kernels, source=self.hit_rate_source, memo_key=app

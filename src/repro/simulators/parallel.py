@@ -8,27 +8,25 @@ at most ``workers`` kept, supervised worker processes — the same
 throughput-level concurrency, sized to this machine, but fault-tolerant:
 workers that crash, hang, or OOM are reaped and their tasks retried
 under a :class:`~repro.resilience.policy.RetryPolicy` (see
-:mod:`repro.resilience`).  Each task pickles the simulator's
-configuration and plan and one application trace to a worker, which
-rebuilds the simulator, simulates, and ships back the result without the
-metrics report (module trees do not cross process boundaries).
+:mod:`repro.resilience`).  Each task ships the simulator itself, any
+tier, and one application trace to a worker, which simulates and ships
+back the result without the metrics report (module trees do not cross
+process boundaries).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from typing import Dict, Optional, Sequence, Type
+from typing import Dict, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.frontend.config import GPUConfig
 from repro.frontend.trace import ApplicationTrace
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.journal import RunJournal
 from repro.resilience.policy import NO_RETRY, RetryPolicy
 from repro.resilience.supervisor import Supervisor, Task, TaskOutcome
-from repro.sim.plan import ModelingPlan
-from repro.simulators.base import PlanSimulator
+from repro.simulators.base import GPUSimulator
 from repro.simulators.results import SimulationResult
 
 
@@ -37,28 +35,14 @@ def default_worker_count() -> int:
     return max(1, min(os.cpu_count() or 1, 50))
 
 
-def _simulate_one(
-    simulator_cls: Type[PlanSimulator],
-    config: GPUConfig,
-    plan: ModelingPlan,
-    hit_rate_source: str,
-    app: ApplicationTrace,
-) -> SimulationResult:
-    simulator = simulator_cls(config, plan=plan, hit_rate_source=hit_rate_source)
+def _simulate_one(simulator: GPUSimulator, app: ApplicationTrace) -> SimulationResult:
     # Metrics hold live module references; skip them for cross-process runs.
     return simulator.simulate(app, gather_metrics=False)
 
 
-def _simulate_pickled(
-    simulator_cls: Type[PlanSimulator],
-    config: GPUConfig,
-    plan: ModelingPlan,
-    hit_rate_source: str,
-    app_bytes: bytes,
-) -> SimulationResult:
+def _simulate_pickled(simulator: GPUSimulator, app_bytes: bytes) -> SimulationResult:
     """:func:`_simulate_one` on a trace :func:`validate_picklable` pickled."""
-    return _simulate_one(simulator_cls, config, plan, hit_rate_source,
-                         pickle.loads(app_bytes))
+    return _simulate_one(simulator, pickle.loads(app_bytes))
 
 
 def _pickled(label: str, value: object) -> bytes:
@@ -71,25 +55,18 @@ def _pickled(label: str, value: object) -> bytes:
         ) from exc
 
 
-def validate_picklable(simulator: PlanSimulator,
+def validate_picklable(simulator: GPUSimulator,
                        apps: Sequence[ApplicationTrace]) -> Dict[str, bytes]:
-    """Pre-flight the pool: everything a worker rebuilds from must
-    pickle.
+    """Pre-flight the pool: the simulator and every trace must pickle.
 
     Without this, a stray live reference (an engine, an open handle)
     surfaces as an opaque ``ProcessPoolExecutor``-style error deep in
     the pool machinery; here it is a typed
-    :class:`~repro.errors.SimulationError` naming the offending field
-    before any worker launches.  Returns each app's pickled trace by
-    name: the bytes its task ships, so no trace is pickled twice.
+    :class:`~repro.errors.SimulationError` naming the simulator or the
+    trace before any worker launches.  Returns each app's pickled trace
+    by name: the bytes its task ships, so no trace is pickled twice.
     """
-    for label, value in (
-        ("simulator class", type(simulator)),
-        ("config", simulator.config),
-        ("plan", simulator.plan),
-        ("hit_rate_source", simulator.hit_rate_source),
-    ):
-        _pickled(label, value)
+    _pickled(f"simulator {simulator.name!r}", simulator)
     return {app.name: _pickled(f"app {app.name!r} trace", app) for app in apps}
 
 
@@ -123,7 +100,7 @@ def _result_validator(app: ApplicationTrace):
 
 
 def simulate_apps_supervised(
-    simulator: PlanSimulator,
+    simulator: GPUSimulator,
     apps: Sequence[ApplicationTrace],
     workers: Optional[int] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -162,13 +139,7 @@ def simulate_apps_supervised(
         Task(
             key=app.name,
             fn=fn,
-            args=(
-                type(simulator),
-                simulator.config,
-                simulator.plan,
-                simulator.hit_rate_source,
-                shipped[app.name],
-            ),
+            args=(simulator, shipped[app.name]),
             validate=_result_validator(app),
         )
         for app in pending
@@ -189,14 +160,14 @@ def simulate_apps_supervised(
 
 
 def simulate_apps_parallel(
-    simulator: PlanSimulator,
+    simulator: GPUSimulator,
     apps: Sequence[ApplicationTrace],
     workers: Optional[int] = None,
     retry_policy: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosPlan] = None,
     journal: Optional[RunJournal] = None,
 ) -> Dict[str, SimulationResult]:
-    """Simulate many applications concurrently with ``simulator``'s plan.
+    """Simulate many applications concurrently with ``simulator``.
 
     Returns results keyed by application name.  With ``workers=1`` the
     apps run sequentially in-process (useful as the single-thread leg of

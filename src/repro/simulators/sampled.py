@@ -64,6 +64,8 @@ class SampledSimulator(GPUSimulator):
         self.name = f"{inner.name}+sample{rate}"
 
     def simulate(self, app: ApplicationTrace, **kwargs) -> SimulationResult:
+        """Estimate ``app``; every keyword (``checker`` included) goes
+        to the inner simulator, which runs the sampled blocks."""
         kwargs.setdefault("gather_metrics", False)
         sampled_kernels: List[KernelTrace] = []
         scale_factors: List[float] = []

@@ -422,14 +422,13 @@ class SwiftSimAnalytic(GPUSimulator):
         app: ApplicationTrace,
         gather_metrics: bool = False,
         checker=None,
-        guard=None,
     ) -> SimulationResult:
         """Estimate ``app``'s cycles from its tasklist.
 
-        ``gather_metrics`` is accepted for interface compatibility (the
-        closed form has no counters to gather, so ``metrics`` is always
-        ``None``); ``checker``/``guard`` are likewise accepted and
-        ignored — there is no engine to observe.
+        ``gather_metrics`` and ``checker`` are the contract's keywords
+        (:class:`~repro.simulators.base.GPUSimulator`).  The closed form
+        has no counters and no engine, so ``metrics`` is always ``None``
+        and the checker observes nothing.
         """
         profile_started = time.perf_counter()
         tasklist = precharacterize(app)  # memoized; separates profiling from timing

@@ -109,7 +109,45 @@ class TestAnalyze:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "interval-analytical" in out
+        assert "simulator  : interval\n" in out
+
+
+class TestEngineOnlyCommands:
+    """``analyze`` and ``guard`` observe an engine: a closed-form tier is
+    a typed error (exit 2), raised before the app is even resolved."""
+
+    @pytest.fixture(autouse=True)
+    def no_app(self, monkeypatch):
+        import repro.cli as cli
+
+        def resolve(args):
+            raise AssertionError("the app was resolved")
+
+        monkeypatch.setattr(cli, "_resolve_app", resolve)
+
+    @pytest.mark.parametrize("simulator", ["swift-analytic", "interval"])
+    @pytest.mark.parametrize("command", ["analyze", "guard"])
+    def test_closed_form_tier_refused(self, capsys, tiny_config_path,
+                                      command, simulator):
+        code = main([
+            command, "--app", "gemm", "--scale", "tiny",
+            "--config", tiny_config_path, "--simulator", simulator,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{simulator} has no engine" in err
+        assert "swift-basic" in err
+
+    def test_guard_injection_is_refused_not_ignored(self, tmp_path,
+                                                     tiny_config_path):
+        bundles = tmp_path / "bundles"
+        code = main([
+            "guard", "--app", "gemm", "--scale", "tiny",
+            "--config", tiny_config_path, "--simulator", "swift-analytic",
+            "--inject", "stall", "--bundle-dir", str(bundles),
+        ])
+        assert code == 2
+        assert not bundles.exists()
 
 
 class TestReportCommand:

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.check.shadow import TICK_OBSERVER_COUNTERS, compare_results
+from repro.check.shadow import compare_results
+from repro.cli import main
 from repro.errors import (
     ConfigError,
     CycleBudgetExceeded,
@@ -20,17 +21,18 @@ from repro.errors import (
     SimulationStall,
 )
 from repro.eval.harness import EvaluationHarness
+from repro.frontend.config_io import save_gpu_config
 from repro.guard import (
     GuardConfig,
     InvariantGuard,
     InvariantSaboteur,
-    PROGRESS_IGNORED_COUNTERS,
     ProgressWatchdog,
     SimulationGuard,
     StallSaboteur,
     progress_signature,
 )
 from repro.memory.cache import SectoredCache
+from repro.resilience.journal import RunJournal
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
 from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.swift_basic import SwiftSimBasic
@@ -156,6 +158,25 @@ class TestWatchdog:
         last = json.loads(trace_lines[-1])
         assert last["module"] == "stall_saboteur"
 
+    def test_bundle_records_the_eval_journals_config_hash(self, tmp_path):
+        """One config identity: a bundle can be matched to the
+        ``repro eval`` journal (and the result store) of the same GPU."""
+        config = tmp_path / "gpu.json"
+        save_gpu_config(make_tiny_gpu(), config)
+        common = ["--scale", "tiny", "--config", str(config)]
+        journal = tmp_path / "sweep.journal"
+        assert main(["eval", "--apps", "gemm", "--simulators", "swift-basic",
+                     "--journal", str(journal), *common]) == 0
+        bundles = tmp_path / "bundles"
+        assert main(["guard", "--app", "gemm", "--simulator", "swift-basic",
+                     "--stall-window", "1500", "--check-every", "64",
+                     "--bundle-dir", str(bundles), "--inject", "stall",
+                     *common]) == 2
+        (manifest,) = bundles.glob("bundle_stall_c*/manifest.json")
+        with RunJournal.load(str(journal)) as loaded:
+            expected = loaded.header["config_hash"]
+        assert json.loads(manifest.read_text())["run"]["config_hash"] == expected
+
     def test_watchdog_tolerates_idle_jump_gaps(self):
         """A jump-clocked engine skipping a quiet region is not a stall."""
         engine = Engine(allow_jump=True)
@@ -189,11 +210,6 @@ class TestWatchdog:
         assert progress_signature(engine) == before
         worker.counters["units_done"] += 1
         assert progress_signature(engine) == before + 1
-
-    def test_ignored_counters_in_sync_with_shadow_pillar(self):
-        """The guard's textual copy must match repro.check's set (the
-        guard cannot import it — layering — so a test enforces sync)."""
-        assert PROGRESS_IGNORED_COUNTERS == TICK_OBSERVER_COUNTERS
 
 
 # ---------------------------------------------------------------------------

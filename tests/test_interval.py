@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import PlanError
 from repro.memory.analytical import MemoryProfile
 from repro.simulators.interval import IntervalSimulator, WAVE_RAMP_CYCLES
 from repro.simulators.swift_basic import SwiftSimBasic
@@ -95,6 +96,10 @@ class TestEstimates:
         assert result.total_cycles == result.kernels[-1].end_cycle
         assert all(k.cycles >= WAVE_RAMP_CYCLES for k in result.kernels)
         assert result.metrics is None
+
+    def test_unknown_hit_rate_source_refused(self, tiny_gpu):
+        with pytest.raises(PlanError, match="tarot"):
+            IntervalSimulator(tiny_gpu, hit_rate_source="tarot")
 
     def test_reuse_distance_source(self, tiny_gpu):
         app = make_app("sm", scale="tiny")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simulators import SIMULATORS
 from repro.simulators.parallel import default_worker_count, simulate_apps_parallel
 from repro.simulators.swift_basic import SwiftSimBasic
 from repro.simulators.swift_memory import SwiftSimMemory
@@ -38,9 +39,9 @@ class TestParallelDriver:
     @pytest.mark.parametrize("simulator_cls", [SwiftSimBasic, SwiftSimMemory])
     def test_parallel_matches_serial_exactly(self, tiny_gpu, simulator_cls):
         """Pooled workers must reproduce the serial gather_metrics=False
-        path bit-exactly, down to per-kernel boundaries: workers rebuild
-        the simulator from (config, plan), so any state leaking through
-        pickling would show up here."""
+        path bit-exactly, down to per-kernel boundaries: workers unpickle
+        the simulator itself, so any state leaking through pickling
+        would show up here."""
         apps = [make_app(name, scale="tiny") for name in APPS]
         pooled = simulate_apps_parallel(simulator_cls(tiny_gpu), apps, workers=2)
         for app in apps:
@@ -54,6 +55,19 @@ class TestParallelDriver:
                 (k.name, k.start_cycle, k.end_cycle, k.instructions)
                 for k in serial.kernels
             ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("key", ["swift-analytic", "interval"])
+    def test_closed_form_tiers_ship_as_themselves(self, tiny_gpu, key, workers):
+        if key == "swift-analytic":
+            pytest.importorskip("numpy")
+        apps = [make_app(name, scale="tiny") for name in APPS]
+        results = simulate_apps_parallel(SIMULATORS[key](tiny_gpu), apps,
+                                         workers=workers)
+        for app in apps:
+            direct = SIMULATORS[key](tiny_gpu).simulate(app)
+            assert results[app.name].total_cycles == direct.total_cycles
+            assert results[app.name].simulator_name == key
 
     def test_parallel_with_analytical_memory(self, tiny_gpu):
         apps = [make_app(name, scale="tiny") for name in APPS[:2]]

@@ -11,6 +11,7 @@ from repro.frontend.config_io import save_gpu_config
 from repro.profile import ModuleProfiler, ProfileReport, profile_simulation
 from repro.sim.engine import ClockedModule, Engine
 from repro.simulators.interval import IntervalSimulator
+from repro.simulators.sampled import SampledSimulator
 from repro.simulators.swift_basic import SwiftSimBasic
 from repro.tracegen.suites import make_app
 
@@ -130,9 +131,19 @@ class TestProfileSimulation:
         )
         assert profiled.total_cycles == plain.total_cycles
 
+    def test_sampled_simulator_profiles_its_inner_engine(self):
+        """The profiler reaches the wrapped engine tier through
+        ``SampledSimulator.simulate``'s forwarded keywords."""
+        app = make_app("gemm", scale="tiny")
+        __, report = profile_simulation(
+            SampledSimulator(SwiftSimBasic(make_tiny_gpu())), app
+        )
+        assert report.profiler.total_dispatches > 0
+        assert any(name.startswith("sm") for name in report.profiler.stats)
+
     def test_interval_simulator_has_no_checker_hook(self):
-        """The analytical interval model takes no checker; the report
-        degrades to phases-only instead of crashing."""
+        """The analytical interval model has no engine: it ignores the
+        checker and the report degrades to phases-only."""
         app = make_app("gemm", scale="tiny")
         result, report = profile_simulation(IntervalSimulator(make_tiny_gpu()), app)
         assert result.total_cycles > 0

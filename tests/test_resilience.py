@@ -11,7 +11,6 @@ import signal
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import pytest
 
@@ -44,6 +43,7 @@ from repro.simulators.parallel import (
     validate_picklable,
 )
 from repro.simulators.swift_basic import SwiftSimBasic
+from repro.simulators.swift_memory import SwiftSimMemory
 from repro.tracegen.suites import make_app
 
 from conftest import make_tiny_gpu
@@ -613,15 +613,11 @@ class TestChaosConvergence:
 
 
 class TestPicklingPrevalidation:
-    def test_unpicklable_field_named_before_pool_launch(self, tiny_gpu):
-        stub = SimpleNamespace(
-            name="stub",
-            config=lambda: None,  # unpicklable
-            plan=SwiftSimBasic(tiny_gpu).plan,
-            hit_rate_source="cache_sim",
-        )
-        with pytest.raises(SimulationError, match="config"):
-            validate_picklable(stub, [])
+    def test_unpicklable_simulator_named_before_pool_launch(self, tiny_gpu):
+        simulator = SwiftSimBasic(tiny_gpu)
+        simulator.config = lambda: None  # unpicklable
+        with pytest.raises(SimulationError, match="simulator 'swift-basic'"):
+            validate_picklable(simulator, [])
 
     def test_unpicklable_app_named(self, tiny_gpu):
         app = make_app("sm", scale="tiny")
@@ -820,6 +816,20 @@ class TestHarnessFailurePolicy:
             )
         for row_full, row_resumed in zip(full.rows, resumed.rows):
             assert row_resumed.cycles == row_full.cycles
+
+    def test_journal_refuses_two_simulators_with_one_name(self, tmp_path):
+        """The journal keys results on ``simulator.name``: two
+        swift-memory runs with different hit-rate sources would share."""
+        gpu = make_tiny_gpu()
+        harness = EvaluationHarness(gpu, scale="tiny", apps=["bfs"])
+        with RunJournal.create(str(tmp_path / "j"), gpu_name=gpu.name) as journal:
+            with pytest.raises(WorkloadError, match="swift-memory"):
+                harness.evaluate(
+                    {"cache-sim": SwiftSimMemory(gpu),
+                     "reuse": SwiftSimMemory(
+                         gpu, hit_rate_source="reuse_distance")},
+                    journal=journal,
+                )
 
 
 class TestTypedEvaluationErrors:

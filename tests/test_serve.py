@@ -333,7 +333,7 @@ class TestServeJournal:
         journal.close()
 
         loaded = ServeJournal.load(path)
-        assert loaded.pending() == [{"app": "gemm"}]
+        assert loaded.pending() == {"k2": {"app": "gemm"}}
         assert loaded.unsettled("k2")
         assert not loaded.unsettled("k1")
         assert loaded.settled() == {"k1": "stored"}
@@ -352,7 +352,7 @@ class TestServeJournal:
         loaded.record_job("k2", {"app": "gemm"})  # truncates the tear
         loaded.close()
         reloaded = ServeJournal.load(path)
-        assert reloaded.pending() == [{"app": "gemm"}]
+        assert reloaded.pending() == {"k2": {"app": "gemm"}}
 
     def test_rejects_wrong_journal_kind(self, tmp_path):
         from repro.resilience.journal import RunJournal
@@ -618,6 +618,23 @@ class TestServiceLadder:
         assert reloaded.settled()[identity["key"]] == "stored"
         assert len(store) == 1
         assert revived.stats.recovered == 1
+
+    def test_recovery_settles_a_job_that_no_longer_identifies(self, tmp_path):
+        """A journaled job whose simulator is gone gets ``bad_request``
+        on every restart; recovery settles it as failed, once."""
+        __, store, journal = make_service(tmp_path)
+        journal.record_job("k-retired", dict(REQUEST, simulator="nope"))
+        journal.close()
+        for owed in (1, 0):
+            reloaded = ServeJournal.load(str(tmp_path / "serve.journal"))
+            revived = SweepService(store, reloaded,
+                                   runner=lambda r, i: exact_result())
+            assert run(revived.recover()) == owed
+            assert revived.stats.recovered == owed
+            assert reloaded.pending() == {}
+            assert reloaded.settled() == {"k-retired": "failed"}
+            reloaded.close()
+        assert len(store) == 0
 
     def test_cache_hit_settles_stale_journal_debt(self, tmp_path):
         service, store, journal = make_service(

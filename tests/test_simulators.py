@@ -26,6 +26,8 @@ from repro.frontend.trace import (
     TraceInstruction,
     WarpTrace,
 )
+from repro.sim.engine import EngineChecker
+from repro.simulators import SIMULATORS as REGISTRY
 
 from conftest import alu, coalesced_addrs, load, make_single_warp_app, make_tiny_gpu, make_warp, store
 
@@ -166,6 +168,20 @@ class TestPlanWiring:
     def test_plan_required(self, tiny_gpu):
         with pytest.raises(PlanError):
             PlanSimulator(tiny_gpu)
+
+    @pytest.mark.parametrize("key", sorted(REGISTRY))
+    def test_every_tier_keeps_the_contract(self, tiny_gpu, key):
+        """Named by its registry key; takes ``gather_metrics`` and
+        ``checker`` (a tier with no engine ignores the checker)."""
+        if key == "swift-analytic":
+            pytest.importorskip("numpy")
+        simulator = REGISTRY[key](tiny_gpu)
+        assert simulator.name == key
+        result = simulator.simulate(make_app("sm", scale="tiny"),
+                                    gather_metrics=False,
+                                    checker=EngineChecker())
+        assert result.simulator_name == key
+        assert result.total_cycles > 0
 
     def test_bad_hit_rate_source(self, tiny_gpu):
         with pytest.raises(PlanError):
