@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.check.shadow import compare_results
+from repro.check.shadow import TICK_OBSERVER_COUNTERS, compare_results
 from repro.cli import main
 from repro.errors import (
     ConfigError,
@@ -207,6 +207,20 @@ class TestWatchdog:
         engine.run(max_cycles=100)
         before = progress_signature(engine)
         worker.counters["idle_cycles"] += 1000
+        assert progress_signature(engine) == before
+        worker.counters["units_done"] += 1
+        assert progress_signature(engine) == before + 1
+
+    def test_ignored_counters_in_sync_with_shadow_pillar(self):
+        """The progress signature skips every counter the shadow-jump
+        pillar skips, and still counts architectural progress."""
+        engine = Engine()
+        worker = _Worker(work=4)
+        engine.add(worker)
+        engine.run(max_cycles=100)
+        before = progress_signature(engine)
+        for name in TICK_OBSERVER_COUNTERS:
+            worker.counters[name] += 7
         assert progress_signature(engine) == before
         worker.counters["units_done"] += 1
         assert progress_signature(engine) == before + 1

@@ -613,7 +613,9 @@ class TestChaosConvergence:
 
 
 class TestPicklingPrevalidation:
-    def test_unpicklable_simulator_named_before_pool_launch(self, tiny_gpu):
+    def test_unpicklable_field_named_before_pool_launch(self, tiny_gpu):
+        """The driver pickles the whole simulator, so a poisoned field
+        fails the pre-flight with the simulator named."""
         simulator = SwiftSimBasic(tiny_gpu)
         simulator.config = lambda: None  # unpicklable
         with pytest.raises(SimulationError, match="simulator 'swift-basic'"):
