@@ -5,8 +5,10 @@ the way a per-cycle simulator does: the dispatch port is occupied for the
 warp's lane passes, instructions then travel down the pipeline, and at
 the end they compete for a writeback slot on the sub-core's shared
 :class:`ResultBus` — retiring through a completion callback only when a
-slot is granted.  The unit must be ticked every cycle, which is exactly
-the per-stage bookkeeping the hybrid model of §III-D1 removes.
+slot is granted.  The unit is ticked every cycle while it holds work,
+which is exactly the per-stage bookkeeping the hybrid model of §III-D1
+removes; its tick names the next writeback, before which a quiet
+sub-core skips it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Tuple
 
-from repro.core.warp import WarpState
+from repro.core.warp import NEVER, WarpState
 from repro.frontend.config import ExecUnitConfig
 from repro.frontend.trace import TraceInstruction
 from repro.sim.module import ModelLevel, Module
@@ -104,9 +106,15 @@ class PipelinedExecutionUnit(Module, InstructionSink):
         self.counters["busy_cycles"] += interval
         return PENDING
 
-    def tick(self, cycle: int) -> None:
-        """Drain writebacks whose pipeline traversal completed."""
+    def tick(self, cycle: int) -> int:
+        """Drain writebacks whose pipeline traversal completed.
+
+        Returns the cycle of the next writeback (``NEVER`` once empty):
+        until then a tick here does nothing.  A tick that wrote one back
+        returns ``cycle`` itself.
+        """
         pipeline = self._pipeline
+        wrote_back = False
         while pipeline and pipeline[0][0] <= cycle:
             if not self.result_bus.grant(cycle):
                 # Writeback port taken: the result retries next cycle.
@@ -116,4 +124,8 @@ class PipelinedExecutionUnit(Module, InstructionSink):
                 break
             __, __seq, warp, inst = heapq.heappop(pipeline)
             self.listener.on_complete(warp, inst, cycle)
+            wrote_back = True
         self.busy = bool(pipeline)
+        if wrote_back:
+            return cycle
+        return pipeline[0][0] if pipeline else NEVER

@@ -1,7 +1,8 @@
 """Instruction fetch / i-buffer front end (cycle-accurate only).
 
 Each warp owns a small buffer of decoded instructions.  The fetch stage
-runs every cycle: it first *delivers* any landed fetch into the owning
+runs every cycle (a quiet sub-core replays it; see :mod:`repro.core.subcore`):
+it first *delivers* any landed fetch into the owning
 warp's buffer, then *arbitrates* — picking one warp (round-robin) whose
 buffer is running low and starting a fetch that lands one
 fetch-plus-decode round trip later.  Branches flush the buffer and
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.warp import WarpState, WarpStatus
+from repro.core.warp import NEVER, WarpState, WarpStatus
 from repro.frontend.config import SMConfig
 from repro.frontend.isa import InstKind
 from repro.sim.module import ModelLevel, Module
@@ -47,17 +48,30 @@ class FrontEnd(Module):
         warp.ibuffer = 0
         warp.refill_at = cycle + self._round_trip
 
-    def tick(self, cycle: int, warps: List[WarpState]) -> None:
-        """One front-end cycle: deliver landed fetches, start one new one."""
+    def tick(self, cycle: int, warps: List[WarpState]) -> int:
+        """One front-end cycle: deliver landed fetches, start one new one.
+
+        Returns the next landing (``NEVER`` with none in flight): until
+        then a tick here only counts ``fetch_idle_cycles``, as long as no
+        warp issues, arrives or leaves.  A tick that delivered or started
+        a fetch returns ``cycle`` itself.
+        """
         entries = self.sm_config.ibuffer_entries
+        next_landing = NEVER
         for warp in warps:
-            if warp.refill_at != NO_FETCH and warp.refill_at <= cycle:
+            refill_at = warp.refill_at
+            if refill_at == NO_FETCH:
+                continue
+            if refill_at <= cycle:
                 warp.ibuffer = entries
                 warp.refill_at = NO_FETCH
                 self.counters["refills"] += 1
+                next_landing = cycle
+            elif refill_at < next_landing:
+                next_landing = refill_at
         count = len(warps)
         if count == 0:
-            return
+            return next_landing
         start = self._fetch_rr
         for offset in range(count):
             warp = warps[(start + offset) % count]
@@ -67,8 +81,9 @@ class FrontEnd(Module):
                 warp.refill_at = cycle + self._round_trip
                 self._fetch_rr = (start + offset + 1) % count
                 self.counters["fetches"] += 1
-                return
+                return cycle
         self.counters["fetch_idle_cycles"] += 1
+        return next_landing
 
     def instruction_visible(self, warp: WarpState, cycle: int) -> bool:
         """Can the scheduler see the warp's next decoded instruction?"""

@@ -3,10 +3,12 @@
 The SM pulls thread blocks from the Block Scheduler whenever its
 occupancy limits (blocks, warps, threads, registers, shared memory)
 allow, distributes each block's warps across its sub-cores, and ticks
-the sub-cores.  Its tick returns the earliest cycle anything inside can
-change, so under the hybrid plans whole SMs sleep through memory stalls;
-an SM that holds no block returns ``None`` and is not scheduled, under
-every plan.
+the sub-cores.  A sub-core that proved itself quiet (``quiet_until``) is
+not ticked: the SM replays the counts and the wake its last tick made,
+so every counter and wake equals ticking it.  The SM's tick returns the
+earliest cycle anything inside can change, so under the hybrid plans
+whole SMs sleep through memory stalls; an SM that holds no block returns
+``None`` and is not scheduled, under every plan.
 """
 
 from __future__ import annotations
@@ -212,10 +214,13 @@ class SMCore(ClockedModule):
         self.counters["active_cycles"] += 1
         wake = cycle + 1 if more_blocks else NEVER
         for subcore in self.subcores:
-            sub_wake = subcore.quiet_until
-            if cycle < sub_wake:
-                # Proved silent until then: skip the scan, keep its count.
+            if cycle < subcore.quiet_until:
+                # Proved quiet until then: skip the tick, replay its counts
+                # and its wake.
                 subcore.counters["idle_cycles"] += 1
+                for counters, name, count in subcore.quiet_counts:
+                    counters[name] += count
+                sub_wake = subcore.quiet_wake or cycle + 1
             else:
                 sub_wake = subcore.tick(cycle)
             if sub_wake < wake:

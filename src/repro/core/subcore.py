@@ -15,15 +15,20 @@ baseline and both hybrid simulators — only the plugged-in modules differ.
 The tick returns the earliest cycle at which anything here can change,
 enabling exact clock jumps under the hybrid plans.
 
-A tick that finds no candidate while every blocked warp waits on a cycle
-it already knows also publishes that wake as ``quiet_until``: the SM need
-not tick this sub-core before then, only count the idle cycle the tick
-would have counted.  Sub-cores with per-cycle children never go quiet.
+A tick that changed nothing but counters — no candidate, no unit wrote
+back, the front end neither delivered nor started a fetch — publishes
+``quiet_until``, the first cycle at which something here can act (a
+warp's known cycle, a busy unit's next writeback, the front end's next
+landing), with the counts it made (``quiet_counts``) and the wake it
+returned (``quiet_wake``).  Until then the SM replays those instead of
+ticking this sub-core.  The rule is the same for every plan;
+``on_complete``, a barrier release, ``adopt``, ``remove_block_warps``
+and ``reset`` end a quiet stretch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, TYPE_CHECKING
+from typing import Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.core.execution_unit import PipelinedExecutionUnit
 from repro.core.fetch import FrontEnd
@@ -34,7 +39,7 @@ from repro.errors import SimulationError
 from repro.frontend.config import SMConfig
 from repro.frontend.isa import OPCODES, InstKind, MemSpace, UnitClass
 from repro.frontend.trace import TraceInstruction
-from repro.sim.module import ModelLevel, Module
+from repro.sim.module import Counters, ModelLevel, Module
 from repro.sim.ports import PENDING, CompletionListener, InstructionSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,10 +106,17 @@ class SubCore(Module, CompletionListener):
                 self._sinks[info.name] = self.exec_units[info.unit]
         self.frontend = FrontEnd(sm_config) if use_frontend else None
         self.collector = OperandCollector(sm_config) if use_collector else None
-        #: No warp here can issue before this cycle, and until then a tick
-        #: would only add one ``idle_cycles`` and return this same wake.
-        #: Zero whenever that has not been proved.
+        #: No warp here can issue and no child can act before this cycle;
+        #: until then a tick would only add one ``idle_cycles`` plus
+        #: ``quiet_counts`` and return ``quiet_wake``.  Zero whenever that
+        #: has not been proved.
         self.quiet_until = 0
+        #: The wake a quiet tick returns; 0 while a unit is busy, whose
+        #: tick then returns the next cycle.
+        self.quiet_wake = 0
+        #: ``(counters, name, count)`` for each other count a quiet tick
+        #: makes, on this sub-core or its front end.
+        self.quiet_counts: Tuple[Tuple[Counters, str, int], ...] = ()
         self.warps: List[WarpState] = []
         for module in (
             *self.exec_units.values(),
@@ -157,30 +169,37 @@ class SubCore(Module, CompletionListener):
 
     def tick(self, cycle: int) -> int:
         """Run one scheduler cycle; return the next interesting cycle."""
-        wake = NEVER
+        # ``horizon``: the earliest cycle a child acts of its own accord —
+        # a busy unit's next writeback, the front end's next landing;
+        # ``cycle`` itself once one has acted in this tick.
+        wake = horizon = NEVER
+        busy = False
         for unit in self._pipelined_units:
             if unit.busy:
-                unit.tick(cycle)
+                acts_at = unit.tick(cycle)
+                if acts_at < horizon:
+                    horizon = acts_at
                 if unit.busy:
-                    wake = cycle + 1
+                    busy = True
         frontend = self.frontend
         if frontend is not None:
-            frontend.tick(cycle, self.warps)
+            acts_at = frontend.tick(cycle, self.warps)
+            if acts_at < horizon:
+                horizon = acts_at
+        # Warps that wait on a callback, on a drain with callbacks
+        # outstanding, and on an empty i-buffer: this tick's counts.
+        waits = drains = hidden = 0
         # Issuable warps, oldest first, each with its fetched instruction.
         candidates: Dict[WarpState, TraceInstruction] = {}
-        # Stays true while every blocked warp waits on a known cycle;
-        # children that need a tick every cycle rule it out from the start.
-        silent = frontend is None and not self._pipelined_units
         for warp in self.warps:
-            if warp.status is WarpStatus.DONE:
-                continue
-            if warp.status is WarpStatus.AT_BARRIER:
-                continue  # released by the last arriving warp
+            if warp.status is not WarpStatus.ACTIVE:
+                continue  # done, or at a barrier the last arrival releases
             if warp.ready_cycle > cycle:
                 if warp.ready_cycle < wake:
                     wake = warp.ready_cycle
                 continue
             if frontend is not None and not frontend.instruction_visible(warp, cycle):
+                hidden += 1
                 visible_at = frontend.next_visible_cycle(warp)
                 if visible_at <= cycle:
                     visible_at = cycle + 1
@@ -193,28 +212,41 @@ class SubCore(Module, CompletionListener):
                 if not warp.drained(cycle):
                     drain = warp.drain_cycle()
                     if drain is None:
-                        self.counters["drain_wait_cycles"] += 1
-                        silent = False
+                        drains += 1
                     elif drain < wake:
                         wake = drain
                     continue
             else:
                 ready = warp.scoreboard.ready_cycle(inst)
                 if ready is None:
-                    self.counters["scoreboard_wait_cycles"] += 1
-                    silent = False
+                    waits += 1
                     continue  # a callback will wake the SM
                 if ready > cycle:
                     if ready < wake:
                         wake = ready
                     continue
             candidates[warp] = inst
+        if waits:
+            self.counters["scoreboard_wait_cycles"] += waits
+        if drains:
+            self.counters["drain_wait_cycles"] += drains
         if not candidates:
             if self.warps:
                 self.counters["idle_cycles"] += 1
-                if silent:
-                    self.quiet_until = wake
-            return wake
+                if horizon > wake:
+                    horizon = wake
+                if horizon > cycle + 1:
+                    # Nothing but counters changed, and nothing can before
+                    # ``horizon``: every tick until then repeats this one.
+                    self.quiet_until = horizon
+                    self.quiet_wake = 0 if busy else wake
+                    self.quiet_counts = (
+                        self._replayed_counts(waits, drains, hidden)
+                        if frontend is not None or waits or drains else ()
+                    )
+            return cycle + 1 if busy else wake
+        if busy:
+            wake = cycle + 1
         issued = 0
         issue_width = self._issue_width
         for warp in self.policy.order(list(candidates), cycle):
@@ -232,6 +264,20 @@ class SubCore(Module, CompletionListener):
         else:
             self.counters["stalled_cycles"] += 1
         return wake
+
+    def _replayed_counts(self, waits: int, drains: int, hidden: int):
+        """What a quiet tick adds besides its ``idle_cycles``."""
+        counts = []
+        if waits:
+            counts.append((self.counters, "scoreboard_wait_cycles", waits))
+        if drains:
+            counts.append((self.counters, "drain_wait_cycles", drains))
+        frontend = self.frontend
+        if frontend is not None:
+            counts.append((frontend.counters, "fetch_idle_cycles", 1))
+            if hidden:
+                counts.append((frontend.counters, "ibuffer_empty_cycles", hidden))
+        return tuple(counts)
 
     def _dispatch(self, warp: WarpState, inst: TraceInstruction, cycle: int):
         """Try to issue ``inst``, the warp's next instruction.
@@ -287,9 +333,12 @@ class SubCore(Module, CompletionListener):
     def invariants(self, cycle: int) -> List[str]:
         if cycle >= self.quiet_until:
             return []
+        frontend = self.frontend
         for warp in self.warps:
             if warp.status is not WarpStatus.ACTIVE or warp.ready_cycle > cycle:
                 continue
+            if frontend is not None and not warp.ibuffer:
+                continue  # nothing decoded yet: not visible to the scheduler
             inst = warp.trace.instructions[warp.pc_index]
             if inst.kind in _DRAINING_KINDS:
                 issuable = warp.drained(cycle)

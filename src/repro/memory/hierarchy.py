@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.frontend.config import GPUConfig
@@ -387,6 +387,11 @@ class DetailedMemorySystem(ClockedModule):
         self._dram_queues: List[Deque[_L2Request]] = [
             deque() for __ in range(config.memory_partitions)
         ]
+        # Indices of the non-empty queues above: a tick visits only these,
+        # in index order, and ``busy`` reads them instead of every queue.
+        self._l1_active: Set[int] = set()
+        self._l2_active: Set[int] = set()
+        self._dram_active: Set[int] = set()
         self._dram_busy = [0] * config.memory_partitions
         self._l1_waiters: Dict[Tuple[int, int, int], List[_PendingInstr]] = {}
         self._l2_waiters: Dict[Tuple[int, int, int], List[_L2Request]] = {}
@@ -409,6 +414,8 @@ class DetailedMemorySystem(ClockedModule):
         super().reset()
         for queue in (*self._l1_queues, *self._l2_queues, *self._dram_queues):
             queue.clear()
+        for active in (self._l1_active, self._l2_active, self._dram_active):
+            active.clear()
         self._dram_busy = [0] * self.config.memory_partitions
         self._l1_waiters.clear()
         self._l2_waiters.clear()
@@ -457,6 +464,7 @@ class DetailedMemorySystem(ClockedModule):
                     pending,
                 )
             )
+        self._l1_active.add(sm_id)
         self.counters["global_instructions"] += 1
         self.counters["sector_transactions"] += len(transactions)
         self._outstanding += 1
@@ -473,9 +481,9 @@ class DetailedMemorySystem(ClockedModule):
             self._outstanding
             or self._events
             or self.noc.busy
-            or any(self._l1_queues)
-            or any(self._l2_queues)
-            or any(self._dram_queues)
+            or self._l1_active
+            or self._l2_active
+            or self._dram_active
         )
 
     def is_done(self) -> bool:
@@ -495,6 +503,17 @@ class DetailedMemorySystem(ClockedModule):
                     f"transactions (capacity {self.L1_QUEUE_CAPACITY})"
                 )
                 break
+        for level, queues, active in (
+            ("L1", self._l1_queues, self._l1_active),
+            ("L2", self._l2_queues, self._l2_active),
+            ("DRAM", self._dram_queues, self._dram_active),
+        ):
+            non_empty = {index for index, queue in enumerate(queues) if queue}
+            if non_empty != active:
+                broken.append(
+                    f"{level} queues {sorted(non_empty)} are non-empty but "
+                    f"the tick visits {sorted(active)}"
+                )
         if any(busy < 0 for busy in self._dram_busy):
             broken.append("a DRAM partition reports negative busy cycles")
         if not self.busy and (self._l1_waiters or self._l2_waiters):
@@ -529,6 +548,7 @@ class DetailedMemorySystem(ClockedModule):
                     request.line, self.config.memory_partitions
                 )
                 self._dram_queues[partition].append(request)
+                self._dram_active.add(partition)
             elif kind == "respond":
                 response = payload
                 partition = partition_for_line(
@@ -550,9 +570,12 @@ class DetailedMemorySystem(ClockedModule):
     # ---- L1 side ------------------------------------------------------
 
     def _tick_l1(self, cycle: int) -> None:
-        for sm_id, queue in enumerate(self._l1_queues):
-            if queue:
-                self._tick_l1_sm(sm_id, queue, cycle)
+        active = self._l1_active
+        for sm_id in sorted(active):
+            queue = self._l1_queues[sm_id]
+            self._tick_l1_sm(sm_id, queue, cycle)
+            if not queue:
+                active.discard(sm_id)
 
     def _tick_l1_sm(self, sm_id: int, queue: Deque[_L1Work], cycle: int) -> None:
         l1 = self.l1_caches[sm_id]
@@ -632,11 +655,15 @@ class DetailedMemorySystem(ClockedModule):
 
     def _on_request_arrival(self, partition: int, request: _L2Request, cycle: int) -> None:
         self._l2_queues[partition].append(request)
+        self._l2_active.add(partition)
 
     def _tick_l2(self, cycle: int) -> None:
-        for partition, queue in enumerate(self._l2_queues):
-            if queue:
-                self._tick_l2_slice(partition, queue, cycle)
+        active = self._l2_active
+        for partition in sorted(active):
+            queue = self._l2_queues[partition]
+            self._tick_l2_slice(partition, queue, cycle)
+            if not queue:
+                active.discard(partition)
 
     def _tick_l2_slice(
         self, partition: int, queue: Deque[_L2Request], cycle: int
@@ -701,10 +728,14 @@ class DetailedMemorySystem(ClockedModule):
     # ---- DRAM side ----------------------------------------------------
 
     def _tick_dram(self, cycle: int) -> None:
-        for partition, queue in enumerate(self._dram_queues):
-            if not queue or self._dram_busy[partition] > cycle:
+        active = self._dram_active
+        for partition in sorted(active):
+            if self._dram_busy[partition] > cycle:
                 continue
+            queue = self._dram_queues[partition]
             request = queue.popleft()
+            if not queue:
+                active.discard(partition)
             dram = self.drams[partition]
             burst = dram.burst_cycles(1)
             self._dram_busy[partition] = cycle + burst

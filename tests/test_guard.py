@@ -14,6 +14,9 @@ import pytest
 
 from repro.check.shadow import TICK_OBSERVER_COUNTERS, compare_results
 from repro.cli import main
+from repro.core.block_scheduler import BlockScheduler
+from repro.core.sm import SMCore
+from repro.core.warp import NEVER
 from repro.errors import (
     ConfigError,
     CycleBudgetExceeded,
@@ -22,6 +25,7 @@ from repro.errors import (
 )
 from repro.eval.harness import EvaluationHarness
 from repro.frontend.config_io import save_gpu_config
+from repro.frontend.trace import BlockTrace, KernelTrace
 from repro.guard import (
     GuardConfig,
     InvariantGuard,
@@ -39,7 +43,7 @@ from repro.simulators.swift_basic import SwiftSimBasic
 from repro.simulators.swift_memory import SwiftSimMemory
 from repro.tracegen.suites import make_app
 
-from conftest import make_tiny_gpu
+from conftest import alu, make_tiny_gpu, make_warp
 
 SIMULATORS = (AccelSimLike, SwiftSimBasic, SwiftSimMemory)
 NOTHING_IGNORED = frozenset()
@@ -284,6 +288,36 @@ class TestInvariantGuard:
         cache._mshr[(0x10, 0)] = entry
         line.pending_mask = 0                   # MSHR entry loses its pending bit
         assert "not resident and pending" in cache.invariants(4)[0]
+
+    def test_quiet_accel_like_subcore_hiding_a_ready_warp_detected(self):
+        """Sabotage: declare an accel-like sub-core quiet while its warp is
+        visible and ready.  A warp whose i-buffer is still empty is not
+        issuable, so the same claim before the first fetch lands holds."""
+        gpu = make_tiny_gpu()
+        simulator = AccelSimLike(gpu)
+        trace = make_warp([alu(0, 40), alu(16, 41)])
+        scheduler = BlockScheduler(KernelTrace("k", [BlockTrace(0, [trace])]))
+        sm = SMCore(0, gpu, scheduler,
+                    simulator._subcore_factory(simulator._build_memory()))
+        engine = Engine()
+        sm.attach_engine(engine)
+        engine.add(sm)
+        guard = InvariantGuard(engine, check_every=1)
+        subcore = sm.subcores[0]
+        cycle = sm.tick(0)                  # adopts the warp, starts its fetch
+        warp = subcore.warps[0]
+        assert warp.ibuffer == 0 and warp.ready_cycle <= cycle
+        subcore.quiet_until = NEVER
+        guard.check_now(cycle)              # empty i-buffer: nothing to issue
+        subcore.quiet_until = 0
+        while warp.pc_index == 0:
+            cycle = sm.tick(cycle)          # the fetch lands, IADD3 issues
+        assert warp.ibuffer > 0 and warp.ready_cycle == cycle
+        subcore.quiet_until = NEVER
+        with pytest.raises(InvariantViolation,
+                           match=r"quiet until cycle .* can issue IADD3") as exc_info:
+            guard.check_now(cycle)
+        assert exc_info.value.module_name == subcore.name
 
     def test_module_invariants_default_empty(self):
         assert _Worker(work=1).invariants(0) == []

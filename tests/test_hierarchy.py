@@ -402,6 +402,59 @@ class TestDetailedMemorySystem:
         text = json.dumps(result.metrics.per_module, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_tick_visits_only_non_empty_queues_in_index_order(
+            self, tiny_gpu, monkeypatch):
+        """L1 and L2 queues are visited only while they hold work, lowest
+        index first, and the visited sets match the queues after every
+        tick (``invariants``)."""
+        visits = []
+        for method in ("_tick_l1_sm", "_tick_l2_slice"):
+            original = getattr(DetailedMemorySystem, method)
+
+            def visiting(self, index, queue, cycle, original=original,
+                         method=method):
+                assert queue, f"{method} visited empty queue {index}"
+                visits.append((cycle, method, index))
+                return original(self, index, queue, cycle)
+
+            monkeypatch.setattr(DetailedMemorySystem, method, visiting)
+        tick = DetailedMemorySystem.tick
+
+        def checked_tick(self, cycle):
+            wake = tick(self, cycle)
+            assert self.invariants(cycle) == []
+            return wake
+
+        monkeypatch.setattr(DetailedMemorySystem, "tick", checked_tick)
+        listener = _Recorder()
+        schedule = [
+            (0, sm_id, listener, load(16 * sm_id, 1, coalesced_addrs(
+                base=0x100000 + 0x10000 * sm_id)))
+            for sm_id in (3, 1, 0, 2)
+        ]
+        memory, __ = run_detailed(tiny_gpu, schedule)
+        assert len(listener.completed) == 4
+        by_tick = {}
+        for cycle, method, index in visits:
+            by_tick.setdefault((cycle, method), []).append(index)
+        assert all(indices == sorted(indices) for indices in by_tick.values())
+        assert any(len(indices) > 1 for indices in by_tick.values())
+        assert {index for __, method, index in visits
+                if method == "_tick_l1_sm"} == {0, 1, 2, 3}
+        assert any(method == "_tick_l2_slice" for __, method, __ in visits)
+        assert not memory.busy
+
+    def test_unindexed_queue_is_an_invariant_violation(self, tiny_gpu):
+        """Sabotage: work queued where the tick will not look."""
+        memory = DetailedMemorySystem(tiny_gpu)
+        listener = _Recorder()
+        inst = load(0, 1, coalesced_addrs(base=0x100000))
+        assert memory.issue_global(1, listener, warp_in_slot(), inst, 0)
+        assert memory.invariants(0) == []
+        memory._l1_active.clear()
+        assert memory.invariants(0) == [
+            "L1 queues [1] are non-empty but the tick visits []"]
+
     def test_cross_sm_sharing_through_l2(self, tiny_gpu):
         listener = _Recorder()
         addrs = coalesced_addrs(base=0x500000)

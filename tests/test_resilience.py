@@ -56,8 +56,8 @@ def _double(value):
     return value * 2
 
 
-def _nap_then_double(value):
-    time.sleep(0.05)
+def _nap_then_double(value, seconds=0.05):
+    time.sleep(seconds)
     return value * 2
 
 
@@ -395,12 +395,15 @@ class TestKeptWorkers:
         assert supervisor.workers_reaped == supervisor.workers_spawned
 
     def test_each_crash_costs_exactly_one_fork(self):
+        """t1 holds the other worker until long after t0's crash is seen,
+        so the tasks behind t0 need a replacement: exactly one."""
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         supervisor = Supervisor(
             policy, workers=2, chaos=ScriptedChaos({("t0", 1): "crash"})
         )
         outcomes = supervisor.run(
-            [Task(f"t{n}", _double, (n,)) for n in range(8)]
+            [Task("t0", _double, (0,)), Task("t1", _nap_then_double, (1, 1.0))]
+            + [Task(f"t{n}", _double, (n,)) for n in range(2, 8)]
         )
         assert all(outcome.ok for outcome in outcomes.values())
         assert [r.outcome for r in outcomes["t0"].attempts] == ["crash", "ok"]

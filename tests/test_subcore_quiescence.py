@@ -1,18 +1,20 @@
 """The quiescence horizon and the single-pass issue path are bit-invisible.
 
-``SMCore.tick`` skips a sub-core whose last scan proved that no warp can
-issue before ``quiet_until``; ``SubCore._dispatch`` books an accepted
+``SMCore.tick`` skips a sub-core whose last tick proved that nothing but
+counters can change before ``quiet_until``, and replays that tick's
+counts and wake instead; ``SubCore._dispatch`` books an accepted
 instruction inline.  ``subcore_reference.py`` keeps the code both
 replaced — tick all four sub-cores, re-scan every time, issue through
 the helper chain — and this suite holds the live classes to it:
 
 * the same module ticks at the same cycles, the same kernel boundaries
   and **every** counter equal (tick-observer ones included: a skipped
-  sub-core still counts the ``idle_cycles`` its tick would have), for
-  three tiers x six apps x three scheduling policies x both clockings;
-* a sub-core is never quiet while a warp of its waits on a callback;
-* the saving is where it is claimed: sub-core ticks per committed
-  instruction, counted, not timed;
+  sub-core still counts the ``idle_cycles``, waits and front-end idles
+  its tick would have), for three tiers x six apps x three scheduling
+  policies x both clockings;
+* at every cycle boundary, no quiet sub-core holds a warp that is
+  visible and issuable, under accel-like and a mixed plan;
+* the saving is where it is claimed: sub-core ticks, counted, not timed;
 * ``SubCore.invariants`` catches a horizon that hides an issuable warp.
 """
 
@@ -21,8 +23,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import get_preset
 from repro.check.shadow import compare_results
 from repro.core.block_scheduler import BlockScheduler
+from repro.core.fetch import NO_FETCH
 from repro.core.sm import SMCore
 from repro.core.subcore import SubCore
 from repro.core.warp import NEVER, WarpStatus
@@ -117,7 +121,7 @@ def test_reference_is_the_reference():
 
 
 # ----------------------------------------------------------------------
-# callbacks outstanding: hybrid ALU + per-cycle memory
+# no quiet sub-core hides an issuable warp
 
 
 class QuietWatch(EngineChecker):
@@ -126,7 +130,9 @@ class QuietWatch(EngineChecker):
     def __init__(self):
         self.subcores = []
         self.quiet_seen = 0
-        self.callback_blocked_while_quiet = []
+        self.quiet_on_a_callback = 0
+        self.quiet_while_busy = 0
+        self.hidden_issuable = []
 
     def on_add(self, module, start_cycle):
         self.subcores.extend(getattr(module, "subcores", ()))
@@ -136,50 +142,61 @@ class QuietWatch(EngineChecker):
             if subcore.quiet_until <= cycle:
                 continue
             self.quiet_seen += 1
+            self.quiet_while_busy += any(
+                unit.busy for unit in subcore._pipelined_units)
+            on_a_callback = False
             for warp in subcore.warps:
                 if warp.status is not WarpStatus.ACTIVE or warp.ready_cycle > cycle:
                     continue
+                if subcore.frontend is not None and not warp.ibuffer:
+                    continue  # not visible: nothing decoded to issue
                 inst = warp.trace.instructions[warp.pc_index]
                 if inst.kind in (InstKind.BARRIER, InstKind.MEMBAR, InstKind.EXIT):
-                    known = warp.drain_cycle() is not None
+                    issuable = warp.drained(cycle)
+                    on_a_callback |= warp.drain_cycle() is None
                 else:
-                    known = warp.scoreboard.ready_cycle(inst) is not None
-                if not known:
-                    self.callback_blocked_while_quiet.append((cycle, subcore.name))
+                    ready = warp.scoreboard.ready_cycle(inst)
+                    issuable = ready is not None and ready <= cycle
+                    on_a_callback |= ready is None
+                if issuable:
+                    self.hidden_issuable.append((cycle, subcore.name, warp.slot))
+            self.quiet_on_a_callback += on_a_callback
 
 
 MIXED_PLAN = SWIFT_BASIC_PLAN.with_choice("memory", "cycle_accurate", name="mixed")
 
+QUIET_RUNS = {
+    "accel-like-gemm": (lambda: AccelSimLike(make_tiny_gpu()), "gemm"),
+    "accel-like-bfs": (lambda: AccelSimLike(make_tiny_gpu()), "bfs"),
+    "mixed-bfs": (lambda: PlanSimulator(make_tiny_gpu(), plan=MIXED_PLAN), "bfs"),
+    "mixed-backprop": (
+        lambda: PlanSimulator(make_tiny_gpu(), plan=MIXED_PLAN), "backprop"),
+}
 
-@pytest.mark.parametrize("app_name", ("bfs", "backprop"))
-def test_never_quiet_while_a_callback_is_outstanding(app_name):
-    """Hybrid ALUs resolve at issue, ``DetailedLDSTUnit`` answers by
-    callback: the sub-core goes quiet through ALU dependences, never
-    past a warp whose blocker has no known cycle."""
+
+@pytest.mark.parametrize("run", sorted(QUIET_RUNS))
+def test_no_quiet_subcore_hides_an_issuable_warp(run):
+    """A sub-core goes quiet through callback waits (``DetailedLDSTUnit``
+    answers by callback), busy pipelined units and in-flight fetches,
+    and never past a warp that is visible and issuable; the runs still
+    equal the reference."""
+    make, app_name = QUIET_RUNS[run]
     app = make_app(app_name, scale="tiny")
-    make = lambda: PlanSimulator(make_tiny_gpu(), plan=MIXED_PLAN)
-    live = assert_matches_reference(f"mixed x {app_name}", make, app)
-    waits = (live.metrics.total("scoreboard_wait_cycles")
-             + live.metrics.total("drain_wait_cycles"))
-    assert waits > 0, "the app never waited on a callback: test is vacuous"
+    assert_matches_reference(run, make, app)
     watch = QuietWatch()
     make().simulate(app, checker=watch)
-    assert watch.quiet_seen > 0, "the mixed plan never went quiet: vacuous"
-    assert not watch.callback_blocked_while_quiet
-
-
-def test_per_cycle_subcores_never_go_quiet():
-    watch = QuietWatch()
-    AccelSimLike(make_tiny_gpu()).simulate(make_app("gemm", scale="tiny"),
-                                           checker=watch)
-    assert watch.subcores and watch.quiet_seen == 0
+    assert watch.subcores and watch.quiet_seen > 0, "never went quiet: vacuous"
+    assert watch.quiet_on_a_callback > 0, "no quiet stretch on a callback"
+    if run.startswith("accel-like"):
+        assert watch.quiet_while_busy > 0, "no quiet stretch with a busy unit"
+    assert not watch.hidden_issuable
 
 
 # ----------------------------------------------------------------------
 # work counts (machine-independent)
 
 
-def count_subcore_ticks(monkeypatch, cls, simulator, app):
+def count_subcore_ticks(monkeypatch, cls, simulator, app, gather_metrics=False):
     calls = [0]
     tick = cls.tick
 
@@ -188,9 +205,9 @@ def count_subcore_ticks(monkeypatch, cls, simulator, app):
         return tick(self, cycle)
 
     monkeypatch.setattr(cls, "tick", counting)
-    result = simulator.simulate(app, gather_metrics=False)
+    result = simulator.simulate(app, gather_metrics=gather_metrics)
     monkeypatch.setattr(cls, "tick", tick)
-    return calls[0], result.instructions
+    return calls[0], result if gather_metrics else result.instructions
 
 
 def test_basic_ticks_a_subcore_at_most_twice_per_instruction(monkeypatch):
@@ -208,15 +225,45 @@ def test_basic_ticks_a_subcore_at_most_twice_per_instruction(monkeypatch):
     assert reference_ticks > 3 * instructions
 
 
-def test_accel_like_subcore_ticks_are_unchanged(monkeypatch):
-    """Per-cycle sub-cores keep their per-cycle discipline."""
+def test_accel_like_subcore_ticks_are_pinned(monkeypatch):
+    """Per-cycle sub-cores go quiet too: a tick that changed nothing but
+    counters is replayed, not repeated, until a known cycle or an event."""
     app = make_app("gemm", scale="tiny")
     ticks, __ = count_subcore_ticks(
         monkeypatch, SubCore, AccelSimLike(make_tiny_gpu()), app)
     with reference_cores():
         reference_ticks, __ = count_subcore_ticks(
             monkeypatch, ReferenceSubCore, AccelSimLike(make_tiny_gpu()), app)
-    assert ticks == reference_ticks
+    assert (ticks, reference_ticks) == (2379, 5644)
+
+
+#: (live, reference) accel-like sub-core ticks at ``small`` on the
+#: RTX 2080 Ti preset: the benchmark's cycle-accurate-compute apps.
+COMPUTE_FOUR_TICKS = {
+    "gemm": (20890, 37620),
+    "2mm": (28508, 53736),
+    "lstm": (14849, 63072),
+    "sm": (25560, 38928),
+}
+
+
+@pytest.mark.parametrize("app_name", sorted(COMPUTE_FOUR_TICKS))
+def test_accel_like_subcore_ticks_on_the_compute_four(monkeypatch, app_name):
+    """Counted on a full preset, where a sub-core holds several warps and
+    their fetches compete; every counter still equals the reference's."""
+    app = make_app(app_name, scale="small")
+    gpu = get_preset("rtx2080ti")
+    ticks, live = count_subcore_ticks(
+        monkeypatch, SubCore, AccelSimLike(gpu), app, gather_metrics=True)
+    with reference_cores():
+        reference_ticks, reference = count_subcore_ticks(
+            monkeypatch, ReferenceSubCore, AccelSimLike(gpu), app,
+            gather_metrics=True)
+    findings = compare_results(app_name, live, reference,
+                               ignore_counters=NOTHING_IGNORED,
+                               labels=("live", "reference"))
+    assert not findings, "\n".join(f.message for f in findings)
+    assert (ticks, reference_ticks) == COMPUTE_FOUR_TICKS[app_name]
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +337,37 @@ def test_each_clearing_event_ends_the_horizon():
     assert first.quiet_until == 0
 
 
+def test_a_tick_that_starts_a_fetch_is_not_quiet():
+    """Two warps wait on callbacks with half-empty i-buffers.  The front
+    end starts one fetch per cycle, so the tick that starts the first
+    must not go quiet: the next one starts the second."""
+    gpu = make_tiny_gpu()
+    gpu = replace(gpu, sm=replace(gpu.sm, sub_cores=1))
+    simulator = AccelSimLike(gpu)
+    program = [load(0, 10, coalesced_addrs()), alu(16, 20, srcs=(10,))]
+    block = BlockTrace(0, [make_warp(program, warp_id=w) for w in range(2)])
+    sm = SMCore(0, gpu, BlockScheduler(KernelTrace("k", [block])),
+                simulator._subcore_factory(simulator._build_memory()))
+    subcore = sm.subcores[0]
+    sm.tick(0)                              # adopts both, fetches in flight
+    round_trip = gpu.sm.fetch_latency + gpu.sm.decode_latency
+    assert subcore.quiet_until == round_trip
+    for warp in subcore.warps:              # each issued its LDG long ago
+        warp.pc_index = 1
+        warp.scoreboard.reserve((10,), None)
+        warp.inflight_count = 1
+        warp.ibuffer = gpu.sm.ibuffer_entries // 2
+        warp.refill_at = NO_FETCH
+    subcore.quiet_until = 0
+    sm.tick(1)                              # starts warp 0's fetch
+    assert subcore.quiet_until <= 2
+    sm.tick(2)                              # starts warp 1's fetch
+    assert [warp.refill_at for warp in subcore.warps] == [
+        1 + round_trip, 2 + round_trip]
+    sm.tick(3)                              # quiet until the first landing
+    assert subcore.quiet_until == 1 + round_trip
+
+
 OPCODES = ("IADD3", "FFMA", "MUFU.SIN", "DFMA", "LDG", "STG", "LDS",
            "BRA", "MEMBAR", "BAR.SYNC")
 
@@ -328,7 +406,7 @@ def tiny_kernels(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(app=tiny_kernels(), policy=st.sampled_from(POLICIES),
-       simulator_cls=st.sampled_from((SwiftSimBasic, SwiftSimMemory)))
+       simulator_cls=st.sampled_from(SIMULATORS))
 def test_random_kernels_keep_the_horizon_honest(app, policy, simulator_cls):
     """Checked at every cycle boundary: no quiet sub-core holds an
     issuable warp; and the run still equals the reference."""
