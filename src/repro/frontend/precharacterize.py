@@ -216,7 +216,8 @@ _OPCODE_TERMS: Dict[str, Optional[tuple]] = {
 
 
 def _walk_warp(
-    warp, stream: array, lanes: List[int], stores: List[bool]
+    warp, stream: array, runs: List[range], run_at: List[int],
+    lanes: List[int], stores: List[bool],
 ) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
     """One pass over a warp: its dependence skeleton ``(terms, producers)``.
 
@@ -231,8 +232,10 @@ def _walk_warp(
     for every producer's completion instead.
 
     The warp's global/local memory instructions go, in program order, to
-    the kernel's sector stream: their addresses onto ``stream``, their
-    address count onto ``lanes`` and whether they store onto ``stores``.
+    the kernel's sector stream: their address count onto ``lanes`` and
+    whether they store onto ``stores``; an address ``array`` onto
+    ``stream``, an address ``range`` (a run) onto ``runs`` with its
+    instruction's index onto ``run_at``, unexpanded.
     """
     last_writer: Dict[int, int] = {}
     writer_of = last_writer.get
@@ -279,7 +282,11 @@ def _walk_warp(
             last_writer[reg] = position
         if term is LOAD_TERM or term is STORE_TERM:
             addresses = inst.addresses
-            stream.extend(addresses)
+            if type(addresses) is range:
+                run_at.append(len(lanes))
+                runs.append(addresses)
+            else:
+                stream.extend(addresses)
             lanes.append(len(addresses))
             stores.append(term is STORE_TERM)
     return tuple(terms), tuple(producers)
@@ -323,17 +330,22 @@ def _characterize_kernel(kernel: KernelTrace) -> KernelTasklist:
         regs_per_thread=max([block.regs_per_thread for block in blocks]),
         num_instructions=kernel.num_instructions,
     )
-    stream = array("Q")  # every global access's addresses, in launch order
+    # Every global access's addresses in launch order: the arrays' lanes
+    # in ``stream``, the runs as ranges, expanded in one numpy pass.
+    stream = array("Q")
+    runs: List[range] = []
+    run_at: List[int] = []
     lanes: List[int] = []
     stores: List[bool] = []
     skeletons: Dict[Tuple[tuple, tuple], int] = {}  # skeleton -> warp count
     warp_rows: List[Dict[tuple, int]] = []
     for block in blocks:
         for warp in block.warps:
-            skeleton = _walk_warp(warp, stream, lanes, stores)
+            skeleton = _walk_warp(warp, stream, runs, run_at, lanes, stores)
             skeletons[skeleton] = skeletons.get(skeleton, 0) + 1
             warp_rows.append(Counter(skeleton[0]))
-    _sector_stream(tasklist, stream, lanes, stores)
+    _sector_stream(tasklist, _addresses(stream, runs, run_at, lanes),
+                   lanes, stores)
     chain_terms = sorted(set().union(*warp_rows))
     term_index = {term: i for i, term in enumerate(chain_terms)}
     warp_counts = np.zeros((len(warp_rows), len(chain_terms)), dtype=np.int64)
@@ -367,10 +379,44 @@ def _characterize_kernel(kernel: KernelTrace) -> KernelTasklist:
     return tasklist
 
 
-def _sector_stream(tasklist: KernelTasklist, stream: array, lanes: List[int],
+#: Two's complement of a negative run step, as numpy's uint64 wraps.
+_UINT64_MASK = (1 << 64) - 1
+
+
+def _addresses(stream: array, runs: List[range], run_at: List[int],
+               lanes: List[int]):
+    """The kernel's address stream, ``uint64`` in launch order: the
+    lanes in ``stream`` where no run sits, each run of ``runs`` expanded
+    at instruction ``run_at``.  A negative step is added as its uint64
+    two's complement: the sums wrap to the run's own addresses."""
+    np = _np
+    stored = np.frombuffer(stream, dtype=np.uint64)
+    if not runs:
+        return stored
+    lane_counts = np.asarray(lanes, dtype=np.int64)
+    run_lanes = lane_counts[run_at]
+    in_run = np.zeros(lane_counts.shape[0], dtype=bool)
+    in_run[run_at] = True
+    in_run = np.repeat(in_run, lane_counts)
+    # Lane k of a run: start + k * step.
+    lane = np.arange(run_lanes.sum(), dtype=np.int64) - np.repeat(
+        np.cumsum(run_lanes) - run_lanes, run_lanes
+    )
+    starts = np.array([run.start for run in runs], dtype=np.uint64)
+    steps = np.array([run.step & _UINT64_MASK for run in runs], dtype=np.uint64)
+    addresses = np.empty(in_run.shape[0], dtype=np.uint64)
+    addresses[~in_run] = stored
+    addresses[in_run] = np.repeat(starts, run_lanes) + np.repeat(
+        steps, run_lanes
+    ) * lane.astype(np.uint64)
+    return addresses
+
+
+def _sector_stream(tasklist: KernelTasklist, addresses, lanes: List[int],
                    stores: List[bool]) -> None:
-    """Coalesce the kernel's global accesses to sectors and walk them
-    through one LRU stack, in launch order (one kernel-wide stream).
+    """Coalesce the kernel's global accesses (``addresses``, uint64 in
+    launch order) to sectors and walk them through one LRU stack, in
+    launch order (one kernel-wide stream).
 
     Fills the load/store instruction and transaction counts and the two
     reuse-distance distributions of ``tasklist``.
@@ -378,7 +424,7 @@ def _sector_stream(tasklist: KernelTasklist, stream: array, lanes: List[int],
     np = _np
     lane_counts = np.asarray(lanes, dtype=np.int64)
     is_store = np.asarray(stores, dtype=bool)
-    sectors = np.frombuffer(stream, dtype=np.uint64) // SECTOR_BYTES
+    sectors = addresses // SECTOR_BYTES
     inst_ids = np.repeat(np.arange(lane_counts.shape[0]), lane_counts)
     keep = first_touch(sectors, inst_ids)
     sectors = sectors[keep]

@@ -15,16 +15,25 @@ are by value, and the warps of a kernel run the same code, so both
 producers (:class:`~repro.tracegen.base.KernelBuilder` and the parser in
 :mod:`~repro.frontend.trace_io`) let them share one object per distinct
 address-free instruction.  Do not tell instructions apart by identity.
+
 ``addresses`` is a read-only integer sequence — sized, indexable,
-iterable; one ``array("Q")`` per memory instruction and the empty tuple
-otherwise — so it is not hashable and never equal to a tuple or list:
-compare ``list(inst.addresses)``.
+iterable — whose storage :class:`TraceInstruction` alone decides, by
+value, whoever built it (generator, trace parser, NVBit importer, user
+code): a memory instruction whose addresses form an arithmetic run
+(nonzero step; one lane is ``range(a, a + 1)``) holds that ``range``,
+any other memory instruction one ``array("Q")``, and an address-free
+instruction the empty tuple.  Most warp accesses are runs (coalesced,
+strided, stencil, shared-offset), so most hold three integers instead
+of 8 bytes per lane.  Because the form follows from the values, two
+equal address lists are always stored alike, and ``==``, pickling and
+iteration see values only.  Never equal to a tuple or list: compare
+``list(inst.addresses)``.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TraceError
 from repro.frontend.isa import InstKind, MemSpace, UnitClass, opcode_info
@@ -34,6 +43,11 @@ from repro.utils.bitops import bit_count, full_mask
 WARP_SIZE = 32
 
 _FULL_WARP_MASK = full_mask(WARP_SIZE)
+
+
+#: One past the largest address: every address is an unsigned 64-bit
+#: integer.
+_ADDRESS_LIMIT = 1 << 64
 
 
 def _address_fault(addresses: Sequence[int]) -> str:
@@ -49,6 +63,64 @@ def _address_fault(addresses: Sequence[int]) -> str:
     return "an address is not a 64-bit integer"
 
 
+def _as_run(values: List[int]) -> Optional[range]:
+    """``values``, plain ints, as the canonical ``range`` they spell, or
+    ``None``.
+
+    Canonical: nonzero step and ``stop = start + len * step``, a single
+    lane stepping by 1.  The two ends are tested before any lane is
+    compared, so most lists that are not runs cost two subtractions."""
+    count = len(values)
+    first = values[0]
+    step = values[1] - first if count > 1 else 1
+    if step and values[-1] - first == (count - 1) * step:
+        run = range(first, first + count * step, step)
+        if count < 3 or list(run) == values:
+            return run
+    return None
+
+
+def _stored_addresses(addresses: Sequence[int]):
+    """The one stored form of a memory instruction's (non-empty) address
+    list: the canonical ``range`` if it is a run, else an ``array("Q")``.
+
+    Raises ``ValueError`` with the fault when an address is negative, too
+    large or not an integer: the same words whichever form it arrived
+    in."""
+    if type(addresses) is range:
+        count = len(addresses)
+        step = addresses.step if count > 1 else 1
+        run = addresses
+        if run.stop != run.start + count * step or run.step != step:
+            run = range(run.start, run.start + count * step, step)
+    else:
+        values = addresses if type(addresses) is list else list(addresses)
+        try:
+            plain = type(sum(values)) is int
+        except TypeError:
+            plain = False
+        if not plain:
+            # Not every lane is a plain int (``8.0``, ``"0x10"``, a numpy
+            # integer): ``array("Q")`` refuses the list or reads it back
+            # as plain ints.
+            try:
+                values = array("Q", values).tolist()
+            except (OverflowError, TypeError):
+                raise ValueError(_address_fault(values)) from None
+        run = _as_run(values)
+        if run is None:
+            try:
+                return array("Q", values)
+            except OverflowError:
+                raise ValueError(_address_fault(values)) from None
+    low, high = (run[0], run[-1]) if run.step > 0 else (run[-1], run[0])
+    if low < 0:
+        raise ValueError("negative address")
+    if high >= _ADDRESS_LIMIT:
+        raise ValueError("an address is not a 64-bit integer")
+    return run
+
+
 class TraceInstruction:
     """One dynamic warp instruction.
 
@@ -57,7 +129,10 @@ class TraceInstruction:
     records them; it is empty for non-memory instructions and for
     shared-memory instructions it holds shared-memory offsets.  Every
     address is an unsigned 64-bit integer; anything else is a
-    :class:`~repro.errors.TraceError`.
+    :class:`~repro.errors.TraceError`.  Any integer sequence may be
+    passed; what is stored is decided here, by value: the canonical
+    ``range`` when the addresses form an arithmetic run, else an
+    ``array("Q")`` (see the module docstring).
     """
 
     __slots__ = (
@@ -91,11 +166,9 @@ class TraceInstruction:
                     f"{active_threads} active threads"
                 )
             try:
-                addresses = array("Q", addresses)
-            except (OverflowError, TypeError):
-                raise TraceError(
-                    f"{opcode} at pc {pc:#x}: {_address_fault(addresses)}"
-                ) from None
+                addresses = _stored_addresses(addresses)
+            except ValueError as fault:
+                raise TraceError(f"{opcode} at pc {pc:#x}: {fault}") from None
         elif addresses:
             raise TraceError(f"{opcode} at pc {pc:#x} carries addresses but is not memory")
         else:

@@ -21,6 +21,7 @@ addresses are optional per instruction; addresses are hexadecimal.
 from __future__ import annotations
 
 import gzip
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -37,6 +38,29 @@ _HEADER = "#SWIFTSIM-TRACE v1"
 
 #: What ends a warp's instruction stream (besides the end of the trace).
 _SECTION_STARTS = ("warp ", "block ", "kernel ")
+
+#: ``int``'s base for every address of a line, for ``map``.
+_HEX = repeat(16)
+
+
+def _parse_addresses(text: str) -> Sequence[int]:
+    """The addresses of one ``a=`` field.
+
+    A run written by :func:`save_trace` (``hex`` of each lane) is read
+    from its first two lanes and checked against the text, without
+    parsing the others; any other text is parsed lane by lane.  Either
+    way :class:`TraceInstruction` decides the stored form by value.
+    Malformed text raises ``ValueError``."""
+    lanes = text.split(",")
+    count = len(lanes)
+    if count > 2:
+        first = int(lanes[0], 16)
+        step = int(lanes[1], 16) - first
+        if step:
+            run = range(first, first + count * step, step)
+            if lanes == list(map(hex, run)):
+                return run
+    return list(map(int, lanes, _HEX))
 
 
 def save_trace(trace: ApplicationTrace, path: Union[str, Path]) -> None:
@@ -305,7 +329,7 @@ class _Parser:
                 elif tag == "m=":
                     mask = int(field[2:], 16)
                 elif tag == "a=":
-                    addresses = [int(v, 16) for v in field[2:].split(",")]
+                    addresses = _parse_addresses(field[2:])
                 else:
                     self._fail(f"unknown instruction field {field!r}")
             except ValueError:

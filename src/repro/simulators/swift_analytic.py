@@ -269,33 +269,44 @@ class SwiftSimAnalytic(GPUSimulator):
         """Slowest warp's solo time per cost column, ``(U,)``.
 
         ``chain_cost`` / ``issue_cost`` hold one ``(U,)`` row per chain
-        term.  Replays each deduplicated warp class once as an in-order
-        scoreboard walk: instruction ``i`` issues at ``max(in-order
-        issue time, producer completion)`` and completes ``chain_cost``
-        later; the warp retires when its last completion lands.  Every
-        operation is elementwise across columns (explicit position loop,
-        no matmul), preserving the batch == scalar bit-identity
-        contract.  Cost is proportional to unique skeletons, not warps.
+        term.  Replays each deduplicated warp class, for each column, as
+        an in-order scoreboard walk in Python floats: instruction
+        ``i`` issues at ``max(in-order issue time, producer completion)``
+        and completes ``chain_cost`` later; the warp retires when its
+        last completion lands.  A column is walked alone, with the same
+        IEEE additions and maxima for one configuration as for many, so
+        batch == scalar holds bit for bit.  Cost is proportional to
+        unique skeletons times distinct columns, not warps or configs.
         """
+        # Each class's steps once, as (term, producer + 1): slot 0 of the
+        # completions is a 0.0 that no issue time is below, so a step
+        # without a producer needs no test of its own.
+        walks = [
+            list(zip(warp_class.term_seq.tolist(),
+                     (warp_class.producer + 1).tolist()))
+            for warp_class in tasklist.warp_classes
+            if warp_class.term_seq.shape[0]
+        ]
         np = _np
-        solo = np.zeros_like(chain_cost[0])
-        for warp_class in tasklist.warp_classes:
-            if warp_class.term_seq.shape[0] == 0:
-                continue
-            completions: List[object] = []
-            now = np.zeros_like(solo)
-            for term, producer in zip(
-                warp_class.term_seq.tolist(), warp_class.producer.tolist()
-            ):
-                start = now
-                if producer >= 0:
-                    start = np.maximum(now, completions[producer])
-                completions.append(start + chain_cost[term])
-                now = start + issue_cost[term]
-            # The warp retires at its last completion: a max, exact in
-            # any order.
-            solo = np.maximum(solo, np.max(completions, axis=0))
-        return solo
+        solo = []
+        for chain, issue in zip(np.transpose(chain_cost).tolist(),
+                                np.transpose(issue_cost).tolist()):
+            slowest = 0.0
+            for walk in walks:
+                completions = [0.0]
+                complete = completions.append
+                now = 0.0
+                for term, producer in walk:
+                    done = completions[producer]
+                    if done > now:
+                        now = done
+                    complete(now + chain[term])
+                    now += issue[term]
+                last = max(completions)
+                if last > slowest:
+                    slowest = last
+            solo.append(slowest)
+        return np.asarray(solo, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # per-kernel closed form

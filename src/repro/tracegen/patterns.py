@@ -9,9 +9,12 @@ caches entirely, and stencils reuse neighbours.
 Addresses are laid out in named regions so different arrays never alias.
 
 A full-warp access that does not wrap is an arithmetic run, so those
-patterns build it as ``list(range(start, stop, step))`` in C instead of
-one Python step per lane; partial lanes and wrapping runs take the
-per-lane expression.  Both give the same list.
+patterns return it as the ``range(start, stop, step)`` it is, which is
+also the form :class:`~repro.frontend.trace.TraceInstruction` stores a
+run in: three integers, not a list of 32.  Partial lanes and wrapping
+runs take the per-lane expression and return a list (the instruction
+stores it as a ``range`` if it still happens to be a run).  Both forms
+hold the same addresses in the same order.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from repro.frontend.trace import WARP_SIZE
 #: Spacing between array regions (1 GiB apart; plenty for any scale).
 REGION_STRIDE = 1 << 30
 
-#: The lanes of a whole warp, in address order.
-_FULL_WARP = list(range(WARP_SIZE))
+#: The lanes of a whole warp, in address order (a list: callers pass lists).
+_FULL_WARP = [*range(WARP_SIZE)]
 
 
 def region_base(region: int) -> int:
@@ -39,7 +42,7 @@ def coalesced_pattern(
     lanes: Sequence[int],
     element_bytes: int = 4,
     wrap_elements: int = 1 << 22,
-) -> List[int]:
+) -> Sequence[int]:
     """Fully coalesced: lane ``l`` touches element ``index*32 + l``.
 
     ``wrap_elements`` bounds the footprint so streaming kernels revisit
@@ -50,7 +53,7 @@ def coalesced_pattern(
         first = (index * WARP_SIZE) % wrap_elements
         if first + WARP_SIZE <= wrap_elements:
             start = base + first * element_bytes
-            return list(range(start, start + WARP_SIZE * element_bytes, element_bytes))
+            return range(start, start + WARP_SIZE * element_bytes, element_bytes)
     return [
         base + ((index * WARP_SIZE + lane) % wrap_elements) * element_bytes
         for lane in lanes
@@ -64,7 +67,7 @@ def strided_pattern(
     stride_bytes: int,
     element_bytes: int = 4,
     wrap_bytes: int = 1 << 26,
-) -> List[int]:
+) -> Sequence[int]:
     """Column-major style access: consecutive lanes ``stride_bytes`` apart
     (stride >= 128 makes every lane its own cache line)."""
     base = region_base(region)
@@ -73,7 +76,7 @@ def strided_pattern(
         first = offset % wrap_bytes
         if first + (WARP_SIZE - 1) * stride_bytes < wrap_bytes:
             start = base + first
-            return list(range(start, start + WARP_SIZE * stride_bytes, stride_bytes))
+            return range(start, start + WARP_SIZE * stride_bytes, stride_bytes)
     return [base + (offset + lane * stride_bytes) % wrap_bytes for lane in lanes]
 
 
@@ -107,7 +110,7 @@ def stencil_pattern(
     offset_rows: int = 0,
     offset_cols: int = 0,
     element_bytes: int = 4,
-) -> List[int]:
+) -> Sequence[int]:
     """2-D grid access at ``(row + offset_rows, col + offset_cols)`` where
     each lane covers one column of a 32-wide tile.  Neighbouring offsets
     give the classic 5-point-stencil reuse."""
@@ -117,7 +120,7 @@ def stencil_pattern(
         first = (col_block * WARP_SIZE + offset_cols) % width
         if first + WARP_SIZE <= width:
             start = base + (actual_row * width + first) * element_bytes
-            return list(range(start, start + WARP_SIZE * element_bytes, element_bytes))
+            return range(start, start + WARP_SIZE * element_bytes, element_bytes)
     return [
         base
         + (
@@ -129,12 +132,14 @@ def stencil_pattern(
     ]
 
 
-def shared_offsets(lanes: Sequence[int], stride_words: int = 1, base_word: int = 0) -> List[int]:
+def shared_offsets(
+    lanes: Sequence[int], stride_words: int = 1, base_word: int = 0
+) -> Sequence[int]:
     """Shared-memory word offsets; ``stride_words`` controls bank conflicts
     (stride 1 = conflict-free, stride 32 = fully serialized)."""
     if lanes == _FULL_WARP and stride_words > 0:
         start, step = base_word * 4, stride_words * 4
-        return list(range(start, start + WARP_SIZE * step, step))
+        return range(start, start + WARP_SIZE * step, step)
     return [(base_word + lane * stride_words) * 4 for lane in lanes]
 
 
@@ -144,10 +149,10 @@ def partial_row_pattern(
     lanes: Sequence[int],
     row_bytes: int = 4096,
     element_bytes: int = 4,
-) -> List[int]:
+) -> Sequence[int]:
     """Each warp reads the head of its own row (triangular solvers touch a
     shrinking leading portion of successive rows)."""
     base = region_base(region) + row_index * row_bytes
     if lanes == _FULL_WARP and element_bytes > 0:
-        return list(range(base, base + WARP_SIZE * element_bytes, element_bytes))
+        return range(base, base + WARP_SIZE * element_bytes, element_bytes)
     return [base + lane * element_bytes for lane in lanes]

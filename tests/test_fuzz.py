@@ -81,8 +81,9 @@ class TestTraceParserFuzz:
 class TestAddressListFuzz:
     """``TraceInstruction`` is the one door into a trace for every
     producer (generator, both parsers, the NVBit adapter, user code):
-    whatever is handed to it as an address list either becomes an
-    unsigned 64-bit array or raises the typed error."""
+    whatever is handed to it as an address list either becomes a
+    ``range`` (a run) or an unsigned 64-bit array, or raises the typed
+    error."""
 
     junk = st.one_of(
         st.integers(-(1 << 70), 1 << 70), st.floats(allow_nan=True),
@@ -100,7 +101,7 @@ class TestAddressListFuzz:
                 type(a) in (int, bool) and 0 <= a < 1 << 64 for a in addresses
             )
         else:
-            assert inst.addresses.typecode == "Q"
+            assert type(inst.addresses) is range or inst.addresses.typecode == "Q"
             assert list(inst.addresses) == addresses
 
     @pytest.mark.parametrize("addresses", [

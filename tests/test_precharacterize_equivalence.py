@@ -17,6 +17,9 @@ pytest.importorskip("numpy")
 import numpy as np
 
 from repro.frontend.precharacterize import first_touch, precharacterize
+from repro.frontend.trace import (
+    ApplicationTrace, BlockTrace, KernelTrace, TraceInstruction, WarpTrace,
+)
 from repro.memory.access import touched_sectors
 from repro.memory.reuse_distance import LRUStack
 from repro.tracegen.suites import APPLICATIONS, make_app
@@ -51,6 +54,86 @@ class TestTasklistEquivalence:
             assert summary.ldst_insts == (
                 summary.global_loads + summary.global_stores
             )
+
+
+TOP = (1 << 64) - 1
+
+
+@st.composite
+def lane_runs(draw):
+    """1..32 lanes stepping either way, near address 0 or near the top:
+    a negative step is expanded through numpy's uint64 wrap."""
+    count = draw(st.integers(1, 32))
+    step = draw(st.sampled_from((4, 8, 36, 128, 4096, -4, -8, -36, -128, -4096)))
+    span = (count - 1) * abs(step)
+    low = draw(st.one_of(st.integers(0, 512), st.integers(TOP - span - 512, TOP - span)))
+    first = low if step > 0 else low + span
+    return [first + lane * step for lane in range(count)]
+
+
+memory_lanes = st.one_of(
+    lane_runs(),
+    st.lists(st.integers(0, 4096), min_size=1, max_size=32),
+    st.integers(0, 4096).map(lambda address: [address] * 32),
+)
+
+
+@st.composite
+def run_kernels(draw):
+    """One kernel whose warps load and store runs of both signs, gathers
+    and broadcasts, with an address-free instruction between."""
+    blocks = []
+    for block_id in range(draw(st.integers(1, 2))):
+        warps = []
+        for warp_id in range(draw(st.integers(1, 3))):
+            insts = []
+            for position, lanes in enumerate(
+                draw(st.lists(memory_lanes, min_size=1, max_size=6))
+            ):
+                pc = 32 * position
+                mask = (1 << len(lanes)) - 1
+                if draw(st.booleans()):
+                    insts.append(TraceInstruction(
+                        pc, "LDG", (8 + position,), (), mask, lanes))
+                else:
+                    insts.append(TraceInstruction(
+                        pc, "STG", (), (8,), mask, lanes))
+                insts.append(TraceInstruction(pc + 16, "IADD3", (8,), (8 + position,)))
+            insts.append(TraceInstruction(32 * len(insts), "EXIT"))
+            warps.append(WarpTrace(warp_id, insts))
+        blocks.append(BlockTrace(block_id, warps))
+    return ApplicationTrace("runs", [KernelTrace("runs", blocks)])
+
+
+class TestRunExpansion:
+    """Runs reach the sector stream as ranges and are expanded in numpy;
+    the tasklist equals the reference's, which walks every lane."""
+
+    @given(run_kernels())
+    @settings(max_examples=150, deadline=None)
+    def test_tasklists_equal_the_reference(self, app):
+        assert precharacterize(app) == reference_precharacterize(app)
+
+    def test_negative_steps_near_both_ends(self):
+        lanes = [
+            list(range(TOP - 3, TOP - 3 - 32 * 4, -4)),     # down from the top
+            list(range(31 * 128, -1, -128)),                # down to 0
+            list(range(0, 32 * 36, 36)),
+            [TOP] * 32,
+            list(range(TOP - 8 * 4096 + 1, TOP, 4096))[::-1],
+        ]
+        insts = [
+            TraceInstruction(16 * i, "LDG", (8 + i,), (), (1 << len(l)) - 1, l)
+            for i, l in enumerate(lanes)
+        ]
+        assert all(type(inst.addresses) is range for inst in insts[:3])
+        app = ApplicationTrace("down", [KernelTrace("down", [BlockTrace(0, [
+            WarpTrace(0, insts + [TraceInstruction(16 * len(insts), "EXIT")])
+        ])])])
+        tasklist = precharacterize(app)
+        assert tasklist == reference_precharacterize(app)
+        assert tasklist.kernels[0].load_transactions == sum(
+            len(touched_sectors(l, 32)) for l in lanes)
 
 
 def naive_stack_distances(stream):

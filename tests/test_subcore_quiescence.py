@@ -14,6 +14,9 @@ the helper chain — and this suite holds the live classes to it:
   policies x both clockings;
 * at every cycle boundary, no quiet sub-core holds a warp that is
   visible and issuable, under accel-like and a mixed plan;
+* warps of one sub-core that wait to fetch at once get their fetches a
+  cycle apart, as the reference gives them, from drawn front-end states
+  (generated kernels rarely line two refetches up in one cycle);
 * the saving is where it is claimed: sub-core ticks, counted, not timed;
 * ``SubCore.invariants`` catches a horizon that hides an issuable warp.
 """
@@ -23,6 +26,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.simulators.base as assembly
 from repro import get_preset
 from repro.check.shadow import compare_results
 from repro.core.block_scheduler import BlockScheduler
@@ -375,12 +379,18 @@ OPCODES = ("IADD3", "FFMA", "MUFU.SIN", "DFMA", "LDG", "STG", "LDS",
 @st.composite
 def tiny_kernels(draw):
     """One kernel of 1-3 blocks; the warps of a block share an opcode
-    sequence (so barrier counts agree) and draw their own registers."""
+    sequence (so barrier counts agree) and draw their own registers.
+
+    Streams are longer than the 8-entry i-buffer (9-24 instructions), so
+    a warp refetches mid-stream, and a block has 5-8 warps, so on the
+    test GPU's four sub-cores at least two warps of one sub-core wait to
+    fetch at once: the front end starts one fetch per cycle, and a tick
+    that starts one must not hide the next."""
     blocks = []
     for block_id in range(draw(st.integers(1, 3))):
-        opcodes = draw(st.lists(st.sampled_from(OPCODES), min_size=1, max_size=12))
+        opcodes = draw(st.lists(st.sampled_from(OPCODES), min_size=9, max_size=24))
         warps = []
-        for warp_id in range(draw(st.integers(1, 6))):
+        for warp_id in range(draw(st.integers(5, 8))):
             insts = []
             for index, opcode in enumerate(opcodes):
                 pc = 16 * index
@@ -413,3 +423,65 @@ def test_random_kernels_keep_the_horizon_honest(app, policy, simulator_cls):
     gpu = gpu_with_policy(policy)
     guarded(simulator_cls(gpu), app, gpu)
     assert_matches_reference("random kernel", lambda: simulator_cls(gpu), app)
+
+
+@st.composite
+def fetch_pressure(draw):
+    """Warps of one sub-core, each part-way through a stream longer than
+    the 8-entry i-buffer, each waiting on its load with the i-buffer at
+    most half full and no fetch in flight: ``(stream length, issue width,
+    per-warp (position, i-buffer), cycle the loads complete)``.  Traces
+    reach this state only when two warps cross the refetch threshold in
+    one cycle, which generated kernels rarely line up."""
+    length = draw(st.integers(9, 24))
+    warps = [
+        (draw(st.integers(1, length - 1)), draw(st.integers(0, 4)))
+        for __ in range(draw(st.integers(2, 4)))
+    ]
+    return length, draw(st.integers(1, 2)), warps, draw(st.integers(1, 16))
+
+
+def drive_fetch_pressure(length, issue_width, warp_states, complete_at):
+    """Drive one SM per cycle from the ``fetch_pressure`` state; per cycle,
+    each warp's ``(pc_index, ibuffer, refill_at)``, then every counter."""
+    gpu = make_tiny_gpu()
+    gpu = replace(gpu, sm=replace(gpu.sm, sub_cores=1, issue_width=issue_width))
+    simulator = AccelSimLike(gpu)
+    program = [load(0, 10, coalesced_addrs())] + [
+        alu(16 * index, 10 + index, srcs=(10,), opcode=("IADD3", "FFMA")[index % 2])
+        for index in range(1, length)
+    ]
+    block = BlockTrace(0, [make_warp(program, warp_id=w) for w in range(len(warp_states))])
+    sm = assembly.SMCore(0, gpu, BlockScheduler(KernelTrace("k", [block])),
+                         simulator._subcore_factory(simulator._build_memory()))
+    subcore = sm.subcores[0]
+    sm.tick(0)
+    for warp, (position, ibuffer) in zip(subcore.warps, warp_states):
+        warp.pc_index = position
+        warp.scoreboard.reserve((10,), None)
+        warp.inflight_count = 1
+        warp.ibuffer = ibuffer
+        warp.refill_at = NO_FETCH
+    subcore.quiet_until = 0
+    seen = []
+    for cycle in range(1, complete_at + 4 * length):
+        if cycle == complete_at:
+            for warp in subcore.warps:
+                subcore.on_complete(warp, program[0], cycle)
+        sm.tick(cycle)
+        seen.append([(w.pc_index, w.ibuffer, w.refill_at) for w in subcore.warps])
+    counters = [dict(subcore.counters), dict(subcore.frontend.counters)]
+    return seen, counters
+
+
+@settings(max_examples=60, deadline=None)
+@given(fetch_pressure())
+def test_fetch_pressure_matches_the_reference(state):
+    """Two or more warps of one sub-core wait to fetch at once: the front
+    end starts one fetch per cycle, so a tick that starts one must not
+    hide the next.  Per cycle, every warp's fetch state and position, and
+    every counter, equal the sub-core that ticks every cycle."""
+    live = drive_fetch_pressure(*state)
+    with reference_cores():
+        reference = drive_fetch_pressure(*state)
+    assert live == reference
